@@ -4,8 +4,9 @@ Each suite replays deterministically from a seed (sub-seeded per suite, so
 adding a suite never shifts another's random stream) and returns a small
 report dict; ``run_suites`` assembles them in a fixed order.  These are
 consistency audits between independently computed structures — cone-angle
-walks against cycle counts, power iteration against dense eigensolvers,
-reachability against matrix powers — not re-runs of the same code path.
+walks against cycle counts, the certified eigen-bracket against a dense
+solve of the transpose-side Gram matrix, reachability against matrix
+powers — not re-runs of the same code path.
 """
 
 from __future__ import annotations
@@ -91,7 +92,11 @@ def check_gauss_bonnet(seed: int) -> dict:
 
 
 def check_perron_oracle(seed: int) -> dict:
-    """Power iteration against a dense symmetric eigensolver."""
+    """Certified bracket and ray against a dense solve of M^T M.
+
+    M^T M has the nonzero spectrum of M M^T but is a different matrix; its
+    top eigenvector y gives the ray of x as M y.
+    """
     rng = _suite_rng(seed, "perron-oracle")
     failures: List[str] = []
     cases = 0
@@ -111,15 +116,16 @@ def check_perron_oracle(seed: int) -> dict:
         produced += 1
         cases += 1
         res = perron_solve(t)
-        dense = np.linalg.eigvalsh(np.array(t, dtype=float))
-        top = float(dense[-1])
-        if abs(res.eigenvalue - top) > 1e-10 * max(1.0, top):
+        marr = np.array(m, dtype=float)
+        w, vecs = np.linalg.eigh(marr.T @ marr)
+        top, slack = float(w[-1]), 1e-10 * max(1.0, float(w[-1]))
+        if not res.lower - slack <= top <= res.upper + slack:
             failures.append(
-                f"eigenvalue {res.eigenvalue!r} vs dense {top!r} on case {produced}"
+                f"bracket [{res.lower!r}, {res.upper!r}] misses transpose-side "
+                f"{top!r} on case {produced}"
             )
-        w, vecs = np.linalg.eigh(np.array(t, dtype=float))
-        lead = vecs[:, -1]
-        lead = np.abs(lead) / np.sum(np.abs(lead))
+        lead = marr @ np.abs(vecs[:, -1])
+        lead = lead / np.sum(lead)
         if max(abs(a - b) for a, b in zip(res.vector, lead)) > 1e-8:
             failures.append(f"eigenvector ray off on case {produced}")
     return _report("perron-oracle", cases, failures)

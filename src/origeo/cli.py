@@ -45,6 +45,22 @@ from .surface import WeightedSurface, distance_interval, ext_interval
 import random
 
 
+# Flow points G(s), G(t) carry weights scaled by e^{+-s}, e^{+-t}, and the
+# brackets between them compare extremal lengths, which scale like e^{2|t|}.
+# Keeping e^{2 (|s| + |t|)} below the square root of the largest float
+# leaves the other half of the exponent range to the weights themselves.
+MAX_REACH = math.log(sys.float_info.max) / 4
+MAX_GRID_ROWS = 10_000
+
+
+def _check_reach(reach: float, what: str) -> None:
+    if not reach <= MAX_REACH:
+        raise InputError(
+            f"{what} is {reach:g}, beyond the {MAX_REACH:.1f} that floats "
+            "carry (log of the largest float / 4)"
+        )
+
+
 def _fmt(x: float) -> str:
     return f"{float(x):.15g}"
 
@@ -67,8 +83,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if not self.tol > 0:
             raise InputError(f"tolerance must be positive, got {self.tol}")
-        if not self.step > 0:
-            raise InputError(f"step must be positive, got {self.step}")
+        if not 0 < self.step < math.inf:
+            raise InputError(f"step must be positive and finite, got {self.step}")
         if self.t_min > self.t_max:
             raise InputError(
                 f"empty time grid: t-min {self.t_min} > t-max {self.t_max}"
@@ -149,7 +165,13 @@ def cmd_geodesic(args: argparse.Namespace) -> str:
 
 
 def _grid(cfg: RunConfig) -> List[float]:
-    count = int(round((cfg.t_max - cfg.t_min) / cfg.step)) + 1
+    span = (cfg.t_max - cfg.t_min) / cfg.step
+    count = round(span) + 1 if math.isfinite(span) else math.inf
+    if count > MAX_GRID_ROWS:
+        raise InputError(
+            f"time grid needs {count} rows, more than {MAX_GRID_ROWS}; "
+            "raise --step or narrow [--t-min, --t-max]"
+        )
     return [cfg.t_min + i * cfg.step for i in range(max(count, 1))]
 
 
@@ -159,6 +181,12 @@ def cmd_flow(args: argparse.Namespace) -> str:
     base = line.require_surface()
     f_v, f_h = line.vertical_foliation, line.horizontal_foliation
     horizon = cfg.horizon if cfg.horizon is not None else cfg.t_max + 5.0
+    # each row pairs G(t) with the Busemann point G(max(horizon, t + 5))
+    _check_reach(
+        max(abs(cfg.t_min), abs(cfg.t_max)) + max(horizon, cfg.t_max + 5.0),
+        "flow time plus horizon",
+    )
+    grid = _grid(cfg)
 
     width_labels = list(base.widths)
     height_labels = list(base.heights)
@@ -172,7 +200,7 @@ def cmd_flow(args: argparse.Namespace) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for t in _grid(cfg):
+    for t in grid:
         pt = line.point_at(t)
         psi_v = psi_foliation(f_v, pt, base)
         psi_h = psi_foliation(f_h, pt, base)
@@ -209,6 +237,7 @@ def cmd_flow(args: argparse.Namespace) -> str:
 
 def _converge_payload(line: GeodesicLine, cfg: RunConfig) -> dict:
     base = line.require_surface()
+    _check_reach(2.0 * cfg.n_max, "the span of G(-n-max) and G(n-max)")
     exact_rows = []
     for n in range(1, cfg.n_max + 1):
         x_n = line.point_at(float(-n))
@@ -317,7 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("report", help="geodesic report JSON (from `origeo geodesic`)")
     p.add_argument("--t-min", type=float, default=None, dest="t_min")
     p.add_argument("--t-max", type=float, default=None, dest="t_max")
-    p.add_argument("--step", type=float, default=None)
+    p.add_argument("--step", type=float, default=None,
+                   help=f"grid step (at most {MAX_GRID_ROWS} rows)")
     p.add_argument("--horizon", type=float, default=None,
                    help="Busemann horizon time (default t-max + 5)")
     add_common(p)

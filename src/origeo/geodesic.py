@@ -6,9 +6,11 @@ fill, the unique Teichmueller geodesic with forward limit ``xi`` and
 backward limit ``eta`` is found by a Perron–Frobenius reduction:
 
 1. couple the components through ``M_ij = c_i * d_j * n(gamma_i, delta_j)``;
-2. take the leading eigenpair ``(lambda, x)`` of ``M M^T`` and set
-   ``y = M^T x / sqrt(lambda)`` — then ``x*sqrt(lambda) = M y`` and
-   ``y*sqrt(lambda) = M^T x``, the closed two-sided system;
+2. take the leading eigenpair ``(lambda, x)`` of ``M M^T`` — one dense
+   solve, with lambda enclosed by an exact Collatz–Wielandt bracket (see
+   :mod:`origeo.perron`) — and set ``y = M^T x / sqrt(lambda)``; then
+   ``x*sqrt(lambda) = M y`` and ``y*sqrt(lambda) = M^T x``, the closed
+   two-sided system, up to the bracket's relative width;
 3. the geodesic's vertical foliation puts weight ``x_i * c_i`` on
    ``gamma_i``, the horizontal one ``y_j * d_j`` on ``delta_j``; when both
    families use all cores, these weights *are* the widths and heights of the
@@ -20,7 +22,9 @@ Flowing for time ``t`` multiplies widths by ``e^t`` and heights by
 (``t -> +infinity``) limit.  Construction ends with a consistency
 certificate: the ray's own limit, read off through the ergodic
 decomposition of the vertical foliation, must be proportional to the
-requested ``i(xi, .)`` on every core (and symmetrically backward).  A
+requested ``i(xi, .)`` on every core (and symmetrically backward).  Both
+sides are the same kernel over the intersection matrix,
+:func:`origeo.multicurve.limit_values`, with different core weights.  A
 failure of that certificate means the orientation convention is broken and
 raises instead of silently flipping.
 """
@@ -29,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -46,9 +50,11 @@ from .multicurve import (
     FillingStatus,
     WeightedMulticurve,
     busemann_spec_to_json,
-    core_curve,
+    core_labels,
+    core_pairings,
     filling_status,
     intersection,
+    limit_values,
 )
 from .origami import Origami, origami_to_json
 from .perron import DEFAULT_TOL, PerronResult, gram, is_primitive, perron_solve
@@ -101,9 +107,6 @@ class GeodesicLine:
     def reversed(self) -> "GeodesicLine":
         return reversed_line(self)
 
-    def to_report(self) -> dict:
-        return line_report(self)
-
     def require_surface(self) -> WeightedSurface:
         if self.base_surface is None:
             raise NotFillingError(
@@ -112,18 +115,6 @@ class GeodesicLine:
                 "host origami, so flow operations are unavailable"
             )
         return self.base_surface
-
-
-def _core_intersection_matrix_for(
-    xi: BusemannSpec, eta: BusemannSpec
-) -> Tuple[Tuple[int, ...], ...]:
-    """Rows = xi components, cols = eta components, core intersection counts."""
-    n = xi.host.intersection_matrix()
-    rows = []
-    for g in xi.support:  # vertical labels -> matrix columns
-        col = n.col_labels.index(g)
-        rows.append(tuple(n.entries[n.row_labels.index(d)][col] for d in eta.support))
-    return tuple(rows)
 
 
 def optimal_geodesic(
@@ -161,12 +152,14 @@ def optimal_geodesic(
             "zero line or a disconnected support graph"
         )
 
-    cores = _core_intersection_matrix_for(xi, eta)
-    c = [xi.coeffs[lab] for lab in xi.support]
-    d = [eta.coeffs[lab] for lab in eta.support]
+    # rows = xi components, columns = eta components
+    n = host.intersection_matrix()
+    c = [float(xi.coeffs[lab]) for lab in xi.support]
+    d = [float(eta.coeffs[lab]) for lab in eta.support]
+    rows = [n.entries[n.row_labels.index(lab)] for lab in eta.support]
     m = [
-        [float(ci) * float(dj) * nij for dj, nij in zip(d, row)]
-        for ci, row in zip(c, cores)
+        [ci * dj * row[j] for dj, row in zip(d, rows)]
+        for ci, j in zip(c, (n.col_labels.index(lab) for lab in xi.support))
     ]
     if not is_primitive(m):
         # unreachable when filling_status passed; kept as a hard guard
@@ -178,20 +171,21 @@ def optimal_geodesic(
     xv = np.array(eigen.vector)
     yv = (marr.T @ xv) / scale
 
+    # |M y - sqrt(lambda) x|_i <= tol * sqrt(lambda) * x_i by the bracket
     closure = float(np.max(np.abs(marr @ yv - scale * xv)))
-    if closure > 10 * tol / min(1.0, scale):
+    if closure > 10 * tol * max(scale, 1.0 / scale):
         raise CertificationError(
             f"two-sided system failed to close: |M y - sqrt(lambda) x| = {closure:.3g}"
         )
 
     f_vert = WeightedMulticurve(
         host, VERTICAL,
-        {lab: float(ci) * xi_i for lab, ci, xi_i in zip(xi.support, c, eigen.vector)},
+        {lab: ci * xi_i for lab, ci, xi_i in zip(xi.support, c, eigen.vector)},
     )
     y = tuple(float(v) for v in yv)
     f_hor = WeightedMulticurve(
         host, HORIZONTAL,
-        {lab: float(dj) * yj for lab, dj, yj in zip(eta.support, d, y)},
+        {lab: dj * yj for lab, dj, yj in zip(eta.support, d, y)},
     )
 
     base = None
@@ -200,10 +194,8 @@ def optimal_geodesic(
         if base.area() != intersection(f_hor, f_vert):
             raise CertificationError("base surface area disagrees with the pairing")
 
-    fwd_raw = _walsh_raw(f_vert, f_hor)
-    bwd_raw = _walsh_raw(f_hor, f_vert)
-    cos_fwd = _cosine(fwd_raw, _spec_values(xi))
-    cos_bwd = _cosine(bwd_raw, _spec_values(eta))
+    cos_fwd = _cosine(ray_limit(f_vert, f_hor), spec_pairing(xi))
+    cos_bwd = _cosine(ray_limit(f_hor, f_vert), spec_pairing(eta))
     certificate_floor = 1 - max(10 * tol, 1e-11)
     if cos_fwd < certificate_floor or cos_bwd < certificate_floor:
         raise CertificationError(
@@ -272,73 +264,53 @@ def flow_distance(line: GeodesicLine, s: float, t: float) -> float:
 # limits
 
 
-def _walsh_raw(
-    components: WeightedMulticurve, transverse: WeightedMulticurve
-) -> Dict[str, float]:
-    """Limit values of the ray, over all cores, via the ergodic components.
+def ray_limit(
+    components: WeightedMulticurve,
+    transverse: WeightedMulticurve,
+    curves: Optional[Sequence[WeightedMulticurve]] = None,
+) -> np.ndarray:
+    """The ray's limit on ``curves`` (default: every core), unnormalized.
 
-    value(gamma)^2 = sum over components (w * core) of
-    i(w*core, gamma)^2 / i(w*core, transverse); the transverse pairing of
-    every component is positive for primitive data.
+    Read off the ergodic decomposition of ``components``:
+    value(gamma)^2 = sum_k (w_k i(core_k, gamma))^2 / (w_k i(core_k, F)),
+    which is :func:`limit_values` with q_k = w_k / i(core_k, F) for the
+    transverse foliation F.  That pairing is positive for primitive data.
     """
-    host = components.host
-    inv_denom = {}
-    for lab, w in components.weights.items():
-        core = core_curve(host, components.side, lab)
-        denom = float(w) * float(intersection(core, transverse))
-        if not denom > 0:
+    host, side = components.host, components.side
+    pairings = core_pairings(host, side, [transverse])[:, 0]
+    q = {}
+    for cyl, pairing in zip(host.cylinders(side), pairings):
+        if cyl.label not in components.weights:
+            continue
+        if not pairing > 0:
             raise CertificationError(
-                f"component {lab} has zero pairing with the transverse "
+                f"component {cyl.label} has zero pairing with the transverse "
                 "foliation; data is not primitive"
             )
-        inv_denom[lab] = 1.0 / denom
-    values: Dict[str, float] = {}
-    for side in (HORIZONTAL, VERTICAL):
-        for cyl in host.cylinders(side):
-            gamma = core_curve(host, side, cyl.label)
-            total = 0.0
-            for lab, w in components.weights.items():
-                num = float(
-                    intersection(core_curve(host, components.side, lab), gamma)
-                ) * float(w)
-                if num:
-                    total += num * num * inv_denom[lab]
-            values[cyl.label] = math.sqrt(total)
-    return values
+        q[cyl.label] = float(components.weights[cyl.label]) / pairing
+    return limit_values(host, side, q, curves)
 
 
-def _spec_values(spec: BusemannSpec) -> Dict[str, float]:
-    """i(spec, gamma) over all cores of the host."""
-    host = spec.host
-    mc = spec.as_multicurve()
-    out: Dict[str, float] = {}
-    for side in (HORIZONTAL, VERTICAL):
-        for cyl in host.cylinders(side):
-            gamma = core_curve(host, side, cyl.label)
-            total = 0.0
-            for lab, ci in spec.coeffs.items():
-                num = float(intersection(core_curve(host, spec.side, lab), gamma))
-                if num:
-                    total += float(ci) ** 2 * num * num
-            out[cyl.label] = math.sqrt(total)
-    return out
+def spec_pairing(
+    spec: BusemannSpec, curves: Optional[Sequence[WeightedMulticurve]] = None
+) -> np.ndarray:
+    """i(spec, gamma) = sqrt(sum_i c_i^2 i(gamma_i, gamma)^2) on ``curves``."""
+    q = {lab: float(c) ** 2 for lab, c in spec.coeffs.items()}
+    return limit_values(spec.host, spec.side, q, curves)
 
 
-def _cosine(u: Dict[str, float], v: Dict[str, float]) -> float:
-    keys = list(u)
-    a = np.array([u[k] for k in keys])
-    b = np.array([v[k] for k in keys])
+def _cosine(a: np.ndarray, b: np.ndarray) -> float:
     na, nb = np.linalg.norm(a), np.linalg.norm(b)
     if na == 0 or nb == 0:
         return 0.0
     return float(a @ b / (na * nb))
 
 
-def _normalized(values: Dict[str, float]) -> Dict[str, float]:
-    norm = math.sqrt(sum(v * v for v in values.values()))
+def _normalized(host: Origami, values: np.ndarray) -> Dict[str, float]:
+    norm = np.linalg.norm(values)
     if norm == 0:
         raise CertificationError("limit function vanished on every core")
-    return {k: v / norm for k, v in values.items()}
+    return dict(zip(core_labels(host), (values / norm).tolist()))
 
 
 def forward_limit(line: GeodesicLine) -> Dict[str, float]:
@@ -347,12 +319,16 @@ def forward_limit(line: GeodesicLine) -> Dict[str, float]:
     Proportional to i(forward_spec, .) — this proportionality is the
     construction's consistency certificate.
     """
-    return _normalized(_walsh_raw(line.vertical_foliation, line.horizontal_foliation))
+    return _normalized(
+        line.origami, ray_limit(line.vertical_foliation, line.horizontal_foliation)
+    )
 
 
 def backward_limit(line: GeodesicLine) -> Dict[str, float]:
     """Same for t -> -infinity: roles of the two foliations exchanged."""
-    return _normalized(_walsh_raw(line.horizontal_foliation, line.vertical_foliation))
+    return _normalized(
+        line.origami, ray_limit(line.horizontal_foliation, line.vertical_foliation)
+    )
 
 
 def reversed_line(line: GeodesicLine) -> GeodesicLine:
@@ -386,6 +362,8 @@ def line_report(line: GeodesicLine) -> dict:
         area_val = f"{float(line.base_surface.area()):.15g}"
     return {
         "lambda": f"{line.eigen.eigenvalue:.15g}",
+        "lambdaLo": line.eigen.lower,
+        "lambdaHi": line.eigen.upper,
         "x": [f"{v:.15g}" for v in line.x],
         "y": [f"{v:.15g}" for v in line.y],
         "residual": line.eigen.residual,

@@ -27,8 +27,10 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .errors import CertificationError, HostMismatch, InputError
-from .geodesic import GeodesicLine, point_at
+from .geodesic import GeodesicLine, point_at, ray_limit, spec_pairing
 from .intervals import ValueInterval
 from .multicurve import (
     HORIZONTAL,
@@ -64,14 +66,7 @@ class HorofunctionValue:
 
 def walsh_eval(spec: BusemannSpec, mu: WeightedMulticurve) -> float:
     """sqrt(sum_i c_i^2 i(gamma_i, mu)^2): the boundary spec paired with mu."""
-    if spec.host is not mu.host:
-        raise HostMismatch("spec and multicurve live on different origamis")
-    total = 0.0
-    for lab, ci in spec.coeffs.items():
-        num = float(intersection(core_curve(spec.host, spec.side, lab), mu))
-        if num:
-            total += float(ci) ** 2 * num * num
-    return math.sqrt(total)
+    return float(spec_pairing(spec, [mu])[0])
 
 
 def psi_foliation(
@@ -128,7 +123,6 @@ def busemann_interval(
     x: WeightedSurface,
     x0: Optional[WeightedSurface] = None,
     horizon: float = 8.0,
-    family: Optional[Sequence[WeightedMulticurve]] = None,
 ) -> HorofunctionValue:
     """Enclose the Busemann function of the line's forward endpoint at X.
 
@@ -139,7 +133,6 @@ def busemann_interval(
     """
     if not horizon > 0:
         raise InputError(f"horizon must be positive, got {horizon}")
-    del family  # the enclosure picks its own comparison data
     enc = _enclosure(line, x, horizon)
     if x0 is not None:
         enc = enc.minus(_enclosure(line, x0, horizon))
@@ -230,19 +223,6 @@ def minsky_audit(
     }
 
 
-def _forward_value(line: GeodesicLine, gamma: WeightedMulticurve) -> float:
-    """The line's forward limit on gamma in the growth-rate normalization."""
-    f_v, f_h = line.vertical_foliation, line.horizontal_foliation
-    total = 0.0
-    for lab, w in f_v.weights.items():
-        core = core_curve(line.origami, f_v.side, lab)
-        denom = float(w) * float(intersection(core, f_h))
-        num = float(w) * float(intersection(core, gamma))
-        if num:
-            total += num * num / denom
-    return math.sqrt(total)
-
-
 def lower_bound_audit(
     line: GeodesicLine,
     curves: Optional[Sequence[WeightedMulticurve]] = None,
@@ -257,19 +237,13 @@ def lower_bound_audit(
     f_v, f_h = line.vertical_foliation, line.horizontal_foliation
     sqrt_area = math.sqrt(_line_area(line))
     if curves is None:
-        curves = [
-            core_curve(line.origami, side, cyl.label)
-            for side in (HORIZONTAL, VERTICAL)
-            for cyl in line.origami.cylinders(side)
-        ]
+        curves = _core_curves(line.origami)
+    limits = ray_limit(f_v, f_h, curves)
     entries = []
     min_margin = math.inf
     all_ok = True
-    for gamma in curves:
-        if gamma.host is not line.origami:
-            raise HostMismatch("audit curve lives on a different origami")
+    for gamma, rhs in zip(curves, limits.tolist()):
         lhs = float(intersection(f_v, gamma)) / sqrt_area
-        rhs = _forward_value(line, gamma)
         margin = rhs - lhs
         ok = margin >= -1e-12
         all_ok = all_ok and ok
@@ -308,21 +282,28 @@ def delta_probe(
         raise HostMismatch("specs and base surface live on different origamis")
     host = base.origami
     if curves is None:
-        curves = [
-            core_curve(host, side, cyl.label)
-            for side in (HORIZONTAL, VERTICAL)
-            for cyl in host.cylinders(side)
-        ]
-    best = math.inf
-    witness = None
-    for gamma in curves:
-        ext_hi = float(curve_ext_bounds(base, gamma).hi)
-        unit = gamma.scaled(1.0 / math.sqrt(ext_hi))
-        val = walsh_eval(xi, unit) + walsh_eval(eta, unit)
-        if val < best:
-            best = val
-            witness = _curve_tag(gamma)
-    return {"value": best, "witness": witness, "status": "probe"}
+        curves = _core_curves(host)
+    units = [
+        gamma.scaled(1.0 / math.sqrt(float(curve_ext_bounds(base, gamma).hi)))
+        for gamma in curves
+    ]
+    if not units:
+        return {"value": math.inf, "witness": None, "status": "probe"}
+    values = spec_pairing(xi, units) + spec_pairing(eta, units)
+    best = int(np.argmin(values))
+    return {
+        "value": float(values[best]),
+        "witness": _curve_tag(curves[best]),
+        "status": "probe",
+    }
+
+
+def _core_curves(host) -> list:
+    return [
+        core_curve(host, side, cyl.label)
+        for side in (HORIZONTAL, VERTICAL)
+        for cyl in host.cylinders(side)
+    ]
 
 
 def _curve_tag(gamma: WeightedMulticurve) -> str:

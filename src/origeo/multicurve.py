@@ -87,29 +87,8 @@ class IntersectionMatrix:
     def shape(self) -> Tuple[int, int]:
         return len(self.entries), len(self.entries[0]) if self.entries else 0
 
-    def entry(self, i: int, j: int) -> Weight:
-        return self.entries[i][j]
-
-    def row_sums(self) -> Tuple[Weight, ...]:
-        return tuple(sum(row) for row in self.entries)
-
-    def col_sums(self) -> Tuple[Weight, ...]:
-        k, l = self.shape
-        return tuple(sum(self.entries[i][j] for i in range(k)) for j in range(l))
-
     def total(self) -> Weight:
-        return sum(self.row_sums())
-
-    def transpose(self) -> "IntersectionMatrix":
-        k, l = self.shape
-        return IntersectionMatrix(
-            tuple(tuple(self.entries[i][j] for i in range(k)) for j in range(l)),
-            self.col_labels,
-            self.row_labels,
-        )
-
-    def as_array(self) -> np.ndarray:
-        return np.array([[float(x) for x in row] for row in self.entries])
+        return sum(sum(row) for row in self.entries)
 
     def as_lists(self) -> list:
         return [list(row) for row in self.entries]
@@ -181,10 +160,7 @@ def _same_host(a: WeightedMulticurve, b: WeightedMulticurve) -> None:
         raise HostMismatch("multicurves live on different origamis")
 
 
-def pair_intersection(
-    a: WeightedMulticurve, b: WeightedMulticurve,
-    matrix: Optional[IntersectionMatrix] = None,
-) -> Weight:
+def pair_intersection(a: WeightedMulticurve, b: WeightedMulticurve) -> Weight:
     """Geometric intersection number of two transversal weighted families.
 
     ``a`` and ``b`` must live on opposite sides of the same origami.  The
@@ -201,11 +177,7 @@ def pair_intersection(
         # canonical accumulation order: the pairing is symmetric, and running
         # one fixed loop makes it bit-for-bit symmetric in float arithmetic
         a, b = b, a
-    if matrix is None:
-        matrix = a.host.intersection_matrix()
-    n = matrix if matrix.row_labels == tuple(
-        c.label for c in a.host.cylinders(a.side)
-    ) else matrix.transpose()
+    n = a.host.intersection_matrix()  # rows are the horizontal cores
     av = a.vector()
     bv = b.vector()
     total = 0
@@ -228,46 +200,92 @@ def intersection(a: WeightedMulticurve, b: WeightedMulticurve) -> Weight:
     return pair_intersection(a, b)
 
 
+def core_labels(host) -> Tuple[str, ...]:
+    """Every core of the host: horizontal A1.. first, then vertical B1.."""
+    return tuple(c.label for side in SIDES for c in host.cylinders(side))
+
+
+def core_pairings(
+    host, side: str, curves: Optional[Sequence[WeightedMulticurve]] = None
+) -> np.ndarray:
+    """i(core_k, gamma) in floats, read off N: one row per core k of
+    ``side``, one column per curve (default: every core, as in
+    :func:`core_labels`)."""
+    n = np.array(host.intersection_matrix().entries, dtype=float)
+    h, v = n.shape
+    if side == HORIZONTAL:
+        pairs = np.hstack([np.zeros((h, h)), n])
+    else:
+        pairs = np.hstack([n.T, np.zeros((v, v))])
+    if curves is None:
+        return pairs
+    if any(gamma.host is not host for gamma in curves):
+        raise HostMismatch("curve lives on a different origami")
+    weights = [[float(g.weights.get(lab, 0)) for g in curves] for lab in core_labels(host)]
+    return pairs @ np.array(weights)
+
+
+def limit_values(
+    host,
+    side: str,
+    q: Mapping[str, float],
+    curves: Optional[Sequence[WeightedMulticurve]] = None,
+) -> np.ndarray:
+    """sqrt(sum_k q_k * i(core_k, gamma)^2) for every gamma in ``curves``.
+
+    The one float kernel behind every limit and spec pairing: k runs over
+    the cores of ``side`` (labels missing from ``q`` weigh 0), and all cores
+    and curves are evaluated in one product with N.
+    """
+    weights = np.array([float(q.get(c.label, 0)) for c in host.cylinders(side)])
+    return np.sqrt(weights @ core_pairings(host, side, curves) ** 2)
+
+
 class FillingStatus(enum.Enum):
     FILLING_CERTIFIED = "FillingCertified"
     MATRIX_PRIMITIVE_ONLY = "MatrixPrimitiveOnly"
     NOT_FILLING = "NotFilling"
 
 
+def support_is_primitive(rows: Sequence[Sequence[Weight]]) -> bool:
+    """No zero row, no zero column, connected bipartite support graph.
+
+    The shape under which the two-sided eigensystem closes: every component
+    of either family meets the other, and ``{(i, j): rows[i][j] != 0}`` does
+    not split into independent blocks.
+    """
+    if not rows or not rows[0]:
+        return False
+    row_cols = [[j for j, x in enumerate(row) if x != 0] for row in rows]
+    col_rows = [[] for _ in rows[0]]
+    for i, cols in enumerate(row_cols):
+        for j in cols:
+            col_rows[j].append(i)
+    if not all(row_cols) or not all(col_rows):
+        return False
+    # with no zero column, reaching every row reaches every column too
+    seen_rows, seen_cols, frontier = {0}, set(), [0]
+    while frontier:
+        for j in row_cols[frontier.pop()]:
+            if j in seen_cols:
+                continue
+            seen_cols.add(j)
+            for i in col_rows[j]:
+                if i not in seen_rows:
+                    seen_rows.add(i)
+                    frontier.append(i)
+    return len(seen_rows) == len(rows)
+
+
 def submatrix_is_primitive_shape(
     matrix: IntersectionMatrix,
-    row_support: Sequence[str],
-    col_support: Sequence[str],
+    row_support: Iterable[str],
+    col_support: Iterable[str],
 ) -> bool:
-    """No zero row/column and connected bipartite support graph, restricted."""
-    rows = [matrix.row_labels.index(lab) for lab in row_support]
+    """:func:`support_is_primitive` on the rows and columns of the supports."""
     cols = [matrix.col_labels.index(lab) for lab in col_support]
-    if not rows or not cols:
-        return False
-    # zero lines
-    for i in rows:
-        if all(matrix.entries[i][j] == 0 for j in cols):
-            return False
-    for j in cols:
-        if all(matrix.entries[i][j] == 0 for i in rows):
-            return False
-    # connectivity of the bipartite graph {n_ij > 0}
-    seen_rows = {rows[0]}
-    seen_cols = set()
-    frontier = [("r", rows[0])]
-    while frontier:
-        kind, idx = frontier.pop()
-        if kind == "r":
-            for j in cols:
-                if j not in seen_cols and matrix.entries[idx][j] > 0:
-                    seen_cols.add(j)
-                    frontier.append(("c", j))
-        else:
-            for i in rows:
-                if i not in seen_rows and matrix.entries[i][idx] > 0:
-                    seen_rows.add(i)
-                    frontier.append(("r", i))
-    return len(seen_rows) == len(rows) and len(seen_cols) == len(cols)
+    rows = [matrix.entries[matrix.row_labels.index(lab)] for lab in row_support]
+    return support_is_primitive([[row[j] for j in cols] for row in rows])
 
 
 def filling_status(a: WeightedMulticurve, b: WeightedMulticurve) -> FillingStatus:
@@ -318,9 +336,6 @@ class BusemannSpec:
     @property
     def support(self) -> Tuple[str, ...]:
         return self.as_multicurve().support
-
-    def component_labels(self) -> Tuple[str, ...]:
-        return self.support
 
 
 def parse_coefficient(text: str, approx: bool) -> Weight:

@@ -33,7 +33,7 @@ import json
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Sequence, Tuple
 
-from .errors import ComplexityError, InputError, InvalidOrigami
+from .errors import CertificationError, ComplexityError, InputError, InvalidOrigami
 from .multicurve import HORIZONTAL, VERTICAL, IntersectionMatrix
 
 
@@ -142,12 +142,6 @@ class Origami:
                 return c
         raise InputError(f"no {side} cylinder labelled {label!r}")
 
-    def cylinder_of_cell(self, side: str, cell: int) -> Cylinder:
-        for c in self.cylinders(side):
-            if cell in c.cells:
-                return c
-        raise InputError(f"cell {cell} out of range")
-
     def intersection_matrix(self) -> IntersectionMatrix:
         """Cell-sharing counts n_ij of (horizontal cylinder, vertical cylinder).
 
@@ -214,19 +208,19 @@ class Origami:
             for a in range(4 * self.n):
                 root = find(a)
                 sizes[root] = sizes.get(root, 0) + 1
-            orders = []
-            for size in sizes.values():
-                # every quarter-turn type appears equally often around a vertex
-                assert size % 4 == 0, "corner class size must be a multiple of 4"
-                orders.append(size // 4)
-            assert sum(orders) == self.n
-            self._cone_orders = tuple(sorted(orders, reverse=True))
+            # every quarter-turn type appears equally often around a vertex;
+            # the sizes total 4n, so the orders then partition the n cells
+            if any(size % 4 for size in sizes.values()):
+                raise CertificationError("corner class size is not a multiple of 4")
+            orders = sorted((size // 4 for size in sizes.values()), reverse=True)
+            self._cone_orders = tuple(orders)
         return self._cone_orders
 
     def genus(self) -> int:
         """Genus via Gauss–Bonnet: sum of (m - 1) over cone orders is 2g - 2."""
         excess = sum(m - 1 for m in self.cone_orders())
-        assert excess % 2 == 0, "odd total angle excess on a closed surface"
+        if excess % 2:
+            raise CertificationError("odd total angle excess on a closed surface")
         return 1 + excess // 2
 
     def validate(self) -> "ValidationSummary":

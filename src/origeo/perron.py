@@ -8,11 +8,17 @@ which for our inputs is the filling condition; a primitive symmetric
 nonnegative matrix has a simple leading eigenvalue with a strictly positive
 eigenvector, which is what makes the construction well-posed.
 
-:func:`perron_solve` runs plain power iteration, stops only when the
-residual ``||Tx - lambda x||_inf`` actually meets the tolerance, and re-runs
-from several random starting vectors: agreement of all runs on one ray is
-reported as the simplicity certificate (a non-simple leading eigenvalue
-would leave different starts on different rays).
+:func:`perron_solve` takes the top eigenvector of one dense ``eigh`` and
+certifies the eigenvalue by the Collatz–Wielandt bracket
+``min_i (Tx)_i/x_i <= rho(T) <= max_i (Tx)_i/x_i`` (Collatz 1942, Wielandt
+1950), valid for every positive x and evaluated in exact integer
+arithmetic on the binary expansions of T and x, as in Rump's verification
+methods (Acta Numerica 2010).  The tolerance is relative: the solve
+refuses unless ``hi - lo <= tol * lo``.  Where ``eigh`` resolves small
+entries of x only to absolute precision (weights spread over many orders
+of magnitude), a few power steps ``x <- Tx``, whose brackets are nested,
+narrow the bracket first.  Simplicity needs no separate certificate; it
+follows from primitivity by Perron–Frobenius.
 
 :func:`wielandt_oracle` is the brute-force characterization (some power of
 the Gram matrix is entrywise positive, with the classical exponent bound
@@ -24,21 +30,24 @@ transpose-side system, and such inputs are not primitive for our purposes.
 
 from __future__ import annotations
 
-import random
+import math
+import numbers
 from dataclasses import dataclass
-from typing import Sequence, Tuple, Union
+from fractions import Fraction
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import CertificationError, InputError, NoConvergenceError, NotPrimitiveError
-from .multicurve import IntersectionMatrix
+from .errors import InputError, NoConvergenceError, NotPrimitiveError
+from .multicurve import IntersectionMatrix, support_is_primitive
 
 Matrix = Union[IntersectionMatrix, Sequence[Sequence[Union[int, float]]]]
 
 DEFAULT_TOL = 1e-12
-DEFAULT_MAX_ITERS = 10**6
-DEFAULT_SEED_COUNT = 8
-_STAGNATION_WINDOW = 2000
+# Power steps that may follow the dense solve.  Coefficients spread over
+# 1e4..1e8 needed at most a few dozen in tests; a gap so small that 1000
+# steps do not suffice leaves the eigenvector ill-determined in floats.
+MAX_POWER_STEPS = 1000
 
 
 def _rows(matrix: Matrix) -> Tuple[Tuple, ...]:
@@ -73,32 +82,10 @@ def gram(matrix: Matrix) -> Tuple[Tuple, ...]:
 def is_primitive(matrix: Matrix) -> bool:
     """No zero row, no zero column, connected bipartite support graph.
 
-    This is the shape condition under which the two-sided eigensystem
-    closes: every component of either family meets the other family, and
-    the support graph does not split into independent blocks.
+    Delegates to :func:`multicurve.support_is_primitive`, the one
+    support-graph search of the package.
     """
-    rows = _rows(matrix)
-    k, l = len(rows), len(rows[0])
-    if any(all(x == 0 for x in row) for row in rows):
-        return False
-    if any(all(rows[i][j] == 0 for i in range(k)) for j in range(l)):
-        return False
-    seen_rows = {0}
-    seen_cols = set()
-    frontier = [("r", 0)]
-    while frontier:
-        kind, idx = frontier.pop()
-        if kind == "r":
-            for j in range(l):
-                if j not in seen_cols and rows[idx][j] != 0:
-                    seen_cols.add(j)
-                    frontier.append(("c", j))
-        else:
-            for i in range(k):
-                if i not in seen_rows and rows[i][idx] != 0:
-                    seen_rows.add(i)
-                    frontier.append(("r", i))
-    return len(seen_rows) == k and len(seen_cols) == l
+    return support_is_primitive(_rows(matrix))
 
 
 def _some_power_positive(t: Sequence[Sequence[int]]) -> bool:
@@ -126,21 +113,27 @@ def wielandt_oracle(matrix: Matrix) -> bool:
 
 @dataclass(frozen=True)
 class PerronResult:
-    """Leading eigenpair with an a-posteriori residual certificate.
+    """Leading eigenpair with an exact Collatz–Wielandt enclosure.
 
-    ``vector`` is l1-normalized and strictly positive; ``residual`` is the
-    infinity norm of T·x − lambda·x at the returned pair and is guaranteed
-    not to exceed the tolerance the solve was run with.
+    ``lower <= rho(T) <= upper`` is proved in exact arithmetic on the
+    entries of T as given, then rounded outward to floats; ``eigenvalue``
+    is a float inside that bracket.  ``vector`` is l1-normalized and
+    strictly positive; ``residual`` is the infinity norm of T·x − lambda·x
+    at the returned pair; ``iterations`` is the number of power steps + 1.
     """
 
     eigenvalue: float
     vector: Tuple[float, ...]
     residual: float
     iterations: int
+    lower: float
+    upper: float
 
     def to_json(self) -> dict:
         return {
             "lambda": f"{self.eigenvalue:.15g}",
+            "lambdaLo": self.lower,
+            "lambdaHi": self.upper,
             "x": [f"{v:.15g}" for v in self.vector],
             "residual": self.residual,
             "iterations": self.iterations,
@@ -163,54 +156,48 @@ def _check_symmetric_primitive(t: np.ndarray) -> None:
         )
 
 
-def _power_iteration(
-    t: np.ndarray, x0: np.ndarray, tol: float, max_iters: int
-) -> Tuple[float, np.ndarray, float, int]:
-    x = x0 / x0.sum()
-    y = t @ x
-    best_residual = np.inf
-    best_at = 0
-    for it in range(1, max_iters + 1):
-        lam = y.sum()  # l1 norm of the positive image
-        xn = y / lam
-        yn = t @ xn
-        residual = float(np.max(np.abs(yn - lam * xn)))
-        diff = float(np.max(np.abs(xn - x)))
-        if residual <= tol and diff <= tol:
-            return float(lam), xn, residual, it
-        if residual < best_residual * (1 - 1e-3):
-            best_residual = residual
-            best_at = it
-        elif it - best_at > _STAGNATION_WINDOW:
-            raise NoConvergenceError(
-                f"residual stagnated at {residual:.3g} (> tol {tol:.3g}) "
-                f"after {it} iterations",
-                iterations=it,
-                residual=residual,
-            )
-        x, y = xn, yn
-    raise NoConvergenceError(
-        f"no convergence to tol {tol:.3g} within {max_iters} iterations",
-        iterations=max_iters,
-        residual=residual,
-    )
+def _as_ratio(v) -> Tuple[int, int]:
+    """Exact (numerator, denominator) of a float, an integer or a rational."""
+    if isinstance(v, float):
+        return v.as_integer_ratio()
+    if isinstance(v, numbers.Rational):
+        return int(v.numerator), int(v.denominator)
+    return float(v).as_integer_ratio()
 
 
-def perron_solve(
-    t: Matrix,
-    tol: float = DEFAULT_TOL,
-    max_iters: int = DEFAULT_MAX_ITERS,
-    seed_count: int = DEFAULT_SEED_COUNT,
-    seed: int = 0,
-) -> PerronResult:
+def _integer_matrix(rows: Sequence[Sequence]) -> Tuple[List[List[int]], int]:
+    """Integers A and a denominator d with A / d equal to the entries exactly."""
+    ratios = [[_as_ratio(v) for v in row] for row in rows]
+    den = math.lcm(*(d for row in ratios for _, d in row))
+    return [[num * (den // d) for num, d in row] for row in ratios], den
+
+
+def _collatz_wielandt(
+    a: List[List[int]], den: int, x: np.ndarray
+) -> Tuple[Fraction, Fraction]:
+    """min_i and max_i of (T x)_i / x_i, exact, for T = a / den and x > 0."""
+    [xi], _ = _integer_matrix([x.tolist()])
+    quotients = [
+        Fraction(sum(p * q for p, q in zip(row, xi)), v * den)
+        for row, v in zip(a, xi)
+    ]
+    return min(quotients), max(quotients)
+
+
+def perron_solve(t: Matrix, tol: float = DEFAULT_TOL, seed: int = 0) -> PerronResult:
     """Leading eigenpair of a primitive symmetric nonnegative matrix.
 
-    Power iteration from ``seed_count`` random positive starts; every run
-    must converge to residual <= tol and all runs must agree on one ray
-    within 10*tol (simplicity certificate — raises CertificationError
-    otherwise).  Raises NotPrimitiveError without iterating when the matrix
-    cannot have a unique positive eigenray, and NoConvergenceError when the
-    tolerance is out of reach for the iteration budget.
+    One dense ``eigh``; the top eigenvector's absolute values, l1-normalized,
+    are certified by the Collatz–Wielandt bracket
+    ``min_i (Tx)_i/x_i <= rho(T) <= max_i (Tx)_i/x_i``, evaluated exactly.
+    Primitivity (checked first, NotPrimitiveError otherwise) makes rho(T)
+    simple, so no agreement test between runs is needed.  While the
+    bracket, tracked in floats, is wider than ``tol * lo``, the vector
+    takes up to MAX_POWER_STEPS power steps ``x <- Tx``: the brackets of
+    successive powers are nested, and the steps repair small entries that
+    ``eigh`` resolves only to absolute precision.  NoConvergenceError is
+    raised if the exact bracket is then still too wide.  ``seed`` is
+    accepted for compatibility and unused: the solve is deterministic.
     """
     if isinstance(t, IntersectionMatrix):
         t = t.entries
@@ -221,21 +208,39 @@ def perron_solve(
     _check_symmetric_primitive(arr)
     if not (tol > 0):
         raise InputError(f"tolerance must be positive, got {tol!r}")
-    if seed_count < 1:
-        raise InputError("need at least one starting vector")
-    k = arr.shape[0]
-    rng = random.Random(seed)
-    runs = []
-    for _ in range(seed_count):
-        x0 = np.array([0.5 + rng.random() for _ in range(k)])
-        runs.append(_power_iteration(arr, x0, tol, max_iters))
-    lam0, x0_, res0, iters0 = runs[0]
-    for lam, x, _, _ in runs[1:]:
-        if np.max(np.abs(x - x0_)) > 10 * tol or abs(lam - lam0) > 10 * tol * max(
-            1.0, lam0
-        ):
-            raise CertificationError(
-                "restarted iterations disagree; leading eigenvalue "
-                "may not be simple"
-            )
-    return PerronResult(lam0, tuple(float(v) for v in x0_), res0, iters0)
+    values, vectors = np.linalg.eigh(arr)
+    x = np.abs(vectors[:, -1])
+    x = x / x.sum()
+    for iterations in range(1, MAX_POWER_STEPS + 2):
+        y = arr @ x
+        if np.all(x > 0):
+            # float ratios are good to about k ulps: they sum nonnegative terms
+            ratios = y / x
+            if ratios.max() - ratios.min() <= tol * ratios.min():
+                break
+        x = y / y.sum()
+    if not np.all(x > 0):
+        raise NoConvergenceError(
+            "eigenvector entries underflow to zero",
+            iterations=iterations,
+            residual=math.inf,
+        )
+    lo, hi = _collatz_wielandt(*_integer_matrix(rows), x)
+    if hi - lo > Fraction(tol) * lo:
+        raise NoConvergenceError(
+            f"Collatz–Wielandt bracket around {float(lo)!r} has relative width "
+            f"{float((hi - lo) / lo):.3g}, above tol {tol:.3g}",
+            iterations=iterations,
+            residual=float(hi - lo),
+        )
+    # round the exact bracket outward, and put eigh's value inside it
+    lower, upper = float(lo), float(hi)
+    if Fraction(lower) > lo:
+        lower = math.nextafter(lower, -math.inf)
+    if Fraction(upper) < hi:
+        upper = math.nextafter(upper, math.inf)
+    lam = min(max(float(values[-1]), lower), upper)
+    residual = float(np.max(np.abs(arr @ x - lam * x)))
+    return PerronResult(
+        lam, tuple(float(v) for v in x), residual, iterations, lower, upper
+    )

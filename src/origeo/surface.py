@@ -38,7 +38,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Mapping, Optional
 
 from .errors import CertificationError, HostMismatch, InputError
 from .intervals import DistanceInterval, ValueInterval
@@ -164,12 +164,6 @@ class WeightedSurface:
             return floats[0]
         return None
 
-    def cell_rectangle(self, cell: int) -> Tuple[Weight, Weight]:
-        """(width, height) of one cell."""
-        hcyl = self.origami.cylinder_of_cell(HORIZONTAL, cell)
-        vcyl = self.origami.cylinder_of_cell(VERTICAL, cell)
-        return self.widths[vcyl.label], self.heights[hcyl.label]
-
     def scaled(self, width_factor: Weight, height_factor: Weight) -> "WeightedSurface":
         if not (width_factor > 0 and height_factor > 0):
             raise InputError("scale factors must be positive")
@@ -178,10 +172,6 @@ class WeightedSurface:
             {k: w * height_factor for k, w in self.heights.items()},
             {k: w * width_factor for k, w in self.widths.items()},
         )
-
-
-def area(surface: WeightedSurface) -> Weight:
-    return surface.area()
 
 
 def foliation_ext(surface: WeightedSurface, side: str, r: Weight = 1) -> Weight:

@@ -241,3 +241,25 @@ def test_out_file_matches_stdout(files, tmp_path):
     res = run_cli("validate", files["origami"], "--out", str(out))
     assert res.returncode == 0
     assert out.read_text() == res.stdout
+
+
+def test_long_horizon_flow_exits_input_error(report_file):
+    res = run_cli("flow", report_file, "--t-min", "0", "--t-max", "800",
+                  "--step", "100")
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+    assert "flow time plus horizon" in res.stderr
+
+
+def test_tiny_step_flow_exits_input_error(report_file):
+    res = run_cli("flow", report_file, "--t-min", "0", "--t-max", "1",
+                  "--step", "1e-9")
+    assert res.returncode == 2
+    assert "rows" in res.stderr
+    assert res.stdout == ""
+
+
+def test_far_converge_exits_input_error(report_file):
+    res = run_cli("converge", report_file, "--n-max", "1000")
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr

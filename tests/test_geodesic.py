@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from origeo.errors import (
@@ -16,14 +17,20 @@ from origeo.geodesic import (
     line_from_report,
     line_report,
     optimal_geodesic,
+    ray_limit,
+    spec_pairing,
 )
 from origeo.multicurve import (
     HORIZONTAL,
     VERTICAL,
     BusemannSpec,
     FillingStatus,
+    WeightedMulticurve,
+    core_curve,
+    intersection,
 )
 from origeo.origami import Origami, builtin
+from origeo.perron import gram
 from origeo.sampling import random_full_instance, random_primitive_instance
 
 PHI = (1 + math.sqrt(5)) / 2
@@ -233,3 +240,127 @@ def test_random_full_instances_flow(seed):
     a0 = float(line.base_surface.area())
     a2 = float(line.point_at(2.0).area())
     assert abs(a2 - a0) < 1e-9 * a0
+
+
+def _staircase(n):
+    """h swaps (1 2)(3 4)..., v swaps (2 3)(4 5)...: n/2 and n/2 + 1 cylinders."""
+    h = [i + 2 if i % 2 == 0 else i for i in range(n)]
+    v = [1] + [i + 2 if i % 2 == 1 else i for i in range(1, n - 1)] + [n]
+    return Origami(n, h, v)
+
+
+def _unit_specs(o):
+    xi = BusemannSpec(o, VERTICAL, {c.label: Fraction(1) for c in o.cylinders(VERTICAL)})
+    eta = BusemannSpec(
+        o, HORIZONTAL, {c.label: Fraction(1) for c in o.cylinders(HORIZONTAL)}
+    )
+    return xi, eta
+
+
+def _coupling(line):
+    """M_ij = c_i d_j n_ij, recomputed from the line's specs."""
+    n = line.origami.intersection_matrix()
+    xi, eta = line.forward_spec, line.backward_spec
+    return [
+        [
+            float(xi.coeffs[g]) * float(eta.coeffs[a])
+            * n.entries[n.row_labels.index(a)][n.col_labels.index(g)]
+            for a in eta.support
+        ]
+        for g in xi.support
+    ]
+
+
+@pytest.mark.parametrize("n", [40, 80])
+def test_staircases_with_closing_gaps_certify(n):
+    # lambda_2 / lambda_1 is 0.983 at n = 40 and 0.9956 at n = 80
+    line = optimal_geodesic(*_unit_specs(_staircase(n)))
+    lam = float(np.linalg.eigvalsh(np.array(gram(_coupling(line))))[-1])
+    assert line.eigen.lower <= line.eigen.eigenvalue <= line.eigen.upper
+    assert abs(line.eigen.eigenvalue - lam) <= 1e-10 * lam
+    assert line.flow_distance(-1.0, 2.0) == 3.0
+
+
+def test_large_lambda_random_full_instance_certifies():
+    # n90-s0 of the benchmark family: lambda ~ 1.65e4
+    _, xi, eta = random_full_instance(random.Random("90:0"), (90, 90))
+    line = optimal_geodesic(xi, eta)
+    assert line.eigen.eigenvalue > 1e4
+    assert line.eigen.upper - line.eigen.lower <= 1e-12 * line.eigen.lower
+    assert min(line.walsh_forward_cosine, line.walsh_backward_cosine) > 1 - 1e-11
+
+
+def test_large_coefficients_close_the_system():
+    # coefficients of 1e6 put lambda near 1e24; the closure bound is relative
+    o = builtin("l-2-2")
+    xi = BusemannSpec(o, VERTICAL, {"B1": Fraction(10**6), "B2": Fraction(1)})
+    eta = BusemannSpec(o, HORIZONTAL, {"A1": Fraction(10**6), "A2": Fraction(3)})
+    line = optimal_geodesic(xi, eta)
+    assert line.eigen.eigenvalue > 1e23
+    assert line.walsh_forward_cosine > 1 - 1e-11
+
+
+def test_report_carries_the_certified_bracket(golden):
+    rep = line_report(golden)
+    assert rep["lambdaLo"] <= golden.eigen.eigenvalue <= rep["lambdaHi"]
+    assert rep["lambdaLo"] <= (3 + math.sqrt(5)) / 2 <= rep["lambdaHi"]
+
+
+def _brute_force_profile(side_cores, q, curves):
+    """sqrt(sum_k q_k i(core_k, gamma)^2), one exact pairing per core and curve."""
+    out = []
+    for gamma in curves:
+        total = 0.0
+        for core in side_cores:
+            pairing = float(intersection(core, gamma))
+            total += q[core.support[0]] * pairing * pairing
+        out.append(math.sqrt(total))
+    return out
+
+
+def _all_cores(o):
+    return [
+        core_curve(o, side, c.label)
+        for side in (HORIZONTAL, VERTICAL)
+        for c in o.cylinders(side)
+    ]
+
+
+@pytest.mark.parametrize(
+    "instance",
+    [("full", s) for s in range(4)] + [("subset", s) for s in range(4)],
+    ids=lambda inst: f"{inst[0]}-{inst[1]}",
+)
+def test_limit_kernel_matches_per_core_reference(instance):
+    kind, seed = instance
+    rng = random.Random(f"kernel:{kind}:{seed}")
+    draw = random_full_instance if kind == "full" else random_primitive_instance
+    o, xi, eta = draw(rng, (5, 12))
+    line = optimal_geodesic(xi, eta)
+    cores = _all_cores(o)
+    mixed = WeightedMulticurve(
+        o, HORIZONTAL, {c.label: Fraction(rng.randint(1, 5), 3)
+                        for c in o.cylinders(HORIZONTAL)}
+    )
+    curves = cores + [mixed]
+    for f, g in (
+        (line.vertical_foliation, line.horizontal_foliation),
+        (line.horizontal_foliation, line.vertical_foliation),
+    ):
+        side_cores = [core_curve(o, f.side, lab) for lab in f.weights]
+        q = {
+            lab: float(w) / float(intersection(core_curve(o, f.side, lab), g))
+            for lab, w in f.weights.items()
+        }
+        want = _brute_force_profile(side_cores, q, curves)
+        got = ray_limit(f, g, curves).tolist()
+        assert got[: len(cores)] == ray_limit(f, g).tolist()
+        scale = max(want)
+        assert all(abs(a - b) <= 1e-12 * scale for a, b in zip(got, want))
+    for spec in (xi, eta):
+        side_cores = [core_curve(o, spec.side, lab) for lab in spec.coeffs]
+        q = {lab: float(c) ** 2 for lab, c in spec.coeffs.items()}
+        want = _brute_force_profile(side_cores, q, curves)
+        got = spec_pairing(spec, curves).tolist()
+        scale = max(want)
+        assert all(abs(a - b) <= 1e-12 * scale for a, b in zip(got, want))

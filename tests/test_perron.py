@@ -3,8 +3,8 @@
 The oracle never touches floating point on the way to its bracket: it
 forms the characteristic polynomial with integer arithmetic, drives a
 rational power iteration until the Rayleigh quotient passes the
-second-largest root, then bisects with Fractions.  Everything the power
-iteration produces is then compared against that.
+second-largest root, then bisects with Fractions.  Everything the dense
+solve and its certified bracket produce is then compared against that.
 """
 
 import math
@@ -13,6 +13,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from origeo.errors import (
     InputError,
@@ -225,3 +227,68 @@ def test_result_serialization_shape():
     assert set(data) >= {"lambda", "x", "residual", "iterations"}
     assert isinstance(data["lambda"], str)
     assert all(isinstance(s, str) for s in data["x"])
+
+
+def test_result_json_carries_the_bracket():
+    res = perron_solve(((2, 1), (1, 1)))
+    data = res.to_json()
+    assert data["lambdaLo"] == res.lower and data["lambdaHi"] == res.upper
+    assert res.lower <= res.eigenvalue <= res.upper
+    assert res.iterations >= 1
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_bracket_encloses_the_exact_eigenvalue(seed):
+    rng = random.Random(f"bracket:{seed}")
+    while True:
+        m = random_matrix(rng, rng.randint(1, 3), rng.randint(1, 3))
+        t = gram(m)
+        if is_primitive(m) and all(t[i][i] > 0 for i in range(len(t))):
+            break
+    res = perron_solve(t)
+    lam = exact_top_eigenvalue(t)
+    assert Fraction(res.lower) - Fraction(1, 10**17) <= lam
+    assert lam <= Fraction(res.upper) + Fraction(1, 10**17)
+
+
+def test_bracket_width_is_relative_to_lambda():
+    # lambda ~ 1e17: an absolute tolerance of 1e-12 is far below one ulp
+    big = ((1e8, 2e8), (0.0, 3e8))
+    res = perron_solve(gram(big))
+    assert res.eigenvalue > 1e16
+    assert res.upper - res.lower <= 1e-12 * res.lower + 2 * math.ulp(res.upper)
+
+
+@st.composite
+def _scaled_couplings(draw):
+    """Primitive couplings c_i d_j n_ij with coefficients spread up to 1e4."""
+    k = draw(st.integers(1, 6))
+    l = draw(st.integers(1, 6))
+    n = draw(st.lists(st.lists(st.integers(0, 3), min_size=l, max_size=l),
+                      min_size=k, max_size=k))
+    assume(is_primitive(n))
+    coeff = st.builds(lambda mant, exp: mant * 10.0**exp,
+                      st.floats(1.0, 10.0), st.integers(0, 4))
+    c = draw(st.lists(coeff, min_size=k, max_size=k))
+    d = draw(st.lists(coeff, min_size=l, max_size=l))
+    return [[ci * dj * nij for dj, nij in zip(d, row)] for ci, row in zip(c, n)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(_scaled_couplings())
+def test_certified_bracket_on_scaled_couplings(m):
+    tol = 1e-12
+    res = perron_solve(gram(m), tol=tol)
+    assert res.lower <= res.eigenvalue <= res.upper
+    # the exact width is <= tol * lo; outward rounding adds at most 2 ulps
+    assert res.upper - res.lower <= tol * res.eigenvalue + 2 * math.ulp(res.upper)
+    top = float(np.linalg.eigvalsh(np.array(gram(m)))[-1])
+    assert abs(res.eigenvalue - top) <= 1e-10 * top
+    assert min(res.vector) > 0 and abs(sum(res.vector) - 1) < 1e-12
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float32, np.float64])
+def test_numpy_matrices_are_read_exactly(dtype):
+    res = perron_solve(np.array([[2, 1], [1, 1]], dtype=dtype))
+    assert res.lower <= (3 + math.sqrt(5)) / 2 <= res.upper
