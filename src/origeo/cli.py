@@ -14,7 +14,11 @@ Exit codes: 0 success; 2 malformed input or configuration; 3 hypothesis
 failure (not filling / not primitive / genus too small is 2 since it is an
 input property); 4 iteration did not converge; 5 a certification audit
 failed.  All output is deterministic for a fixed seed: reports carry no
-timestamps and floats print with 15 significant digits.
+timestamps and floats print with 15 significant digits, except a report's
+``lambda``, printed as the shortest string that reads back to the same
+float so that it lies inside its printed bracket.  Only ``geodesic`` takes
+``--tol``; ``flow`` and ``converge`` rebuild the line at the tolerance its
+report records.
 """
 
 from __future__ import annotations
@@ -299,7 +303,7 @@ def cmd_converge(args: argparse.Namespace) -> str:
 def cmd_check(args: argparse.Namespace) -> str:
     cfg = _config_from(args)
     report = checks_mod.run_suites(seed=cfg.seed, names=cfg.suites or None)
-    report["config"] = {"tol": cfg.tol, "seed": cfg.seed}
+    report["config"] = {"seed": cfg.seed}
     text = json.dumps(report, indent=2) + "\n"
     _emit(text, cfg.out)
     return text
@@ -317,8 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--tol", type=float, default=None,
-                       help="iteration/certification tolerance (default 1e-12)")
         p.add_argument("--seed", type=int, default=None,
                        help="seed for every randomized choice (default 0)")
         p.add_argument("--out", default=None,
@@ -339,6 +341,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_origami_source(p)
     p.add_argument("xi", help="vertical-side boundary spec JSON")
     p.add_argument("eta", help="horizontal-side boundary spec JSON")
+    p.add_argument("--tol", type=float, default=None,
+                   help="relative width the eigenvalue bracket must reach "
+                        "(default 1e-12); flow and converge reuse the report's")
     add_common(p)
     p.set_defaults(func=cmd_geodesic)
 

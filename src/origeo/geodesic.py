@@ -5,10 +5,13 @@ horizontal-side family ``eta`` (components ``d_j * delta_j``) that jointly
 fill, the unique Teichmueller geodesic with forward limit ``xi`` and
 backward limit ``eta`` is found by a Perron–Frobenius reduction:
 
-1. couple the components through ``M_ij = c_i * d_j * n(gamma_i, delta_j)``;
-2. take the leading eigenpair ``(lambda, x)`` of ``M M^T`` — one dense
-   solve, with lambda enclosed by an exact Collatz–Wielandt bracket (see
-   :mod:`origeo.perron`) — and set ``y = M^T x / sqrt(lambda)``; then
+1. couple the components through ``M_ij = c_i * d_j * n(gamma_i, delta_j)``,
+   one array expression over the intersection matrix N;
+2. form ``T = M M^T`` by one array product, mirrored to be exactly
+   symmetric; take its leading eigenpair ``(lambda, x)`` — one dense
+   solve, with lambda enclosed by an exact Collatz–Wielandt bracket on that
+   same float T (see :mod:`origeo.perron`) — and set
+   ``y = M^T x / sqrt(lambda)``; then
    ``x*sqrt(lambda) = M y`` and ``y*sqrt(lambda) = M^T x``, the closed
    two-sided system, up to the bracket's relative width;
 3. the geodesic's vertical foliation puts weight ``x_i * c_i`` on
@@ -57,7 +60,7 @@ from .multicurve import (
     limit_values,
 )
 from .origami import Origami, origami_to_json
-from .perron import DEFAULT_TOL, PerronResult, gram, is_primitive, perron_solve
+from .perron import DEFAULT_TOL, PerronResult, gram_array, is_primitive, perron_solve
 from .surface import WeightedSurface, distance_interval
 
 
@@ -69,6 +72,7 @@ class GeodesicLine:
     the flow), ``horizontal_foliation`` the backward one.  ``x`` is the
     l1-normalized leading eigenvector over the forward components, ``y`` its
     transpose-side partner, ``scale`` the growth factor sqrt(lambda).
+    ``pairing`` is i(F_h, F_v), the area of every flow point, computed once.
     ``base_surface`` is the time-0 flat surface; it exists exactly when both
     families use all cores of their sides (otherwise the metric would need a
     cylinder of width zero, which is no metric on this origami — the
@@ -84,6 +88,7 @@ class GeodesicLine:
     scale: float
     vertical_foliation: WeightedMulticurve
     horizontal_foliation: WeightedMulticurve
+    pairing: float
     base_surface: Optional[WeightedSurface]
     filling: FillingStatus
     walsh_forward_cosine: float
@@ -154,25 +159,27 @@ def optimal_geodesic(
 
     # rows = xi components, columns = eta components
     n = host.intersection_matrix()
-    c = [float(xi.coeffs[lab]) for lab in xi.support]
-    d = [float(eta.coeffs[lab]) for lab in eta.support]
-    rows = [n.entries[n.row_labels.index(lab)] for lab in eta.support]
-    m = [
-        [ci * dj * row[j] for dj, row in zip(d, rows)]
-        for ci, j in zip(c, (n.col_labels.index(lab) for lab in xi.support))
+    xi_support, eta_support = xi.support, eta.support
+    c = [float(xi.coeffs[lab]) for lab in xi_support]
+    d = [float(eta.coeffs[lab]) for lab in eta_support]
+    n_sub = n.array[
+        np.ix_(
+            [n.row_labels.index(lab) for lab in eta_support],
+            [n.col_labels.index(lab) for lab in xi_support],
+        )
     ]
-    if not is_primitive(m):
+    m = np.outer(c, d) * n_sub.T
+    if not is_primitive(m.tolist()):
         # unreachable when filling_status passed; kept as a hard guard
         raise NotFillingError("coupling matrix is not primitive")
 
-    eigen = perron_solve(gram(m), tol=tol, seed=seed)
+    eigen = perron_solve(gram_array(m), tol=tol, seed=seed)
     scale = math.sqrt(eigen.eigenvalue)
-    marr = np.array(m)
     xv = np.array(eigen.vector)
-    yv = (marr.T @ xv) / scale
+    yv = (m.T @ xv) / scale
 
     # |M y - sqrt(lambda) x|_i <= tol * sqrt(lambda) * x_i by the bracket
-    closure = float(np.max(np.abs(marr @ yv - scale * xv)))
+    closure = float(np.max(np.abs(m @ yv - scale * xv)))
     if closure > 10 * tol * max(scale, 1.0 / scale):
         raise CertificationError(
             f"two-sided system failed to close: |M y - sqrt(lambda) x| = {closure:.3g}"
@@ -180,18 +187,19 @@ def optimal_geodesic(
 
     f_vert = WeightedMulticurve(
         host, VERTICAL,
-        {lab: ci * xi_i for lab, ci, xi_i in zip(xi.support, c, eigen.vector)},
+        {lab: ci * xi_i for lab, ci, xi_i in zip(xi_support, c, eigen.vector)},
     )
     y = tuple(float(v) for v in yv)
     f_hor = WeightedMulticurve(
         host, HORIZONTAL,
-        {lab: dj * yj for lab, dj, yj in zip(eta.support, d, y)},
+        {lab: dj * yj for lab, dj, yj in zip(eta_support, d, y)},
     )
 
+    pairing = intersection(f_hor, f_vert)
     base = None
     if status is FillingStatus.FILLING_CERTIFIED:
-        base = WeightedSurface(host, dict(f_hor.weights), dict(f_vert.weights))
-        if base.area() != intersection(f_hor, f_vert):
+        base = WeightedSurface(host, f_hor.weights, f_vert.weights)
+        if base.area() != pairing:
             raise CertificationError("base surface area disagrees with the pairing")
 
     cos_fwd = _cosine(ray_limit(f_vert, f_hor), spec_pairing(xi))
@@ -213,6 +221,7 @@ def optimal_geodesic(
         scale=scale,
         vertical_foliation=f_vert,
         horizontal_foliation=f_hor,
+        pairing=float(pairing),
         base_surface=base,
         filling=status,
         walsh_forward_cosine=cos_fwd,
@@ -361,7 +370,7 @@ def line_report(line: GeodesicLine) -> dict:
     if line.base_surface is not None:
         area_val = f"{float(line.base_surface.area()):.15g}"
     return {
-        "lambda": f"{line.eigen.eigenvalue:.15g}",
+        "lambda": repr(float(line.eigen.eigenvalue)),
         "lambdaLo": line.eigen.lower,
         "lambdaHi": line.eigen.upper,
         "x": [f"{v:.15g}" for v in line.x],

@@ -98,15 +98,11 @@ def psi_interior(
     return HorofunctionValue(iv, iv.width == 0, "interior")
 
 
-def _line_area(line: GeodesicLine) -> float:
-    return float(intersection(line.horizontal_foliation, line.vertical_foliation))
-
-
 def _enclosure(line: GeodesicLine, y: WeightedSurface, horizon: float) -> ValueInterval:
     if y.origami is not line.origami:
         raise HostMismatch("surface does not live on the line's origami")
     ext = ext_interval(y, line.vertical_foliation)
-    lo = 0.5 * math.log(float(ext.lo)) - 0.5 * math.log(_line_area(line))
+    lo = 0.5 * math.log(float(ext.lo)) - 0.5 * math.log(line.pairing)
     far = point_at(line, horizon)
     hi = distance_interval(y, far).hi - horizon
     if lo > hi:
@@ -235,7 +231,7 @@ def lower_bound_audit(
     which exists even for proper-subset (MatrixPrimitiveOnly) data.
     """
     f_v, f_h = line.vertical_foliation, line.horizontal_foliation
-    sqrt_area = math.sqrt(_line_area(line))
+    sqrt_area = math.sqrt(line.pairing)
     if curves is None:
         curves = _core_curves(line.origami)
     limits = ray_limit(f_v, f_h, curves)

@@ -36,6 +36,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from types import MappingProxyType
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -90,6 +92,20 @@ class IntersectionMatrix:
     def total(self) -> Weight:
         return sum(sum(row) for row in self.entries)
 
+    @cached_property
+    def sparse_rows(self) -> Tuple[Tuple[Tuple[int, Weight], ...], ...]:
+        """Per row, the (column, entry) pairs of its nonzero entries, in order."""
+        return tuple(
+            tuple((j, x) for j, x in enumerate(row) if x != 0) for row in self.entries
+        )
+
+    @cached_property
+    def array(self) -> np.ndarray:
+        """The entries as a read-only float array, built once per matrix."""
+        out = np.array(self.entries, dtype=float)
+        out.flags.writeable = False
+        return out
+
     def as_lists(self) -> list:
         return [list(row) for row in self.entries]
 
@@ -107,7 +123,11 @@ def _check_weights(weights: Mapping[str, Weight]) -> Dict[str, Weight]:
 
 @dataclass(frozen=True)
 class WeightedMulticurve:
-    """Positive weights on pairwise disjoint cores of one side of an origami."""
+    """Positive weights on pairwise disjoint cores of one side of an origami.
+
+    ``weights`` is a read-only mapping, so a multicurve cached by a surface
+    cannot change under it.
+    """
 
     host: object
     side: str
@@ -123,7 +143,7 @@ class WeightedMulticurve:
             raise InputError(
                 f"no {self.side} cylinder labelled {sorted(unknown)} on this origami"
             )
-        object.__setattr__(self, "weights", clean)
+        object.__setattr__(self, "weights", MappingProxyType(clean))
 
     @property
     def support(self) -> Tuple[str, ...]:
@@ -164,8 +184,9 @@ def pair_intersection(a: WeightedMulticurve, b: WeightedMulticurve) -> Weight:
     """Geometric intersection number of two transversal weighted families.
 
     ``a`` and ``b`` must live on opposite sides of the same origami.  The
-    pairing is the bilinear form through the core intersection matrix and is
-    exact whenever both weight systems are exact.
+    pairing is the bilinear form through the core intersection matrix,
+    summed over its nonzero cells in row order, and is exact whenever both
+    weight systems are exact.
     """
     _same_host(a, b)
     if a.side == b.side:
@@ -181,14 +202,13 @@ def pair_intersection(a: WeightedMulticurve, b: WeightedMulticurve) -> Weight:
     av = a.vector()
     bv = b.vector()
     total = 0
-    for i, ai in enumerate(av):
+    for ai, cells in zip(av, n.sparse_rows):
         if ai == 0:
             continue
-        row = n.entries[i]
-        for j, bj in enumerate(bv):
-            if bj == 0 or row[j] == 0:
-                continue
-            total += ai * row[j] * bj
+        for j, nij in cells:
+            bj = bv[j]
+            if bj != 0:
+                total += ai * nij * bj
     return total
 
 
@@ -211,7 +231,7 @@ def core_pairings(
     """i(core_k, gamma) in floats, read off N: one row per core k of
     ``side``, one column per curve (default: every core, as in
     :func:`core_labels`)."""
-    n = np.array(host.intersection_matrix().entries, dtype=float)
+    n = host.intersection_matrix().array
     h, v = n.shape
     if side == HORIZONTAL:
         pairs = np.hstack([np.zeros((h, h)), n])

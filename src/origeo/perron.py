@@ -13,7 +13,12 @@ certifies the eigenvalue by the Collatz–Wielandt bracket
 ``min_i (Tx)_i/x_i <= rho(T) <= max_i (Tx)_i/x_i`` (Collatz 1942, Wielandt
 1950), valid for every positive x and evaluated in exact integer
 arithmetic on the binary expansions of T and x, as in Rump's verification
-methods (Acta Numerica 2010).  The tolerance is relative: the solve
+methods (Acta Numerica 2010).  A float64 ndarray, as :func:`gram_array`
+forms it, is used as it is: ``np.frexp`` gives its exact integer image
+(53-bit mantissas over one power-of-two denominator), so the bracket is
+exact on the very matrix ``eigh`` saw.  Other inputs (sequences of ints,
+floats or rationals) are bracketed on their exact rational entries.  The
+tolerance is relative: the solve
 refuses unless ``hi - lo <= tol * lo``.  Where ``eigh`` resolves small
 entries of x only to absolute precision (weights spread over many orders
 of magnitude), a few power steps ``x <- Tx``, whose brackets are nested,
@@ -22,7 +27,8 @@ follows from primitivity by Perron–Frobenius.
 
 :func:`wielandt_oracle` is the brute-force characterization (some power of
 the Gram matrix is entrywise positive, with the classical exponent bound
-``(k-1)^2 + 1``), used by the self-check suites against
+``(k-1)^2 + 1``, run as NumPy products of the 0/1 support), used by the
+self-check suites against
 :func:`is_primitive`.  Note the oracle must look at *both* ``M M^T`` and
 ``M^T M``: a zero column of ``M`` leaves ``M M^T`` untouched but breaks the
 transpose-side system, and such inputs are not primitive for our purposes.
@@ -34,7 +40,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple, Union
+from typing import Sequence, Tuple, Union
 
 import numpy as np
 
@@ -79,6 +85,17 @@ def gram(matrix: Matrix) -> Tuple[Tuple, ...]:
     return tuple(tuple(row) for row in out)
 
 
+def gram_array(m: np.ndarray) -> np.ndarray:
+    """M·M^T of a float array in one BLAS product, exactly symmetric.
+
+    The upper triangle is mirrored onto the lower one, so the result is
+    symmetric entry-for-entry whatever order the product summed in; it is
+    what :func:`perron_solve` takes as it is.
+    """
+    t = m @ m.T
+    return np.triu(t) + np.triu(t, 1).T
+
+
 def is_primitive(matrix: Matrix) -> bool:
     """No zero row, no zero column, connected bipartite support graph.
 
@@ -89,19 +106,14 @@ def is_primitive(matrix: Matrix) -> bool:
 
 
 def _some_power_positive(t: Sequence[Sequence[int]]) -> bool:
-    k = len(t)
-    bound = (k - 1) ** 2 + 1
+    support = np.array(t) != 0
+    base = support.astype(np.int64)
     # boolean (support) arithmetic is enough for positivity of powers
-    cur = [[bool(x) for x in row] for row in t]
-    base = [row[:] for row in cur]
-    for _ in range(bound):
-        if all(all(row) for row in cur):
+    for _ in range((len(base) - 1) ** 2 + 1):
+        if support.all():
             return True
-        cur = [
-            [any(cur[i][m] and base[m][j] for m in range(k)) for j in range(k)]
-            for i in range(k)
-        ]
-    return all(all(row) for row in cur)
+        support = support.astype(np.int64) @ base > 0
+    return bool(support.all())
 
 
 def wielandt_oracle(matrix: Matrix) -> bool:
@@ -131,7 +143,7 @@ class PerronResult:
 
     def to_json(self) -> dict:
         return {
-            "lambda": f"{self.eigenvalue:.15g}",
+            "lambda": repr(float(self.eigenvalue)),
             "lambdaLo": self.lower,
             "lambdaHi": self.upper,
             "x": [f"{v:.15g}" for v in self.vector],
@@ -165,22 +177,36 @@ def _as_ratio(v) -> Tuple[int, int]:
     return float(v).as_integer_ratio()
 
 
-def _integer_matrix(rows: Sequence[Sequence]) -> Tuple[List[List[int]], int]:
+def _integer_matrix(rows: Sequence[Sequence]) -> Tuple[np.ndarray, int]:
     """Integers A and a denominator d with A / d equal to the entries exactly."""
     ratios = [[_as_ratio(v) for v in row] for row in rows]
     den = math.lcm(*(d for row in ratios for _, d in row))
-    return [[num * (den // d) for num, d in row] for row in ratios], den
+    a = [[num * (den // d) for num, d in row] for row in ratios]
+    return np.array(a, dtype=object), den
+
+
+def _float_image(arr: np.ndarray) -> Tuple[np.ndarray, int]:
+    """Integers A and a power of two d with A / d == arr exactly, for floats.
+
+    ``frexp`` splits every entry into a 53-bit integer mantissa and a binary
+    exponent; shifting all mantissas to the smallest exponent gives Python
+    integers over one power-of-two denominator (subnormals included).
+    """
+    mantissa, exponent = np.frexp(arr)
+    mantissa = (mantissa * 2.0**53).astype(np.int64)
+    exponent = exponent.astype(np.int64) - 53
+    nonzero = mantissa != 0
+    low = min(int(exponent[nonzero].min()), 0) if nonzero.any() else 0
+    shift = np.where(nonzero, exponent - low, 0)
+    return mantissa.astype(object) << shift.astype(object), 1 << -low
 
 
 def _collatz_wielandt(
-    a: List[List[int]], den: int, x: np.ndarray
+    a: np.ndarray, den: int, x: np.ndarray
 ) -> Tuple[Fraction, Fraction]:
     """min_i and max_i of (T x)_i / x_i, exact, for T = a / den and x > 0."""
-    [xi], _ = _integer_matrix([x.tolist()])
-    quotients = [
-        Fraction(sum(p * q for p, q in zip(row, xi)), v * den)
-        for row, v in zip(a, xi)
-    ]
+    xi, _ = _float_image(x)
+    quotients = [Fraction(num, v * den) for num, v in zip(a @ xi, xi)]
     return min(quotients), max(quotients)
 
 
@@ -190,6 +216,9 @@ def perron_solve(t: Matrix, tol: float = DEFAULT_TOL, seed: int = 0) -> PerronRe
     One dense ``eigh``; the top eigenvector's absolute values, l1-normalized,
     are certified by the Collatz–Wielandt bracket
     ``min_i (Tx)_i/x_i <= rho(T) <= max_i (Tx)_i/x_i``, evaluated exactly.
+    A float64 ndarray is taken as it is and bracketed on its ``frexp``
+    image; any other input is converted to floats for ``eigh`` and
+    bracketed on its exact entries.
     Primitivity (checked first, NotPrimitiveError otherwise) makes rho(T)
     simple, so no agreement test between runs is needed.  While the
     bracket, tracked in floats, is wider than ``tol * lo``, the vector
@@ -199,12 +228,15 @@ def perron_solve(t: Matrix, tol: float = DEFAULT_TOL, seed: int = 0) -> PerronRe
     raised if the exact bracket is then still too wide.  ``seed`` is
     accepted for compatibility and unused: the solve is deterministic.
     """
-    if isinstance(t, IntersectionMatrix):
-        t = t.entries
-    rows = [tuple(row) for row in t]
-    if any(len(row) != len(rows) for row in rows):
-        raise InputError("matrix must be square")
-    arr = np.array([[float(v) for v in row] for row in rows], dtype=float)
+    if isinstance(t, np.ndarray) and t.dtype == np.float64:
+        arr, rows = t, None
+    else:
+        if isinstance(t, IntersectionMatrix):
+            t = t.entries
+        rows = [tuple(row) for row in t]
+        if any(len(row) != len(rows) for row in rows):
+            raise InputError("matrix must be square")
+        arr = np.array([[float(v) for v in row] for row in rows], dtype=float)
     _check_symmetric_primitive(arr)
     if not (tol > 0):
         raise InputError(f"tolerance must be positive, got {tol!r}")
@@ -225,7 +257,8 @@ def perron_solve(t: Matrix, tol: float = DEFAULT_TOL, seed: int = 0) -> PerronRe
             iterations=iterations,
             residual=math.inf,
         )
-    lo, hi = _collatz_wielandt(*_integer_matrix(rows), x)
+    image = _float_image(arr) if rows is None else _integer_matrix(rows)
+    lo, hi = _collatz_wielandt(*image, x)
     if hi - lo > Fraction(tol) * lo:
         raise NoConvergenceError(
             f"Collatz–Wielandt bracket around {float(lo)!r} has relative width "

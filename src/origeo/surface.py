@@ -30,6 +30,11 @@ bound ``1/2 log max K_cell``; extremal-length ratios over any test family
 give the lower bound ``1/2 log max ExtLo_X/ExtHi_Y`` (both orientations).
 Every computed interval must contain the true Teichmueller distance — an
 inverted interval means a bug, not an inaccuracy, and raises.
+
+A surface's weights are read-only, so its derived quantities — the area,
+the two defining foliations, the circumference tables and the float weight
+vectors behind ``qc_upper`` — are computed once per surface, on first use.
+``qc_upper`` is one masked array expression over the cells of N.
 """
 
 from __future__ import annotations
@@ -38,7 +43,11 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Optional
+from functools import cached_property
+from types import MappingProxyType
+from typing import Dict, Iterable, Mapping, Optional, Tuple
+
+import numpy as np
 
 from .errors import CertificationError, HostMismatch, InputError
 from .intervals import DistanceInterval, ValueInterval
@@ -76,7 +85,12 @@ def _check_total_weights(
 
 @dataclass(frozen=True)
 class WeightedSurface:
-    """An origami with positive cylinder heights and widths (a flat metric)."""
+    """An origami with positive cylinder heights and widths (a flat metric).
+
+    ``heights`` and ``widths`` are read-only mappings, so the quantities
+    derived from them -- the area, the two defining foliations and the
+    circumference tables -- are computed once per surface, on first use.
+    """
 
     origami: Origami
     heights: Mapping[str, Weight]
@@ -86,12 +100,16 @@ class WeightedSurface:
         object.__setattr__(
             self,
             "heights",
-            _check_total_weights(self.origami, HORIZONTAL, self.heights, "height"),
+            MappingProxyType(
+                _check_total_weights(self.origami, HORIZONTAL, self.heights, "height")
+            ),
         )
         object.__setattr__(
             self,
             "widths",
-            _check_total_weights(self.origami, VERTICAL, self.widths, "width"),
+            MappingProxyType(
+                _check_total_weights(self.origami, VERTICAL, self.widths, "width")
+            ),
         )
 
     # ------------------------------------------------------------------
@@ -99,39 +117,54 @@ class WeightedSurface:
     def side_weights(self, side: str) -> Mapping[str, Weight]:
         return self.heights if side == HORIZONTAL else self.widths
 
+    @cached_property
+    def _foliations(self) -> Dict[str, WeightedMulticurve]:
+        return {
+            HORIZONTAL: WeightedMulticurve(self.origami, HORIZONTAL, self.heights),
+            VERTICAL: WeightedMulticurve(self.origami, VERTICAL, self.widths),
+        }
+
     def defining_foliation(self, side: str) -> WeightedMulticurve:
         """The surface's own vertical (widths) or horizontal (heights) datum."""
-        if side == VERTICAL:
-            return WeightedMulticurve(self.origami, VERTICAL, dict(self.widths))
-        if side == HORIZONTAL:
-            return WeightedMulticurve(self.origami, HORIZONTAL, dict(self.heights))
-        raise InputError(f"unknown side {side!r}")
+        if side not in (HORIZONTAL, VERTICAL):
+            raise InputError(f"unknown side {side!r}")
+        return self._foliations[side]
+
+    @cached_property
+    def _area(self) -> Weight:
+        return pair_intersection(self._foliations[HORIZONTAL], self._foliations[VERTICAL])
 
     def area(self) -> Weight:
         """Total flat area; exact for exact weights.
 
-        Evaluated by the canonical double loop over cylinder pairs so that it
-        is bit-for-bit the pairing of the defining foliations.
+        Evaluated once per surface by the canonical loop over the cells of
+        N, so that it is bit-for-bit the pairing of the defining foliations.
         """
-        return pair_intersection(
-            self.defining_foliation(HORIZONTAL), self.defining_foliation(VERTICAL)
-        )
+        return self._area
+
+    @cached_property
+    def _circumferences(self) -> Dict[str, Dict[str, Weight]]:
+        matrix = self.origami.intersection_matrix()
+        widths = [self.widths[lab] for lab in matrix.col_labels]
+        vertical = [0] * len(widths)
+        horizontal = {}
+        for lab, cells in zip(matrix.row_labels, matrix.sparse_rows):
+            horizontal[lab] = sum(n * widths[j] for j, n in cells)
+            for j, n in cells:
+                vertical[j] += n * self.heights[lab]
+        return {HORIZONTAL: horizontal, VERTICAL: dict(zip(matrix.col_labels, vertical))}
 
     def circumference(self, side: str, label: str) -> Weight:
         """Core length of a cylinder: summed cell widths (resp. heights)."""
+        return self._circumferences[side][label]
+
+    @cached_property
+    def _float_weights(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Heights and widths as floats, in the row and column order of N."""
         matrix = self.origami.intersection_matrix()
-        if side == HORIZONTAL:
-            i = matrix.row_labels.index(label)
-            return sum(
-                matrix.entries[i][j] * self.widths[lab]
-                for j, lab in enumerate(matrix.col_labels)
-                if matrix.entries[i][j] != 0
-            )
-        j = matrix.col_labels.index(label)
-        return sum(
-            matrix.entries[i][j] * self.heights[lab]
-            for i, lab in enumerate(matrix.row_labels)
-            if matrix.entries[i][j] != 0
+        return (
+            np.array([float(self.heights[lab]) for lab in matrix.row_labels]),
+            np.array([float(self.widths[lab]) for lab in matrix.col_labels]),
         )
 
     def across(self, side: str, label: str) -> Weight:
@@ -240,21 +273,19 @@ def qc_upper(x: WeightedSurface, y: WeightedSurface) -> float:
 
     The cell-by-cell affine map stretches a cell's width by w_Y/w_X and its
     height by h_Y/h_X; its dilatation is the larger of the two ratios of
-    stretches.  Computed through the cross products w_Y*h_X vs w_X*h_Y so
-    swapping the arguments gives the bit-identical result.
+    stretches.  Computed through the cross products w_Y*h_X vs w_X*h_Y, one
+    array over the cells of N, so swapping the arguments gives the
+    bit-identical result.
     """
     _same_origami(x, y)
-    matrix = x.origami.intersection_matrix()
-    worst = 1.0
-    for i, hlab in enumerate(matrix.row_labels):
-        for j, vlab in enumerate(matrix.col_labels):
-            if matrix.entries[i][j] == 0:
-                continue
-            p = float(y.widths[vlab]) * float(x.heights[hlab])
-            q = float(x.widths[vlab]) * float(y.heights[hlab])
-            k_cell = max(p, q) / min(p, q)
-            if k_cell > worst:
-                worst = k_cell
+    hx, wx = x._float_weights
+    hy, wy = y._float_weights
+    p = np.outer(hx, wy)
+    q = np.outer(hy, wx)
+    k_cell = np.maximum(p, q) / np.minimum(p, q)
+    cells = x.origami.intersection_matrix().array != 0
+    # fmax skips the NaN of an overflowed inf/inf cell, as a scalar > would
+    worst = np.fmax.reduce(k_cell[cells], initial=1.0)
     return 0.5 * math.log(worst)
 
 

@@ -263,3 +263,50 @@ def test_far_converge_exits_input_error(report_file):
     res = run_cli("converge", report_file, "--n-max", "1000")
     assert res.returncode == 2
     assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("command", ["validate", "flow", "converge", "check"])
+def test_tol_is_a_geodesic_option_only(command, files, report_file):
+    args = {
+        "validate": [files["origami"]],
+        "flow": [report_file],
+        "converge": [report_file],
+        "check": ["--suite", "gauss"],
+    }[command]
+    assert run_cli(command, *args).returncode == 0
+    res = run_cli(command, *args, "--tol", "1e-9")
+    assert res.returncode == 2
+    assert "--tol" in res.stderr
+
+
+def test_check_config_echoes_only_the_seed():
+    res = run_cli("check", "--suite", "gauss", "--seed", "4")
+    assert json.loads(res.stdout)["config"] == {"seed": 4}
+
+
+def test_flow_pairs_each_surface_once(report_file, monkeypatch, capsys):
+    """``flow`` derives each flat surface's area once, however often it asks."""
+    from origeo import cli, multicurve, surface
+
+    calls, surfaces = [], []
+    pairing = multicurve.pair_intersection
+    init = surface.WeightedSurface.__post_init__
+
+    def counted_pairing(a, b):
+        calls.append((a, b))
+        return pairing(a, b)
+
+    def counted_init(self):
+        surfaces.append(self)
+        init(self)
+
+    for module in (multicurve, surface):
+        monkeypatch.setattr(module, "pair_intersection", counted_pairing)
+    monkeypatch.setattr(surface.WeightedSurface, "__post_init__", counted_init)
+    code = cli.main(["flow", report_file, "--t-min", "0", "--t-max", "1",
+                     "--step", "0.5"])
+    assert code == 0
+    assert capsys.readouterr().out.count("\n") == 4  # header and 3 rows
+    # the rebuilt line pairs its two foliations once; every other pairing
+    # is the area of one of the surfaces the rows built
+    assert len(calls) <= 1 + len(surfaces)

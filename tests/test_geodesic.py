@@ -306,6 +306,26 @@ def test_report_carries_the_certified_bracket(golden):
     assert rep["lambdaLo"] <= (3 + math.sqrt(5)) / 2 <= rep["lambdaHi"]
 
 
+def test_report_lambda_reads_back_inside_its_bracket(golden):
+    rng = random.Random("report-lambda")
+    lines = [golden]
+    lines += [optimal_geodesic(*random_full_instance(rng, (3, 30))[1:]) for _ in range(10)]
+    lines += [optimal_geodesic(*random_primitive_instance(rng)[1:]) for _ in range(10)]
+    for line in lines:
+        rep = line_report(line)
+        assert float(rep["lambda"]) == line.eigen.eigenvalue
+        assert rep["lambdaLo"] <= float(rep["lambda"]) <= rep["lambdaHi"]
+    assert line_report(golden)["lambda"] == repr(golden.eigen.eigenvalue)
+
+
+def test_line_pairing_is_the_area_and_survives_reversal(golden):
+    assert golden.pairing == golden.base_surface.area()
+    assert golden.reversed().pairing == golden.pairing
+    assert golden.pairing == intersection(
+        golden.vertical_foliation, golden.horizontal_foliation
+    )
+
+
 def _brute_force_profile(side_cores, q, curves):
     """sqrt(sum_k q_k i(core_k, gamma)^2), one exact pairing per core and curve."""
     out = []

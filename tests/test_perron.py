@@ -21,7 +21,14 @@ from origeo.errors import (
     NoConvergenceError,
     NotPrimitiveError,
 )
-from origeo.perron import gram, is_primitive, perron_solve, wielandt_oracle
+from origeo import perron
+from origeo.perron import (
+    gram,
+    gram_array,
+    is_primitive,
+    perron_solve,
+    wielandt_oracle,
+)
 from origeo.sampling import random_matrix
 
 
@@ -116,6 +123,21 @@ def brute_force_primitive(m):
     return all_positive_power(
         bool_product(support, transpose)
     ) and all_positive_power(bool_product(transpose, support))
+
+
+def python_power_positive(t):
+    """Some power of ``t`` up to (k-1)^2 + 1 is entrywise positive, in lists."""
+    k = len(t)
+    cur = [[bool(x) for x in row] for row in t]
+    base = [row[:] for row in cur]
+    for _ in range((k - 1) ** 2 + 1):
+        if all(all(row) for row in cur):
+            return True
+        cur = [
+            [any(cur[i][m] and base[m][j] for m in range(k)) for j in range(k)]
+            for i in range(k)
+        ]
+    return all(all(row) for row in cur)
 
 
 # ---------------------------------------------------------------------------
@@ -292,3 +314,86 @@ def test_certified_bracket_on_scaled_couplings(m):
 def test_numpy_matrices_are_read_exactly(dtype):
     res = perron_solve(np.array([[2, 1], [1, 1]], dtype=dtype))
     assert res.lower <= (3 + math.sqrt(5)) / 2 <= res.upper
+
+
+def test_result_json_lambda_reads_back_inside_its_bracket():
+    rng = random.Random("lambda-json")
+    cases = [((2, 1), (1, 1))]
+    while len(cases) < 30:
+        m = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
+        if is_primitive(m):
+            cases.append(gram(m))
+    for t in cases:
+        res = perron_solve(t)
+        data = res.to_json()
+        assert float(data["lambda"]) == res.eigenvalue
+        assert data["lambdaLo"] <= float(data["lambda"]) <= data["lambdaHi"]
+
+
+@pytest.mark.parametrize("family", ["wielandt", "primitivity", "large"])
+def test_numpy_power_oracle_matches_the_list_reference(family):
+    rng = random.Random(family)
+    size, count = (12, 40) if family == "large" else (5, 200)
+    for _ in range(count):
+        m = random_matrix(rng, rng.randint(1, size), rng.randint(1, size),
+                          zero_chance=0.7 if family == "large" else 0.35)
+        cols = tuple(zip(*m))
+        for t in (gram(m), gram(cols)):
+            assert perron._some_power_positive(t) == python_power_positive(t)
+        assert wielandt_oracle(m) == brute_force_primitive(m)
+
+
+@st.composite
+def _integer_couplings(draw):
+    k = draw(st.integers(1, 8))
+    l = draw(st.integers(1, 8))
+    row = st.lists(st.integers(0, 10**4), min_size=l, max_size=l)
+    return draw(st.lists(row, min_size=k, max_size=k))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_integer_couplings())
+def test_gram_array_equals_exact_gram_on_integer_couplings(m):
+    t = gram_array(np.array(m, dtype=float))
+    assert t.tolist() == [list(row) for row in gram(m)]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(_scaled_couplings())
+def test_gram_array_is_exactly_symmetric_and_certifies(m):
+    t = gram_array(np.array(m))
+    assert np.array_equal(t, t.T)
+    res = perron_solve(t)
+    top = float(np.linalg.eigvalsh(t)[-1])
+    assert res.lower <= res.eigenvalue <= res.upper
+    assert abs(res.eigenvalue - top) <= 1e-10 * top
+
+
+_image_entries = st.one_of(
+    st.just(0.0),
+    st.floats(0.0, 2.2250738585072014e-308),  # subnormals and the smallest normal
+    st.floats(1e-300, 1e300),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 4).flatmap(
+    lambda k: st.lists(st.lists(_image_entries, min_size=k, max_size=k),
+                       min_size=1, max_size=4)))
+def test_frexp_image_is_the_exact_rational_matrix(rows):
+    arr = np.array(rows, dtype=float)
+    a, d = perron._float_image(arr)
+    b, e = perron._integer_matrix(rows)
+    assert d & (d - 1) == 0  # a power of two
+    for i, row in enumerate(rows):
+        for j, v in enumerate(row):
+            assert isinstance(a[i, j], int)
+            assert Fraction(a[i, j], d) == Fraction(v) == Fraction(b[i, j], e)
+
+
+def test_frexp_image_of_extremes():
+    arr = np.array([[0.0, 5e-324, 1e-300], [1.0, 1e300, np.finfo(float).max]])
+    a, d = perron._float_image(arr)
+    for v, num in zip(arr.ravel().tolist(), a.ravel().tolist()):
+        assert Fraction(num, d) == Fraction(v)

@@ -1,7 +1,10 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from origeo.errors import InputError
 from origeo.multicurve import (
@@ -11,6 +14,7 @@ from origeo.multicurve import (
     core_curve,
 )
 from origeo.origami import builtin
+from origeo.sampling import random_origami
 from origeo.surface import (
     WeightedSurface,
     curve_ext_bounds,
@@ -162,3 +166,101 @@ def test_weights_parse_round_trip(tmp_path):
 def test_weights_parse_rejects_malformed(data):
     with pytest.raises(InputError):
         parse_weights(data, builtin("l-2-2"))
+
+
+# ---------------------------------------------------------------------------
+# the array kernels against the per-cell loops they replace
+
+
+def scalar_qc_upper(x, y):
+    """The quasiconformal bound cell by cell, as a scalar loop over N."""
+    matrix = x.origami.intersection_matrix()
+    worst = 1.0
+    for i, hlab in enumerate(matrix.row_labels):
+        for j, vlab in enumerate(matrix.col_labels):
+            if matrix.entries[i][j] == 0:
+                continue
+            p = float(y.widths[vlab]) * float(x.heights[hlab])
+            q = float(x.widths[vlab]) * float(y.heights[hlab])
+            k_cell = max(p, q) / min(p, q)
+            if k_cell > worst:
+                worst = k_cell
+    return 0.5 * math.log(worst)
+
+
+def dense_area(x):
+    """sum_ij h_i n_ij w_j over every cell of N, zeros skipped, in row order."""
+    matrix = x.origami.intersection_matrix()
+    total = 0
+    for i, hlab in enumerate(matrix.row_labels):
+        for j, vlab in enumerate(matrix.col_labels):
+            if matrix.entries[i][j] != 0:
+                total += x.heights[hlab] * matrix.entries[i][j] * x.widths[vlab]
+    return total
+
+
+def dense_circumference(x, side, label):
+    matrix = x.origami.intersection_matrix()
+    if side == HORIZONTAL:
+        row = matrix.entries[matrix.row_labels.index(label)]
+        return sum(n * x.widths[lab] for n, lab in zip(row, matrix.col_labels) if n != 0)
+    j = matrix.col_labels.index(label)
+    return sum(
+        row[j] * x.heights[lab]
+        for row, lab in zip(matrix.entries, matrix.row_labels)
+        if row[j] != 0
+    )
+
+
+_float_weight = st.builds(lambda mant, exp: mant * 10.0**exp,
+                          st.floats(1.0, 10.0), st.integers(-8, 8))
+_fraction_weight = st.builds(Fraction, st.integers(1, 50), st.integers(1, 50))
+
+
+@st.composite
+def _surface_pairs(draw):
+    o = random_origami(random.Random(draw(st.integers(0, 10**6))), (3, 12))
+    weight = draw(st.sampled_from([_float_weight, _fraction_weight]))
+
+    def surface():
+        return WeightedSurface(
+            o,
+            {c.label: draw(weight) for c in o.cylinders(HORIZONTAL)},
+            {c.label: draw(weight) for c in o.cylinders(VERTICAL)},
+        )
+
+    return surface(), surface()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_surface_pairs())
+def test_array_kernels_match_the_cell_loops_bit_for_bit(pair):
+    x, y = pair
+    assert qc_upper(x, y) == scalar_qc_upper(x, y)
+    assert qc_upper(x, y) == qc_upper(y, x)
+    assert x.area() == dense_area(x)
+    for side in (HORIZONTAL, VERTICAL):
+        for cyl in x.origami.cylinders(side):
+            got = x.circumference(side, cyl.label)
+            assert got == dense_circumference(x, side, cyl.label)
+            assert type(got) is type(dense_circumference(x, side, cyl.label))
+
+
+def test_weights_are_read_only(unit_l22):
+    with pytest.raises(TypeError):
+        unit_l22.heights["A1"] = Fraction(5)
+    with pytest.raises(TypeError):
+        unit_l22.widths["B1"] = Fraction(5)
+    fv = unit_l22.defining_foliation(VERTICAL)
+    with pytest.raises(TypeError):
+        fv.weights["B1"] = Fraction(5)
+    assert unit_l22.area() == 3
+
+
+def test_surface_copies_the_weights_it_is_given():
+    o = builtin("l-2-2")
+    heights = {"A1": Fraction(1), "A2": Fraction(1)}
+    x = WeightedSurface(o, heights, {"B1": Fraction(1), "B2": Fraction(1)})
+    assert x.area() == 3
+    heights["A1"] = Fraction(10)
+    assert x.heights["A1"] == 1 and x.area() == 3
