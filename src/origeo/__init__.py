@@ -40,7 +40,7 @@ from .horo import (
     psi_interior,
     walsh_eval,
 )
-from .intervals import DistanceInterval, ValueInterval
+from .intervals import ValueInterval
 from .multicurve import (
     HORIZONTAL,
     VERTICAL,
@@ -79,7 +79,6 @@ __all__ = [
     "BusemannSpec",
     "CertificationError",
     "ComplexityError",
-    "DistanceInterval",
     "FillingStatus",
     "GeodesicLine",
     "HORIZONTAL",

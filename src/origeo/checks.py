@@ -2,11 +2,13 @@
 
 Each suite replays deterministically from a seed (sub-seeded per suite, so
 adding a suite never shifts another's random stream) and returns a small
-report dict; ``run_suites`` assembles them in a fixed order.  These are
-consistency audits between independently computed structures — cone-angle
-walks against cycle counts, the certified eigen-bracket against a dense
-solve of the transpose-side Gram matrix, reachability against matrix
-powers — not re-runs of the same code path.
+report dict; ``run_suites`` assembles them in a fixed order.  Most are
+consistency audits between independently computed structures — the
+certified eigen-bracket against a dense solve of the transpose-side Gram
+matrix, reachability against matrix powers — not re-runs of the same code
+path.  Some checks are identities of the construction and are kept as
+regression guards: cone orders are the cycle lengths of the commutator, so
+they partition the cells by construction.
 """
 
 from __future__ import annotations
@@ -55,7 +57,11 @@ def _report(name: str, cases: int, failures: List[str]) -> dict:
 
 
 def check_gauss_bonnet(seed: int) -> dict:
-    """Cone angles vs genus, and matrix partitions vs cylinder lengths."""
+    """Cone angles vs genus, and matrix partitions vs cylinder lengths.
+
+    Cone orders are the commutator's cycle lengths, so that they partition
+    the cells is an identity, kept as a guard on the construction.
+    """
     rng = _suite_rng(seed, "gauss-bonnet")
     failures: List[str] = []
     cases = 0

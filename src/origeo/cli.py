@@ -85,8 +85,8 @@ class RunConfig:
     suites: List[str] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        if not self.tol > 0:
-            raise InputError(f"tolerance must be positive, got {self.tol}")
+        if not 0 < self.tol < math.inf:
+            raise InputError(f"--tol must be positive and finite, got {self.tol}")
         if not 0 < self.step < math.inf:
             raise InputError(f"step must be positive and finite, got {self.step}")
         if self.t_min > self.t_max:
@@ -95,8 +95,8 @@ class RunConfig:
             )
         if self.n_max < 1:
             raise InputError(f"n-max must be at least 1, got {self.n_max}")
-        if self.eps < 0:
-            raise InputError(f"eps must be nonnegative, got {self.eps}")
+        if not 0 <= self.eps < math.inf:
+            raise InputError(f"--eps must be nonnegative and finite, got {self.eps}")
         if self.horizon is not None and not self.horizon > 0:
             raise InputError(f"horizon must be positive, got {self.horizon}")
 
@@ -241,7 +241,10 @@ def cmd_flow(args: argparse.Namespace) -> str:
 
 def _converge_payload(line: GeodesicLine, cfg: RunConfig) -> dict:
     base = line.require_surface()
-    _check_reach(2.0 * cfg.n_max, "the span of G(-n-max) and G(n-max)")
+    # the jitter widens each of G(-n-max) and G(n-max) by up to e^eps
+    _check_reach(
+        2.0 * (cfg.n_max + cfg.eps), "the span of G(-n-max) and G(n-max) plus --eps"
+    )
     exact_rows = []
     for n in range(1, cfg.n_max + 1):
         x_n = line.point_at(float(-n))

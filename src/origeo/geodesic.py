@@ -185,22 +185,22 @@ def optimal_geodesic(
             f"two-sided system failed to close: |M y - sqrt(lambda) x| = {closure:.3g}"
         )
 
-    f_vert = WeightedMulticurve(
-        host, VERTICAL,
-        {lab: ci * xi_i for lab, ci, xi_i in zip(xi_support, c, eigen.vector)},
-    )
     y = tuple(float(v) for v in yv)
-    f_hor = WeightedMulticurve(
-        host, HORIZONTAL,
-        {lab: dj * yj for lab, dj, yj in zip(eta_support, d, y)},
-    )
-
-    pairing = intersection(f_hor, f_vert)
+    widths = {lab: ci * xi_i for lab, ci, xi_i in zip(xi_support, c, eigen.vector)}
+    heights = {lab: dj * yj for lab, dj, yj in zip(eta_support, d, y)}
     base = None
     if status is FillingStatus.FILLING_CERTIFIED:
-        base = WeightedSurface(host, f_hor.weights, f_vert.weights)
-        if base.area() != pairing:
-            raise CertificationError("base surface area disagrees with the pairing")
+        # the foliations are the base surface's own, validated once with it
+        base = WeightedSurface(host, heights, widths)
+        f_vert = base.defining_foliation(VERTICAL)
+        f_hor = base.defining_foliation(HORIZONTAL)
+    else:
+        f_vert = WeightedMulticurve(host, VERTICAL, widths)
+        f_hor = WeightedMulticurve(host, HORIZONTAL, heights)
+
+    pairing = intersection(f_hor, f_vert)
+    if base is not None and base.area() != pairing:
+        raise CertificationError("base surface area disagrees with the pairing")
 
     cos_fwd = _cosine(ray_limit(f_vert, f_hor), spec_pairing(xi))
     cos_bwd = _cosine(ray_limit(f_hor, f_vert), spec_pairing(eta))

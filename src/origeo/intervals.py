@@ -46,27 +46,3 @@ class ValueInterval:
     @staticmethod
     def exact(value: Number) -> "ValueInterval":
         return ValueInterval(value, value)
-
-
-@dataclass(frozen=True)
-class DistanceInterval:
-    """Certified enclosure of a Teichmueller distance; lo is clamped at 0."""
-
-    lo: Number
-    hi: Number
-
-    def __post_init__(self):
-        if self.lo < 0:
-            object.__setattr__(self, "lo", 0)
-        if self.hi < self.lo:
-            raise ValueError(f"empty distance interval [{self.lo}, {self.hi}]")
-
-    @property
-    def width(self) -> Number:
-        return self.hi - self.lo
-
-    def contains(self, value: Number, tol: Number = 0) -> bool:
-        return self.lo - tol <= value <= self.hi + tol
-
-    def as_value(self) -> ValueInterval:
-        return ValueInterval(self.lo, self.hi)

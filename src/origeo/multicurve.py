@@ -34,7 +34,8 @@ whether a transverse pair of families can span a geodesic at all:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
@@ -115,8 +116,10 @@ def _check_weights(weights: Mapping[str, Weight]) -> Dict[str, Weight]:
         raise InputError("weighted multicurve needs at least one component")
     clean: Dict[str, Weight] = {}
     for label, w in weights.items():
-        if not (w > 0):
-            raise InputError(f"weight on {label} must be positive, got {w!r}")
+        if not (0 < w < math.inf):
+            raise InputError(
+                f"weight on {label} must be positive and finite, got {w!r}"
+            )
         clean[str(label)] = w
     return clean
 
@@ -125,8 +128,9 @@ def _check_weights(weights: Mapping[str, Weight]) -> Dict[str, Weight]:
 class WeightedMulticurve:
     """Positive weights on pairwise disjoint cores of one side of an origami.
 
-    ``weights`` is a read-only mapping, so a multicurve cached by a surface
-    cannot change under it.
+    ``weights`` is a read-only mapping in the host's cylinder order, so its
+    keys are the support and a multicurve kept by a surface or a spec cannot
+    change under it.
     """
 
     host: object
@@ -143,12 +147,16 @@ class WeightedMulticurve:
             raise InputError(
                 f"no {self.side} cylinder labelled {sorted(unknown)} on this origami"
             )
-        object.__setattr__(self, "weights", MappingProxyType(clean))
+        ordered = {
+            c.label: clean[c.label]
+            for c in self.host.cylinders(self.side)
+            if c.label in clean
+        }
+        object.__setattr__(self, "weights", MappingProxyType(ordered))
 
     @property
     def support(self) -> Tuple[str, ...]:
-        order = [c.label for c in self.host.cylinders(self.side)]
-        return tuple(lab for lab in order if lab in self.weights)
+        return tuple(self.weights)
 
     def is_full_support(self) -> bool:
         return len(self.weights) == len(self.host.cylinders(self.side))
@@ -338,24 +346,27 @@ class BusemannSpec:
 
     ``coeffs`` maps cylinder labels (all on ``side``) to positive numbers;
     ``approx`` records that the coefficients came in as decimal/floating
-    values rather than exact rationals.
+    values rather than exact rationals.  The coefficients are validated once,
+    as the multicurve that :meth:`as_multicurve` returns.
     """
 
     host: object
     side: str
     coeffs: Mapping[str, Weight]
     approx: bool = False
+    _curve: WeightedMulticurve = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        mc = WeightedMulticurve(self.host, self.side, self.coeffs)
-        object.__setattr__(self, "coeffs", mc.weights)
+        curve = WeightedMulticurve(self.host, self.side, self.coeffs)
+        object.__setattr__(self, "_curve", curve)
+        object.__setattr__(self, "coeffs", curve.weights)
 
     def as_multicurve(self) -> WeightedMulticurve:
-        return WeightedMulticurve(self.host, self.side, self.coeffs)
+        return self._curve
 
     @property
     def support(self) -> Tuple[str, ...]:
-        return self.as_multicurve().support
+        return self._curve.support
 
 
 def parse_coefficient(text: str, approx: bool) -> Weight:

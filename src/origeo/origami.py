@@ -13,13 +13,15 @@ horizontal core curve), the cycles of ``v`` the vertical ones.  The surface
 is connected exactly when the group generated by ``h`` and ``v`` acts
 transitively on the cells.
 
-Cone points are found by corner-walking: each cell contributes four corner
-slots, edge gluings identify corner slots of neighbouring cells, and every
-identification class collects ``4m`` quarter-turns for some integer
-``m >= 1`` — a cone point of angle ``2*pi*m``.  Writing ``V`` for the number
-of classes, Euler's formula with ``E = 2n`` edges and ``F = n`` faces gives
-``2 - 2g = V - n``, which is the Gauss–Bonnet identity
-``sum_vertices (m - 1) = 2g - 2`` since the ``m``'s total exactly ``n``.
+Cone points are read off the commutator ``v^-1 h^-1 v h``: following it
+from a cell walks once around the top-right corner of that cell (right,
+up, left, down), so its cycles are the vertices of the square tiling and a
+cycle of length ``m`` collects ``4m`` right angles — a cone point of angle
+``2*pi*m``.  The other three commutator orders are conjugate to this one
+and share its cycle type.  Every cell lies on exactly one cycle, so the
+orders total ``n``, and Euler's formula with ``V`` cycles, ``E = 2n`` edges
+and ``F = n`` faces gives ``2 - 2g = V - n``, which is the Gauss–Bonnet
+identity ``sum_vertices (m - 1) = 2g - 2``.
 
 The running example throughout the package is the three-cell L-shaped
 origami ``h = (1 2)(3)``, ``v = (1 3)(2)``: two horizontal cylinders
@@ -174,46 +176,20 @@ class Origami:
     def cone_orders(self) -> Tuple[int, ...]:
         """Cone angles as multiples of 2*pi, one per vertex, sorted descending.
 
-        Computed by corner-walking: union-find over the 4n corner slots
-        (BL, BR, TR, TL per cell) with the identifications induced by the
-        edge gluings; each class of size 4m is a cone point of angle 2*pi*m.
+        The cycle lengths of the commutator ``v^-1 h^-1 v h`` (see the module
+        docstring): a cycle of length m is a cone point of angle 2*pi*m.
         """
         if self._cone_orders is None:
-            BL, BR, TR, TL = 0, 1, 2, 3
-            parent = list(range(4 * self.n))
-
-            def find(a: int) -> int:
-                while parent[a] != a:
-                    parent[a] = parent[parent[a]]
-                    a = parent[a]
-                return a
-
-            def union(a: int, b: int) -> None:
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[ra] = rb
-
-            def slot(cell: int, corner: int) -> int:
-                return 4 * (cell - 1) + corner
-
-            for cell in range(1, self.n + 1):
-                right = self.h[cell - 1]
-                top = self.v[cell - 1]
-                union(slot(cell, BR), slot(right, BL))
-                union(slot(cell, TR), slot(right, TL))
-                union(slot(cell, TL), slot(top, BL))
-                union(slot(cell, TR), slot(top, BR))
-
-            sizes: Dict[int, int] = {}
-            for a in range(4 * self.n):
-                root = find(a)
-                sizes[root] = sizes.get(root, 0) + 1
-            # every quarter-turn type appears equally often around a vertex;
-            # the sizes total 4n, so the orders then partition the n cells
-            if any(size % 4 for size in sizes.values()):
-                raise CertificationError("corner class size is not a multiple of 4")
-            orders = sorted((size // 4 for size in sizes.values()), reverse=True)
-            self._cone_orders = tuple(orders)
+            h_inv = [0] * self.n
+            v_inv = [0] * self.n
+            for cell, (right, top) in enumerate(zip(self.h, self.v), 1):
+                h_inv[right - 1] = cell
+                v_inv[top - 1] = cell
+            commutator = tuple(
+                v_inv[h_inv[self.v[right - 1] - 1] - 1] for right in self.h
+            )
+            lengths = (len(cycle) for cycle in _cycles(commutator))
+            self._cone_orders = tuple(sorted(lengths, reverse=True))
         return self._cone_orders
 
     def genus(self) -> int:

@@ -238,8 +238,8 @@ def perron_solve(t: Matrix, tol: float = DEFAULT_TOL, seed: int = 0) -> PerronRe
             raise InputError("matrix must be square")
         arr = np.array([[float(v) for v in row] for row in rows], dtype=float)
     _check_symmetric_primitive(arr)
-    if not (tol > 0):
-        raise InputError(f"tolerance must be positive, got {tol!r}")
+    if not (0 < tol < math.inf):
+        raise InputError(f"tolerance must be positive and finite, got {tol!r}")
     values, vectors = np.linalg.eigh(arr)
     x = np.abs(vectors[:, -1])
     x = x / x.sum()

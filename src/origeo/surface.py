@@ -31,9 +31,10 @@ give the lower bound ``1/2 log max ExtLo_X/ExtHi_Y`` (both orientations).
 Every computed interval must contain the true Teichmueller distance — an
 inverted interval means a bug, not an inaccuracy, and raises.
 
-A surface's weights are read-only, so its derived quantities — the area,
-the two defining foliations, the circumference tables and the float weight
-vectors behind ``qc_upper`` — are computed once per surface, on first use.
+A surface is built on its two defining foliations, which validate its
+weights once.  The weights are read-only, so the derived quantities — the
+area, the circumference tables and the float weight vectors behind
+``qc_upper`` — are computed once per surface, on first use.
 ``qc_upper`` is one masked array expression over the cells of N.
 """
 
@@ -41,16 +42,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from types import MappingProxyType
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 import numpy as np
 
 from .errors import CertificationError, HostMismatch, InputError
-from .intervals import DistanceInterval, ValueInterval
+from .intervals import ValueInterval
 from .multicurve import (
     HORIZONTAL,
     VERTICAL,
@@ -65,74 +65,52 @@ from .origami import Origami
 _PROPORTIONAL_RTOL = 1e-9
 
 
-def _check_total_weights(
-    origami: Origami, side: str, weights: Mapping[str, Weight], what: str
-) -> Dict[str, Weight]:
-    labels = [c.label for c in origami.cylinders(side)]
-    clean = {}
-    for lab in labels:
-        if lab not in weights:
-            raise InputError(f"missing {what} for cylinder {lab}")
-        w = weights[lab]
-        if not (w > 0):
-            raise InputError(f"{what} for {lab} must be positive, got {w!r}")
-        clean[lab] = w
-    extra = set(weights) - set(labels)
-    if extra:
-        raise InputError(f"unknown cylinder labels {sorted(extra)} in {what}s")
-    return clean
-
-
 @dataclass(frozen=True)
 class WeightedSurface:
     """An origami with positive cylinder heights and widths (a flat metric).
 
-    ``heights`` and ``widths`` are read-only mappings, so the quantities
-    derived from them -- the area, the two defining foliations and the
+    The surface is its two defining foliations, built and validated once:
+    heights weight every horizontal core, widths every vertical core.
+    ``heights`` and ``widths`` are their read-only weights, in the host's
+    cylinder order, so the quantities derived from them -- the area and the
     circumference tables -- are computed once per surface, on first use.
     """
 
     origami: Origami
     heights: Mapping[str, Weight]
     widths: Mapping[str, Weight]
+    _defining: Dict[str, WeightedMulticurve] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
-        object.__setattr__(
-            self,
-            "heights",
-            MappingProxyType(
-                _check_total_weights(self.origami, HORIZONTAL, self.heights, "height")
-            ),
-        )
-        object.__setattr__(
-            self,
-            "widths",
-            MappingProxyType(
-                _check_total_weights(self.origami, VERTICAL, self.widths, "width")
-            ),
-        )
+        defining = {}
+        for side, what, weights in (
+            (HORIZONTAL, "height", self.heights),
+            (VERTICAL, "width", self.widths),
+        ):
+            for c in self.origami.cylinders(side):
+                if c.label not in weights:
+                    raise InputError(f"missing {what} for cylinder {c.label}")
+            defining[side] = WeightedMulticurve(self.origami, side, weights)
+        object.__setattr__(self, "_defining", defining)
+        object.__setattr__(self, "heights", defining[HORIZONTAL].weights)
+        object.__setattr__(self, "widths", defining[VERTICAL].weights)
 
     # ------------------------------------------------------------------
 
     def side_weights(self, side: str) -> Mapping[str, Weight]:
         return self.heights if side == HORIZONTAL else self.widths
 
-    @cached_property
-    def _foliations(self) -> Dict[str, WeightedMulticurve]:
-        return {
-            HORIZONTAL: WeightedMulticurve(self.origami, HORIZONTAL, self.heights),
-            VERTICAL: WeightedMulticurve(self.origami, VERTICAL, self.widths),
-        }
-
     def defining_foliation(self, side: str) -> WeightedMulticurve:
         """The surface's own vertical (widths) or horizontal (heights) datum."""
         if side not in (HORIZONTAL, VERTICAL):
             raise InputError(f"unknown side {side!r}")
-        return self._foliations[side]
+        return self._defining[side]
 
     @cached_property
     def _area(self) -> Weight:
-        return pair_intersection(self._foliations[HORIZONTAL], self._foliations[VERTICAL])
+        return pair_intersection(self._defining[HORIZONTAL], self._defining[VERTICAL])
 
     def area(self) -> Weight:
         """Total flat area; exact for exact weights.
@@ -320,12 +298,13 @@ def distance_interval(
     y: WeightedSurface,
     family: Iterable[WeightedMulticurve] = None,
     tol: float = 1e-12,
-) -> DistanceInterval:
+) -> ValueInterval:
     """Certified enclosure of the Teichmueller distance between two metrics.
 
     Defaults the test family to X's defining foliations (exact on flow
     lines).  An inverted interval beyond ``tol`` is a certification bug and
-    raises; sub-tolerance grazing is clamped.
+    raises; sub-tolerance grazing is clamped.  Both bounds are at least 0:
+    the lower starts from the ratio 1, the upper from the dilatation 1.
     """
     _same_origami(x, y)
     if family is None:
@@ -341,7 +320,7 @@ def distance_interval(
                 f"distance bounds inverted: lower {lo} exceeds upper {hi}"
             )
         lo = hi
-    return DistanceInterval(lo, hi)
+    return ValueInterval(lo, hi)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,55 @@
+"""The names the benchmark in ``perfbench/`` calls into the package.
+
+The benchmark wraps a fixed list of entry points per module and drives the
+pipeline through ``origeo``'s top-level names.  These tests read those
+files as text, without importing them, so that removing or renaming a name
+the benchmark relies on fails here.
+"""
+
+import ast
+import importlib
+import re
+from pathlib import Path
+
+import pytest
+
+import origeo
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _entry_points():
+    tree = ast.parse((PERFBENCH / "tracing.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        target = getattr(node, "target", None)
+        if isinstance(target, ast.Name) and target.id == "ENTRY_POINTS":
+            table = ast.literal_eval(node.value)
+            return [(layer, name) for layer, names in table.items() for name in names]
+    raise AssertionError("perfbench/tracing.py defines no ENTRY_POINTS")
+
+
+def _top_level_names():
+    names = set()
+    for script in ("workloads.py", "harness.py"):
+        text = (PERFBENCH / script).read_text(encoding="utf-8")
+        names |= set(re.findall(r"\bog\.(\w+)", text))
+    return sorted(names)
+
+
+@pytest.mark.parametrize("layer, name", _entry_points())
+def test_traced_entry_point_resolves(layer, name):
+    target = importlib.import_module(f"origeo.{layer}")
+    for part in name.split("."):
+        target = getattr(target, part)
+    assert callable(target)
+
+
+@pytest.mark.parametrize("name", _top_level_names())
+def test_benchmark_top_level_name_exists(name):
+    assert hasattr(origeo, name)
+
+
+def test_benchmark_hooks_were_found():
+    assert len(_entry_points()) >= 30
+    names = set(_top_level_names())
+    assert {"optimal_geodesic", "distance_interval", "point_at"} <= names

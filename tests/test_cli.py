@@ -310,3 +310,32 @@ def test_flow_pairs_each_surface_once(report_file, monkeypatch, capsys):
     # the rebuilt line pairs its two foliations once; every other pairing
     # is the area of one of the surfaces the rows built
     assert len(calls) <= 1 + len(surfaces)
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_non_finite_tol_exits_input_error(files, value):
+    res = run_cli("geodesic", files["origami"], files["xi"], files["eta"],
+                  "--tol", value)
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+    assert "--tol" in res.stderr
+
+
+@pytest.mark.parametrize("value", ["800", "1e308", "inf", "nan"])
+def test_far_or_non_finite_eps_exits_input_error(report_file, value):
+    res = run_cli("converge", report_file, "--eps", value)
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+    assert "--eps" in res.stderr
+
+
+@pytest.mark.parametrize("value", ["1e400", "inf"])
+def test_non_finite_spec_weight_exits_input_error(files, tmp_path, value):
+    xi = tmp_path / "xi-big.json"
+    xi.write_text(json.dumps(
+        {"side": "vertical", "coeffs": [["B1", "1"], ["B2", value]], "approx": True}
+    ))
+    res = run_cli("geodesic", files["origami"], str(xi), files["eta"])
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+    assert "B2" in res.stderr and "finite" in res.stderr

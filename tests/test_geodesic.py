@@ -384,3 +384,41 @@ def test_limit_kernel_matches_per_core_reference(instance):
         got = spec_pairing(spec, curves).tolist()
         scale = max(want)
         assert all(abs(a - b) <= 1e-12 * scale for a, b in zip(got, want))
+
+
+def test_pipeline_validates_each_weighted_family_a_bounded_number_of_times(
+    monkeypatch,
+):
+    # one random-full pipeline operation: parse, filling check, geodesic,
+    # both limits, one flow distance, one Busemann enclosure and one
+    # distance bracket; 2 specs + base surface + 6 flow points = 16
+    import origeo as og
+    from origeo.multicurve import busemann_spec_to_json
+    from origeo.origami import origami_to_json
+
+    o, xi, eta = random_full_instance(random.Random("40:0"), (40, 40))
+    docs = [origami_to_json(o), busemann_spec_to_json(xi), busemann_spec_to_json(eta)]
+    calls = []
+    validate = WeightedMulticurve.__post_init__
+    monkeypatch.setattr(
+        WeightedMulticurve, "__post_init__",
+        lambda self: calls.append(self.side) or validate(self),
+    )
+    origami = og.parse_origami(docs[0])
+    origami.validate()
+    xi = og.parse_busemann_spec(docs[1], origami)
+    eta = og.parse_busemann_spec(docs[2], origami)
+    og.filling_status(xi.as_multicurve(), eta.as_multicurve())
+    line = og.optimal_geodesic(xi, eta)
+    og.forward_limit(line), og.backward_limit(line)
+    s, t = -1.25, 2.5
+    og.flow_distance(line, s, t)
+    og.busemann_interval(line, og.point_at(line, t), horizon=abs(t) + 5.0)
+    og.distance_interval(og.point_at(line, s), og.point_at(line, t))
+    assert len(calls) <= 16
+
+
+def test_line_foliations_are_the_base_surface_datum(golden):
+    base = golden.base_surface
+    assert golden.vertical_foliation is base.defining_foliation(VERTICAL)
+    assert golden.horizontal_foliation is base.defining_foliation(HORIZONTAL)

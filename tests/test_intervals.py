@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from origeo.intervals import DistanceInterval, ValueInterval
+from origeo.intervals import ValueInterval
 
 
 def test_value_interval_basics():
@@ -37,13 +37,3 @@ def test_scale_keeps_order():
     iv = ValueInterval(-2, 3).scale(Fraction(1, 2))
     assert iv.lo == -1 and iv.hi == Fraction(3, 2)
 
-
-def test_distance_interval_clamps_tiny_negative_lower():
-    d = DistanceInterval(-1e-15, 1e-3)
-    assert d.lo == 0.0
-    assert d.as_value().lo == 0.0 and d.as_value().hi == 1e-3
-
-
-def test_distance_interval_rejects_inversion():
-    with pytest.raises(ValueError):
-        DistanceInterval(2.0, 1.0)

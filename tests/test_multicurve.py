@@ -149,3 +149,24 @@ def test_spec_as_multicurve_matches_coeffs(l22):
     mc = spec.as_multicurve()
     assert mc.weights == spec.coeffs
     assert mc.side == VERTICAL
+
+
+def test_spec_keeps_the_multicurve_it_validated(l22):
+    spec = BusemannSpec(l22, VERTICAL, {"B2": Fraction(1, 3), "B1": Fraction(2)})
+    assert spec.as_multicurve() is spec.as_multicurve()
+    assert spec.coeffs is spec.as_multicurve().weights
+    assert spec.support == ("B1", "B2")
+    assert list(spec.coeffs) == ["B1", "B2"]
+
+
+def test_multicurve_weights_follow_the_cylinder_order(l22):
+    mc = WeightedMulticurve(l22, HORIZONTAL, {"A2": Fraction(3), "A1": Fraction(1)})
+    assert list(mc.weights) == ["A1", "A2"] and mc.support == ("A1", "A2")
+    assert mc.vector() == (Fraction(1), Fraction(3))
+
+
+@pytest.mark.parametrize("value", ["1e400", "inf", "-inf", "nan"])
+def test_spec_rejects_non_finite_coefficients(l22, value):
+    data = {"side": "vertical", "coeffs": [["B1", "1"], ["B2", value]], "approx": True}
+    with pytest.raises(InputError, match="B2"):
+        parse_busemann_spec(data, l22)

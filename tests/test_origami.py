@@ -1,6 +1,10 @@
 import json
+import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from origeo.errors import ComplexityError, InputError, InvalidOrigami
 from origeo.multicurve import HORIZONTAL, VERTICAL
@@ -12,6 +16,7 @@ from origeo.origami import (
     origami_to_json,
     parse_origami,
 )
+from origeo.sampling import random_transitive_pair
 
 
 def test_three_cell_l_shape_structure():
@@ -123,3 +128,81 @@ def test_load_accepts_valid_file(tmp_path):
 def test_unknown_builtin():
     with pytest.raises(InputError):
         builtin("torus-of-revolution")
+
+
+
+def corner_walk_orders(o):
+    """Reference cone orders: union-find over the 4n corner slots of the cells.
+
+    The right and top edge gluings identify corner slots of neighbouring
+    cells; a class of 4m slots is a cone point of angle 2*pi*m.
+    """
+    parent = list(range(4 * o.n))
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    def slot(cell, corner):  # corners BL, BR, TR, TL are 0, 1, 2, 3
+        return 4 * (cell - 1) + corner
+
+    for cell in range(1, o.n + 1):
+        right, top = o.h[cell - 1], o.v[cell - 1]
+        for a, b in ((slot(cell, 1), slot(right, 0)), (slot(cell, 2), slot(right, 3)),
+                     (slot(cell, 3), slot(top, 0)), (slot(cell, 2), slot(top, 1))):
+            parent[find(a)] = find(b)
+    sizes = Counter(find(a) for a in range(4 * o.n))
+    assert all(size % 4 == 0 for size in sizes.values())
+    return tuple(sorted((size // 4 for size in sizes.values()), reverse=True))
+
+
+def _staircase(n):
+    """h swaps (1 2)(3 4)..., v swaps (2 3)(4 5)...: n/2 and n/2 + 1 cylinders."""
+    h = [i + 2 if i % 2 == 0 else i for i in range(n)]
+    v = [1] + [i + 2 if i % 2 == 1 else i for i in range(1, n - 1)] + [n]
+    return Origami(n, h, v)
+
+
+def _relabelled(o, sigma):
+    """The same surface with cell c renamed sigma[c - 1]."""
+    h, v = [0] * o.n, [0] * o.n
+    for c in range(1, o.n + 1):
+        h[sigma[c - 1] - 1] = sigma[o.h[c - 1] - 1]
+        v[sigma[c - 1] - 1] = sigma[o.v[c - 1] - 1]
+    return Origami(o.n, h, v)
+
+
+@st.composite
+def _origamis(draw):
+    n = draw(st.integers(1, 60))
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    o = Origami(n, *random_transitive_pair(rng, n))
+    sigma = list(range(1, n + 1))
+    rng.shuffle(sigma)
+    return o, sigma
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_origamis())
+def test_cone_orders_match_the_corner_walk(case):
+    o, sigma = case
+    orders = o.cone_orders()
+    assert orders == corner_walk_orders(o)
+    assert sum(orders) == o.n
+    assert _relabelled(o, sigma).cone_orders() == orders
+    assert Origami(o.n, o.v, o.h).cone_orders() == orders
+
+
+@pytest.mark.parametrize("n", [10, 20, 40, 80, 160])
+def test_staircase_cone_orders_match_the_corner_walk(n):
+    o = _staircase(n)
+    assert o.cone_orders() == corner_walk_orders(o)
+    assert o.genus() >= 2
+
+
+@pytest.mark.parametrize("name", sorted(catalog()))
+def test_catalog_cone_orders_match_the_corner_walk(name):
+    o = builtin(name)
+    assert o.cone_orders() == corner_walk_orders(o)
+    assert o.cone_orders() is o.cone_orders()

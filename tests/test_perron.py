@@ -243,6 +243,12 @@ def test_unreachable_tolerance_raises_no_convergence():
     assert err.value.residual > 0
 
 
+@pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1e-12])
+def test_tolerance_must_be_positive_and_finite(tol):
+    with pytest.raises(InputError, match="tolerance"):
+        perron_solve(((2, 1), (1, 1)), tol=tol)
+
+
 def test_result_serialization_shape():
     res = perron_solve(((2, 1), (1, 1)))
     data = res.to_json()

@@ -264,3 +264,46 @@ def test_surface_copies_the_weights_it_is_given():
     assert x.area() == 3
     heights["A1"] = Fraction(10)
     assert x.heights["A1"] == 1 and x.area() == 3
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_surface_pairs())
+def test_distance_interval_lower_bound_is_nonnegative(pair):
+    x, y = pair
+    assert distance_interval(x, y).lo >= 0
+    assert distance_interval(y, x).lo >= 0
+
+
+def test_surface_weights_follow_the_cylinder_order():
+    o = random_origami(random.Random(5), (12, 12))
+    hor = [c.label for c in o.cylinders(HORIZONTAL)]
+    ver = [c.label for c in o.cylinders(VERTICAL)]
+    assert len(hor) > 1 and len(ver) > 1
+    x = WeightedSurface(
+        o,
+        {lab: Fraction(k + 1) for k, lab in reversed(list(enumerate(hor)))},
+        {lab: Fraction(k + 1) for k, lab in reversed(list(enumerate(ver)))},
+    )
+    assert list(x.heights) == hor and list(x.widths) == ver
+    assert list(x.heights.values()) == [Fraction(k + 1) for k in range(len(hor))]
+    assert x.defining_foliation(HORIZONTAL).weights is x.heights
+    assert x.defining_foliation(VERTICAL).weights is x.widths
+    assert list(weights_to_json(x)["widths"]) == ver
+
+
+@pytest.mark.parametrize(
+    "heights, widths, named",
+    [
+        ({"A1": 1}, {"B1": 1, "B2": 1}, "A2"),
+        ({"A1": 1, "A2": 1}, {"B2": 1}, "B1"),
+        ({"A1": 1, "A2": 1, "A3": 1}, {"B1": 1, "B2": 1}, "A3"),
+        ({"A1": 1, "A2": 1}, {"B1": 1, "B2": 1, "B7": 1}, "B7"),
+        ({"A1": 1, "A2": 0}, {"B1": 1, "B2": 1}, "A2"),
+        ({"A1": 1, "A2": 1}, {"B1": -Fraction(1, 2), "B2": 1}, "B1"),
+        ({"A1": math.inf, "A2": 1}, {"B1": 1, "B2": 1}, "A1"),
+        ({"A1": 1, "A2": 1}, {"B1": 1, "B2": math.nan}, "B2"),
+    ],
+)
+def test_surface_rejects_missing_unknown_and_bad_weights(heights, widths, named):
+    with pytest.raises(InputError, match=named):
+        WeightedSurface(builtin("l-2-2"), heights, widths)
