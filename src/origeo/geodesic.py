@@ -35,7 +35,7 @@ raises instead of silently flipping.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -43,6 +43,7 @@ import numpy as np
 from .errors import (
     CertificationError,
     HostMismatch,
+    InputError,
     NotFillingError,
     SideMismatch,
 )
@@ -77,6 +78,8 @@ class GeodesicLine:
     families use all cores of their sides (otherwise the metric would need a
     cylinder of width zero, which is no metric on this origami — the
     eigen-data and limit functions remain available).
+    ``_points`` holds the last few flow points :func:`point_at` built; each
+    line, a reversed one included, starts with an empty memo of its own.
     """
 
     origami: Origami
@@ -95,6 +98,9 @@ class GeodesicLine:
     walsh_backward_cosine: float
     tol: float
     seed: int
+    _points: Dict[float, WeightedSurface] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     # thin conveniences over the module functions
     def point_at(self, t: float) -> WeightedSurface:
@@ -134,8 +140,11 @@ def optimal_geodesic(
     The vertical-side family is always the forward datum; the two specs may
     be passed in either order but must sit on opposite sides.  Raises
     NotFillingError / NotPrimitiveError when the pair cannot span a
-    geodesic, and CertificationError when an internal consistency
-    certificate (system closure, limit proportionality) fails.
+    geodesic, InputError when the float coupling M or M M^T leaves the
+    float64 range (an entry overflows to inf, or one the exact coupling
+    makes positive underflows to 0), and CertificationError when an
+    internal consistency certificate (system closure, limit
+    proportionality) fails.
     """
     if xi.host is not eta.host:
         raise HostMismatch("the two specs live on different origamis")
@@ -168,12 +177,26 @@ def optimal_geodesic(
             [n.col_labels.index(lab) for lab in xi_support],
         )
     ]
-    m = np.outer(c, d) * n_sub.T
+    with np.errstate(all="ignore"):  # range loss is reported just below
+        m = np.outer(c, d) * n_sub.T
+        mmt = gram_array(m)
+    # M and M M^T are positive at most where their exact values are, so a
+    # nonzero count below the exact one is an entry that underflowed to 0
+    if not (
+        np.isfinite(m).all()
+        and np.isfinite(mmt).all()
+        and np.count_nonzero(m) == np.count_nonzero(n_sub)
+        and np.count_nonzero(mmt) == np.count_nonzero(n_sub.T @ n_sub)
+    ):
+        raise InputError(
+            "the coefficients span more than float64 carries: the coupling "
+            "M or M M^T overflows to inf or underflows to 0"
+        )
     if not is_primitive(m.tolist()):
         # unreachable when filling_status passed; kept as a hard guard
         raise NotFillingError("coupling matrix is not primitive")
 
-    eigen = perron_solve(gram_array(m), tol=tol, seed=seed)
+    eigen = perron_solve(mmt, tol=tol, seed=seed)
     scale = math.sqrt(eigen.eigenvalue)
     xv = np.array(eigen.vector)
     yv = (m.T @ xv) / scale
@@ -235,11 +258,23 @@ def optimal_geodesic(
 # flow
 
 
+# Flow points a line keeps.  A flow row asks for its G(t) twice and for the
+# far Busemann point G(horizon) once; a converge row for G(-n) and G(n)
+# twice each.  Four hold every point in use, and a long flow stays flat in
+# memory.
+_POINT_MEMO_SIZE = 4
+
+
 def point_at(line: GeodesicLine, t: float) -> WeightedSurface:
     """The flow point at time t: widths scaled by e^t, heights by e^{-t}.
 
     (On a time-reversed line the roles are exchanged, so that reversal
     negates the parameter.)  The area is invariant along the line.
+    ``t == 0`` is the base surface itself.  The line keeps the last
+    ``_POINT_MEMO_SIZE`` points it built, keyed by the float ``t`` and
+    dropping the least recently used first, so a time asked for again
+    returns the same surface, and with it that surface's cached area and
+    extremal lengths.
     """
     base = line.require_surface()
     t = float(t)
@@ -247,10 +282,18 @@ def point_at(line: GeodesicLine, t: float) -> WeightedSurface:
         raise ValueError(f"flow time must be finite, got {t}")
     if t == 0.0:
         return base
-    grow, shrink = math.exp(t), math.exp(-t)
-    if line.vertical_foliation.side == VERTICAL:
-        return base.scaled(width_factor=grow, height_factor=shrink)
-    return base.scaled(width_factor=shrink, height_factor=grow)
+    memo = line._points
+    point = memo.pop(t, None)
+    if point is None:
+        grow, shrink = math.exp(t), math.exp(-t)
+        if line.vertical_foliation.side == VERTICAL:
+            point = base.scaled(width_factor=grow, height_factor=shrink)
+        else:
+            point = base.scaled(width_factor=shrink, height_factor=grow)
+        if len(memo) >= _POINT_MEMO_SIZE:
+            del memo[next(iter(memo))]
+    memo[t] = point  # reinserted last: the most recently used
+    return point
 
 
 def flow_distance(line: GeodesicLine, s: float, t: float) -> float:
@@ -394,7 +437,11 @@ def line_report(line: GeodesicLine) -> dict:
 
 
 def line_from_report(report: dict) -> GeodesicLine:
-    """Rebuild a line from a report's embedded inputs (deterministic)."""
+    """Rebuild a line from a report's embedded inputs (deterministic).
+
+    ``config`` is optional; when present it must be an object whose ``tol``
+    is a number and whose ``seed`` is an integer.
+    """
     from .multicurve import parse_busemann_spec
     from .origami import parse_origami
 
@@ -405,12 +452,17 @@ def line_from_report(report: dict) -> GeodesicLine:
         xi = parse_busemann_spec(inputs["xi"], host)
         eta = parse_busemann_spec(inputs["eta"], host)
     except (KeyError, TypeError) as exc:
-        from .errors import InputError
-
         raise InputError(f"report lacks reconstructible inputs: {exc}") from None
-    return optimal_geodesic(
-        xi,
-        eta,
-        tol=float(config.get("tol", DEFAULT_TOL)),
-        seed=int(config.get("seed", 0)),
-    )
+    if not isinstance(config, dict):
+        raise InputError(f"report 'config' must be an object, got {config!r}")
+    tol = config.get("tol", DEFAULT_TOL)
+    seed = config.get("seed", 0)
+    if isinstance(tol, bool) or not isinstance(tol, (int, float)):
+        raise InputError(f"report config 'tol' must be a number, got {tol!r}")
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise InputError(f"report config 'seed' must be an integer, got {seed!r}")
+    try:
+        tol = float(tol)
+    except OverflowError:
+        raise InputError("report config 'tol' is beyond the float range") from None
+    return optimal_geodesic(xi, eta, tol=tol, seed=seed)

@@ -32,6 +32,7 @@ origami ``h = (1 2)(3)``, ``v = (1 3)(2)``: two horizontal cylinders
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Sequence, Tuple
 
@@ -57,11 +58,28 @@ class Cylinder:
         return len(self.cells)
 
 
+def _as_int(x, what: str) -> int:
+    """``x`` as an int: what ``operator.index`` takes (NumPy integers too), no bool."""
+    if not isinstance(x, bool):
+        try:
+            return operator.index(x)
+        except TypeError:
+            pass
+    raise InvalidOrigami(f"{what} must be an integer, got {x!r}")
+
+
 def _as_permutation(images: Sequence[int], n: int, name: str) -> Tuple[int, ...]:
     try:
-        perm = tuple(int(x) for x in images)
-    except (TypeError, ValueError):
+        cells = list(images)
+    except TypeError:
         raise InvalidOrigami(f"{name} must be a list of integers") from None
+    try:
+        # one pass at C speed; operator.index takes bools, so they go first
+        perm = None if bool in map(type, cells) else tuple(map(operator.index, cells))
+    except TypeError:
+        perm = None
+    if perm is None:  # the per-image walk raises, naming the first bad image
+        perm = tuple(_as_int(x, f"each image in {name}") for x in cells)
     if len(perm) != n:
         raise InvalidOrigami(f"{name} must list images of all {n} cells")
     if sorted(perm) != list(range(1, n + 1)):
@@ -97,7 +115,8 @@ class Origami:
     """
 
     def __init__(self, n: int, h: Sequence[int], v: Sequence[int]):
-        if not isinstance(n, int) or n < 1:
+        n = _as_int(n, "the number of cells")
+        if n < 1:
             raise InvalidOrigami(f"need a positive number of cells, got {n!r}")
         self.n = n
         self.h = _as_permutation(h, n, "h")
@@ -282,10 +301,7 @@ def parse_origami(data: Mapping) -> Origami:
     missing = {"squares", "h", "v"} - set(data)
     if missing:
         raise InputError(f"origami object missing keys {sorted(missing)}")
-    n = data["squares"]
-    if not isinstance(n, int):
-        raise InputError(f"'squares' must be an integer, got {n!r}")
-    return Origami(n, data["h"], data["v"])
+    return Origami(_as_int(data["squares"], "'squares'"), data["h"], data["v"])
 
 
 def load_origami(path) -> Origami:

@@ -158,6 +158,8 @@ def _check_symmetric_primitive(t: np.ndarray) -> None:
     k, l = t.shape
     if k != l:
         raise InputError(f"matrix must be square, got {k}x{l}")
+    if not np.isfinite(t).all():
+        raise InputError("matrix entries must be finite")
     if np.any(t < 0):
         raise InputError("matrix must be entrywise nonnegative")
     if not np.array_equal(t, t.T):

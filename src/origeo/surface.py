@@ -36,6 +36,16 @@ weights once.  The weights are read-only, so the derived quantities — the
 area, the circumference tables and the float weight vectors behind
 ``qc_upper`` — are computed once per surface, on first use.
 ``qc_upper`` is one masked array expression over the cells of N.
+
+Extremal lengths are memoized the same way, but bounded: each surface keeps
+the ``ext_interval`` of at most ``_EXT_MEMO_SIZE`` curves, keyed by the
+curve's identity, and empties the memo when it is full.  Each entry holds
+its curve, so a key's ``id`` cannot be recycled while the entry lives.  A
+``flow`` row asks for fifteen extremal lengths on three surfaces, six of
+them distinct; the far Busemann point, shared by every row, meets two new
+curves per row, which is why the memo is bounded.  The flow points
+themselves are memoized, also bounded, by their line (see
+:func:`origeo.geodesic.point_at`).
 """
 
 from __future__ import annotations
@@ -63,6 +73,7 @@ from .multicurve import (
 from .origami import Origami
 
 _PROPORTIONAL_RTOL = 1e-9
+_EXT_MEMO_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -81,6 +92,9 @@ class WeightedSurface:
     widths: Mapping[str, Weight]
     _defining: Dict[str, WeightedMulticurve] = field(
         init=False, repr=False, compare=False
+    )
+    _ext: Dict[int, Tuple[WeightedMulticurve, ValueInterval]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
     )
 
     def __post_init__(self):
@@ -234,11 +248,26 @@ def curve_ext_bounds(
 
 
 def ext_interval(surface: WeightedSurface, curve: WeightedMulticurve) -> ValueInterval:
-    """Enclosure that collapses to the exact value on defining foliations."""
+    """Enclosure that collapses to the exact value on defining foliations.
+
+    Memoized per surface by the curve's identity (see the module notes): a
+    curve asked for again gets the very same interval object.
+    """
+    if curve.host is not surface.origami:
+        raise HostMismatch("curve lives on a different origami")
+    memo = surface._ext
+    entry = memo.get(id(curve))
+    if entry is not None:
+        return entry[1]
     r = surface.proportionality(curve)
     if r is not None:
-        return ValueInterval.exact(foliation_ext(surface, curve.side, r))
-    return curve_ext_bounds(surface, curve)
+        ival = ValueInterval.exact(foliation_ext(surface, curve.side, r))
+    else:
+        ival = curve_ext_bounds(surface, curve)
+    if len(memo) >= _EXT_MEMO_SIZE:
+        memo.clear()
+    memo[id(curve)] = (curve, ival)
+    return ival
 
 
 def _same_origami(x: WeightedSurface, y: WeightedSurface) -> None:

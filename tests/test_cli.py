@@ -339,3 +339,129 @@ def test_non_finite_spec_weight_exits_input_error(files, tmp_path, value):
     assert res.returncode == 2
     assert "Traceback" not in res.stderr
     assert "B2" in res.stderr and "finite" in res.stderr
+
+
+# md5 of the golden line's stdout: reusing flow points and extremal lengths
+# must leave every printed bit as it was
+GOLDEN_STDOUT_MD5 = {
+    ("flow", "--step", "0.05"): "39bade7259e9843b9510e5e201bbbed7",
+    ("converge", "--n-max", "20"): "07416b409c2cbf6cfcbb59162576b693",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN_STDOUT_MD5))
+def test_golden_stdout_is_pinned(report_file, argv):
+    import hashlib
+
+    res = run_cli(argv[0], report_file, *argv[1:])
+    assert res.returncode == 0, res.stderr
+    assert hashlib.md5(res.stdout.encode()).hexdigest() == GOLDEN_STDOUT_MD5[argv]
+
+
+def _count_surfaces_and_proportionality(monkeypatch):
+    from origeo import surface
+
+    built, calls = [], []
+    init = surface.WeightedSurface.__post_init__
+    proportionality = surface.WeightedSurface.proportionality
+    monkeypatch.setattr(
+        surface.WeightedSurface, "__post_init__",
+        lambda self: built.append(self) or init(self),
+    )
+    monkeypatch.setattr(
+        surface.WeightedSurface, "proportionality",
+        lambda self, curve: calls.append(curve) or proportionality(self, curve),
+    )
+    return built, calls
+
+
+def test_flow_builds_each_point_once(report_file, monkeypatch, capsys):
+    from origeo import cli
+
+    built, calls = _count_surfaces_and_proportionality(monkeypatch)
+    assert cli.main(["flow", report_file, "--step", "0.05"]) == 0
+    assert capsys.readouterr().out.count("\n") == 122  # header and 121 rows
+    # the base, one point per row but t = 0 and one far Busemann point;
+    # building every point afresh took 362 surfaces and 1,815 calls
+    assert len(built) <= 122
+    assert len(calls) <= 726
+
+
+def test_converge_builds_each_point_once(report_file, monkeypatch, capsys):
+    from origeo import cli
+
+    built, _ = _count_surfaces_and_proportionality(monkeypatch)
+    assert cli.main(["converge", report_file, "--n-max", "20"]) == 0
+    capsys.readouterr()
+    # the base, then per n: G(-n), G(n), their two jitters and one proxy;
+    # rebuilding the flow points took 201
+    assert len(built) <= 101
+
+
+def test_long_flow_keeps_its_memos_bounded(report_file, monkeypatch, capsys):
+    from origeo import cli
+
+    lines = []
+    rebuild = cli.line_from_report
+    monkeypatch.setattr(
+        cli, "line_from_report", lambda report: lines.append(rebuild(report)) or lines[-1]
+    )
+    built, _ = _count_surfaces_and_proportionality(monkeypatch)
+    code = cli.main(["flow", report_file, "--t-min", "0", "--t-max", "1",
+                     "--step", "0.0005"])
+    assert code == 0
+    assert capsys.readouterr().out.count("\n") == 2002
+    assert len(lines) == 1 and len(lines[0]._points) <= 4
+    assert max(len(s._ext) for s in built) <= 8
+
+
+@pytest.mark.parametrize("command", ["flow", "converge"])
+@pytest.mark.parametrize(
+    "config, named",
+    [
+        (None, "config"),
+        ({"tol": "abc"}, "tol"),
+        ({"tol": 1e-12, "seed": 1.5}, "seed"),
+    ],
+)
+def test_malformed_report_config_exits_input_error(
+    report_file, tmp_path, command, config, named
+):
+    report = json.loads(open(report_file).read())
+    report["config"] = config
+    bad = tmp_path / "bad-config.json"
+    bad.write_text(json.dumps(report))
+    res = run_cli(command, str(bad))
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+    assert named in res.stderr
+
+
+@pytest.mark.parametrize("value", ["1e300", "1e-300"])
+def test_coupling_beyond_float_range_exits_input_error(files, tmp_path, value):
+    xi = tmp_path / "xi-range.json"
+    xi.write_text(json.dumps(
+        {"side": "vertical", "coeffs": [["B1", "1"], ["B2", value]], "approx": True}
+    ))
+    res = run_cli("geodesic", files["origami"], str(xi), files["eta"])
+    assert res.returncode == 2
+    assert "RuntimeWarning" not in res.stderr
+    assert len(res.stderr.splitlines()) == 1
+    assert "float64" in res.stderr
+
+
+@pytest.mark.parametrize(
+    "origami, named",
+    [
+        ({"squares": 3, "h": [2.5, 1, 3], "v": [3, 2, 1]}, "h"),
+        ({"squares": 3, "h": [2, 1, 3], "v": ["3", 2, True]}, "v"),
+        ({"squares": True, "h": [1], "v": [1]}, "squares"),
+    ],
+)
+def test_validate_rejects_non_integer_cells(tmp_path, origami, named):
+    path = tmp_path / "origami.json"
+    path.write_text(json.dumps(origami))
+    res = run_cli("validate", str(path))
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+    assert named in res.stderr

@@ -97,6 +97,26 @@ def test_point_at_rejects_non_finite(golden):
         golden.point_at(math.inf)
 
 
+@pytest.mark.parametrize("reversed_first", [False, True])
+def test_reversed_line_never_reads_the_forward_flow_points(golden, reversed_first):
+    forward_one = golden.point_at(1.0)  # G(1) now sits in the forward memo
+    rev = golden.reversed()
+    if reversed_first:
+        back, fwd = rev.point_at(1.0), golden.point_at(-1.0)
+    else:
+        fwd, back = golden.point_at(-1.0), rev.point_at(1.0)
+    assert (back.widths, back.heights) == (fwd.widths, fwd.heights)
+    assert back is not forward_one and back.widths != forward_one.widths
+
+
+def test_point_memo_keeps_the_most_recently_used_points(golden):
+    far = golden.point_at(8.0)
+    for t in (0.5, 1.0, 1.5, 2.0, 2.5):
+        assert golden.point_at(t) is golden.point_at(t)
+        assert golden.point_at(8.0) is far
+    assert len(golden._points) == 4
+
+
 def test_flow_distance_is_exact_parameter_gap(golden):
     assert golden.flow_distance(0, 1) == 1.0
     assert golden.flow_distance(-2.5, 1.5) == 4.0
@@ -208,6 +228,35 @@ def test_report_without_inputs_is_rejected(golden):
     del rep["inputs"]
     with pytest.raises(InputError):
         line_from_report(rep)
+
+
+@pytest.mark.parametrize(
+    "config, named",
+    [
+        (None, "config"),
+        ([1e-12, 0], "config"),
+        ({"tol": "abc"}, "tol"),
+        ({"tol": True}, "tol"),
+        ({"tol": 10**400}, "tol"),
+        ({"seed": 1.5}, "seed"),
+        ({"seed": "1"}, "seed"),
+        ({"seed": False}, "seed"),
+    ],
+)
+def test_report_config_is_checked(golden, config, named):
+    rep = line_report(golden)
+    rep["config"] = config
+    with pytest.raises(InputError, match=named):
+        line_from_report(rep)
+
+
+@pytest.mark.parametrize("coeff", ["1e300", "1e-300"])
+def test_coupling_beyond_float_range_is_an_input_error(coeff):
+    o = builtin("l-2-2")
+    xi = BusemannSpec(o, VERTICAL, {"B1": 1.0, "B2": float(coeff)})
+    eta = BusemannSpec(o, HORIZONTAL, {"A1": 1.0, "A2": 1.0})
+    with pytest.raises(InputError, match="float64"):
+        optimal_geodesic(xi, eta)
 
 
 def test_subset_report_has_null_area():

@@ -2,6 +2,7 @@ import json
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -107,6 +108,28 @@ def test_parse_round_trip():
 def test_parse_rejects_malformed(data):
     with pytest.raises(InputError):
         parse_origami(data)
+
+
+@pytest.mark.parametrize(
+    "data, named",
+    [
+        ({"squares": 3, "h": [2.5, 1, 3], "v": [3, 2, 1]}, "h"),
+        ({"squares": 3, "h": [2, 1, 3.0], "v": [3, 2, 1]}, "h"),
+        ({"squares": 3, "h": [2, 1, 3], "v": ["3", 2, 1]}, "v"),
+        ({"squares": 3, "h": [2, 1, 3], "v": [3, 2, True]}, "v"),
+        ({"squares": True, "h": [1], "v": [1]}, "squares"),
+        ({"squares": 3.0, "h": [2, 1, 3], "v": [3, 2, 1]}, "squares"),
+    ],
+)
+def test_parse_rejects_fractional_boolean_and_string_cells(data, named):
+    with pytest.raises(InvalidOrigami, match=named):
+        parse_origami(data)
+
+
+def test_numpy_integer_cells_are_accepted():
+    o = Origami(np.int64(3), np.array([2, 1, 3]), [np.int32(3), 2, 1])
+    assert (o.n, o.h, o.v) == (3, (2, 1, 3), (3, 2, 1))
+    assert all(type(x) is int for x in (o.n, *o.h, *o.v))
 
 
 def test_load_rejects_missing_and_bad_files(tmp_path):

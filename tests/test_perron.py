@@ -236,6 +236,12 @@ def test_malformed_matrices_refused():
         perron_solve(())
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_non_finite_entries_refused(bad):
+    with pytest.raises(InputError, match="finite"):
+        perron_solve(np.array([[2.0, bad], [bad, 1.0]]))
+
+
 def test_unreachable_tolerance_raises_no_convergence():
     with pytest.raises(NoConvergenceError) as err:
         perron_solve(((2, 1), (1, 1)), tol=1e-30)

@@ -307,3 +307,24 @@ def test_surface_weights_follow_the_cylinder_order():
 def test_surface_rejects_missing_unknown_and_bad_weights(heights, widths, named):
     with pytest.raises(InputError, match=named):
         WeightedSurface(builtin("l-2-2"), heights, widths)
+
+
+def test_ext_memo_tells_equal_curves_apart(unit_l22):
+    o = unit_l22.origami
+    a = WeightedMulticurve(o, VERTICAL, {"B1": Fraction(1)})
+    b = WeightedMulticurve(o, VERTICAL, {"B1": Fraction(1)})
+    assert a == b and a is not b
+    want = curve_ext_bounds(unit_l22, a)
+    first = ext_interval(unit_l22, a)
+    assert first == want and ext_interval(unit_l22, b) == want
+    assert ext_interval(unit_l22, a) is first  # a hit is the very same object
+
+
+def test_ext_memo_never_serves_a_recycled_curve(unit_l22):
+    # a curve freed after its lookup may hand its id to the next one
+    o = unit_l22.origami
+    for k in range(1, 40):
+        curve = WeightedMulticurve(o, HORIZONTAL, {"A1": Fraction(k)})
+        assert ext_interval(unit_l22, curve) == curve_ext_bounds(unit_l22, curve)
+        del curve
+        assert len(unit_l22._ext) <= 8
