@@ -245,20 +245,17 @@ def _converge_payload(line: GeodesicLine, cfg: RunConfig) -> dict:
     _check_reach(
         2.0 * (cfg.n_max + cfg.eps), "the span of G(-n-max) and G(n-max) plus --eps"
     )
-    exact_rows, points = [], []
+    rng = random.Random(cfg.seed)
+    exact_rows, jitter_rows = [], []
     for n in range(1, cfg.n_max + 1):
         x_n = line.point_at(float(-n))
         y_n = line.point_at(float(n))
-        points.append((x_n, y_n))
         gap = line.flow_distance(-n, n) - line.flow_distance(0, -n)
         mi = miyachi_intersection(x_n, y_n, base)
         exact_rows.append(
             {"n": n, "gap": gap, "miyachiLo": mi.lo, "miyachiHi": mi.hi}
         )
 
-    rng = random.Random(cfg.seed)
-    jitter_rows = []
-    for n, (x_n, y_n) in enumerate(points, start=1):
         x_j, hf_x, wf_x = jittered_surface(rng, x_n, cfg.eps)
         y_j, hf_y, wf_y = jittered_surface(rng, y_n, cfg.eps)
         proxy = WeightedSurface(

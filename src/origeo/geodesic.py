@@ -169,8 +169,15 @@ def optimal_geodesic(
     # rows = xi components, columns = eta components
     n = host.intersection_matrix()
     xi_support, eta_support = xi.support, eta.support
-    c = [float(xi.coeffs[lab]) for lab in xi_support]
-    d = [float(eta.coeffs[lab]) for lab in eta_support]
+    range_error = InputError(
+        "the coefficients span more than float64 carries: the coupling "
+        "M or M M^T overflows to inf or underflows to 0"
+    )
+    try:  # an exact coefficient beyond float64 raises here
+        c = [float(xi.coeffs[lab]) for lab in xi_support]
+        d = [float(eta.coeffs[lab]) for lab in eta_support]
+    except OverflowError:
+        raise range_error from None
     n_sub = n.array[
         np.ix_(
             [n.row_labels.index(lab) for lab in eta_support],
@@ -188,10 +195,7 @@ def optimal_geodesic(
         and np.count_nonzero(m) == np.count_nonzero(n_sub)
         and np.count_nonzero(mmt) == np.count_nonzero(n_sub.T @ n_sub)
     ):
-        raise InputError(
-            "the coefficients span more than float64 carries: the coupling "
-            "M or M M^T overflows to inf or underflows to 0"
-        )
+        raise range_error
     if not is_primitive(m.tolist()):
         # unreachable when filling_status passed; kept as a hard guard
         raise NotFillingError("coupling matrix is not primitive")

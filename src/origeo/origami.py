@@ -74,12 +74,12 @@ def _as_permutation(images: Sequence[int], n: int, name: str) -> Tuple[int, ...]
     except TypeError:
         raise InvalidOrigami(f"{name} must be a list of integers") from None
     try:
-        # one pass at C speed; operator.index takes bools, so they go first
-        perm = None if bool in map(type, cells) else tuple(map(operator.index, cells))
+        # operator.index takes bools, so they are refused first
+        if bool in map(type, cells):
+            raise TypeError
+        perm = tuple(map(operator.index, cells))
     except TypeError:
-        perm = None
-    if perm is None:  # the per-image walk raises, naming the first bad image
-        perm = tuple(_as_int(x, f"each image in {name}") for x in cells)
+        raise InvalidOrigami(f"each image in {name} must be an integer") from None
     if len(perm) != n:
         raise InvalidOrigami(f"{name} must list images of all {n} cells")
     if sorted(perm) != list(range(1, n + 1)):

@@ -437,11 +437,14 @@ def test_malformed_report_config_exits_input_error(
     assert named in res.stderr
 
 
-@pytest.mark.parametrize("value", ["1e300", "1e-300"])
-def test_coupling_beyond_float_range_exits_input_error(files, tmp_path, value):
+@pytest.mark.parametrize(
+    "value, approx",
+    [("1e300", True), ("1e-300", True), ("1e400", False), ("1e-400", False)],
+)
+def test_coupling_beyond_float_range_exits_input_error(files, tmp_path, value, approx):
     xi = tmp_path / "xi-range.json"
     xi.write_text(json.dumps(
-        {"side": "vertical", "coeffs": [["B1", "1"], ["B2", value]], "approx": True}
+        {"side": "vertical", "coeffs": [["B1", "1"], ["B2", value]], "approx": approx}
     ))
     res = run_cli("geodesic", files["origami"], str(xi), files["eta"])
     assert res.returncode == 2

@@ -250,10 +250,12 @@ def test_report_config_is_checked(golden, config, named):
         line_from_report(rep)
 
 
-@pytest.mark.parametrize("coeff", ["1e300", "1e-300"])
+@pytest.mark.parametrize(
+    "coeff", [1e300, 1e-300, Fraction(10) ** 400, Fraction(10) ** -400]
+)
 def test_coupling_beyond_float_range_is_an_input_error(coeff):
     o = builtin("l-2-2")
-    xi = BusemannSpec(o, VERTICAL, {"B1": 1.0, "B2": float(coeff)})
+    xi = BusemannSpec(o, VERTICAL, {"B1": 1.0, "B2": coeff})
     eta = BusemannSpec(o, HORIZONTAL, {"A1": 1.0, "A2": 1.0})
     with pytest.raises(InputError, match="float64"):
         optimal_geodesic(xi, eta)
