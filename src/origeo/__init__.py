@@ -4,6 +4,11 @@ Build an origami, pick a transverse pair of weighted boundary specs, and
 ``optimal_geodesic`` returns the unique geodesic line joining them via a
 Perron–Frobenius reduction — with interval certificates for everything a
 float cannot witness exactly.
+
+The names here are the error classes, the core types and the operations
+the command line runs.  Oracles, audits and the individual bounds behind a
+distance bracket stay in their modules (``origeo.perron``, ``origeo.horo``,
+``origeo.surface``, ...).
 """
 
 from .errors import (
@@ -30,15 +35,10 @@ from .geodesic import (
     reversed_line,
 )
 from .horo import (
-    HorofunctionValue,
     busemann_interval,
     delta_probe,
-    lower_bound_audit,
-    minsky_audit,
     miyachi_intersection,
     psi_foliation,
-    psi_interior,
-    walsh_eval,
 )
 from .intervals import ValueInterval
 from .multicurve import (
@@ -48,30 +48,12 @@ from .multicurve import (
     FillingStatus,
     IntersectionMatrix,
     WeightedMulticurve,
-    core_curve,
     filling_status,
-    intersection,
-    pair_intersection,
     parse_busemann_spec,
 )
-from .origami import Origami, builtin, catalog, load_origami, parse_origami
-from .perron import (
-    PerronResult,
-    gram,
-    is_primitive,
-    perron_solve,
-    wielandt_oracle,
-)
-from .surface import (
-    WeightedSurface,
-    curve_ext_bounds,
-    distance_interval,
-    ext_interval,
-    foliation_ext,
-    kerckhoff_lower,
-    load_weights,
-    qc_upper,
-)
+from .origami import Origami, builtin, catalog, parse_origami
+from .perron import PerronResult
+from .surface import WeightedSurface, distance_interval, ext_interval
 
 __version__ = "0.1.0"
 
@@ -82,7 +64,6 @@ __all__ = [
     "FillingStatus",
     "GeodesicLine",
     "HORIZONTAL",
-    "HorofunctionValue",
     "HostMismatch",
     "HypothesisError",
     "InputError",
@@ -102,36 +83,19 @@ __all__ = [
     "builtin",
     "busemann_interval",
     "catalog",
-    "core_curve",
-    "curve_ext_bounds",
     "delta_probe",
     "distance_interval",
     "ext_interval",
     "filling_status",
     "flow_distance",
-    "foliation_ext",
     "forward_limit",
-    "gram",
-    "intersection",
-    "is_primitive",
-    "kerckhoff_lower",
     "line_from_report",
     "line_report",
-    "load_origami",
-    "load_weights",
-    "lower_bound_audit",
-    "minsky_audit",
     "miyachi_intersection",
     "optimal_geodesic",
-    "pair_intersection",
     "parse_busemann_spec",
     "parse_origami",
-    "perron_solve",
     "point_at",
     "psi_foliation",
-    "psi_interior",
-    "qc_upper",
     "reversed_line",
-    "walsh_eval",
-    "wielandt_oracle",
 ]

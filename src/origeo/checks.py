@@ -15,13 +15,20 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from . import sampling
 from .errors import InputError
-from .geodesic import optimal_geodesic
+from .geodesic import (
+    backward_limit,
+    forward_limit,
+    optimal_geodesic,
+    point_at,
+    reversed_line,
+)
 from .horo import (
     busemann_interval,
     minsky_audit,
@@ -29,8 +36,8 @@ from .horo import (
     psi_foliation,
     psi_interior,
 )
-from .multicurve import HORIZONTAL, VERTICAL, core_curve, intersection
-from .origami import catalog
+from .multicurve import HORIZONTAL, VERTICAL, BusemannSpec, core_curve, intersection
+from .origami import Origami, builtin, catalog
 from .perron import gram, is_primitive, perron_solve, wielandt_oracle
 from .surface import (
     curve_ext_bounds,
@@ -85,14 +92,10 @@ def check_gauss_bonnet(seed: int) -> dict:
             failures.append(f"{tag}: matrix total is not the cell count")
 
     for name in catalog():
-        from .origami import builtin
-
         audit(builtin(name), name)
     for i in range(100):
         n = rng.randint(2, 10)
         h, v = sampling.random_transitive_pair(rng, n)
-        from .origami import Origami
-
         audit(Origami(n, h, v), f"random[{i}]")
     return _report("gauss-bonnet", cases, failures)
 
@@ -168,11 +171,6 @@ def check_minsky(seed: int) -> dict:
 
 
 def _golden_line():
-    from fractions import Fraction
-
-    from .multicurve import BusemannSpec
-    from .origami import builtin
-
     o = builtin("l-2-2")
     xi = BusemannSpec(o, VERTICAL, {"B1": Fraction(1), "B2": Fraction(1)})
     eta = BusemannSpec(o, HORIZONTAL, {"A1": Fraction(1), "A2": Fraction(1)})
@@ -201,22 +199,19 @@ def check_sandwich(seed: int) -> dict:
         prev = None
         for i in range(count):
             t = rng.uniform(-2.0, 2.0)
-            z, _, _ = sampling.jittered_surface(rng, line.point_at(t), 0.25)
+            z, _, _ = sampling.jittered_surface(rng, point_at(line, t), 0.25)
             cases += 1
             psi = psi_foliation(f_v, z, base)
             bus = busemann_interval(line, z, horizon=7.0)
-            if psi.value.lo > bus.value.hi + 1e-9:
+            if psi.lo > bus.hi + 1e-9:
                 failures.append(f"sandwich inverted at jitter {i}")
             zero = psi_interior(z, base, base)
-            if not (zero.value.lo <= 0.0 <= zero.value.hi):
+            if not (zero.lo <= 0.0 <= zero.hi):
                 failures.append(f"interior value at basepoint misses 0 at {i}")
             if prev is not None:
                 d_hi = distance_interval(prev[0], z).hi
                 for a, b in ((prev[1], psi), (prev[2], bus)):
-                    if (
-                        a.value.lo - b.value.hi > d_hi + 1e-9
-                        or b.value.lo - a.value.hi > d_hi + 1e-9
-                    ):
+                    if a.lo - b.hi > d_hi + 1e-9 or b.lo - a.hi > d_hi + 1e-9:
                         failures.append(f"1-Lipschitz bound broken at {i}")
             prev = (z, psi, bus)
     return _report("sandwich", cases, failures)
@@ -232,9 +227,9 @@ def check_walsh(seed: int) -> dict:
     cases += 1
     if min(line.walsh_forward_cosine, line.walsh_backward_cosine) <= 1 - 1e-9:
         failures.append("golden instance cosine below threshold")
-    rev = line.reversed()
+    rev = reversed_line(line)
     cases += 1
-    if rev.forward_limit() != line.backward_limit():
+    if forward_limit(rev) != backward_limit(line):
         failures.append("time reversal is not bit-exact on the golden line")
 
     for i in range(50):
@@ -284,13 +279,13 @@ def check_interval_soundness(seed: int) -> dict:
     for i in range(20):
         s, t = rng.uniform(-3, 3), rng.uniform(-3, 3)
         cases += 1
-        ps, pt = line.point_at(s), line.point_at(t)
+        ps, pt = point_at(line, s), point_at(line, t)
         d = distance_interval(ps, pt)
         if not d.contains(abs(t - s), tol=1e-12):
             failures.append(f"flow distance escapes interval at ({s:.3f},{t:.3f})")
         if abs(float(pt.area()) - float(area)) > 1e-9 * float(area):
             failures.append(f"flow does not preserve area at t={t:.3f}")
-        mi = miyachi_intersection(line.point_at(-abs(s)), line.point_at(abs(t)),
+        mi = miyachi_intersection(point_at(line, -abs(s)), point_at(line, abs(t)),
                                   line.base_surface)
         if not mi.contains(1.0, tol=1e-9):
             failures.append(f"intersection proxy misses 1 at ({s:.3f},{t:.3f})")

@@ -39,10 +39,17 @@ from .errors import (
     InputError,
     NoConvergenceError,
 )
-from .geodesic import GeodesicLine, line_from_report, line_report, optimal_geodesic
+from .geodesic import (
+    GeodesicLine,
+    flow_distance,
+    line_from_report,
+    line_report,
+    optimal_geodesic,
+    point_at,
+)
 from .horo import busemann_interval, delta_probe, miyachi_intersection, psi_foliation
 from .multicurve import parse_busemann_spec
-from .origami import builtin, catalog, load_origami
+from .origami import builtin, catalog, parse_origami
 from .perron import DEFAULT_TOL
 from .sampling import jittered_surface
 from .surface import WeightedSurface, distance_interval, ext_interval
@@ -87,6 +94,9 @@ class RunConfig:
     def __post_init__(self) -> None:
         if not 0 < self.tol < math.inf:
             raise InputError(f"--tol must be positive and finite, got {self.tol}")
+        for flag, value in (("--t-min", self.t_min), ("--t-max", self.t_max)):
+            if not math.isfinite(value):
+                raise InputError(f"{flag} must be finite, got {value}")
         if not 0 < self.step < math.inf:
             raise InputError(f"step must be positive and finite, got {self.step}")
         if self.t_min > self.t_max:
@@ -134,7 +144,7 @@ def _resolve_origami(args: argparse.Namespace):
             "an origami is required: pass a JSON file or --builtin NAME "
             f"(known: {', '.join(catalog())})"
         )
-    return load_origami(args.origami)
+    return parse_origami(_load_json(args.origami))
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -205,20 +215,18 @@ def cmd_flow(args: argparse.Namespace) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     for t in grid:
-        pt = line.point_at(t)
+        pt = point_at(line, t)
         psi_v = psi_foliation(f_v, pt, base)
         psi_h = psi_foliation(f_h, pt, base)
         for hv, want, name in ((psi_v, -t, "psi_fv"), (psi_h, t, "psi_fh")):
-            if not hv.value.contains(want, tol=1e-12):
+            if not hv.contains(want, tol=1e-12):
                 raise CertificationError(
-                    f"{name} at t={t} strays from {want}: "
-                    f"[{hv.value.lo}, {hv.value.hi}]"
+                    f"{name} at t={t} strays from {want}: [{hv.lo}, {hv.hi}]"
                 )
         bus = busemann_interval(line, pt, horizon=max(horizon, t + 5.0))
-        if not bus.value.contains(-t, tol=1e-9):
+        if not bus.contains(-t, tol=1e-9):
             raise CertificationError(
-                f"Busemann enclosure at t={t} misses {-t}: "
-                f"[{bus.value.lo}, {bus.value.hi}]"
+                f"Busemann enclosure at t={t} misses {-t}: [{bus.lo}, {bus.hi}]"
             )
         writer.writerow(
             [_fmt(t)]
@@ -229,9 +237,9 @@ def cmd_flow(args: argparse.Namespace) -> str:
                 _fmt(ext_interval(pt, f_h).lo),
                 _fmt(psi_v.midpoint()),
                 _fmt(psi_h.midpoint()),
-                _fmt(bus.value.lo),
-                _fmt(bus.value.hi),
-                _fmt(line.flow_distance(0.0, t)),
+                _fmt(bus.lo),
+                _fmt(bus.hi),
+                _fmt(flow_distance(line, 0.0, t)),
             ]
         )
     text = buf.getvalue()
@@ -248,9 +256,9 @@ def _converge_payload(line: GeodesicLine, cfg: RunConfig) -> dict:
     rng = random.Random(cfg.seed)
     exact_rows, jitter_rows = [], []
     for n in range(1, cfg.n_max + 1):
-        x_n = line.point_at(float(-n))
-        y_n = line.point_at(float(n))
-        gap = line.flow_distance(-n, n) - line.flow_distance(0, -n)
+        x_n = point_at(line, float(-n))
+        y_n = point_at(line, float(n))
+        gap = flow_distance(line, -n, n) - flow_distance(line, 0, -n)
         mi = miyachi_intersection(x_n, y_n, base)
         exact_rows.append(
             {"n": n, "gap": gap, "miyachiLo": mi.lo, "miyachiHi": mi.hi}

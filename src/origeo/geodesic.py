@@ -59,8 +59,9 @@ from .multicurve import (
     filling_status,
     intersection,
     limit_values,
+    parse_busemann_spec,
 )
-from .origami import Origami, origami_to_json
+from .origami import Origami, origami_to_json, parse_origami
 from .perron import DEFAULT_TOL, PerronResult, gram_array, is_primitive, perron_solve
 from .surface import WeightedSurface, distance_interval
 
@@ -101,22 +102,6 @@ class GeodesicLine:
     _points: Dict[float, WeightedSurface] = field(
         default_factory=dict, init=False, compare=False, repr=False
     )
-
-    # thin conveniences over the module functions
-    def point_at(self, t: float) -> WeightedSurface:
-        return point_at(self, t)
-
-    def flow_distance(self, s: float, t: float) -> float:
-        return flow_distance(self, s, t)
-
-    def forward_limit(self) -> Dict[str, float]:
-        return forward_limit(self)
-
-    def backward_limit(self) -> Dict[str, float]:
-        return backward_limit(self)
-
-    def reversed(self) -> "GeodesicLine":
-        return reversed_line(self)
 
     def require_surface(self) -> WeightedSurface:
         if self.base_surface is None:
@@ -283,7 +268,7 @@ def point_at(line: GeodesicLine, t: float) -> WeightedSurface:
     base = line.require_surface()
     t = float(t)
     if not math.isfinite(t):
-        raise ValueError(f"flow time must be finite, got {t}")
+        raise InputError(f"flow time must be finite, got {t}")
     if t == 0.0:
         return base
     memo = line._points
@@ -446,9 +431,6 @@ def line_from_report(report: dict) -> GeodesicLine:
     ``config`` is optional; when present it must be an object whose ``tol``
     is a number and whose ``seed`` is an integer.
     """
-    from .multicurve import parse_busemann_spec
-    from .origami import parse_origami
-
     try:
         inputs = report["inputs"]
         config = report.get("config", {})

@@ -1,11 +1,12 @@
 r"""Horofunctions, boundary pairings, and inequality audits.
 
 Three ways to evaluate "how far toward infinity" a surface sits, all
-normalized to vanish at a chosen basepoint:
+normalized to vanish at a chosen basepoint and returned as a certified
+:class:`~origeo.intervals.ValueInterval`:
 
 * ``psi_foliation`` — along a foliation ray ``F``, the renormalized
-  log-extremal-length ``(1/2) log Ext_X(F) - (1/2) log Ext_X0(F)``.  Exact
-  (degenerate interval) whenever both extremal lengths fall on the exact
+  log-extremal-length ``(1/2) log Ext_X(F) - (1/2) log Ext_X0(F)``.  A
+  degenerate interval whenever both extremal lengths fall on the exact
   proportionality path.
 * ``psi_interior`` — against an interior point ``Z``, the distance
   difference ``d(X, Z) - d(X0, Z)`` as a certified interval.
@@ -24,7 +25,6 @@ theorem, and are reported as such.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -48,22 +48,6 @@ from .surface import (
 )
 
 
-@dataclass(frozen=True)
-class HorofunctionValue:
-    """An evaluated horofunction: a certified interval plus an exactness flag.
-
-    ``exact`` means the interval is degenerate by construction (both
-    ingredients were computed on an exact path), not merely narrow.
-    """
-
-    value: ValueInterval
-    exact: bool
-    kind: str
-
-    def midpoint(self) -> float:
-        return (float(self.value.lo) + float(self.value.hi)) / 2.0
-
-
 def walsh_eval(spec: BusemannSpec, mu: WeightedMulticurve) -> float:
     """sqrt(sum_i c_i^2 i(gamma_i, mu)^2): the boundary spec paired with mu."""
     return float(spec_pairing(spec, [mu])[0])
@@ -71,18 +55,15 @@ def walsh_eval(spec: BusemannSpec, mu: WeightedMulticurve) -> float:
 
 def psi_foliation(
     f: WeightedMulticurve, x: WeightedSurface, x0: WeightedSurface
-) -> HorofunctionValue:
+) -> ValueInterval:
     """Horofunction of the foliation ray F, normalized at X0."""
     if x.origami is not f.host or x0.origami is not f.host:
         raise HostMismatch("foliation and surfaces live on different origamis")
     ext_x = ext_interval(x, f)
     ext_0 = ext_interval(x0, f)
-    if ext_x.width == 0 and ext_0.width == 0:
-        val = 0.5 * math.log(float(ext_x.lo) / float(ext_0.lo))
-        return HorofunctionValue(ValueInterval.exact(val), True, "foliation")
     lo = 0.5 * math.log(float(ext_x.lo) / float(ext_0.hi))
     hi = 0.5 * math.log(float(ext_x.hi) / float(ext_0.lo))
-    return HorofunctionValue(ValueInterval(lo, hi), False, "foliation")
+    return ValueInterval(lo, hi)
 
 
 def psi_interior(
@@ -90,12 +71,11 @@ def psi_interior(
     x: WeightedSurface,
     x0: WeightedSurface,
     family: Optional[Sequence[WeightedMulticurve]] = None,
-) -> HorofunctionValue:
+) -> ValueInterval:
     """d(X, Z) - d(X0, Z) as a certified interval."""
     dxz = distance_interval(x, z, family=family)
     d0z = distance_interval(x0, z, family=family)
-    iv = ValueInterval(dxz.lo - d0z.hi, dxz.hi - d0z.lo)
-    return HorofunctionValue(iv, iv.width == 0, "interior")
+    return dxz.minus(d0z)
 
 
 def _enclosure(line: GeodesicLine, y: WeightedSurface, horizon: float) -> ValueInterval:
@@ -119,7 +99,7 @@ def busemann_interval(
     x: WeightedSurface,
     x0: Optional[WeightedSurface] = None,
     horizon: float = 8.0,
-) -> HorofunctionValue:
+) -> ValueInterval:
     """Enclose the Busemann function of the line's forward endpoint at X.
 
     With ``x0=None`` the normalization point is the line's own base G(0);
@@ -127,12 +107,12 @@ def busemann_interval(
     horizons tighten the upper bound (at ``T >= t + 5`` the enclosure at a
     flow point G(t) is already sharp to ~1e-9).
     """
-    if not horizon > 0:
-        raise InputError(f"horizon must be positive, got {horizon}")
+    if not 0 < horizon < math.inf:
+        raise InputError(f"horizon must be positive and finite, got {horizon}")
     enc = _enclosure(line, x, horizon)
     if x0 is not None:
         enc = enc.minus(_enclosure(line, x0, horizon))
-    return HorofunctionValue(enc, False, "busemann")
+    return enc
 
 
 def miyachi_intersection(

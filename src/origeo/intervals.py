@@ -18,7 +18,7 @@ Number = Union[int, float, Fraction]
 
 @dataclass(frozen=True)
 class ValueInterval:
-    """Certified enclosure [lo, hi] of a nonnegative quantity."""
+    """Certified enclosure [lo, hi] of a real quantity."""
 
     lo: Number
     hi: Number
@@ -38,10 +38,8 @@ class ValueInterval:
         # enclosure of {a - b : a in self, b in other}
         return ValueInterval(self.lo - other.hi, self.hi - other.lo)
 
-    def scale(self, factor: Number) -> "ValueInterval":
-        if factor < 0:
-            return ValueInterval(self.hi * factor, self.lo * factor)
-        return ValueInterval(self.lo * factor, self.hi * factor)
+    def midpoint(self) -> float:
+        return (float(self.lo) + float(self.hi)) / 2.0
 
     @staticmethod
     def exact(value: Number) -> "ValueInterval":

@@ -52,14 +52,6 @@ VERTICAL = "vertical"
 SIDES = (HORIZONTAL, VERTICAL)
 
 
-def opposite(side: str) -> str:
-    if side == HORIZONTAL:
-        return VERTICAL
-    if side == VERTICAL:
-        return HORIZONTAL
-    raise InputError(f"unknown side {side!r}")
-
-
 @dataclass(frozen=True)
 class IntersectionMatrix:
     """Geometric intersection numbers of two transverse core-curve families.

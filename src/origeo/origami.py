@@ -31,7 +31,6 @@ origami ``h = (1 2)(3)``, ``v = (1 3)(2)``: two horizontal cylinders
 
 from __future__ import annotations
 
-import json
 import operator
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Sequence, Tuple
@@ -156,12 +155,6 @@ class Origami:
                 for k, cells in enumerate(_cycles(perm))
             )
         return self._cyls[side]
-
-    def cylinder(self, side: str, label: str) -> Cylinder:
-        for c in self.cylinders(side):
-            if c.label == label:
-                return c
-        raise InputError(f"no {side} cylinder labelled {label!r}")
 
     def intersection_matrix(self) -> IntersectionMatrix:
         """Cell-sharing counts n_ij of (horizontal cylinder, vertical cylinder).
@@ -302,17 +295,6 @@ def parse_origami(data: Mapping) -> Origami:
     if missing:
         raise InputError(f"origami object missing keys {sorted(missing)}")
     return Origami(_as_int(data["squares"], "'squares'"), data["h"], data["v"])
-
-
-def load_origami(path) -> Origami:
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path} is not valid JSON: {exc}") from None
-    return parse_origami(data)
 
 
 def origami_to_json(o: Origami) -> dict:

@@ -141,16 +141,6 @@ class PerronResult:
     lower: float
     upper: float
 
-    def to_json(self) -> dict:
-        return {
-            "lambda": repr(float(self.eigenvalue)),
-            "lambdaLo": self.lower,
-            "lambdaHi": self.upper,
-            "x": [f"{v:.15g}" for v in self.vector],
-            "residual": self.residual,
-            "iterations": self.iterations,
-        }
-
 
 def _check_symmetric_primitive(t: np.ndarray) -> None:
     if t.ndim != 2 or t.size == 0:

@@ -50,7 +50,6 @@ themselves are memoized, also bounded, by their line (see
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -66,7 +65,6 @@ from .multicurve import (
     VERTICAL,
     Weight,
     WeightedMulticurve,
-    format_coefficient,
     intersection,
     pair_intersection,
 )
@@ -74,6 +72,9 @@ from .origami import Origami
 
 _PROPORTIONAL_RTOL = 1e-9
 _EXT_MEMO_SIZE = 8
+# Float round-off by which a distance's lower bound may exceed its upper
+# bound before distance_interval calls the bracket inverted.
+_DISTANCE_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -326,13 +327,12 @@ def distance_interval(
     x: WeightedSurface,
     y: WeightedSurface,
     family: Iterable[WeightedMulticurve] = None,
-    tol: float = 1e-12,
 ) -> ValueInterval:
     """Certified enclosure of the Teichmueller distance between two metrics.
 
     Defaults the test family to X's defining foliations (exact on flow
-    lines).  An inverted interval beyond ``tol`` is a certification bug and
-    raises; sub-tolerance grazing is clamped.  Both bounds are at least 0:
+    lines).  An inverted interval beyond ``_DISTANCE_SLACK`` is a
+    certification bug and raises; grazing within it is clamped.  Both bounds are at least 0:
     the lower starts from the ratio 1, the upper from the dilatation 1.
     """
     _same_origami(x, y)
@@ -344,55 +344,9 @@ def distance_interval(
     lo = kerckhoff_lower(x, y, family)
     hi = qc_upper(x, y)
     if lo > hi:
-        if lo - hi > tol:
+        if lo - hi > _DISTANCE_SLACK:
             raise CertificationError(
                 f"distance bounds inverted: lower {lo} exceeds upper {hi}"
             )
         lo = hi
     return ValueInterval(lo, hi)
-
-
-# ---------------------------------------------------------------------------
-# JSON form: {"heights": {"A1": "1", ...}, "widths": {"B1": "1", ...}}
-
-
-def parse_weights(data: Mapping, origami: Origami) -> WeightedSurface:
-    """Weighted surface from exact-rational JSON weight maps."""
-    if not isinstance(data, Mapping):
-        raise InputError("weights file must contain a JSON object")
-    missing = {"heights", "widths"} - set(data)
-    if missing:
-        raise InputError(f"weights object missing keys {sorted(missing)}")
-
-    def parse_map(m, what):
-        if not isinstance(m, Mapping):
-            raise InputError(f"'{what}' must map cylinder labels to rationals")
-        out = {}
-        for lab, text in m.items():
-            try:
-                out[str(lab)] = Fraction(str(text))
-            except (ValueError, ZeroDivisionError):
-                raise InputError(f"bad {what} value {text!r} for {lab}") from None
-        return out
-
-    return WeightedSurface(
-        origami, parse_map(data["heights"], "heights"), parse_map(data["widths"], "widths")
-    )
-
-
-def weights_to_json(surface: WeightedSurface) -> dict:
-    return {
-        "heights": {k: format_coefficient(v) for k, v in surface.heights.items()},
-        "widths": {k: format_coefficient(v) for k, v in surface.widths.items()},
-    }
-
-
-def load_weights(path, origami: Origami) -> WeightedSurface:
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path} is not valid JSON: {exc}") from None
-    return parse_weights(data, origami)

@@ -11,7 +11,7 @@ import subprocess
 import sys
 from fractions import Fraction
 
-from origeo.geodesic import optimal_geodesic
+from origeo.geodesic import flow_distance, optimal_geodesic, point_at
 from origeo.horo import busemann_interval, minsky_audit, psi_foliation
 from origeo.multicurve import HORIZONTAL, VERTICAL, BusemannSpec
 from origeo.origami import Origami, builtin, catalog
@@ -72,11 +72,11 @@ def test_criterion_03_linear_horofunctions_along_the_line():
     base = line.base_surface
     for k in range(-6, 7):
         t = 0.5 * k
-        pt = line.point_at(t)
+        pt = point_at(line, t)
         down = psi_foliation(line.vertical_foliation, pt, base)
         up = psi_foliation(line.horizontal_foliation, pt, base)
-        assert abs(down.value.lo + t) <= 1e-12 and down.value.width <= 1e-12
-        assert abs(up.value.lo - t) <= 1e-12 and up.value.width <= 1e-12
+        assert abs(down.lo + t) <= 1e-12 and down.width <= 1e-12
+        assert abs(up.lo - t) <= 1e-12 and up.width <= 1e-12
     print("criterion 3: PASS — psi_fv = -t and psi_fh = +t on the grid")
 
 
@@ -84,9 +84,9 @@ def test_criterion_04_flow_distance_brackets():
     line = _golden_line()
     family = [line.vertical_foliation, line.horizontal_foliation]
     for s, t in ((0.0, 1.0), (-2.0, 1.5), (0.25, 0.25), (-3.0, 3.0), (2.0, -1.75)):
-        assert line.flow_distance(s, t) == abs(t - s)
+        assert flow_distance(line, s, t) == abs(t - s)
         iv = distance_interval(
-            line.point_at(s), line.point_at(t), family=family
+            point_at(line, s), point_at(line, t), family=family
         )
         assert iv.hi - iv.lo <= 1e-12
         assert iv.lo - 1e-12 <= abs(t - s) <= iv.hi + 1e-12
@@ -136,10 +136,10 @@ def test_criterion_06_minsky_and_sandwich():
     while done < 100:
         line = lines[done % len(lines)]
         t = rng2.uniform(-2.0, 2.0)
-        z, _, _ = jittered_surface(rng2, line.point_at(t), 0.25)
+        z, _, _ = jittered_surface(rng2, point_at(line, t), 0.25)
         psi = psi_foliation(line.vertical_foliation, z, line.base_surface)
         bus = busemann_interval(line, z, horizon=7.0)
-        assert psi.value.lo <= bus.value.hi + 1e-9, f"sandwich point {done}"
+        assert psi.lo <= bus.hi + 1e-9, f"sandwich point {done}"
         done += 1
     print("criterion 6: PASS — Minsky audits on 100 surfaces + 100 sandwich points")
 

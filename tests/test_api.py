@@ -1,9 +1,10 @@
-"""The names the benchmark in ``perfbench/`` calls into the package.
+"""The package's public names, and the ones the benchmark in ``perfbench/`` uses.
 
 The benchmark wraps a fixed list of entry points per module and drives the
 pipeline through ``origeo``'s top-level names.  These tests read those
 files as text, without importing them, so that removing or renaming a name
-the benchmark relies on fails here.
+the benchmark relies on fails here.  ``origeo.__all__`` is kept to the
+error classes, the core types and the operations the command line runs.
 """
 
 import ast
@@ -47,6 +48,17 @@ def test_traced_entry_point_resolves(layer, name):
 @pytest.mark.parametrize("name", _top_level_names())
 def test_benchmark_top_level_name_exists(name):
     assert hasattr(origeo, name)
+    assert name in origeo.__all__
+
+
+def test_public_names_resolve_once():
+    assert len(set(origeo.__all__)) == len(origeo.__all__)
+    for name in origeo.__all__:
+        assert hasattr(origeo, name), name
+
+
+def test_public_surface_stays_small():
+    assert len(origeo.__all__) <= 40
 
 
 def test_benchmark_hooks_were_found():

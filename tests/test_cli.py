@@ -6,6 +6,8 @@ import sys
 
 import pytest
 
+from origeo import cli
+
 L22 = {"squares": 3, "h": [2, 1, 3], "v": [3, 2, 1]}
 XI_UNIT = {"side": "vertical", "coeffs": [["B1", "1"], ["B2", "1"]], "approx": False}
 ETA_UNIT = {
@@ -319,6 +321,19 @@ def test_non_finite_tol_exits_input_error(files, value):
     assert res.returncode == 2
     assert "Traceback" not in res.stderr
     assert "--tol" in res.stderr
+
+
+@pytest.mark.parametrize(
+    "option", ["--t-min=nan", "--t-max=nan", "--t-min=-inf", "--t-max=inf"]
+)
+def test_non_finite_flow_time_names_its_flag(files, tmp_path, capsys, option):
+    report = str(tmp_path / "report.json")
+    assert cli.main(["geodesic", files["origami"], files["xi"], files["eta"],
+                     "--out", report]) == 0
+    capsys.readouterr()
+    assert cli.main(["flow", report, option]) == 2
+    flag, value = option.split("=")
+    assert capsys.readouterr().err == f"error: {flag} must be finite, got {value}\n"
 
 
 @pytest.mark.parametrize("value", ["800", "1e308", "inf", "nan"])

@@ -14,10 +14,15 @@ from origeo.errors import (
     SideMismatch,
 )
 from origeo.geodesic import (
+    backward_limit,
+    flow_distance,
+    forward_limit,
     line_from_report,
     line_report,
     optimal_geodesic,
+    point_at,
     ray_limit,
+    reversed_line,
     spec_pairing,
 )
 from origeo.multicurve import (
@@ -72,8 +77,8 @@ def test_golden_walsh_certificates(golden):
 
 
 def test_limits_are_unit_vectors_supported_transversally(golden):
-    fl = golden.forward_limit()
-    bl = golden.backward_limit()
+    fl = forward_limit(golden)
+    bl = backward_limit(golden)
     assert abs(sum(v * v for v in fl.values()) - 1.0) < 1e-12
     assert abs(sum(v * v for v in bl.values()) - 1.0) < 1e-12
     # the forward datum is vertical, so it pairs only with horizontal cores
@@ -84,56 +89,57 @@ def test_limits_are_unit_vectors_supported_transversally(golden):
 
 def test_point_at_scales_widths_and_heights(golden):
     base = golden.base_surface
-    pt = golden.point_at(2.0)
+    pt = point_at(golden, 2.0)
     for lab, w in base.widths.items():
         assert pt.widths[lab] == float(w) * math.exp(2.0)
     for lab, h in base.heights.items():
         assert pt.heights[lab] == float(h) * math.exp(-2.0)
-    assert golden.point_at(0.0) is base
+    assert point_at(golden, 0.0) is base
 
 
 def test_point_at_rejects_non_finite(golden):
-    with pytest.raises(ValueError):
-        golden.point_at(math.inf)
+    for t in (math.inf, -math.inf, math.nan):
+        with pytest.raises(InputError, match="flow time must be finite"):
+            point_at(golden, t)
 
 
 @pytest.mark.parametrize("reversed_first", [False, True])
 def test_reversed_line_never_reads_the_forward_flow_points(golden, reversed_first):
-    forward_one = golden.point_at(1.0)  # G(1) now sits in the forward memo
-    rev = golden.reversed()
+    forward_one = point_at(golden, 1.0)  # G(1) now sits in the forward memo
+    rev = reversed_line(golden)
     if reversed_first:
-        back, fwd = rev.point_at(1.0), golden.point_at(-1.0)
+        back, fwd = point_at(rev, 1.0), point_at(golden, -1.0)
     else:
-        fwd, back = golden.point_at(-1.0), rev.point_at(1.0)
+        fwd, back = point_at(golden, -1.0), point_at(rev, 1.0)
     assert (back.widths, back.heights) == (fwd.widths, fwd.heights)
     assert back is not forward_one and back.widths != forward_one.widths
 
 
 def test_point_memo_keeps_the_most_recently_used_points(golden):
-    far = golden.point_at(8.0)
+    far = point_at(golden, 8.0)
     for t in (0.5, 1.0, 1.5, 2.0, 2.5):
-        assert golden.point_at(t) is golden.point_at(t)
-        assert golden.point_at(8.0) is far
+        assert point_at(golden, t) is point_at(golden, t)
+        assert point_at(golden, 8.0) is far
     assert len(golden._points) == 4
 
 
 def test_flow_distance_is_exact_parameter_gap(golden):
-    assert golden.flow_distance(0, 1) == 1.0
-    assert golden.flow_distance(-2.5, 1.5) == 4.0
-    assert golden.flow_distance(3, 3) == 0.0
-    assert golden.flow_distance(7, -13) == 20.0
+    assert flow_distance(golden, 0, 1) == 1.0
+    assert flow_distance(golden, -2.5, 1.5) == 4.0
+    assert flow_distance(golden, 3, 3) == 0.0
+    assert flow_distance(golden, 7, -13) == 20.0
 
 
 def test_reversal_swaps_everything_in_place(golden):
-    rev = golden.reversed()
+    rev = reversed_line(golden)
     assert rev.forward_spec is golden.backward_spec
     assert rev.vertical_foliation is golden.horizontal_foliation
-    assert rev.forward_limit() == golden.backward_limit()
-    assert rev.backward_limit() == golden.forward_limit()
-    assert rev.point_at(1.0).widths == golden.point_at(-1.0).widths
-    assert rev.point_at(1.0).heights == golden.point_at(-1.0).heights
-    again = rev.reversed()
-    assert again.forward_limit() == golden.forward_limit()
+    assert forward_limit(rev) == backward_limit(golden)
+    assert backward_limit(rev) == forward_limit(golden)
+    assert point_at(rev, 1.0).widths == point_at(golden, -1.0).widths
+    assert point_at(rev, 1.0).heights == point_at(golden, -1.0).heights
+    again = reversed_line(rev)
+    assert forward_limit(again) == forward_limit(golden)
 
 
 def test_input_order_does_not_matter():
@@ -187,11 +193,11 @@ def test_proper_subsets_build_without_surface():
     assert line.base_surface is None
     assert line.eigen.eigenvalue == pytest.approx(1.0)
     with pytest.raises(NotFillingError):
-        line.point_at(1.0)
+        point_at(line, 1.0)
     with pytest.raises(NotFillingError):
-        line.flow_distance(0, 1)
+        flow_distance(line, 0, 1)
     # limit functions still make sense
-    fl = line.forward_limit()
+    fl = forward_limit(line)
     assert fl["A1"] > 0 and fl["B1"] == 0.0
 
 
@@ -287,9 +293,9 @@ def test_random_full_instances_flow(seed):
     _, xi, eta = random_full_instance(rng)
     line = optimal_geodesic(xi, eta)
     assert line.base_surface is not None
-    assert line.flow_distance(-1.25, 2.75) == 4.0
+    assert flow_distance(line, -1.25, 2.75) == 4.0
     a0 = float(line.base_surface.area())
-    a2 = float(line.point_at(2.0).area())
+    a2 = float(point_at(line, 2.0).area())
     assert abs(a2 - a0) < 1e-9 * a0
 
 
@@ -329,7 +335,7 @@ def test_staircases_with_closing_gaps_certify(n):
     lam = float(np.linalg.eigvalsh(np.array(gram(_coupling(line))))[-1])
     assert line.eigen.lower <= line.eigen.eigenvalue <= line.eigen.upper
     assert abs(line.eigen.eigenvalue - lam) <= 1e-10 * lam
-    assert line.flow_distance(-1.0, 2.0) == 3.0
+    assert flow_distance(line, -1.0, 2.0) == 3.0
 
 
 def test_large_lambda_random_full_instance_certifies():
@@ -371,7 +377,7 @@ def test_report_lambda_reads_back_inside_its_bracket(golden):
 
 def test_line_pairing_is_the_area_and_survives_reversal(golden):
     assert golden.pairing == golden.base_surface.area()
-    assert golden.reversed().pairing == golden.pairing
+    assert reversed_line(golden).pairing == golden.pairing
     assert golden.pairing == intersection(
         golden.vertical_foliation, golden.horizontal_foliation
     )

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from origeo.errors import HostMismatch, InputError
-from origeo.geodesic import optimal_geodesic
+from origeo.geodesic import optimal_geodesic, point_at
 from origeo.horo import (
     busemann_interval,
     delta_probe,
@@ -57,66 +57,67 @@ def test_walsh_eval_rejects_cross_host():
 @pytest.mark.parametrize("k", range(-6, 7))
 def test_defining_rays_have_exact_linear_horofunctions(golden, k):
     t = 0.5 * k
-    pt = golden.point_at(t)
+    pt = point_at(golden, t)
     base = golden.base_surface
     down = psi_foliation(golden.vertical_foliation, pt, base)
     up = psi_foliation(golden.horizontal_foliation, pt, base)
-    assert down.exact and up.exact
-    assert abs(down.value.lo + t) <= 1e-12
-    assert abs(up.value.lo - t) <= 1e-12
+    assert down.width == 0 and up.width == 0
+    assert abs(down.lo + t) <= 1e-12
+    assert abs(up.lo - t) <= 1e-12
 
 
 def test_off_ray_foliation_value_is_an_interval(golden):
     rng = random.Random("off-ray")
-    z, _, _ = jittered_surface(rng, golden.point_at(0.7), 0.3)
+    z, _, _ = jittered_surface(rng, point_at(golden, 0.7), 0.3)
     hv = psi_foliation(golden.vertical_foliation, z, golden.base_surface)
-    assert not hv.exact
-    assert hv.value.lo <= hv.value.hi
+    assert hv.width > 0
+    assert hv.lo <= hv.hi
 
 
 def test_interior_horofunction_brackets_the_difference(golden):
     base = golden.base_surface
-    z = golden.point_at(2.0)
-    hv = psi_interior(z, golden.point_at(0.5), base)
+    z = point_at(golden, 2.0)
+    hv = psi_interior(z, point_at(golden, 0.5), base)
     # d(X, Z) - d(X0, Z) = 1.5 - 2.0 on the line
-    assert hv.value.lo <= -0.5 <= hv.value.hi
-    assert hv.value.hi - hv.value.lo <= 1e-12
+    assert hv.lo <= -0.5 <= hv.hi
+    assert hv.hi - hv.lo <= 1e-12
     at_base = psi_interior(z, base, base)
-    assert at_base.value.lo <= 0.0 <= at_base.value.hi
+    assert at_base.lo <= 0.0 <= at_base.hi
 
 
 def test_busemann_collapses_on_the_line(golden):
     for t in (-2.0, -0.5, 0.0, 1.0, 2.5):
-        hv = busemann_interval(golden, golden.point_at(t), horizon=t + 5.0)
-        assert abs(hv.value.lo + t) <= 1e-9
-        assert abs(hv.value.hi + t) <= 1e-9
+        hv = busemann_interval(golden, point_at(golden, t), horizon=t + 5.0)
+        assert abs(hv.lo + t) <= 1e-9
+        assert abs(hv.hi + t) <= 1e-9
 
 
 def test_busemann_renormalizes_at_given_basepoint(golden):
     # with X0 = G(1) the value at G(t) becomes -t - (-1) = 1 - t
     hv = busemann_interval(
-        golden, golden.point_at(2.0), x0=golden.point_at(1.0), horizon=8.0
+        golden, point_at(golden, 2.0), x0=point_at(golden, 1.0), horizon=8.0
     )
-    assert hv.value.lo <= -1.0 <= hv.value.hi
-    assert hv.value.hi - hv.value.lo <= 1e-9
+    assert hv.lo <= -1.0 <= hv.hi
+    assert hv.hi - hv.lo <= 1e-9
 
 
 def test_busemann_rejects_bad_horizon(golden):
-    with pytest.raises(InputError):
-        busemann_interval(golden, golden.base_surface, horizon=0.0)
+    for horizon in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(InputError, match="horizon must be positive and finite"):
+            busemann_interval(golden, golden.base_surface, horizon=horizon)
 
 
 def test_busemann_upper_bound_tightens_with_horizon(golden):
-    z = golden.point_at(1.3)
+    z = point_at(golden, 1.3)
     wide = busemann_interval(golden, z, horizon=2.0)
     tight = busemann_interval(golden, z, horizon=9.0)
-    assert tight.value.hi <= wide.value.hi + 1e-12
-    assert wide.value.lo == tight.value.lo  # lower bound ignores the horizon
+    assert tight.hi <= wide.hi + 1e-12
+    assert wide.lo == tight.lo  # lower bound ignores the horizon
 
 
 def test_miyachi_product_is_one_through_the_basepoint(golden):
     iv = miyachi_intersection(
-        golden.point_at(-2.0), golden.point_at(3.0), golden.base_surface
+        point_at(golden, -2.0), point_at(golden, 3.0), golden.base_surface
     )
     assert iv.contains(1.0, tol=1e-9)
 
@@ -124,7 +125,7 @@ def test_miyachi_product_is_one_through_the_basepoint(golden):
 def test_miyachi_decays_off_the_product_position(golden):
     # basepoint far to the side: gromov product |s| at X0 = G(0)
     iv = miyachi_intersection(
-        golden.point_at(2.0), golden.point_at(3.0), golden.base_surface
+        point_at(golden, 2.0), point_at(golden, 3.0), golden.base_surface
     )
     assert iv.hi < 1.0
     assert iv.contains(math.exp(-2.0 * 2.0), tol=1e-9)

@@ -33,7 +33,7 @@ def test_minus_is_interval_sound():
     assert d.contains(1 - 0, tol=0) and d.contains(3 - 2, tol=0)
 
 
-def test_scale_keeps_order():
-    iv = ValueInterval(-2, 3).scale(Fraction(1, 2))
-    assert iv.lo == -1 and iv.hi == Fraction(3, 2)
+def test_midpoint_is_a_float_between_the_ends():
+    assert ValueInterval(-2, 3).midpoint() == 0.5
+    assert ValueInterval(Fraction(1, 3), Fraction(1, 3)).midpoint() == 1 / 3
 

@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from origeo import cli
 from origeo.errors import ComplexityError, InputError, InvalidOrigami
 from origeo.multicurve import HORIZONTAL, VERTICAL
 from origeo.origami import (
     Origami,
     builtin,
     catalog,
-    load_origami,
     origami_to_json,
     parse_origami,
 )
@@ -25,8 +25,8 @@ def test_three_cell_l_shape_structure():
     assert o.n == 3
     assert [c.label for c in o.cylinders(HORIZONTAL)] == ["A1", "A2"]
     assert [c.label for c in o.cylinders(VERTICAL)] == ["B1", "B2"]
-    assert o.cylinder(HORIZONTAL, "A1").cells == (1, 2)
-    assert o.cylinder(VERTICAL, "B1").cells == (1, 3)
+    assert o.cylinders(HORIZONTAL)[0].cells == (1, 2)
+    assert o.cylinders(VERTICAL)[0].cells == (1, 3)
     assert o.cone_orders() == (3,)
     assert o.genus() == 2
 
@@ -132,20 +132,21 @@ def test_numpy_integer_cells_are_accepted():
     assert all(type(x) is int for x in (o.n, *o.h, *o.v))
 
 
-def test_load_rejects_missing_and_bad_files(tmp_path):
-    with pytest.raises(InputError):
-        load_origami(str(tmp_path / "nope.json"))
+def test_load_rejects_missing_and_bad_files(tmp_path, capsys):
+    missing = str(tmp_path / "nope.json")
+    assert cli.main(["validate", missing]) == 2
+    assert f"error: cannot read {missing}: " in capsys.readouterr().err
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
-    with pytest.raises(InputError):
-        load_origami(str(bad))
+    assert cli.main(["validate", str(bad)]) == 2
+    assert f"error: {bad} is not valid JSON: " in capsys.readouterr().err
 
 
-def test_load_accepts_valid_file(tmp_path):
+def test_load_accepts_valid_file(tmp_path, capsys):
     path = tmp_path / "o.json"
     path.write_text(json.dumps({"squares": 3, "h": [2, 1, 3], "v": [3, 2, 1]}))
-    o = load_origami(str(path))
-    assert o.genus() == 2
+    assert cli.main(["validate", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["genus"] == 2
 
 
 def test_unknown_builtin():

@@ -22,10 +22,7 @@ from origeo.surface import (
     ext_interval,
     foliation_ext,
     kerckhoff_lower,
-    load_weights,
-    parse_weights,
     qc_upper,
-    weights_to_json,
 )
 
 
@@ -56,6 +53,19 @@ def test_defining_multicurve_interval_collapses(unit_l22):
     scaled = fv.scaled(Fraction(2))
     iv2 = ext_interval(unit_l22, scaled)
     assert iv2.lo == iv2.hi == 12
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: a float curve within _PROPORTIONAL_RTOL of the "
+    "defining foliation gets the zero-width interval [3.0, 3.0]",
+)
+def test_near_proportional_curve_interval_contains_its_lower_bound(unit_l22):
+    curve = WeightedMulticurve(
+        unit_l22.origami, VERTICAL, {"B1": 1.0, "B2": 1.0 + 9e-10}
+    )
+    lower = curve_ext_bounds(unit_l22, curve).lo  # 3.0000000018
+    assert ext_interval(unit_l22, curve).contains(lower)
 
 
 def test_core_curve_bounds_exact_fractions(unit_l22):
@@ -136,36 +146,6 @@ def test_surface_requires_total_positive_weights():
         WeightedSurface(o, {"A1": 1, "A2": 0}, {"B1": 1, "B2": 1})
     with pytest.raises(InputError):
         WeightedSurface(o, {"A1": 1, "A2": 1}, {"B1": 1, "B2": 1, "B3": 1})
-
-
-def test_weights_parse_round_trip(tmp_path):
-    o = builtin("l-2-2")
-    data = {
-        "heights": {"A1": "3/2", "A2": "1"},
-        "widths": {"B1": "1", "B2": "2/5"},
-    }
-    x = parse_weights(data, o)
-    assert x.heights["A1"] == Fraction(3, 2)
-    assert x.widths["B2"] == Fraction(2, 5)
-    again = parse_weights(weights_to_json(x), o)
-    assert again.heights == x.heights and again.widths == x.widths
-
-    path = tmp_path / "w.json"
-    path.write_text('{"heights": {"A1": "1", "A2": "1"}, "widths": {"B1": "1", "B2": "1"}}')
-    assert load_weights(str(path), o).area() == 3
-
-
-@pytest.mark.parametrize(
-    "data",
-    [
-        {"widths": {"B1": "1", "B2": "1"}},
-        {"heights": {"A1": "1"}, "widths": {"B1": "1", "B2": "1"}},
-        {"heights": {"A1": "1", "A2": "-2"}, "widths": {"B1": "1", "B2": "1"}},
-    ],
-)
-def test_weights_parse_rejects_malformed(data):
-    with pytest.raises(InputError):
-        parse_weights(data, builtin("l-2-2"))
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +268,6 @@ def test_surface_weights_follow_the_cylinder_order():
     assert list(x.heights.values()) == [Fraction(k + 1) for k in range(len(hor))]
     assert x.defining_foliation(HORIZONTAL).weights is x.heights
     assert x.defining_foliation(VERTICAL).weights is x.widths
-    assert list(weights_to_json(x)["widths"]) == ver
 
 
 @pytest.mark.parametrize(
