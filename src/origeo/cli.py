@@ -24,36 +24,39 @@ report records.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
+import random
 import sys
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
+import numpy as np
+
 from . import checks as checks_mod
 from .errors import (
     CertificationError,
+    Checks,
     HypothesisError,
     InputError,
     NoConvergenceError,
+    at,
 )
 from .geodesic import (
     GeodesicLine,
-    flow_distance,
+    check_flow_distance,
+    flow_rows,
     line_from_report,
     line_report,
     optimal_geodesic,
-    point_at,
 )
-from .horo import busemann_interval, delta_probe, miyachi_intersection, psi_foliation
+from .horo import busemann_rows, delta_probe, miyachi_rows, psi_rows
+from .intervals import outside
 from .multicurve import parse_busemann_spec
 from .origami import builtin, catalog, parse_origami
 from .perron import DEFAULT_TOL
-from .sampling import jittered_surface
-from .surface import WeightedSurface, distance_interval, ext_interval
-import random
+from .sampling import jitter_factors
+from .surface import SurfaceRows, check_weights, distance_rows, ext_interval, ext_rows
 
 
 # Flow points G(s), G(t) carry weights scaled by e^{+-s}, e^{+-t}, and the
@@ -62,6 +65,11 @@ import random
 # leaves the other half of the exponent range to the weights themselves.
 MAX_REACH = math.log(sys.float_info.max) / 4
 MAX_GRID_ROWS = 10_000
+# A flow grid is evaluated this many rows at a time, so that memory stays
+# flat up to MAX_GRID_ROWS: a block's largest array is this many times the
+# largest per-row array, the (cylinders x cylinders) circumference table of
+# an extremal length off the defining foliations.
+_BLOCK_ROWS = 128
 
 
 def _check_reach(reach: float, what: str) -> None:
@@ -70,10 +78,6 @@ def _check_reach(reach: float, what: str) -> None:
             f"{what} is {reach:g}, beyond the {MAX_REACH:.1f} that floats "
             "carry (log of the largest float / 4)"
         )
-
-
-def _fmt(x: float) -> str:
-    return f"{float(x):.15g}"
 
 
 @dataclass
@@ -98,17 +102,17 @@ class RunConfig:
             if not math.isfinite(value):
                 raise InputError(f"{flag} must be finite, got {value}")
         if not 0 < self.step < math.inf:
-            raise InputError(f"step must be positive and finite, got {self.step}")
+            raise InputError(f"--step must be positive and finite, got {self.step}")
         if self.t_min > self.t_max:
             raise InputError(
                 f"empty time grid: t-min {self.t_min} > t-max {self.t_max}"
             )
         if self.n_max < 1:
-            raise InputError(f"n-max must be at least 1, got {self.n_max}")
+            raise InputError(f"--n-max must be at least 1, got {self.n_max}")
         if not 0 <= self.eps < math.inf:
             raise InputError(f"--eps must be nonnegative and finite, got {self.eps}")
-        if self.horizon is not None and not self.horizon > 0:
-            raise InputError(f"horizon must be positive, got {self.horizon}")
+        if self.horizon is not None and not 0 < self.horizon < math.inf:
+            raise InputError(f"--horizon must be positive and finite, got {self.horizon}")
 
 
 def _config_from(args: argparse.Namespace) -> RunConfig:
@@ -178,7 +182,7 @@ def cmd_geodesic(args: argparse.Namespace) -> str:
     return text
 
 
-def _grid(cfg: RunConfig) -> List[float]:
+def _grid(cfg: RunConfig) -> np.ndarray:
     span = (cfg.t_max - cfg.t_min) / cfg.step
     count = round(span) + 1 if math.isfinite(span) else math.inf
     if count > MAX_GRID_ROWS:
@@ -186,14 +190,13 @@ def _grid(cfg: RunConfig) -> List[float]:
             f"time grid needs {count} rows, more than {MAX_GRID_ROWS}; "
             "raise --step or narrow [--t-min, --t-max]"
         )
-    return [cfg.t_min + i * cfg.step for i in range(max(count, 1))]
+    return cfg.t_min + np.arange(max(count, 1)) * cfg.step
 
 
 def cmd_flow(args: argparse.Namespace) -> str:
     cfg = _config_from(args)
     line = line_from_report(_load_json(args.report))
     base = line.require_surface()
-    f_v, f_h = line.vertical_foliation, line.horizontal_foliation
     horizon = cfg.horizon if cfg.horizon is not None else cfg.t_max + 5.0
     # each row pairs G(t) with the Busemann point G(max(horizon, t + 5))
     _check_reach(
@@ -201,104 +204,104 @@ def cmd_flow(args: argparse.Namespace) -> str:
         "flow time plus horizon",
     )
     grid = _grid(cfg)
-
-    width_labels = list(base.widths)
-    height_labels = list(base.heights)
     header = (
         ["t"]
-        + [f"width_{lab}" for lab in width_labels]
-        + [f"height_{lab}" for lab in height_labels]
+        + [f"width_{lab}" for lab in base.widths]
+        + [f"height_{lab}" for lab in base.heights]
         + ["ext_fv", "ext_fh", "psi_fv", "psi_fh",
            "busemann_lo", "busemann_hi", "d_to_base"]
     )
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for t in grid:
-        pt = point_at(line, t)
-        psi_v = psi_foliation(f_v, pt, base)
-        psi_h = psi_foliation(f_h, pt, base)
-        for hv, want, name in ((psi_v, -t, "psi_fv"), (psi_h, t, "psi_fh")):
-            if not hv.contains(want, tol=1e-12):
-                raise CertificationError(
-                    f"{name} at t={t} strays from {want}: [{hv.lo}, {hv.hi}]"
-                )
-        bus = busemann_interval(line, pt, horizon=max(horizon, t + 5.0))
-        if not bus.contains(-t, tol=1e-9):
-            raise CertificationError(
-                f"Busemann enclosure at t={t} misses {-t}: [{bus.lo}, {bus.hi}]"
-            )
-        writer.writerow(
-            [_fmt(t)]
-            + [_fmt(pt.widths[lab]) for lab in width_labels]
-            + [_fmt(pt.heights[lab]) for lab in height_labels]
-            + [
-                _fmt(ext_interval(pt, f_v).lo),
-                _fmt(ext_interval(pt, f_h).lo),
-                _fmt(psi_v.midpoint()),
-                _fmt(psi_h.midpoint()),
-                _fmt(bus.lo),
-                _fmt(bus.hi),
-                _fmt(flow_distance(line, 0.0, t)),
-            ]
-        )
-    text = buf.getvalue()
+    rows = [",".join(header)]
+    for start in range(0, len(grid), _BLOCK_ROWS):
+        table = _flow_block(line, grid[start:start + _BLOCK_ROWS], horizon)
+        rows += [",".join(f"{v:.15g}" for v in row) for row in table.tolist()]
+    text = "\n".join(rows) + "\n"
     _emit(text, cfg.out)
     return text
 
 
+def _flow_block(line: GeodesicLine, ts: np.ndarray, horizon: float) -> np.ndarray:
+    """The flow CSV's columns at the times ts, each one array pass over the
+    rows, with the checks of every row."""
+    base = line.require_surface()
+    with Checks() as checks:
+        pt = check_weights(flow_rows(line, ts, checks), checks)
+        exts, psis = [], []
+        for f in (line.vertical_foliation, line.horizontal_foliation):
+            # the line's foliations are the base's own: F_v weighs the widths
+            exts.append(ext_rows(pt, f.side, base.rows.side(f.side), checks))
+            e0 = ext_interval(base, f)
+            psis.append(psi_rows(exts[-1], (e0.lo, e0.hi), checks))
+        for (lo, hi), want, name in zip(psis, (-ts, ts), ("psi_fv", "psi_fh")):
+            def strays(i, lo=lo, hi=hi, want=want, name=name):
+                return CertificationError(f"{name} at t={at(ts, i)} strays from "
+                                          f"{at(want, i)}: [{at(lo, i)}, {at(hi, i)}]")
+            checks.add(outside(lo, hi, want, 1e-12), strays)
+        bus_lo, bus_hi = busemann_rows(line, pt, np.maximum(horizon, ts + 5.0), checks)
+        checks.add(outside(bus_lo, bus_hi, -ts, 1e-9), lambda i: CertificationError(
+            f"Busemann enclosure at t={at(ts, i)} misses {at(-ts, i)}: "
+            f"[{at(bus_lo, i)}, {at(bus_hi, i)}]"))
+        d_to_base = np.abs(ts)
+        check_flow_distance(d_to_base, *distance_rows(base.rows, pt, checks), checks)
+    return np.column_stack(
+        [ts, pt.widths, pt.heights, exts[0][0], exts[1][0]]
+        + [(lo + hi) / 2.0 for lo, hi in psis]
+        + [bus_lo, bus_hi, d_to_base]
+    )
+
+
 def _converge_payload(line: GeodesicLine, cfg: RunConfig) -> dict:
     base = line.require_surface()
-    # the jitter widens each of G(-n-max) and G(n-max) by up to e^eps
+    # the jitter widens each of G(-n-max) and G(n-max) by up to e^eps; the
+    # cap keeps n-max below 89, so the whole ladder is one block of rows
     _check_reach(
         2.0 * (cfg.n_max + cfg.eps), "the span of G(-n-max) and G(n-max) plus --eps"
     )
-    rng = random.Random(cfg.seed)
-    exact_rows, jitter_rows = [], []
-    for n in range(1, cfg.n_max + 1):
-        x_n = point_at(line, float(-n))
-        y_n = point_at(line, float(n))
-        gap = flow_distance(line, -n, n) - flow_distance(line, 0, -n)
-        mi = miyachi_intersection(x_n, y_n, base)
-        exact_rows.append(
-            {"n": n, "gap": gap, "miyachiLo": mi.lo, "miyachiHi": mi.hi}
-        )
+    o, b = base.origami, base.rows
+    ns = np.arange(1.0, cfg.n_max + 1)
+    with Checks() as checks:
+        x = check_weights(flow_rows(line, -ns, checks), checks)
+        y = check_weights(flow_rows(line, ns, checks), checks)
+        d_xy = distance_rows(x, y, checks)
+        check_flow_distance(2.0 * ns, *d_xy, checks)
+        d_0x = distance_rows(b, x, checks)
+        check_flow_distance(ns, *d_0x, checks)
+        miyachi = miyachi_rows(d_0x, distance_rows(b, y, checks), d_xy, checks)
 
-        x_j, hf_x, wf_x = jittered_surface(rng, x_n, cfg.eps)
-        y_j, hf_y, wf_y = jittered_surface(rng, y_n, cfg.eps)
-        proxy = WeightedSurface(
-            base.origami,
-            {lab: w * math.sqrt(hf_x[lab] * hf_y[lab])
-             for lab, w in base.heights.items()},
-            {lab: w * math.sqrt(wf_x[lab] * wf_y[lab])
-             for lab, w in base.widths.items()},
-        )
-        d_proxy = distance_interval(base, proxy)
-        d_xy = distance_interval(x_j, y_j)
-        d_0x = distance_interval(base, x_j)
-        jitter_rows.append(
-            {
-                "n": n,
-                "proxyLo": d_proxy.lo,
-                "proxyHi": d_proxy.hi,
-                "gapLo": d_xy.lo - d_0x.hi,
-                "gapHi": d_xy.hi - d_0x.lo,
-            }
-        )
+        # per n, the height and width factors of G(-n), then those of G(n):
+        # the order that gives each seed its jitter
+        kh, k = b.heights.shape[1], b.heights.shape[1] + b.widths.shape[1]
+        draws = jitter_factors(random.Random(cfg.seed), range(cfg.n_max * 2 * k),
+                               cfg.eps)
+        f = np.fromiter(draws.values(), float).reshape(cfg.n_max, 2, k)
+        hf_x, wf_x, hf_y, wf_y = f[:, 0, :kh], f[:, 0, kh:], f[:, 1, :kh], f[:, 1, kh:]
+        x_j = check_weights(SurfaceRows(o, x.heights * hf_x, x.widths * wf_x), checks)
+        y_j = check_weights(SurfaceRows(o, y.heights * hf_y, y.widths * wf_y), checks)
+        # sqrt is correctly rounded in IEEE 754, so np.sqrt gives math.sqrt's bits
+        proxy = SurfaceRows(o, b.heights * np.sqrt(hf_x * hf_y),
+                            b.widths * np.sqrt(wf_x * wf_y))
+        d_proxy = distance_rows(b, check_weights(proxy, checks), checks)
+        d_j = distance_rows(x_j, y_j, checks)
+        d_0j = distance_rows(b, x_j, checks)
 
     return {
         "nMax": cfg.n_max,
         "eps": cfg.eps,
         "seed": cfg.seed,
-        "exact": exact_rows,
+        "exact": _rungs(gap=2.0 * ns - ns, miyachiLo=miyachi[0], miyachiHi=miyachi[1]),
         "jittered": {
             "note": "demonstration, not certificate",
-            "rows": jitter_rows,
+            "rows": _rungs(proxyLo=d_proxy[0], proxyHi=d_proxy[1],
+                           gapLo=d_j[0] - d_0j[1], gapHi=d_j[1] - d_0j[0]),
         },
-        "deltaProbe": delta_probe(
-            line.forward_spec, line.backward_spec, base
-        ),
+        "deltaProbe": delta_probe(line.forward_spec, line.backward_spec, base),
     }
+
+
+def _rungs(**columns) -> List[dict]:
+    """One object per rung n = 1, 2, ...: n, then a number per column."""
+    rows = zip(*(np.asarray(c).tolist() for c in columns.values()))
+    return [dict(zip(("n", *columns), (n, *row))) for n, row in enumerate(rows, 1)]
 
 
 def cmd_converge(args: argparse.Namespace) -> str:

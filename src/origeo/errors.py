@@ -5,8 +5,11 @@ bad configuration) raise :class:`InputError` subclasses; hypothesis failures
 (the given curve systems cannot span a geodesic) raise
 :class:`HypothesisError` subclasses; numerical non-convergence and violated
 certificates get their own classes.  ``cli`` maps these to exit codes
-2 / 3 / 4 / 5 respectively.
+2 / 3 / 4 / 5 respectively.  Array kernels record their checks in a
+:class:`Checks`.
 """
+
+import numpy as np
 
 
 class InputError(ValueError):
@@ -52,3 +55,48 @@ class NoConvergenceError(Exception):
 
 class CertificationError(Exception):
     """An internal cross-check that must hold mathematically has failed."""
+
+
+class Checks(list):
+    """A block's checks in a row loop's order: per check a mask over the rows
+    (one row stands for all) and the function giving a failing row's error.
+
+    As a context, it runs the block with NumPy's float warnings off (a
+    failing row leaves inf and nan in the arrays on its way) and raises
+    what failed at the end."""
+
+    def __enter__(self) -> "Checks":
+        self._saved = np.seterr(all="ignore")
+        return self
+
+    def __exit__(self, kind, *_) -> None:
+        np.seterr(**self._saved)
+        if kind is None:
+            self.raise_first()
+
+    def add(self, failed, error) -> None:
+        self.append((np.atleast_1d(failed), error))
+
+    def raise_first(self) -> None:
+        """Raise what the loop raised: the error of the earliest failing row,
+        and within it of the first failing check."""
+        if any(failed.any() for failed, _ in self):
+            masks = np.array(np.broadcast_arrays(*(failed for failed, _ in self)))
+            row = int(masks.any(axis=0).argmax())
+            raise self[int(masks[:, row].argmax())][1](row)
+
+
+def checked(kernel, *args):
+    """``kernel(*args, checks)`` on one row, raising what its checks raise.
+    It skips the context: switching NumPy's warnings off and back costs about
+    6 us, more than most one-row kernels."""
+    checks = Checks()
+    result = kernel(*args, checks)
+    checks.raise_first()
+    return result
+
+
+def at(column, row: int):
+    """Row ``row`` of a column (one row stands for all), as a Python number."""
+    values = np.ravel(column).tolist()
+    return values[row if len(values) > 1 else 0]

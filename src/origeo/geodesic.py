@@ -42,11 +42,15 @@ import numpy as np
 
 from .errors import (
     CertificationError,
+    Checks,
     HostMismatch,
     InputError,
     NotFillingError,
     SideMismatch,
+    at,
+    checked,
 )
+from .intervals import outside
 from .multicurve import (
     HORIZONTAL,
     VERTICAL,
@@ -63,7 +67,7 @@ from .multicurve import (
 )
 from .origami import Origami, origami_to_json, parse_origami
 from .perron import DEFAULT_TOL, PerronResult, gram_array, is_primitive, perron_solve
-from .surface import WeightedSurface, distance_interval
+from .surface import SurfaceRows, WeightedSurface, distance_interval, elementwise
 
 
 @dataclass(frozen=True)
@@ -247,23 +251,20 @@ def optimal_geodesic(
 # flow
 
 
-# Flow points a line keeps.  A flow row asks for its G(t) twice and for the
-# far Busemann point G(horizon) once; a converge row for G(-n) and G(n)
-# twice each.  Four hold every point in use, and a long flow stays flat in
-# memory.
+# Flow points a line keeps for the scalar callers: the pipeline's
+# flow_distance(s, t) and busemann_interval at G(t) use G(s), G(t) and the
+# far point G(|t| + 5); the sandwich suite's Busemann calls share G(7)
+# among fresh points.  Four hold every point in use, and memory stays flat.
 _POINT_MEMO_SIZE = 4
 
 
 def point_at(line: GeodesicLine, t: float) -> WeightedSurface:
-    """The flow point at time t: widths scaled by e^t, heights by e^{-t}.
+    """The flow point at time t, the one-row case of :func:`flow_rows`.
 
-    (On a time-reversed line the roles are exchanged, so that reversal
-    negates the parameter.)  The area is invariant along the line.
     ``t == 0`` is the base surface itself.  The line keeps the last
     ``_POINT_MEMO_SIZE`` points it built, keyed by the float ``t`` and
     dropping the least recently used first, so a time asked for again
-    returns the same surface, and with it that surface's cached area and
-    extremal lengths.
+    returns the same surface, with its cached area and extremal lengths.
     """
     base = line.require_surface()
     t = float(t)
@@ -274,15 +275,22 @@ def point_at(line: GeodesicLine, t: float) -> WeightedSurface:
     memo = line._points
     point = memo.pop(t, None)
     if point is None:
-        grow, shrink = math.exp(t), math.exp(-t)
-        if line.vertical_foliation.side == VERTICAL:
-            point = base.scaled(width_factor=grow, height_factor=shrink)
-        else:
-            point = base.scaled(width_factor=shrink, height_factor=grow)
+        point = checked(flow_rows, line, np.array([t])).surface(0)
         if len(memo) >= _POINT_MEMO_SIZE:
             del memo[next(iter(memo))]
     memo[t] = point  # reinserted last: the most recently used
     return point
+
+
+def flow_rows(line: GeodesicLine, ts: np.ndarray, checks: Checks) -> SurfaceRows:
+    """The flow points at the times ``ts``, one row each (weights unchecked):
+    widths scaled by e^t, heights by e^{-t} (exchanged on a time-reversed
+    line, so that reversal negates the parameter)."""
+    base = line.require_surface().rows
+    grow, shrink = (elementwise(math.exp, s, checks)[:, None] for s in (ts, -ts))
+    if line.vertical_foliation.side != VERTICAL:
+        grow, shrink = shrink, grow
+    return SurfaceRows(line.origami, base.heights * shrink, base.widths * grow)
 
 
 def flow_distance(line: GeodesicLine, s: float, t: float) -> float:
@@ -293,12 +301,15 @@ def flow_distance(line: GeodesicLine, s: float, t: float) -> float:
     """
     value = abs(float(t) - float(s))
     ival = distance_interval(point_at(line, s), point_at(line, t))
-    if not ival.contains(value, tol=1e-12):
-        raise CertificationError(
-            f"flow distance {value} escapes certified interval "
-            f"[{ival.lo}, {ival.hi}]"
-        )
+    checked(check_flow_distance, value, ival.lo, ival.hi)
     return value
+
+
+def check_flow_distance(value, lo, hi, checks: Checks) -> None:
+    """flow_distance's certificate at every row: [lo, hi] holds the value."""
+    checks.add(outside(lo, hi, value, 1e-12), lambda i: CertificationError(
+        f"flow distance {at(value, i)} escapes certified interval "
+        f"[{at(lo, i)}, {at(hi, i)}]"))
 
 
 # ---------------------------------------------------------------------------

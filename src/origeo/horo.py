@@ -29,8 +29,8 @@ from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import CertificationError, HostMismatch, InputError
-from .geodesic import GeodesicLine, point_at, ray_limit, spec_pairing
+from .errors import CertificationError, Checks, HostMismatch, InputError, at, checked
+from .geodesic import GeodesicLine, flow_rows, point_at, ray_limit, spec_pairing
 from .intervals import ValueInterval
 from .multicurve import (
     HORIZONTAL,
@@ -41,10 +41,15 @@ from .multicurve import (
     intersection,
 )
 from .surface import (
+    SurfaceRows,
     WeightedSurface,
+    check_weights,
     curve_ext_bounds,
     distance_interval,
+    distance_rows,
+    elementwise,
     ext_interval,
+    ext_rows,
 )
 
 
@@ -59,11 +64,17 @@ def psi_foliation(
     """Horofunction of the foliation ray F, normalized at X0."""
     if x.origami is not f.host or x0.origami is not f.host:
         raise HostMismatch("foliation and surfaces live on different origamis")
-    ext_x = ext_interval(x, f)
-    ext_0 = ext_interval(x0, f)
-    lo = 0.5 * math.log(float(ext_x.lo) / float(ext_0.hi))
-    hi = 0.5 * math.log(float(ext_x.hi) / float(ext_0.lo))
-    return ValueInterval(lo, hi)
+    ext_x, ext_0 = ext_interval(x, f), ext_interval(x0, f)
+    lo, hi = checked(psi_rows, (ext_x.lo, ext_x.hi), (ext_0.lo, ext_0.hi))
+    return ValueInterval(at(lo, 0), at(hi, 0))
+
+
+def psi_rows(ext_x, ext_0, checks: Checks):
+    """psi_foliation at every row, from the (lo, hi) extremal lengths of F
+    at X and at X0."""
+    (x_lo, x_hi), (o_lo, o_hi) = (np.asarray(e, float) for e in (ext_x, ext_0))
+    return (0.5 * elementwise(math.log, x_lo / o_hi, checks),
+            0.5 * elementwise(math.log, x_hi / o_lo, checks))
 
 
 def psi_interior(
@@ -82,16 +93,19 @@ def _enclosure(line: GeodesicLine, y: WeightedSurface, horizon: float) -> ValueI
     if y.origami is not line.origami:
         raise HostMismatch("surface does not live on the line's origami")
     ext = ext_interval(y, line.vertical_foliation)
-    lo = 0.5 * math.log(float(ext.lo)) - 0.5 * math.log(line.pairing)
-    far = point_at(line, horizon)
-    hi = distance_interval(y, far).hi - horizon
-    if lo > hi:
-        if lo > hi + 1e-9:
-            raise CertificationError(
-                f"Busemann enclosure inverted: lo={lo!r} > hi={hi!r}"
-            )
-        lo, hi = hi, lo
-    return ValueInterval(lo, hi)
+    d = distance_interval(y, point_at(line, horizon))
+    lo, hi = checked(_enclose, ext.lo, d.hi, horizon, line.pairing)
+    return ValueInterval(at(lo, 0), at(hi, 0))
+
+
+def _enclose(ext_lo, d_hi, horizon, pairing: float, checks: Checks):
+    """The foliation bound below, d(Y, G(horizon)) - horizon above."""
+    lo = 0.5 * elementwise(math.log, ext_lo, checks) - 0.5 * math.log(pairing)
+    hi = d_hi - horizon
+    checks.add(lo > hi + 1e-9, lambda i: CertificationError(
+        f"Busemann enclosure inverted: lo={at(lo, i)!r} > hi={at(hi, i)!r}"))
+    swap = lo > hi
+    return np.where(swap, hi, lo), np.where(swap, lo, hi)
 
 
 def busemann_interval(
@@ -115,6 +129,15 @@ def busemann_interval(
     return enc
 
 
+def busemann_rows(line: GeodesicLine, y: SurfaceRows, horizons, checks: Checks):
+    """busemann_interval(line, Y, horizon=h) at every row, h the row's own."""
+    f_v = line.vertical_foliation  # the base's own
+    ext_lo, _ = ext_rows(y, f_v.side, line.require_surface().rows.side(f_v.side), checks)
+    far = check_weights(flow_rows(line, horizons, checks), checks)
+    _, d_hi = distance_rows(y, far, checks)
+    return _enclose(ext_lo, d_hi, horizons, line.pairing, checks)
+
+
 def miyachi_intersection(
     x: WeightedSurface,
     y: WeightedSurface,
@@ -129,9 +152,17 @@ def miyachi_intersection(
     dx = distance_interval(x0, x, family=family)
     dy = distance_interval(x0, y, family=family)
     dxy = distance_interval(x, y, family=family)
-    product_lo = 0.5 * (dx.lo + dy.lo - dxy.hi)
-    product_hi = 0.5 * (dx.hi + dy.hi - dxy.lo)
-    return ValueInterval(math.exp(-2.0 * product_hi), math.exp(-2.0 * product_lo))
+    lo, hi = checked(miyachi_rows, *((d.lo, d.hi) for d in (dx, dy, dxy)))
+    return ValueInterval(at(lo, 0), at(hi, 0))
+
+
+def miyachi_rows(dx, dy, dxy, checks: Checks):
+    """miyachi_intersection at every row, from the (lo, hi) distances of X0
+    to X, of X0 to Y and of X to Y."""
+    product_lo = 0.5 * (dx[0] + dy[0] - dxy[1])
+    product_hi = 0.5 * (dx[1] + dy[1] - dxy[0])
+    return (elementwise(math.exp, -2.0 * product_hi, checks),
+            elementwise(math.exp, -2.0 * product_lo, checks))
 
 
 # ---------------------------------------------------------------------------

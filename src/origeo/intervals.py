@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
+import numpy as np
+
 Number = Union[int, float, Fraction]
 
 
@@ -44,3 +46,8 @@ class ValueInterval:
     @staticmethod
     def exact(value: Number) -> "ValueInterval":
         return ValueInterval(value, value)
+
+
+def outside(lo, hi, value, tol: Number = 0):
+    """Row-wise ``not ValueInterval(lo, hi).contains(value, tol)``."""
+    return ~((np.asarray(lo) - tol <= value) & (value <= np.asarray(hi) + tol))

@@ -33,18 +33,24 @@ inverted interval means a bug, not an inaccuracy, and raises.
 
 A surface is built on its two defining foliations, which validate its
 weights once.  The weights are read-only, so the derived quantities — the
-area, the circumference tables and the float weight vectors behind
-``qc_upper`` — are computed once per surface, on first use.
-``qc_upper`` is one masked array expression over the cells of N.
+area, the circumference tables and the float weights behind ``qc_upper`` —
+are computed once per surface, on first use.
 
-Extremal lengths are memoized the same way, but bounded: each surface keeps
+Many float surfaces on one origami (the flow points of a grid, say) make a
+:class:`SurfaceRows` block; the ``*_rows`` kernels compute each quantity in
+one array pass over its rows, keeping the scalar code's IEEE operations in
+order (sums left to right by ``np.add.accumulate``, exp and log through
+``math``), so each row has the bits of the scalar call on its surface
+(``qc_upper`` is the one-row case of ``qc_rows``).
+
+Extremal lengths are memoized per surface, but bounded: each surface keeps
 the ``ext_interval`` of at most ``_EXT_MEMO_SIZE`` curves, keyed by the
 curve's identity, and empties the memo when it is full.  Each entry holds
-its curve, so a key's ``id`` cannot be recycled while the entry lives.  A
-``flow`` row asks for fifteen extremal lengths on three surfaces, six of
-them distinct; the far Busemann point, shared by every row, meets two new
-curves per row, which is why the memo is bounded.  The flow points
-themselves are memoized, also bounded, by their line (see
+its curve, so a key's ``id`` cannot be recycled while the entry lives.  The
+scalar callers reuse surfaces: the pipeline's ``flow_distance`` and
+``busemann_interval`` share G(t), and the sandwich suite's 34 Busemann
+calls share the far point G(7), which meets two new curves per call, hence
+the bound.  Flow points are memoized, also bounded, by their line (see
 :func:`origeo.geodesic.point_at`).
 """
 
@@ -58,7 +64,7 @@ from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 import numpy as np
 
-from .errors import CertificationError, HostMismatch, InputError
+from .errors import CertificationError, Checks, HostMismatch, InputError, at, checked
 from .intervals import ValueInterval
 from .multicurve import (
     HORIZONTAL,
@@ -114,9 +120,6 @@ class WeightedSurface:
 
     # ------------------------------------------------------------------
 
-    def side_weights(self, side: str) -> Mapping[str, Weight]:
-        return self.heights if side == HORIZONTAL else self.widths
-
     def defining_foliation(self, side: str) -> WeightedMulticurve:
         """The surface's own vertical (widths) or horizontal (heights) datum."""
         if side not in (HORIZONTAL, VERTICAL):
@@ -152,21 +155,12 @@ class WeightedSurface:
         return self._circumferences[side][label]
 
     @cached_property
-    def _float_weights(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Heights and widths as floats, in the row and column order of N."""
-        matrix = self.origami.intersection_matrix()
-        return (
-            np.array([float(self.heights[lab]) for lab in matrix.row_labels]),
-            np.array([float(self.widths[lab]) for lab in matrix.col_labels]),
-        )
-
-    def across(self, side: str, label: str) -> Weight:
-        """Distance across a cylinder: its height (horizontal) or width."""
-        return self.side_weights(side)[label]
-
-    def reciprocal_modulus(self, side: str, label: str) -> Weight:
-        """circumference / across — an upper bound for the core's extremal length."""
-        return self.circumference(side, label) / self.across(side, label)
+    def rows(self) -> "SurfaceRows":
+        """The surface as a one-row block, its weights as floats."""
+        return SurfaceRows(self.origami, *(
+            np.array([[float(w) for w in weights.values()]])
+            for weights in (self.heights, self.widths)
+        ))
 
     def proportionality(self, curve: WeightedMulticurve) -> Optional[Weight]:
         """Return r with curve = r * (defining foliation of curve's side), else None.
@@ -178,7 +172,7 @@ class WeightedSurface:
             raise HostMismatch("curve lives on a different origami")
         if not curve.is_full_support():
             return None
-        own = self.side_weights(curve.side)
+        own = self._defining[curve.side].weights
         ratios = [curve.weights[lab] / own[lab] for lab in curve.weights]
         exact = all(isinstance(r, Fraction) for r in ratios)
         first = ratios[0]
@@ -235,9 +229,9 @@ def curve_ext_bounds(
         cand = pairing * pairing / a
         if cand > lo:
             lo = cand
-    hi = 0
-    for lab, u in curve.weights.items():
-        hi = hi + u * u * surface.reciprocal_modulus(curve.side, lab)
+    hi, across = 0, surface.defining_foliation(curve.side).weights
+    for lab, u in curve.weights.items():  # across a cylinder: height or width
+        hi = hi + u * u * (surface.circumference(curve.side, lab) / across[lab])
     if lo > hi:
         # mathematically lo <= Ext <= hi; allow only float round-off grazing
         if float(lo - hi) > 1e-9 * float(hi):
@@ -286,15 +280,7 @@ def qc_upper(x: WeightedSurface, y: WeightedSurface) -> float:
     bit-identical result.
     """
     _same_origami(x, y)
-    hx, wx = x._float_weights
-    hy, wy = y._float_weights
-    p = np.outer(hx, wy)
-    q = np.outer(hy, wx)
-    k_cell = np.maximum(p, q) / np.minimum(p, q)
-    cells = x.origami.intersection_matrix().array != 0
-    # fmax skips the NaN of an overflowed inf/inf cell, as a scalar > would
-    worst = np.fmax.reduce(k_cell[cells], initial=1.0)
-    return 0.5 * math.log(worst)
+    return at(checked(qc_rows, x.rows, y.rows), 0)
 
 
 def kerckhoff_lower(
@@ -350,3 +336,108 @@ def distance_interval(
             )
         lo = hi
     return ValueInterval(lo, hi)
+
+
+def elementwise(fn, values, checks: Checks) -> np.ndarray:
+    """``fn`` per value (``math.exp``/``log`` keep the scalar code's bits).
+    A value fn rejects gives nan, and its row raises what fn raised."""
+    out, errors = [], {}
+    for i, v in enumerate(np.asarray(values, float).ravel().tolist()):
+        try:
+            out.append(fn(v))
+        except (ValueError, OverflowError) as exc:
+            out.append(math.nan)
+            errors[i] = exc
+    if errors:
+        checks.add(np.isin(np.arange(len(out)), list(errors)),
+                   lambda i: errors[i if len(out) > 1 else 0])
+    return np.array(out)
+
+
+class SurfaceRows:
+    """Flat metrics on one origami, one per row of the float arrays
+    ``heights`` and ``widths`` (cylinder order)."""
+
+    def __init__(self, origami: Origami, heights: np.ndarray, widths: np.ndarray):
+        self.origami, self.heights, self.widths = origami, heights, widths
+
+    def side(self, side: str) -> np.ndarray:
+        return self.heights if side == HORIZONTAL else self.widths
+
+    def surface(self, row: int) -> WeightedSurface:
+        """Row ``row`` as a surface; building it validates the weights."""
+        return WeightedSurface(self.origami, *(dict(zip(
+            [c.label for c in self.origami.cylinders(side)], self.side(side)[row].tolist()
+        )) for side in (HORIZONTAL, VERTICAL)))
+
+    @cached_property
+    def area(self) -> np.ndarray:
+        return _pairing(self.origami, self.heights, self.widths)
+
+
+def _pairing(origami: Origami, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """pair_intersection of the horizontal weights a and vertical ones b."""
+    n = origami.intersection_matrix().array
+    i, j = np.nonzero(n)
+    return np.add.accumulate((a[:, i] * n[i, j]) * b[:, j], axis=1)[:, -1]
+
+
+def check_weights(x: SurfaceRows, checks: Checks) -> SurfaceRows:
+    """WeightedSurface's weight validation at every row: a failing row
+    raises what building its surface raises."""
+    good = [((a > 0) & (a < math.inf)).all(axis=1) for a in (x.heights, x.widths)]
+    checks.add(~(good[0] & good[1]), x.surface)
+    return x
+
+
+def ext_rows(x: SurfaceRows, side: str, u: np.ndarray, checks: Checks):
+    """ext_interval at every row for the full-support curve with weights u on
+    ``side``: r^2 * area if it is r times the defining foliation, else the
+    curve_ext_bounds enclosure."""
+    ratios = u / x.side(side)
+    lo, hi = ratios.min(axis=1), ratios.max(axis=1)
+    prop, r = hi - lo <= _PROPORTIONAL_RTOL * hi, ratios[:, 0]
+    checks.add(prop & ~(r > 0), lambda i: InputError(
+        f"scale must be positive, got {at(r, i)!r}"))
+    exact = r * r * x.area
+    if prop.all():
+        return exact, exact
+    # curve_ext_bounds: the pairing with the other side's foliation, ...
+    a, b = (u, x.widths) if side == HORIZONTAL else (x.heights, u)
+    pairing = _pairing(x.origami, a, b)
+    cand = pairing * pairing / x.area
+    lo = np.where(cand > 0, cand, 0.0)
+    # ... and the annuli
+    n = x.origami.intersection_matrix().array
+    cells, along = (n, x.widths) if side == HORIZONTAL else (n.T, x.heights)
+    circumference = np.add.accumulate(cells * along[:, None, :], axis=2)[:, :, -1]
+    hi = np.add.accumulate(u * u * (circumference / x.side(side)), axis=1)[:, -1]
+    # mathematically lo <= Ext <= hi; allow only float round-off grazing
+    checks.add(~prop & (lo - hi > 1e-9 * hi), lambda i: CertificationError(
+        f"extremal length bounds inverted: lo={at(lo, i)} hi={at(hi, i)}"))
+    return np.where(prop, exact, np.where(lo > hi, hi, lo)), np.where(prop, exact, hi)
+
+
+def qc_rows(x: SurfaceRows, y: SurfaceRows, checks: Checks) -> np.ndarray:
+    """qc_upper at every row, over the cells of N only."""
+    i, j = np.nonzero(x.origami.intersection_matrix().array)
+    p, q = x.heights[:, i] * y.widths[:, j], y.heights[:, i] * x.widths[:, j]
+    k_cell = np.maximum(p, q) / np.minimum(p, q)
+    # fmax skips the NaN of an overflowed inf/inf cell, as a scalar > would
+    return 0.5 * elementwise(math.log, np.fmax.reduce(k_cell, axis=1, initial=1.0),
+                             checks)
+
+
+def distance_rows(x: SurfaceRows, y: SurfaceRows, checks: Checks):
+    """distance_interval(X, Y) at every row, on X's defining foliations."""
+    best = 1.0  # ratio 1 <-> lower bound 0
+    for side in (VERTICAL, HORIZONTAL):
+        (x_lo, x_hi), (y_lo, y_hi) = (ext_rows(z, side, x.side(side), checks)
+                                      for z in (x, y))
+        for num, den in ((x_lo, y_hi), (y_lo, x_hi)):
+            ratio = np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
+            best = np.where(ratio > best, ratio, best)
+    lo, hi = 0.5 * elementwise(math.log, best, checks), qc_rows(x, y, checks)
+    checks.add(lo - hi > _DISTANCE_SLACK, lambda i: CertificationError(
+        f"distance bounds inverted: lower {at(lo, i)} exceeds upper {at(hi, i)}"))
+    return np.where(lo > hi, hi, lo), hi

@@ -37,8 +37,9 @@ def _golden_line(tol=1e-12):
 
 
 def _cli(*args):
+    # a NumPy RuntimeWarning fails the command, as it fails in-process tests
     return subprocess.run(
-        [sys.executable, "-m", "origeo.cli", *args],
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "origeo.cli", *args],
         capture_output=True,
         text=True,
     )

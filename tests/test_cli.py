@@ -18,8 +18,9 @@ ETA_UNIT = {
 
 
 def run_cli(*args):
+    # a NumPy RuntimeWarning fails the command, as it fails in-process tests
     return subprocess.run(
-        [sys.executable, "-m", "origeo.cli", *args],
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "origeo.cli", *args],
         capture_output=True,
         text=True,
     )
@@ -336,6 +337,25 @@ def test_non_finite_flow_time_names_its_flag(files, tmp_path, capsys, option):
     assert capsys.readouterr().err == f"error: {flag} must be finite, got {value}\n"
 
 
+@pytest.mark.parametrize("value", ["inf", "nan", "0", "-1"])
+def test_bad_horizon_names_its_flag(report_file, capsys, value):
+    assert cli.main(["flow", report_file, f"--horizon={value}"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: --horizon must be positive and finite, got {float(value)}\n"
+
+
+@pytest.mark.parametrize(
+    "option, message",
+    [("--step=0", "--step must be positive and finite, got 0.0"),
+     ("--step=inf", "--step must be positive and finite, got inf"),
+     ("--n-max=0", "--n-max must be at least 1, got 0")],
+)
+def test_bad_step_and_n_max_name_their_flags(report_file, capsys, option, message):
+    command = "converge" if option.startswith("--n-max") else "flow"
+    assert cli.main([command, report_file, option]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("value", ["800", "1e308", "inf", "nan"])
 def test_far_or_non_finite_eps_exits_input_error(report_file, value):
     res = run_cli("converge", report_file, "--eps", value)
@@ -356,29 +376,54 @@ def test_non_finite_spec_weight_exits_input_error(files, tmp_path, value):
     assert "B2" in res.stderr and "finite" in res.stderr
 
 
-# md5 of the golden line's stdout: reusing flow points and extremal lengths
-# must leave every printed bit as it was
+# md5 of the stdout of the golden line, and of the l-3-2 line with unit
+# specs (keys starting "l-3-2"): evaluating the rows column-wise must leave
+# every printed bit as the row loop printed it.  "converge --eps 0" takes the
+# exact proportional branch for its jittered rows, and "--horizon 1" gives
+# each flow row its own far point G(t + 5).
 GOLDEN_STDOUT_MD5 = {
     ("flow", "--step", "0.05"): "39bade7259e9843b9510e5e201bbbed7",
     ("converge", "--n-max", "20"): "07416b409c2cbf6cfcbb59162576b693",
+    ("converge", "--eps", "0"): "ae18d106ee9bcf93c2cec47afb3a2bfd",
+    ("flow", "--t-min", "-7", "--t-max", "2", "--step", "0.37", "--horizon", "1"):
+        "7b9407422dc5f9474d1036b46d1e3e6e",
+    ("l-3-2", "flow", "--step", "0.05"): "be0e5f9d4b95252f19dfda3b83499af2",
+    ("l-3-2", "converge", "--n-max", "20"): "98278d2aec73afd8552d25df6c3f0f5e",
 }
 
 
+@pytest.fixture
+def l32_report(files, tmp_path):
+    xi = tmp_path / "xi-l32.json"
+    xi.write_text(json.dumps(
+        {"side": "vertical", "coeffs": [["B1", "1"], ["B2", "1"], ["B3", "1"]]}
+    ))
+    out = tmp_path / "l32-report.json"
+    res = run_cli("geodesic", "--builtin", "l-3-2", str(xi), files["eta"],
+                  "--out", str(out))
+    assert res.returncode == 0, res.stderr
+    return str(out)
+
+
 @pytest.mark.parametrize("argv", sorted(GOLDEN_STDOUT_MD5))
-def test_golden_stdout_is_pinned(report_file, argv):
+def test_golden_stdout_is_pinned(report_file, l32_report, argv):
     import hashlib
 
-    res = run_cli(argv[0], report_file, *argv[1:])
+    report, args = (l32_report, argv[1:]) if argv[0] == "l-3-2" else (report_file, argv)
+    res = run_cli(args[0], report, *args[1:])
     assert res.returncode == 0, res.stderr
     assert hashlib.md5(res.stdout.encode()).hexdigest() == GOLDEN_STDOUT_MD5[argv]
 
 
 def _count_surfaces_and_proportionality(monkeypatch):
+    """Count the surfaces built, the proportionality calls and the blocks of
+    rows (each block is a whole column of surfaces)."""
     from origeo import surface
 
-    built, calls = [], []
+    built, calls, blocks = [], [], []
     init = surface.WeightedSurface.__post_init__
     proportionality = surface.WeightedSurface.proportionality
+    rows_init = surface.SurfaceRows.__init__
     monkeypatch.setattr(
         surface.WeightedSurface, "__post_init__",
         lambda self: built.append(self) or init(self),
@@ -387,30 +432,41 @@ def _count_surfaces_and_proportionality(monkeypatch):
         surface.WeightedSurface, "proportionality",
         lambda self, curve: calls.append(curve) or proportionality(self, curve),
     )
-    return built, calls
+    monkeypatch.setattr(
+        surface.SurfaceRows, "__init__",
+        lambda self, *args: blocks.append(self) or rows_init(self, *args),
+    )
+    return built, calls, blocks
 
 
 def test_flow_builds_each_point_once(report_file, monkeypatch, capsys):
     from origeo import cli
 
-    built, calls = _count_surfaces_and_proportionality(monkeypatch)
+    built, calls, blocks = _count_surfaces_and_proportionality(monkeypatch)
     assert cli.main(["flow", report_file, "--step", "0.05"]) == 0
     assert capsys.readouterr().out.count("\n") == 122  # header and 121 rows
-    # the base, one point per row but t = 0 and one far Busemann point;
-    # building every point afresh took 362 surfaces and 1,815 calls
-    assert len(built) <= 122
-    assert len(calls) <= 726
+    # only the base is a surface object, and only its own two foliations go
+    # through the scalar proportionality test; the 121 rows are one block of
+    # flow points and one of far Busemann points, next to the base's block.
+    # The row loop built 122 surfaces and made 724 proportionality calls
+    # (362 surfaces and 1,815 calls before that)
+    assert len(built) == 1
+    assert len(calls) == 2
+    assert len(blocks) == 3
 
 
 def test_converge_builds_each_point_once(report_file, monkeypatch, capsys):
     from origeo import cli
 
-    built, _ = _count_surfaces_and_proportionality(monkeypatch)
+    built, calls, blocks = _count_surfaces_and_proportionality(monkeypatch)
     assert cli.main(["converge", report_file, "--n-max", "20"]) == 0
     capsys.readouterr()
-    # the base, then per n: G(-n), G(n), their two jitters and one proxy;
-    # rebuilding the flow points took 201
-    assert len(built) <= 101
+    # only the base is a surface object; G(-n), G(n), their jitters and the
+    # proxies are one block each, next to the base's.  The row loop built
+    # 101 surfaces and made 322 proportionality calls
+    assert len(built) == 1
+    assert len(calls) == 0
+    assert len(blocks) == 6
 
 
 def test_long_flow_keeps_its_memos_bounded(report_file, monkeypatch, capsys):
@@ -421,7 +477,7 @@ def test_long_flow_keeps_its_memos_bounded(report_file, monkeypatch, capsys):
     monkeypatch.setattr(
         cli, "line_from_report", lambda report: lines.append(rebuild(report)) or lines[-1]
     )
-    built, _ = _count_surfaces_and_proportionality(monkeypatch)
+    built, _, _ = _count_surfaces_and_proportionality(monkeypatch)
     code = cli.main(["flow", report_file, "--t-min", "0", "--t-max", "1",
                      "--step", "0.0005"])
     assert code == 0

@@ -1,0 +1,219 @@
+"""The column-wise ``flow`` and ``converge`` against the scalar API, row by row.
+
+``flow`` and ``converge`` evaluate whole blocks of rows with the array
+kernels; every printed number must be what the scalar functions give the
+row's surface, and a failing check must raise what a loop over the rows
+would have raised first.
+"""
+
+import contextlib
+import io
+import json
+import math
+import random
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from origeo import cli
+from origeo.errors import CertificationError, Checks
+from origeo.geodesic import (
+    flow_distance,
+    line_from_report,
+    line_report,
+    optimal_geodesic,
+    point_at,
+)
+from origeo.horo import busemann_interval, miyachi_intersection, psi_foliation
+from origeo.multicurve import parse_busemann_spec
+from origeo.origami import parse_origami
+from origeo.sampling import jittered_surface, random_full_instance
+from origeo.surface import WeightedSurface, distance_interval, ext_interval
+
+
+def _fmt(x):
+    return f"{float(x):.15g}"
+
+
+@st.composite
+def _reports(draw):
+    """The report of a small random full-support line."""
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    _, xi, eta = random_full_instance(rng, (3, 8))
+    return line_report(optimal_geodesic(xi, eta))
+
+
+def _run(report, *argv):
+    out = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(out):
+        path = Path(tmp) / "report.json"
+        path.write_text(json.dumps(report))
+        assert cli.main([argv[0], str(path), *argv[1:]]) == 0
+    return out.getvalue()
+
+
+@settings(max_examples=6, deadline=None, derandomize=True, database=None)
+@given(
+    _reports(),
+    st.floats(-3.0, 0.0),
+    st.sampled_from([0.01, 0.0137, 0.02]),
+    st.floats(0.5, 4.0),
+)
+def test_flow_cells_are_the_scalar_values(report, t_min, step, horizon):
+    # at least 151 rows, more than one block; the horizon lies below t + 5
+    # for most rows, so those rows take their own far point G(t + 5)
+    t_max = t_min + 150 * step + 0.5 * step
+    out = _run(report, "flow", f"--t-min={t_min!r}", f"--t-max={t_max!r}",
+               f"--step={step!r}", f"--horizon={horizon!r}")
+    line = line_from_report(report)
+    base = line.base_surface
+    f_v, f_h = line.vertical_foliation, line.horizontal_foliation
+    rows = [row.split(",") for row in out.splitlines()[1:]]
+    assert len(rows) > cli._BLOCK_ROWS
+    for i, row in enumerate(rows):
+        t = t_min + i * step
+        pt = point_at(line, t)
+        bus = busemann_interval(line, pt, horizon=max(horizon, t + 5.0))
+        want = (
+            [t, *pt.widths.values(), *pt.heights.values()]
+            + [ext_interval(pt, f_v).lo, ext_interval(pt, f_h).lo]
+            + [psi_foliation(f, pt, base).midpoint() for f in (f_v, f_h)]
+            + [bus.lo, bus.hi, flow_distance(line, 0.0, t)]
+        )
+        assert row == [_fmt(v) for v in want], f"row {i}, t={t}"
+
+
+@settings(max_examples=6, deadline=None, derandomize=True, database=None)
+@given(_reports(), st.integers(1, 12), st.sampled_from([0.0, 0.05, 0.3]),
+       st.integers(0, 99))
+def test_converge_rows_are_the_scalar_values(report, n_max, eps, seed):
+    out = _run(report, "converge", f"--n-max={n_max}", f"--eps={eps}",
+               f"--seed={seed}")
+    data = json.loads(out)
+    line = line_from_report(report)
+    base = line.base_surface
+    rng = random.Random(seed)
+    for n, exact, jittered in zip(range(1, n_max + 1), data["exact"],
+                                  data["jittered"]["rows"]):
+        x_n, y_n = point_at(line, -n), point_at(line, n)
+        mi = miyachi_intersection(x_n, y_n, base)
+        gap = flow_distance(line, -n, n) - flow_distance(line, 0, -n)
+        assert exact == {"n": n, "gap": gap, "miyachiLo": mi.lo, "miyachiHi": mi.hi}
+        x_j, hf_x, wf_x = jittered_surface(rng, x_n, eps)
+        y_j, hf_y, wf_y = jittered_surface(rng, y_n, eps)
+        proxy = WeightedSurface(
+            base.origami,
+            {k: w * math.sqrt(hf_x[k] * hf_y[k]) for k, w in base.heights.items()},
+            {k: w * math.sqrt(wf_x[k] * wf_y[k]) for k, w in base.widths.items()},
+        )
+        d_proxy = distance_interval(base, proxy)
+        d_xy, d_0x = distance_interval(x_j, y_j), distance_interval(base, x_j)
+        assert jittered == {
+            "n": n, "proxyLo": d_proxy.lo, "proxyHi": d_proxy.hi,
+            "gapLo": d_xy.lo - d_0x.hi, "gapHi": d_xy.hi - d_0x.lo,
+        }
+
+
+@pytest.mark.parametrize(
+    "failing, named",
+    [
+        # psi_fv is checked before psi_fh within a row, but row 3 comes first
+        ({"psi_fv": [7], "psi_fh": [3, 7]}, "psi_fh at t=0.30000000000000004 "),
+        # both fail in row 3: the one checked first
+        ({"psi_fv": [3, 5], "psi_fh": [3]}, "psi_fv at t=0.30000000000000004 "),
+    ],
+)
+def test_failing_rows_raise_the_earliest_rows_error(monkeypatch, capsys, failing, named):
+    report = line_report(optimal_geodesic(*random_full_instance(
+        random.Random(3), (3, 8))[1:]))
+    psi_rows = cli.psi_rows
+    names = iter(["psi_fv", "psi_fh"])  # the order flow asks for them
+
+    def shifted(ext_x, ext_0, checks):
+        lo, hi = (a.copy() for a in psi_rows(ext_x, ext_0, checks))
+        rows = failing[next(names)]
+        lo[rows] += 1.0
+        hi[rows] += 1.0
+        return lo, hi
+
+    monkeypatch.setattr(cli, "psi_rows", shifted)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "report.json"
+        path.write_text(json.dumps(report))
+        code = cli.main(["flow", str(path), "--t-min=0", "--t-max=1", "--step=0.1"])
+    assert code == 5
+    assert capsys.readouterr().err.startswith("certification failure: " + named)
+
+
+def _line_report(xi, eta):
+    o = parse_origami({"squares": 3, "h": [2, 1, 3], "v": [3, 2, 1]})
+    xi = parse_busemann_spec(
+        {"side": "vertical", "coeffs": [["B1", xi[0]], ["B2", xi[1]]]}, o)
+    eta = parse_busemann_spec(
+        {"side": "horizontal", "coeffs": [["A1", eta[0]], ["A2", eta[1]]]}, o)
+    return line_report(optimal_geodesic(xi, eta))
+
+
+# Rows past the float range, reached once the reach cap is lifted.  Each
+# outcome is what the row loop gave: the exit code and stderr of the first
+# check failing, or the exception of a math call.  Their arrays fill with inf
+# and nan on the way, which must not raise a RuntimeWarning (pytest makes it
+# an error) nor cut the checks short.
+@pytest.mark.parametrize(
+    "xi, eta, argv, outcome",
+    [
+        # row t = 708: G(t) overflows both widths
+        (("1000", "1000"), ("1", "1"), ["flow", "--t-min=0", "--t-max=708",
+         "--step=708", "--horizon=1"],
+         (2, "error: weight on B1 must be positive and finite, got inf\n")),
+        # row t = -708, the first: G(t) overflows a height
+        (("1e-3", "1"), ("1e5", "1"), ["flow", "--t-min=-708", "--t-max=0",
+         "--step=354", "--horizon=1"],
+         (2, "error: weight on A1 must be positive and finite, got inf\n")),
+        # row t = 708: e^-1416 underflows r^2 of F_v at G(t) to 0, log(0)
+        (("1", "1"), ("1", "1"), ["flow", "--t-min=0", "--t-max=708",
+         "--step=708", "--horizon=1"], (ValueError, "math domain error")),
+        # row t = -712: math.exp(712) overflows
+        (("1", "1"), ("1", "1"), ["flow", "--t-min=-712", "--t-max=-690",
+         "--step=0.5", "--horizon=1"], (OverflowError, "math range error")),
+        # rung n = 178: the bracket of d(G(-n), G(n)) overflows
+        (("1", "1"), ("1", "1"), ["converge", "--n-max=200", "--eps=0"],
+         (5, "certification failure: flow distance 356.0 escapes certified "
+             "interval [inf, inf]\n")),
+        # the message shows the annulus bound's lo before it is clamped
+        (("1000", "1"), ("1", "1"), ["converge", "--n-max=200", "--eps=0.3"],
+         (5, "certification failure: extremal length bounds inverted: lo=inf "
+             "hi=2.9987203540582356e+305\n")),
+    ],
+)
+def test_overflowing_rows_fail_as_the_row_loop_failed(monkeypatch, capsys, xi, eta,
+                                                       argv, outcome):
+    report = _line_report(xi, eta)
+    monkeypatch.setattr(cli, "MAX_REACH", 2000.0)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "report.json"
+        path.write_text(json.dumps(report))
+        argv = [argv[0], str(path), *argv[1:]]
+        if isinstance(outcome[0], int):
+            assert cli.main(argv) == outcome[0]
+            assert capsys.readouterr() == ("", outcome[1])
+        else:
+            with pytest.raises(outcome[0], match=f"^{outcome[1]}$"):
+                cli.main(argv)
+
+
+def test_checks_raise_the_first_check_of_the_earliest_row():
+    checks = Checks()
+    checks.add(np.array([False, False, True]), lambda i: CertificationError(f"a{i}"))
+    checks.add(np.array([False, True, True]), lambda i: CertificationError(f"b{i}"))
+    checks.add(np.array([True]), lambda i: CertificationError(f"c{i}"))  # all rows
+    with pytest.raises(CertificationError, match="^c0$"):
+        checks.raise_first()
+    checks.pop()
+    with pytest.raises(CertificationError, match="^b1$"):
+        checks.raise_first()
+    Checks([(np.array([False, False]), None)]).raise_first()  # nothing fails
