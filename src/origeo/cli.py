@@ -19,11 +19,17 @@ timestamps and floats print with 15 significant digits, except a report's
 float so that it lies inside its printed bracket.  Only ``geodesic`` takes
 ``--tol``; ``flow`` and ``converge`` rebuild the line at the tolerance its
 report records.
+
+The argument parser is built once per process, on the first :func:`main`
+call, and reused; ``main`` then looks the subcommand up by name
+(``cmd_<command>``) at call time, so a ``cmd_*`` rebound on this module,
+say by a tracer or a test, is the one that runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import random
@@ -213,11 +219,17 @@ def cmd_flow(args: argparse.Namespace) -> str:
     )
     rows = [",".join(header)]
     for start in range(0, len(grid), _BLOCK_ROWS):
-        table = _flow_block(line, grid[start:start + _BLOCK_ROWS], horizon)
-        rows += [",".join(f"{v:.15g}" for v in row) for row in table.tolist()]
+        rows += _csv_lines(_flow_block(line, grid[start:start + _BLOCK_ROWS], horizon))
     text = "\n".join(rows) + "\n"
     _emit(text, cfg.out)
     return text
+
+
+def _csv_lines(table: np.ndarray) -> List[str]:
+    """Each row of ``table`` as a CSV line of f"{v:.15g}" values, formatted
+    by one ``%`` per row: '%.15g' % v is f"{v:.15g}" for every float."""
+    template = ",".join(["%.15g"] * table.shape[1])
+    return [template % tuple(row) for row in table.tolist()]
 
 
 def _flow_block(line: GeodesicLine, ts: np.ndarray, horizon: float) -> np.ndarray:
@@ -347,7 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="audit an origami description")
     add_origami_source(p)
     add_common(p)
-    p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("geodesic", help="build the optimal geodesic report")
     add_origami_source(p)
@@ -357,7 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="relative width the eigenvalue bracket must reach "
                         "(default 1e-12); flow and converge reuse the report's")
     add_common(p)
-    p.set_defaults(func=cmd_geodesic)
 
     p = sub.add_parser("flow", help="sample a geodesic report along a time grid")
     p.add_argument("report", help="geodesic report JSON (from `origeo geodesic`)")
@@ -368,7 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=float, default=None,
                    help="Busemann horizon time (default t-max + 5)")
     add_common(p)
-    p.set_defaults(func=cmd_flow)
 
     p = sub.add_parser("converge", help="replay boundary convergence from a report")
     p.add_argument("report", help="geodesic report JSON (from `origeo geodesic`)")
@@ -376,23 +385,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, default=None,
                    help="jitter amplitude for the demonstration section")
     add_common(p)
-    p.set_defaults(func=cmd_converge)
 
     p = sub.add_parser("check", help="run randomized self-check suites")
     p.add_argument("--suite", action="append", default=None, metavar="NAME",
                    help="run only matching suites (may repeat); known: "
                         + ", ".join(checks_mod.suite_names()))
     add_common(p)
-    p.set_defaults(func=cmd_check)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        args.func(args)
+        # by name at call time, so that a rebound cmd_* is the one that runs
+        globals()[f"cmd_{args.command}"](args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -35,6 +35,7 @@ raises instead of silently flipping.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -129,9 +130,10 @@ def optimal_geodesic(
     The vertical-side family is always the forward datum; the two specs may
     be passed in either order but must sit on opposite sides.  Raises
     NotFillingError / NotPrimitiveError when the pair cannot span a
-    geodesic, InputError when the float coupling M or M M^T leaves the
-    float64 range (an entry overflows to inf, or one the exact coupling
-    makes positive underflows to 0), and CertificationError when an
+    geodesic, InputError when a coefficient's square leaves the normal
+    float64 range or the float coupling M or M M^T leaves the float64 range
+    (an entry overflows to inf, or one the exact coupling makes positive
+    underflows to 0), and CertificationError when an
     internal consistency certificate (system closure, limit
     proportionality) fails.
     """
@@ -159,14 +161,18 @@ def optimal_geodesic(
     n = host.intersection_matrix()
     xi_support, eta_support = xi.support, eta.support
     range_error = InputError(
-        "the coefficients span more than float64 carries: the coupling "
-        "M or M M^T overflows to inf or underflows to 0"
+        "the coefficients span more than float64 carries: a coefficient's "
+        "square leaves the normal range, or the coupling M or M M^T "
+        "overflows to inf or underflows to 0"
     )
     try:  # an exact coefficient beyond float64 raises here
         c = [float(xi.coeffs[lab]) for lab in xi_support]
         d = [float(eta.coeffs[lab]) for lab in eta_support]
     except OverflowError:
         raise range_error from None
+    # spec_pairing, behind the limit certificate, squares every coefficient
+    if not all(sys.float_info.min <= v * v < math.inf for v in c + d):
+        raise range_error
     n_sub = n.array[
         np.ix_(
             [n.row_labels.index(lab) for lab in eta_support],
@@ -344,11 +350,14 @@ def ray_limit(
 
 
 def spec_pairing(
-    spec: BusemannSpec, curves: Optional[Sequence[WeightedMulticurve]] = None
+    spec: BusemannSpec,
+    curves: Optional[Sequence[WeightedMulticurve]] = None,
+    scales: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """i(spec, gamma) = sqrt(sum_i c_i^2 i(gamma_i, gamma)^2) on ``curves``."""
+    """i(spec, gamma) = sqrt(sum_i c_i^2 i(gamma_i, gamma)^2) on ``curves``,
+    each scaled by its entry of ``scales`` if given."""
     q = {lab: float(c) ** 2 for lab, c in spec.coeffs.items()}
-    return limit_values(spec.host, spec.side, q, curves)
+    return limit_values(spec.host, spec.side, q, curves, scales)
 
 
 def _cosine(a: np.ndarray, b: np.ndarray) -> float:

@@ -38,6 +38,7 @@ from .multicurve import (
     BusemannSpec,
     WeightedMulticurve,
     core_curve,
+    core_labels,
     intersection,
 )
 from .surface import (
@@ -50,6 +51,7 @@ from .surface import (
     elementwise,
     ext_interval,
     ext_rows,
+    pairing_rows,
 )
 
 
@@ -279,30 +281,73 @@ def delta_probe(
 ) -> dict:
     """Smallest combined pairing of the two specs over unit-length probes.
 
-    Each candidate curve is rescaled so its extremal-length upper bound at
-    ``base`` is 1, then min over candidates of
-    ``walsh_eval(xi, .) + walsh_eval(eta, .)`` is reported.  A *probe*:
-    the minimum over the sampled family only, an upper bound for the true
-    infimum over all curves — labeled accordingly, never a certificate.
+    Each candidate curve (default: every core) is rescaled so its
+    extremal-length upper bound at ``base`` is 1, then min over candidates
+    of ``walsh_eval(xi, .) + walsh_eval(eta, .)`` is reported.  The bounds
+    are those of :func:`~origeo.surface.curve_ext_bounds`, bit for bit on a
+    float base, taken in one array pass over the candidates' weights; the
+    scales go straight to the pairing kernel.  A *probe*: the minimum over
+    the sampled family only, an upper bound for the true infimum over all
+    curves — labeled accordingly, never a certificate.
     """
     if xi.host is not base.origami or eta.host is not base.origami:
         raise HostMismatch("specs and base surface live on different origamis")
     host = base.origami
     if curves is None:
         curves = _core_curves(host)
-    units = [
-        gamma.scaled(1.0 / math.sqrt(float(curve_ext_bounds(base, gamma).hi)))
-        for gamma in curves
-    ]
-    if not units:
+    if not curves:
         return {"value": math.inf, "witness": None, "status": "probe"}
-    values = spec_pairing(xi, units) + spec_pairing(eta, units)
+    if any(gamma.host is not host for gamma in curves):
+        raise HostMismatch("curve lives on a different origami")
+    with Checks() as checks:
+        scales = _unit_scales(base, curves, checks)
+    values = spec_pairing(xi, curves, scales) + spec_pairing(eta, curves, scales)
     best = int(np.argmin(values))
     return {
         "value": float(values[best]),
         "witness": _curve_tag(curves[best]),
         "status": "probe",
     }
+
+
+def _unit_scales(
+    base: WeightedSurface, curves: Sequence[WeightedMulticurve], checks: Checks
+) -> np.ndarray:
+    """Per curve, 1/sqrt of ``curve_ext_bounds(base, curve).hi``, with that
+    call's inversion check and the check that the rescaled weights are
+    positive and finite.  Columns are the cores, horizontal then vertical."""
+    host = base.origami
+    column = {lab: k for k, lab in enumerate(core_labels(host))}
+    shape = (len(curves), len(column))
+    own, u, u2 = np.zeros(shape, bool), np.zeros(shape), np.zeros(shape)
+    for g, gamma in enumerate(curves):
+        for lab, w in gamma.weights.items():
+            k = column[lab]
+            # float(w * w), not float(w) ** 2: curve_ext_bounds squares exactly
+            own[g, k], u[g, k], u2[g, k] = True, float(w), float(w * w)
+    # curve_ext_bounds: the pairing with the other side's foliation, ...
+    h, rows = len(host.cylinders(HORIZONTAL)), base.rows
+    horizontal = np.array([[gamma.side == HORIZONTAL] for gamma in curves])
+    pairing = pairing_rows(host, np.where(horizontal, u[:, :h], rows.heights),
+                           np.where(horizontal, rows.widths, u[:, h:]))
+    cand = pairing * pairing / float(base.area())
+    lo = np.where(cand > 0, cand, 0.0)
+    # ... and the annuli, sum u^2 * circumference/across left to right
+    ratio = np.array([
+        float(base.circumference(side, lab) / across)
+        for side in (HORIZONTAL, VERTICAL)
+        for lab, across in base.defining_foliation(side).weights.items()
+    ])
+    hi = np.add.accumulate(np.where(own, u2 * ratio, 0.0), axis=1)[:, -1]
+    checks.add(lo - hi > 1e-9 * hi, lambda i: CertificationError(
+        f"extremal length bounds inverted: lo={at(lo, i)} hi={at(hi, i)}"))
+    scales = 1.0 / np.sqrt(hi)
+    unit = u * scales[:, None]
+    checks.add(~np.where(own, (unit > 0) & (unit < math.inf), True).all(axis=1),
+               lambda i: InputError(
+                   f"probe curve {_curve_tag(curves[i])} has no unit rescaling in "
+                   f"floats: its extremal length bound is {at(hi, i)!r}"))
+    return scales
 
 
 def _core_curves(host) -> list:

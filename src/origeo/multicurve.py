@@ -226,11 +226,15 @@ def core_labels(host) -> Tuple[str, ...]:
 
 
 def core_pairings(
-    host, side: str, curves: Optional[Sequence[WeightedMulticurve]] = None
+    host,
+    side: str,
+    curves: Optional[Sequence[WeightedMulticurve]] = None,
+    scales: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """i(core_k, gamma) in floats, read off N: one row per core k of
     ``side``, one column per curve (default: every core, as in
-    :func:`core_labels`)."""
+    :func:`core_labels`).  ``scales``, one per curve, stands for
+    ``gamma.scaled(scale)``: each float weight is multiplied by its scale."""
     n = host.intersection_matrix().array
     h, v = n.shape
     if side == HORIZONTAL:
@@ -241,8 +245,12 @@ def core_pairings(
         return pairs
     if any(gamma.host is not host for gamma in curves):
         raise HostMismatch("curve lives on a different origami")
-    weights = [[float(g.weights.get(lab, 0)) for g in curves] for lab in core_labels(host)]
-    return pairs @ np.array(weights)
+    weights = np.array(
+        [[float(g.weights.get(lab, 0)) for g in curves] for lab in core_labels(host)]
+    )
+    if scales is not None:
+        weights = weights * scales
+    return pairs @ weights
 
 
 def limit_values(
@@ -250,15 +258,17 @@ def limit_values(
     side: str,
     q: Mapping[str, float],
     curves: Optional[Sequence[WeightedMulticurve]] = None,
+    scales: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """sqrt(sum_k q_k * i(core_k, gamma)^2) for every gamma in ``curves``.
+    """sqrt(sum_k q_k * i(core_k, gamma)^2) for every gamma in ``curves``,
+    each scaled by its entry of ``scales`` if given (see :func:`core_pairings`).
 
     The one float kernel behind every limit and spec pairing: k runs over
     the cores of ``side`` (labels missing from ``q`` weigh 0), and all cores
     and curves are evaluated in one product with N.
     """
     weights = np.array([float(q.get(c.label, 0)) for c in host.cylinders(side)])
-    return np.sqrt(weights @ core_pairings(host, side, curves) ** 2)
+    return np.sqrt(weights @ core_pairings(host, side, curves, scales) ** 2)
 
 
 class FillingStatus(enum.Enum):

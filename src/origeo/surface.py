@@ -372,10 +372,10 @@ class SurfaceRows:
 
     @cached_property
     def area(self) -> np.ndarray:
-        return _pairing(self.origami, self.heights, self.widths)
+        return pairing_rows(self.origami, self.heights, self.widths)
 
 
-def _pairing(origami: Origami, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def pairing_rows(origami: Origami, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """pair_intersection of the horizontal weights a and vertical ones b."""
     n = origami.intersection_matrix().array
     i, j = np.nonzero(n)
@@ -404,7 +404,7 @@ def ext_rows(x: SurfaceRows, side: str, u: np.ndarray, checks: Checks):
         return exact, exact
     # curve_ext_bounds: the pairing with the other side's foliation, ...
     a, b = (u, x.widths) if side == HORIZONTAL else (x.heights, u)
-    pairing = _pairing(x.origami, a, b)
+    pairing = pairing_rows(x.origami, a, b)
     cand = pairing * pairing / x.area
     lo = np.where(cand > 0, cand, 0.0)
     # ... and the annuli

@@ -376,11 +376,13 @@ def test_non_finite_spec_weight_exits_input_error(files, tmp_path, value):
     assert "B2" in res.stderr and "finite" in res.stderr
 
 
-# md5 of the stdout of the golden line, and of the l-3-2 line with unit
-# specs (keys starting "l-3-2"): evaluating the rows column-wise must leave
-# every printed bit as the row loop printed it.  "converge --eps 0" takes the
-# exact proportional branch for its jittered rows, and "--horizon 1" gives
-# each flow row its own far point G(t + 5).
+# md5 of the stdout of the golden line, of the l-3-2 line with unit specs
+# (keys starting "l-3-2") and of the canonical staircase-20 line with unit
+# specs (21 cores, 29 CSV columns; keys starting "staircase-20"): evaluating
+# the rows column-wise must leave every printed bit as the row loop printed
+# it.  "converge --eps 0" takes the exact proportional branch for its
+# jittered rows, and "--horizon 1" gives each flow row its own far point
+# G(t + 5).
 GOLDEN_STDOUT_MD5 = {
     ("flow", "--step", "0.05"): "39bade7259e9843b9510e5e201bbbed7",
     ("converge", "--n-max", "20"): "07416b409c2cbf6cfcbb59162576b693",
@@ -389,6 +391,8 @@ GOLDEN_STDOUT_MD5 = {
         "7b9407422dc5f9474d1036b46d1e3e6e",
     ("l-3-2", "flow", "--step", "0.05"): "be0e5f9d4b95252f19dfda3b83499af2",
     ("l-3-2", "converge", "--n-max", "20"): "98278d2aec73afd8552d25df6c3f0f5e",
+    ("staircase-20", "flow", "--step", "0.05"): "d4767a701c3da23e21c02b22c90c102a",
+    ("staircase-20", "converge", "--n-max", "20"): "e5768d4e206f863aea60d5af75d85326",
 }
 
 
@@ -405,11 +409,36 @@ def l32_report(files, tmp_path):
     return str(out)
 
 
+@pytest.fixture(scope="module")
+def stair_report(tmp_path_factory):
+    """The report of the staircase with 20 cells, h = (1 2)(3 4)...(19 20)
+    and v = (2 3)(4 5)...(18 19), unit weights on all 10 + 11 cores."""
+    tmp = tmp_path_factory.mktemp("staircase-20")
+    h = [i + 2 if i % 2 == 0 else i for i in range(20)]
+    v = [1] + [i + 2 if i % 2 == 1 else i for i in range(1, 19)] + [20]
+    paths = {}
+    for name, data in (
+        ("origami", {"squares": 20, "h": h, "v": v}),
+        ("xi", {"side": "vertical", "coeffs": [[f"B{i}", "1"] for i in range(1, 12)]}),
+        ("eta", {"side": "horizontal", "coeffs": [[f"A{i}", "1"] for i in range(1, 11)]}),
+    ):
+        paths[name] = tmp / f"{name}.json"
+        paths[name].write_text(json.dumps(data))
+    out = tmp / "report.json"
+    res = run_cli("geodesic", str(paths["origami"]), str(paths["xi"]),
+                  str(paths["eta"]), "--out", str(out))
+    assert res.returncode == 0, res.stderr
+    return str(out)
+
+
 @pytest.mark.parametrize("argv", sorted(GOLDEN_STDOUT_MD5))
-def test_golden_stdout_is_pinned(report_file, l32_report, argv):
+def test_golden_stdout_is_pinned(report_file, l32_report, stair_report, argv):
     import hashlib
 
-    report, args = (l32_report, argv[1:]) if argv[0] == "l-3-2" else (report_file, argv)
+    reports = {"l-3-2": l32_report, "staircase-20": stair_report}
+    report, args = (
+        (reports[argv[0]], argv[1:]) if argv[0] in reports else (report_file, argv)
+    )
     res = run_cli(args[0], report, *args[1:])
     assert res.returncode == 0, res.stderr
     assert hashlib.md5(res.stdout.encode()).hexdigest() == GOLDEN_STDOUT_MD5[argv]
@@ -522,6 +551,79 @@ def test_coupling_beyond_float_range_exits_input_error(files, tmp_path, value, a
     assert "RuntimeWarning" not in res.stderr
     assert len(res.stderr.splitlines()) == 1
     assert "float64" in res.stderr
+
+
+@pytest.mark.parametrize(
+    "xi_value, eta_value", [("1e305", "1e-305"), ("1e-170", "1e170")]
+)
+def test_squared_coefficient_beyond_float_range_exits_input_error(
+    files, tmp_path, xi_value, eta_value
+):
+    # the coupling M is all ones here; spec_pairing squares the coefficients
+    for name, side, prefix, value in (
+        ("xi", "vertical", "B", xi_value), ("eta", "horizontal", "A", eta_value)
+    ):
+        (tmp_path / f"{name}-range.json").write_text(json.dumps({
+            "side": side, "coeffs": [[f"{prefix}1", value], [f"{prefix}2", value]],
+            "approx": True,
+        }))
+    res = run_cli("geodesic", files["origami"], str(tmp_path / "xi-range.json"),
+                  str(tmp_path / "eta-range.json"))
+    assert res.returncode == 2
+    assert res.stderr.splitlines() == [
+        "error: the coefficients span more than float64 carries: a coefficient's "
+        "square leaves the normal range, or the coupling M or M M^T overflows to "
+        "inf or underflows to 0"
+    ]
+
+
+def test_coefficient_whose_square_fits_certifies(files, tmp_path):
+    xi = tmp_path / "xi-1e150.json"
+    xi.write_text(json.dumps(
+        {"side": "vertical", "coeffs": [["B1", "1"], ["B2", "1e150"]], "approx": True}
+    ))
+    res = run_cli("geodesic", files["origami"], str(xi), files["eta"])
+    assert res.returncode == 0, res.stderr
+
+
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    cli._parser.cache_clear()
+    for argv in (["validate", "--builtin", "l-2-2"], ["check", "--suite", "gauss"],
+                 ["validate", "--builtin", "quaternion-8"]) * 3:
+        assert cli.main(argv) == 0
+    assert builds == [1]
+
+
+def test_rebound_command_is_the_one_that_runs(monkeypatch, capsys):
+    assert cli.main(["validate", "--builtin", "l-2-2"]) == 0  # parser built
+    assert capsys.readouterr().out
+    seen = []
+    monkeypatch.setattr(cli, "cmd_validate", lambda args: seen.append(args.builtin))
+    assert cli.main(["validate", "--builtin", "quaternion-8"]) == 0
+    assert seen == ["quaternion-8"]
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        (["check", "--suite", "gauss"], ["check", "--suite", "perron"]),
+        (["flow", "REPORT", "--horizon", "1"], ["flow", "REPORT"]),
+        (["converge", "REPORT", "--n-max", "3", "--eps", "0"], ["converge", "REPORT"]),
+    ],
+)
+def test_flags_do_not_leak_between_calls(report_file, capsys, first, second):
+    """In one process, each call prints what a fresh process prints."""
+    first, second = ([report_file if a == "REPORT" else a for a in argv]
+                     for argv in (first, second))
+    for argv in (first, second):
+        assert cli.main(argv) == 0
+        res = run_cli(*argv)
+        assert res.returncode == 0, res.stderr
+        assert capsys.readouterr().out == res.stdout
 
 
 @pytest.mark.parametrize(

@@ -2,11 +2,16 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from origeo.errors import HostMismatch, InputError
-from origeo.geodesic import optimal_geodesic, point_at
+from origeo.geodesic import optimal_geodesic, point_at, spec_pairing
 from origeo.horo import (
+    _core_curves,
+    _curve_tag,
     busemann_interval,
     delta_probe,
     lower_bound_audit,
@@ -24,8 +29,8 @@ from origeo.multicurve import (
     core_curve,
 )
 from origeo.origami import builtin
-from origeo.sampling import jittered_surface
-from origeo.surface import WeightedSurface
+from origeo.sampling import jittered_surface, random_full_instance
+from origeo.surface import WeightedSurface, curve_ext_bounds
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -202,3 +207,65 @@ def test_composite_curve_tags_in_audit(golden):
     rep = lower_bound_audit(golden, curves=[mixed])
     assert rep["entries"][0]["curve"] == "vertical:B1+B2"
     assert rep["status"] == "pass"
+
+
+def _probe_by_curve(xi, eta, base, curves):
+    """delta_probe as a loop over the curves: one curve_ext_bounds call and
+    one rescaled multicurve each."""
+    units = [gamma.scaled(1.0 / math.sqrt(float(curve_ext_bounds(base, gamma).hi)))
+             for gamma in curves]
+    values = spec_pairing(xi, units) + spec_pairing(eta, units)
+    best = int(np.argmin(values))
+    return {"value": float(values[best]), "witness": _curve_tag(curves[best]),
+            "status": "probe"}
+
+
+@st.composite
+def _probe_cases(draw):
+    """A float base (a random line's, or one of its flow points or jittered
+    neighbours), the line's specs and, unless None, explicit probe curves of
+    one or several cores with exact or float weights."""
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    _, xi, eta = random_full_instance(rng, (3, 12))
+    line = optimal_geodesic(xi, eta)
+    base = draw(st.sampled_from(["base", "flow", "jitter"]))
+    if base == "base":
+        base = line.base_surface
+    elif base == "flow":
+        base = point_at(line, draw(st.floats(-6.0, 6.0)))
+    else:
+        base = jittered_surface(rng, line.base_surface, 0.3)[0]
+    if draw(st.booleans()):
+        return xi, eta, base, None
+    host = line.origami
+    weight = st.one_of(
+        st.fractions(Fraction(1, 1000), 1000).filter(lambda w: w > 0),
+        st.floats(1e-3, 1e3),
+        st.integers(1, 7),
+    )
+    curves = []
+    for _ in range(draw(st.integers(1, 6))):
+        side = draw(st.sampled_from([HORIZONTAL, VERTICAL]))
+        labels = [c.label for c in host.cylinders(side)]
+        support = draw(st.lists(st.sampled_from(labels), min_size=1, unique=True))
+        weights = {lab: draw(weight) for lab in support}
+        curves.append(WeightedMulticurve(host, side, weights))
+    return xi, eta, base, curves
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_probe_cases())
+def test_delta_probe_is_the_per_curve_bound_bit_for_bit(case):
+    xi, eta, base, curves = case
+    want = _probe_by_curve(xi, eta, base, curves or _core_curves(base.origami))
+    assert delta_probe(xi, eta, base, curves=curves) == want
+
+
+@pytest.mark.parametrize("height, width", [(1e300, 1e-300), (1e-300, 1e300)])
+def test_delta_probe_refuses_a_curve_without_unit_rescaling(golden, height, width):
+    # the annulus bound of A1 is 0 on the first surface and inf on the second
+    o = golden.origami
+    base = WeightedSurface(o, {c.label: height for c in o.cylinders(HORIZONTAL)},
+                           {c.label: width for c in o.cylinders(VERTICAL)})
+    with pytest.raises(InputError, match="probe curve A1 has no unit rescaling"):
+        delta_probe(golden.forward_spec, golden.backward_spec, base)

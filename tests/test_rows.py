@@ -217,3 +217,20 @@ def test_checks_raise_the_first_check_of_the_earliest_row():
     with pytest.raises(CertificationError, match="^b1$"):
         checks.raise_first()
     Checks([(np.array([False, False]), None)]).raise_first()  # nothing fails
+
+
+_FLOAT64 = st.one_of(
+    st.floats(width=64),  # inf, nan, -0.0 and subnormals included
+    st.integers(0, 2**64 - 1).map(  # any bit pattern, nan payloads too
+        lambda bits: np.array(bits, dtype=np.uint64).view(np.float64).item()),
+    st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 5e-324,
+                     2.2250738585072014e-308, 1.7976931348623157e308]),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(_FLOAT64, min_size=1, max_size=30))
+def test_csv_lines_are_the_per_value_format(row):
+    rows = [row, row[::-1]]
+    want = [",".join(f"{v:.15g}" for v in r) for r in rows]
+    assert cli._csv_lines(np.array(rows)) == want
