@@ -18,7 +18,8 @@ timestamps and floats print with 15 significant digits, except a report's
 ``lambda``, printed as the shortest string that reads back to the same
 float so that it lies inside its printed bracket.  Only ``geodesic`` takes
 ``--tol``; ``flow`` and ``converge`` rebuild the line at the tolerance its
-report records.
+report records.  ``--seed`` is taken by ``geodesic`` (the report records
+it), ``converge`` (its jitter) and ``check``.
 
 The argument parser is built once per process, on the first :func:`main`
 call, and reused; ``main`` then looks the subcommand up by name
@@ -344,9 +345,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--seed", type=int, default=None,
-                       help="seed for every randomized choice (default 0)")
+    def add_common(p: argparse.ArgumentParser, seed: bool = True) -> None:
+        if seed:
+            p.add_argument("--seed", type=int, default=None,
+                           help="seed for every randomized choice (default 0)")
         p.add_argument("--out", default=None,
                        help="also write the output to this file")
 
@@ -358,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="audit an origami description")
     add_origami_source(p)
-    add_common(p)
+    add_common(p, seed=False)
 
     p = sub.add_parser("geodesic", help="build the optimal geodesic report")
     add_origami_source(p)
@@ -377,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"grid step (at most {MAX_GRID_ROWS} rows)")
     p.add_argument("--horizon", type=float, default=None,
                    help="Busemann horizon time (default t-max + 5)")
-    add_common(p)
+    add_common(p, seed=False)
 
     p = sub.add_parser("converge", help="replay boundary convergence from a report")
     p.add_argument("report", help="geodesic report JSON (from `origeo geodesic`)")

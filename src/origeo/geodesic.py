@@ -67,7 +67,7 @@ from .multicurve import (
     parse_busemann_spec,
 )
 from .origami import Origami, origami_to_json, parse_origami
-from .perron import DEFAULT_TOL, PerronResult, gram_array, is_primitive, perron_solve
+from .perron import DEFAULT_TOL, PerronResult, gram_array, perron_solve
 from .surface import SurfaceRows, WeightedSurface, distance_interval, elementwise
 
 
@@ -183,7 +183,9 @@ def optimal_geodesic(
         m = np.outer(c, d) * n_sub.T
         mmt = gram_array(m)
     # M and M M^T are positive at most where their exact values are, so a
-    # nonzero count below the exact one is an entry that underflowed to 0
+    # nonzero count below the exact one is an entry that underflowed to 0;
+    # equal counts give M the support of n_sub^T, which filling_status found
+    # primitive
     if not (
         np.isfinite(m).all()
         and np.isfinite(mmt).all()
@@ -191,9 +193,6 @@ def optimal_geodesic(
         and np.count_nonzero(mmt) == np.count_nonzero(n_sub.T @ n_sub)
     ):
         raise range_error
-    if not is_primitive(m.tolist()):
-        # unreachable when filling_status passed; kept as a hard guard
-        raise NotFillingError("coupling matrix is not primitive")
 
     eigen = perron_solve(mmt, tol=tol, seed=seed)
     scale = math.sqrt(eigen.eigenvalue)
@@ -220,9 +219,7 @@ def optimal_geodesic(
         f_vert = WeightedMulticurve(host, VERTICAL, widths)
         f_hor = WeightedMulticurve(host, HORIZONTAL, heights)
 
-    pairing = intersection(f_hor, f_vert)
-    if base is not None and base.area() != pairing:
-        raise CertificationError("base surface area disagrees with the pairing")
+    pairing = intersection(f_hor, f_vert) if base is None else base.area()
 
     cos_fwd = _cosine(ray_limit(f_vert, f_hor), spec_pairing(xi))
     cos_bwd = _cosine(ray_limit(f_hor, f_vert), spec_pairing(eta))
@@ -336,16 +333,16 @@ def ray_limit(
     """
     host, side = components.host, components.side
     pairings = core_pairings(host, side, [transverse])[:, 0]
-    q = {}
-    for cyl, pairing in zip(host.cylinders(side), pairings):
-        if cyl.label not in components.weights:
-            continue
-        if not pairing > 0:
-            raise CertificationError(
-                f"component {cyl.label} has zero pairing with the transverse "
-                "foliation; data is not primitive"
-            )
-        q[cyl.label] = float(components.weights[cyl.label]) / pairing
+    labels = [c.label for c in host.cylinders(side)]
+    own = np.array([lab in components.weights for lab in labels])
+    stray = own & ~(pairings > 0)
+    if stray.any():
+        raise CertificationError(
+            f"component {labels[int(stray.argmax())]} has zero pairing with the "
+            "transverse foliation; data is not primitive"
+        )
+    w = np.array(components.vector(), float)
+    q = np.divide(w, pairings, out=np.zeros(len(labels)), where=own)
     return limit_values(host, side, q, curves)
 
 
@@ -356,7 +353,7 @@ def spec_pairing(
 ) -> np.ndarray:
     """i(spec, gamma) = sqrt(sum_i c_i^2 i(gamma_i, gamma)^2) on ``curves``,
     each scaled by its entry of ``scales`` if given."""
-    q = {lab: float(c) ** 2 for lab, c in spec.coeffs.items()}
+    q = np.array([float(c) ** 2 for c in spec.as_multicurve().vector()])
     return limit_values(spec.host, spec.side, q, curves, scales)
 
 

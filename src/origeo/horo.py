@@ -39,6 +39,7 @@ from .multicurve import (
     WeightedMulticurve,
     core_curve,
     core_labels,
+    core_pairings,
     intersection,
 )
 from .surface import (
@@ -46,12 +47,12 @@ from .surface import (
     WeightedSurface,
     check_weights,
     curve_ext_bounds,
+    curve_ext_rows,
     distance_interval,
     distance_rows,
     elementwise,
     ext_interval,
     ext_rows,
-    pairing_rows,
 )
 
 
@@ -244,22 +245,24 @@ def lower_bound_audit(
     which exists even for proper-subset (MatrixPrimitiveOnly) data.
     """
     f_v, f_h = line.vertical_foliation, line.horizontal_foliation
+    host = line.origami
     sqrt_area = math.sqrt(line.pairing)
-    if curves is None:
-        curves = _core_curves(line.origami)
+    # i(F_v, gamma) = sum_k w_k i(core_k, gamma) over F_v's cores
+    w_v = np.array(f_v.vector(), float)
+    pairings = w_v @ core_pairings(host, f_v.side, curves) / sqrt_area
     limits = ray_limit(f_v, f_h, curves)
+    tags = core_labels(host) if curves is None else [_curve_tag(g) for g in curves]
     entries = []
     min_margin = math.inf
     all_ok = True
-    for gamma, rhs in zip(curves, limits.tolist()):
-        lhs = float(intersection(f_v, gamma)) / sqrt_area
+    for tag, lhs, rhs in zip(tags, pairings.tolist(), limits.tolist()):
         margin = rhs - lhs
         ok = margin >= -1e-12
         all_ok = all_ok and ok
         min_margin = min(min_margin, margin)
         entries.append(
             {
-                "curve": _curve_tag(gamma),
+                "curve": tag,
                 "pairingOverSqrtArea": lhs,
                 "limitValue": rhs,
                 "margin": margin,
@@ -285,7 +288,9 @@ def delta_probe(
     extremal-length upper bound at ``base`` is 1, then min over candidates
     of ``walsh_eval(xi, .) + walsh_eval(eta, .)`` is reported.  The bounds
     are those of :func:`~origeo.surface.curve_ext_bounds`, bit for bit on a
-    float base, taken in one array pass over the candidates' weights; the
+    float base: the candidates' weights are a (candidates x cores) block,
+    the identity for the default cores, and each side's columns go through
+    :func:`~origeo.surface.curve_ext_rows` against the base's one row; the
     scales go straight to the pairing kernel.  A *probe*: the minimum over
     the sampled family only, an upper bound for the true infimum over all
     curves — labeled accordingly, never a certificate.
@@ -293,69 +298,38 @@ def delta_probe(
     if xi.host is not base.origami or eta.host is not base.origami:
         raise HostMismatch("specs and base surface live on different origamis")
     host = base.origami
+    labels = core_labels(host)
     if curves is None:
-        curves = _core_curves(host)
-    if not curves:
+        own = np.eye(len(labels), dtype=bool)
+        u = u2 = own.astype(float)
+        tags = labels
+    elif not curves:
         return {"value": math.inf, "witness": None, "status": "probe"}
-    if any(gamma.host is not host for gamma in curves):
-        raise HostMismatch("curve lives on a different origami")
+    else:
+        if any(gamma.host is not host for gamma in curves):
+            raise HostMismatch("curve lives on a different origami")
+        column = {lab: k for k, lab in enumerate(labels)}
+        shape = (len(curves), len(labels))
+        own, u, u2 = np.zeros(shape, bool), np.zeros(shape), np.zeros(shape)
+        for g, gamma in enumerate(curves):
+            for lab, w in gamma.weights.items():
+                k = column[lab]
+                own[g, k], u[g, k], u2[g, k] = True, float(w), float(w * w)
+        tags = [_curve_tag(gamma) for gamma in curves]
+    h = len(host.cylinders(HORIZONTAL))
     with Checks() as checks:
-        scales = _unit_scales(base, curves, checks)
+        # a curve's columns on the other side are 0, and so is their bound
+        hi = sum(curve_ext_rows(base.rows, side, u[:, cols], u2[:, cols], checks)[1]
+                 for side, cols in ((HORIZONTAL, slice(h)), (VERTICAL, slice(h, None))))
+        scales = 1.0 / np.sqrt(hi)
+        unit = u * scales[:, None]
+        checks.add(~np.where(own, (unit > 0) & (unit < math.inf), True).all(axis=1),
+                   lambda i: InputError(
+                       f"probe curve {tags[i]} has no unit rescaling in "
+                       f"floats: its extremal length bound is {at(hi, i)!r}"))
     values = spec_pairing(xi, curves, scales) + spec_pairing(eta, curves, scales)
     best = int(np.argmin(values))
-    return {
-        "value": float(values[best]),
-        "witness": _curve_tag(curves[best]),
-        "status": "probe",
-    }
-
-
-def _unit_scales(
-    base: WeightedSurface, curves: Sequence[WeightedMulticurve], checks: Checks
-) -> np.ndarray:
-    """Per curve, 1/sqrt of ``curve_ext_bounds(base, curve).hi``, with that
-    call's inversion check and the check that the rescaled weights are
-    positive and finite.  Columns are the cores, horizontal then vertical."""
-    host = base.origami
-    column = {lab: k for k, lab in enumerate(core_labels(host))}
-    shape = (len(curves), len(column))
-    own, u, u2 = np.zeros(shape, bool), np.zeros(shape), np.zeros(shape)
-    for g, gamma in enumerate(curves):
-        for lab, w in gamma.weights.items():
-            k = column[lab]
-            # float(w * w), not float(w) ** 2: curve_ext_bounds squares exactly
-            own[g, k], u[g, k], u2[g, k] = True, float(w), float(w * w)
-    # curve_ext_bounds: the pairing with the other side's foliation, ...
-    h, rows = len(host.cylinders(HORIZONTAL)), base.rows
-    horizontal = np.array([[gamma.side == HORIZONTAL] for gamma in curves])
-    pairing = pairing_rows(host, np.where(horizontal, u[:, :h], rows.heights),
-                           np.where(horizontal, rows.widths, u[:, h:]))
-    cand = pairing * pairing / float(base.area())
-    lo = np.where(cand > 0, cand, 0.0)
-    # ... and the annuli, sum u^2 * circumference/across left to right
-    ratio = np.array([
-        float(base.circumference(side, lab) / across)
-        for side in (HORIZONTAL, VERTICAL)
-        for lab, across in base.defining_foliation(side).weights.items()
-    ])
-    hi = np.add.accumulate(np.where(own, u2 * ratio, 0.0), axis=1)[:, -1]
-    checks.add(lo - hi > 1e-9 * hi, lambda i: CertificationError(
-        f"extremal length bounds inverted: lo={at(lo, i)} hi={at(hi, i)}"))
-    scales = 1.0 / np.sqrt(hi)
-    unit = u * scales[:, None]
-    checks.add(~np.where(own, (unit > 0) & (unit < math.inf), True).all(axis=1),
-               lambda i: InputError(
-                   f"probe curve {_curve_tag(curves[i])} has no unit rescaling in "
-                   f"floats: its extremal length bound is {at(hi, i)!r}"))
-    return scales
-
-
-def _core_curves(host) -> list:
-    return [
-        core_curve(host, side, cyl.label)
-        for side in (HORIZONTAL, VERTICAL)
-        for cyl in host.cylinders(side)
-    ]
+    return {"value": float(values[best]), "witness": tags[best], "status": "probe"}
 
 
 def _curve_tag(gamma: WeightedMulticurve) -> str:

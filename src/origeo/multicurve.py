@@ -241,8 +241,8 @@ def core_pairings(
         pairs = np.hstack([np.zeros((h, h)), n])
     else:
         pairs = np.hstack([n.T, np.zeros((v, v))])
-    if curves is None:
-        return pairs
+    if curves is None:  # the weights are the identity
+        return pairs if scales is None else pairs * scales
     if any(gamma.host is not host for gamma in curves):
         raise HostMismatch("curve lives on a different origami")
     weights = np.array(
@@ -256,7 +256,7 @@ def core_pairings(
 def limit_values(
     host,
     side: str,
-    q: Mapping[str, float],
+    q: np.ndarray,
     curves: Optional[Sequence[WeightedMulticurve]] = None,
     scales: Optional[np.ndarray] = None,
 ) -> np.ndarray:
@@ -264,11 +264,10 @@ def limit_values(
     each scaled by its entry of ``scales`` if given (see :func:`core_pairings`).
 
     The one float kernel behind every limit and spec pairing: k runs over
-    the cores of ``side`` (labels missing from ``q`` weigh 0), and all cores
-    and curves are evaluated in one product with N.
+    the cores of ``side``, ``q`` holds their weights in cylinder order, and
+    all cores and curves are evaluated in one product with N.
     """
-    weights = np.array([float(q.get(c.label, 0)) for c in host.cylinders(side)])
-    return np.sqrt(weights @ core_pairings(host, side, curves, scales) ** 2)
+    return np.sqrt(q @ core_pairings(host, side, curves, scales) ** 2)
 
 
 class FillingStatus(enum.Enum):

@@ -41,7 +41,12 @@ Many float surfaces on one origami (the flow points of a grid, say) make a
 one array pass over its rows, keeping the scalar code's IEEE operations in
 order (sums left to right by ``np.add.accumulate``, exp and log through
 ``math``), so each row has the bits of the scalar call on its surface
-(``qc_upper`` is the one-row case of ``qc_rows``).
+(``qc_upper`` is the one-row case of ``qc_rows``).  ``curve_ext_rows`` is
+the one array form of ``curve_ext_bounds``' pairing and annulus bounds;
+``ext_rows`` is the proportional shortcut plus that kernel, as
+``ext_interval`` is the shortcut plus ``curve_ext_bounds``.  A one-row
+block broadcasts against a block of curve weights, one curve per row,
+which is how :func:`origeo.horo.delta_probe` bounds its probes.
 
 Extremal lengths are memoized per surface, but bounded: each surface keeps
 the ``ext_interval`` of at most ``_EXT_MEMO_SIZE`` curves, keyed by the
@@ -393,7 +398,7 @@ def check_weights(x: SurfaceRows, checks: Checks) -> SurfaceRows:
 def ext_rows(x: SurfaceRows, side: str, u: np.ndarray, checks: Checks):
     """ext_interval at every row for the full-support curve with weights u on
     ``side``: r^2 * area if it is r times the defining foliation, else the
-    curve_ext_bounds enclosure."""
+    curve_ext_rows enclosure."""
     ratios = u / x.side(side)
     lo, hi = ratios.min(axis=1), ratios.max(axis=1)
     prop, r = hi - lo <= _PROPORTIONAL_RTOL * hi, ratios[:, 0]
@@ -402,20 +407,30 @@ def ext_rows(x: SurfaceRows, side: str, u: np.ndarray, checks: Checks):
     exact = r * r * x.area
     if prop.all():
         return exact, exact
-    # curve_ext_bounds: the pairing with the other side's foliation, ...
+    lo, hi = curve_ext_rows(x, side, u, u * u, checks, where=~prop)
+    return np.where(prop, exact, lo), np.where(prop, exact, hi)
+
+
+def curve_ext_rows(x: SurfaceRows, side: str, u: np.ndarray, u2: np.ndarray,
+                   checks: Checks, where=True):
+    """curve_ext_bounds at every row for the curve with weights u on ``side``
+    (0 off its support) and squared weights u2 (float(w * w) for an exact w,
+    as curve_ext_bounds squares); only the rows in ``where`` are checked."""
+    # the pairing with the other side's foliation, ...
     a, b = (u, x.widths) if side == HORIZONTAL else (x.heights, u)
     pairing = pairing_rows(x.origami, a, b)
     cand = pairing * pairing / x.area
     lo = np.where(cand > 0, cand, 0.0)
-    # ... and the annuli
+    # ... and the annuli, sum u^2 * circumference/across over the support
     n = x.origami.intersection_matrix().array
     cells, along = (n, x.widths) if side == HORIZONTAL else (n.T, x.heights)
     circumference = np.add.accumulate(cells * along[:, None, :], axis=2)[:, :, -1]
-    hi = np.add.accumulate(u * u * (circumference / x.side(side)), axis=1)[:, -1]
+    annuli = np.where(u > 0, u2 * (circumference / x.side(side)), 0.0)
+    hi = np.add.accumulate(annuli, axis=1)[:, -1]
     # mathematically lo <= Ext <= hi; allow only float round-off grazing
-    checks.add(~prop & (lo - hi > 1e-9 * hi), lambda i: CertificationError(
+    checks.add(where & (lo - hi > 1e-9 * hi), lambda i: CertificationError(
         f"extremal length bounds inverted: lo={at(lo, i)} hi={at(hi, i)}"))
-    return np.where(prop, exact, np.where(lo > hi, hi, lo)), np.where(prop, exact, hi)
+    return np.where(lo > hi, hi, lo), hi
 
 
 def qc_rows(x: SurfaceRows, y: SurfaceRows, checks: Checks) -> np.ndarray:

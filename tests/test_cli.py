@@ -282,6 +282,15 @@ def test_tol_is_a_geodesic_option_only(command, files, report_file):
     assert "--tol" in res.stderr
 
 
+@pytest.mark.parametrize("command", ["validate", "flow"])
+def test_seed_is_not_a_validate_or_flow_option(command, files, report_file):
+    args = {"validate": [files["origami"]], "flow": [report_file]}[command]
+    assert run_cli(command, *args).returncode == 0
+    res = run_cli(command, *args, "--seed", "1")
+    assert res.returncode == 2
+    assert "--seed" in res.stderr
+
+
 def test_check_config_echoes_only_the_seed():
     res = run_cli("check", "--suite", "gauss", "--seed", "4")
     assert json.loads(res.stdout)["config"] == {"seed": 4}

@@ -8,9 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from origeo.errors import HostMismatch, InputError
-from origeo.geodesic import optimal_geodesic, point_at, spec_pairing
+from origeo.geodesic import optimal_geodesic, point_at, reversed_line, spec_pairing
 from origeo.horo import (
-    _core_curves,
     _curve_tag,
     busemann_interval,
     delta_probe,
@@ -27,10 +26,15 @@ from origeo.multicurve import (
     BusemannSpec,
     WeightedMulticurve,
     core_curve,
+    intersection,
 )
 from origeo.origami import builtin
-from origeo.sampling import jittered_surface, random_full_instance
-from origeo.surface import WeightedSurface, curve_ext_bounds
+from origeo.sampling import (
+    jittered_surface,
+    random_full_instance,
+    random_primitive_instance,
+)
+from origeo.surface import WeightedSurface, curve_ext_bounds, ext_interval
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -209,10 +213,36 @@ def test_composite_curve_tags_in_audit(golden):
     assert rep["status"] == "pass"
 
 
-def _probe_by_curve(xi, eta, base, curves):
-    """delta_probe as a loop over the curves: one curve_ext_bounds call and
-    one rescaled multicurve each."""
-    units = [gamma.scaled(1.0 / math.sqrt(float(curve_ext_bounds(base, gamma).hi)))
+@pytest.mark.parametrize("draw", [random_full_instance, random_primitive_instance])
+@pytest.mark.parametrize("seed", range(4))
+def test_lower_bound_audit_pairs_like_the_per_curve_loop(draw, seed):
+    rng = random.Random(f"audit:{seed}")
+    o, xi, eta = draw(rng, (4, 12))
+    line = optimal_geodesic(xi, eta)
+    mixed = WeightedMulticurve(o, VERTICAL, {c.label: Fraction(rng.randint(1, 9), 7)
+                                             for c in o.cylinders(VERTICAL)})
+    for audited, curves in ((line, None), (reversed_line(line), _cores(o) + [mixed])):
+        rep = lower_bound_audit(audited, curves)
+        sqrt_area = math.sqrt(audited.pairing)
+        for entry, gamma in zip(rep["entries"], curves or _cores(o)):
+            # the array sum runs in another order than the exact loop: a few
+            # float64 roundings apart
+            want = float(intersection(audited.vertical_foliation, gamma)) / sqrt_area
+            assert entry["curve"] == _curve_tag(gamma)
+            assert entry["pairingOverSqrtArea"] == pytest.approx(want, rel=1e-14, abs=0)
+        assert rep["status"] == "pass"
+
+
+def _cores(host):
+    """Every core of the host as a weight-1 multicurve, horizontal first."""
+    return [core_curve(host, side, c.label)
+            for side in (HORIZONTAL, VERTICAL) for c in host.cylinders(side)]
+
+
+def _probe_by_curve(xi, eta, base, curves, bound=curve_ext_bounds):
+    """delta_probe as a loop over the curves: one ``bound`` call (by default
+    curve_ext_bounds) and one rescaled multicurve each."""
+    units = [gamma.scaled(1.0 / math.sqrt(float(bound(base, gamma).hi)))
              for gamma in curves]
     values = spec_pairing(xi, units) + spec_pairing(eta, units)
     best = int(np.argmin(values))
@@ -257,7 +287,7 @@ def _probe_cases(draw):
 @given(_probe_cases())
 def test_delta_probe_is_the_per_curve_bound_bit_for_bit(case):
     xi, eta, base, curves = case
-    want = _probe_by_curve(xi, eta, base, curves or _core_curves(base.origami))
+    want = _probe_by_curve(xi, eta, base, curves or _cores(base.origami))
     assert delta_probe(xi, eta, base, curves=curves) == want
 
 
@@ -269,3 +299,26 @@ def test_delta_probe_refuses_a_curve_without_unit_rescaling(golden, height, widt
                            {c.label: width for c in o.cylinders(VERTICAL)})
     with pytest.raises(InputError, match="probe curve A1 has no unit rescaling"):
         delta_probe(golden.forward_spec, golden.backward_spec, base)
+
+
+def test_delta_probe_takes_no_shortcut_on_a_one_cylinder_side():
+    # the lone horizontal core is proportional to the horizontal foliation,
+    # and its r^2 * area from ext_interval is off curve_ext_bounds' upper
+    # bound in the last bit, which here moves the reported value
+    o, xi, eta = random_full_instance(random.Random("one-cylinder:9"), (3, 8))
+    assert len(o.cylinders(HORIZONTAL)) == 1
+    base = point_at(optimal_geodesic(xi, eta), 1.5)
+    want = _probe_by_curve(xi, eta, base, _cores(o))
+    assert want != _probe_by_curve(xi, eta, base, _cores(o), bound=ext_interval)
+    assert delta_probe(xi, eta, base) == want
+
+
+def test_default_probes_build_no_multicurve(golden, monkeypatch):
+    """The default probes, every core, are an identity block of weights."""
+    built = []
+    init = WeightedMulticurve.__post_init__
+    monkeypatch.setattr(WeightedMulticurve, "__post_init__",
+                        lambda self: built.append(self) or init(self))
+    delta_probe(golden.forward_spec, golden.backward_spec, golden.base_surface)
+    lower_bound_audit(golden)
+    assert built == []
