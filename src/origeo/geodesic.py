@@ -175,8 +175,8 @@ def optimal_geodesic(
         raise range_error
     n_sub = n.array[
         np.ix_(
-            [n.row_labels.index(lab) for lab in eta_support],
-            [n.col_labels.index(lab) for lab in xi_support],
+            [n.row_index[lab] for lab in eta_support],
+            [n.col_index[lab] for lab in xi_support],
         )
     ]
     with np.errstate(all="ignore"):  # range loss is reported just below

@@ -203,9 +203,7 @@ def minsky_audit(
     entries = []
     all_ok = True
     for alab, blab in pairs:
-        n_ab = matrix.entries[matrix.row_labels.index(alab)][
-            matrix.col_labels.index(blab)
-        ]
+        n_ab = matrix.entries[matrix.row_index[alab]][matrix.col_index[blab]]
         bound = ext_hi(HORIZONTAL, alab) * ext_hi(VERTICAL, blab)
         ok = n_ab * n_ab <= bound
         all_ok = all_ok and ok

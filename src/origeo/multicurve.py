@@ -38,6 +38,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
 from types import MappingProxyType
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
@@ -60,12 +61,15 @@ class IntersectionMatrix:
     family with the j-th curve of the column family.  For an origami these
     are the cell counts shared by cylinder pairs, so the row sums are the
     horizontal cylinder lengths, the column sums the vertical ones, and the
-    grand total is the number of squares.
+    grand total is the number of squares.  ``row_index`` and ``col_index``
+    map each label to its position, read-only, built with the matrix.
     """
 
     entries: Tuple[Tuple[Weight, ...], ...]
     row_labels: Tuple[str, ...]
     col_labels: Tuple[str, ...]
+    row_index: Mapping[str, int] = field(init=False, repr=False, compare=False)
+    col_index: Mapping[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         k, l = self.shape
@@ -75,8 +79,12 @@ class IntersectionMatrix:
             raise InputError("ragged intersection matrix")
         if len(self.row_labels) != k or len(self.col_labels) != l:
             raise InputError("label count does not match matrix shape")
-        if any(x < 0 for row in self.entries for x in row):
+        if min(map(min, self.entries)) < 0:
             raise InputError("negative intersection number")
+        rows = {lab: i for i, lab in enumerate(self.row_labels)}
+        cols = {lab: j for j, lab in enumerate(self.col_labels)}
+        object.__setattr__(self, "row_index", MappingProxyType(rows))
+        object.__setattr__(self, "col_index", MappingProxyType(cols))
 
     @property
     def shape(self) -> Tuple[int, int]:
@@ -88,8 +96,9 @@ class IntersectionMatrix:
     @cached_property
     def sparse_rows(self) -> Tuple[Tuple[Tuple[int, Weight], ...], ...]:
         """Per row, the (column, entry) pairs of its nonzero entries, in order."""
+        cols = range(len(self.col_labels))
         return tuple(
-            tuple((j, x) for j, x in enumerate(row) if x != 0) for row in self.entries
+            tuple([(j, row[j]) for j in compress(cols, row)]) for row in self.entries
         )
 
     @cached_property
@@ -276,17 +285,18 @@ class FillingStatus(enum.Enum):
     NOT_FILLING = "NotFilling"
 
 
-def support_is_primitive(rows: Sequence[Sequence[Weight]]) -> bool:
+def support_is_primitive(row_cols: Sequence[Sequence[int]], n_cols: int) -> bool:
     """No zero row, no zero column, connected bipartite support graph.
 
-    The shape under which the two-sided eigensystem closes: every component
-    of either family meets the other, and ``{(i, j): rows[i][j] != 0}`` does
-    not split into independent blocks.
+    ``row_cols[i]`` lists the columns of the nonzero cells of row i, so the
+    search runs over the nonzero cells only.  This is the shape under which
+    the two-sided eigensystem closes: every component of either family
+    meets the other, and the support does not split into independent
+    blocks.
     """
-    if not rows or not rows[0]:
+    if not row_cols or not n_cols:
         return False
-    row_cols = [[j for j, x in enumerate(row) if x != 0] for row in rows]
-    col_rows = [[] for _ in rows[0]]
+    col_rows = [[] for _ in range(n_cols)]
     for i, cols in enumerate(row_cols):
         for j in cols:
             col_rows[j].append(i)
@@ -303,7 +313,7 @@ def support_is_primitive(rows: Sequence[Sequence[Weight]]) -> bool:
                 if i not in seen_rows:
                     seen_rows.add(i)
                     frontier.append(i)
-    return len(seen_rows) == len(rows)
+    return len(seen_rows) == len(row_cols)
 
 
 def submatrix_is_primitive_shape(
@@ -311,10 +321,14 @@ def submatrix_is_primitive_shape(
     row_support: Iterable[str],
     col_support: Iterable[str],
 ) -> bool:
-    """:func:`support_is_primitive` on the rows and columns of the supports."""
-    cols = [matrix.col_labels.index(lab) for lab in col_support]
-    rows = [matrix.entries[matrix.row_labels.index(lab)] for lab in row_support]
-    return support_is_primitive([[row[j] for j in cols] for row in rows])
+    """:func:`support_is_primitive` on the rows and columns of the supports,
+    read off the nonzero cells of N."""
+    pos = {matrix.col_index[lab]: p for p, lab in enumerate(col_support)}
+    row_cols = [
+        [pos[j] for j, _ in matrix.sparse_rows[matrix.row_index[lab]] if j in pos]
+        for lab in row_support
+    ]
+    return support_is_primitive(row_cols, len(pos))
 
 
 def filling_status(a: WeightedMulticurve, b: WeightedMulticurve) -> FillingStatus:

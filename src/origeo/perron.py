@@ -17,12 +17,15 @@ methods (Acta Numerica 2010).  A float64 ndarray, as :func:`gram_array`
 forms it, is used as it is: ``np.frexp`` gives its exact integer image
 (53-bit mantissas over one power-of-two denominator), so the bracket is
 exact on the very matrix ``eigh`` saw.  Other inputs (sequences of ints,
-floats or rationals) are bracketed on their exact rational entries.  The
-tolerance is relative: the solve
-refuses unless ``hi - lo <= tol * lo``.  Where ``eigh`` resolves small
-entries of x only to absolute precision (weights spread over many orders
-of magnitude), a few power steps ``x <- Tx``, whose brackets are nested,
-narrow the bracket first.  Simplicity needs no separate certificate; it
+floats or rationals) are bracketed on their exact rational entries, so an
+entry too small for a float still counts.  Both the primitivity test and
+the bracket run over the nonzero cells of T only, and the bracket builds
+just its two extreme quotients as rationals, so on a staircase T, which
+is tridiagonal, their Python work is O(k) and not O(k^2).  The tolerance
+is relative: the solve refuses unless ``hi - lo <= tol * lo``.  Where
+``eigh`` resolves small entries of x only to absolute precision (weights
+spread over many orders of magnitude), a few power steps ``x <- Tx``,
+whose brackets are nested, narrow the bracket first.  Simplicity needs no separate certificate; it
 follows from primitivity by Perron–Frobenius.
 
 :func:`wielandt_oracle` is the brute-force characterization (some power of
@@ -40,6 +43,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Sequence, Tuple, Union
 
 import numpy as np
@@ -100,9 +104,11 @@ def is_primitive(matrix: Matrix) -> bool:
     """No zero row, no zero column, connected bipartite support graph.
 
     Delegates to :func:`multicurve.support_is_primitive`, the one
-    support-graph search of the package.
+    support-graph search of the package, on the nonzero cells of each row.
     """
-    return support_is_primitive(_rows(matrix))
+    rows = _rows(matrix)
+    cols = range(len(rows[0]))
+    return support_is_primitive([list(compress(cols, row)) for row in rows], len(cols))
 
 
 def _some_power_positive(t: Sequence[Sequence[int]]) -> bool:
@@ -142,7 +148,9 @@ class PerronResult:
     upper: float
 
 
-def _check_symmetric_primitive(t: np.ndarray) -> None:
+def _check_symmetric_primitive(t: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Refuse what is not a primitive symmetric nonnegative square; return
+    the row and column indices of its nonzero cells, in row order."""
     if t.ndim != 2 or t.size == 0:
         raise InputError("matrix must be a nonempty square")
     k, l = t.shape
@@ -154,10 +162,15 @@ def _check_symmetric_primitive(t: np.ndarray) -> None:
         raise InputError("matrix must be entrywise nonnegative")
     if not np.array_equal(t, t.T):
         raise InputError("matrix must be symmetric (use gram())")
-    if np.any(np.diag(t) == 0) or not is_primitive(t.tolist()):
+    rows, cols = np.nonzero(t)
+    row_cols = [[] for _ in range(k)]
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        row_cols[i].append(j)
+    if np.any(np.diag(t) == 0) or not support_is_primitive(row_cols, k):
         raise NotPrimitiveError(
             "matrix is not primitive: zero line or disconnected support"
         )
+    return rows, cols
 
 
 def _as_ratio(v) -> Tuple[int, int]:
@@ -194,12 +207,25 @@ def _float_image(arr: np.ndarray) -> Tuple[np.ndarray, int]:
 
 
 def _collatz_wielandt(
-    a: np.ndarray, den: int, x: np.ndarray
+    a: np.ndarray, den: int, rows: np.ndarray, cols: np.ndarray, x: np.ndarray
 ) -> Tuple[Fraction, Fraction]:
-    """min_i and max_i of (T x)_i / x_i, exact, for T = a / den and x > 0."""
+    """min_i and max_i of (T x)_i / x_i, exact, for x > 0 and T = a / den.
+
+    T is given by its nonzero cells: integers ``a`` at (``rows``, ``cols``),
+    in row order, with at least one cell in every row.
+    """
     xi, _ = _float_image(x)
-    quotients = [Fraction(num, v * den) for num, v in zip(a @ xi, xi)]
-    return min(quotients), max(quotients)
+    starts = np.searchsorted(rows, np.arange(len(x)))
+    num = np.add.reduceat(a * xi[cols], starts).tolist()
+    xs = xi.tolist()
+    # x > 0, so num_i / x_i < num_j / x_j exactly when num_i x_j < num_j x_i
+    lo = hi = 0
+    for i in range(1, len(xs)):
+        if num[i] * xs[lo] < num[lo] * xs[i]:
+            lo = i
+        elif num[i] * xs[hi] > num[hi] * xs[i]:
+            hi = i
+    return Fraction(num[lo], xs[lo] * den), Fraction(num[hi], xs[hi] * den)
 
 
 def perron_solve(t: Matrix, tol: float = DEFAULT_TOL, seed: int = 0) -> PerronResult:
@@ -229,7 +255,7 @@ def perron_solve(t: Matrix, tol: float = DEFAULT_TOL, seed: int = 0) -> PerronRe
         if any(len(row) != len(rows) for row in rows):
             raise InputError("matrix must be square")
         arr = np.array([[float(v) for v in row] for row in rows], dtype=float)
-    _check_symmetric_primitive(arr)
+    nz = _check_symmetric_primitive(arr)
     if not (0 < tol < math.inf):
         raise InputError(f"tolerance must be positive and finite, got {tol!r}")
     values, vectors = np.linalg.eigh(arr)
@@ -249,8 +275,13 @@ def perron_solve(t: Matrix, tol: float = DEFAULT_TOL, seed: int = 0) -> PerronRe
             iterations=iterations,
             residual=math.inf,
         )
-    image = _float_image(arr) if rows is None else _integer_matrix(rows)
-    lo, hi = _collatz_wielandt(*image, x)
+    if rows is None:
+        a, den = _float_image(arr[nz])
+    else:  # exact entries that round to 0.0 still count
+        a, den = _integer_matrix(rows)
+        nz = np.nonzero(a)
+        a = a[nz]
+    lo, hi = _collatz_wielandt(a, den, *nz, x)
     if hi - lo > Fraction(tol) * lo:
         raise NoConvergenceError(
             f"Collatz–Wielandt bracket around {float(lo)!r} has relative width "

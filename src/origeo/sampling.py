@@ -160,10 +160,7 @@ def random_primitive_instance(
         vs = sorted(rng.sample(ver, k))
         hs = sorted(rng.sample(hor, l))
         n = o.intersection_matrix()
-        sub = [
-            [n.entries[n.row_labels.index(a)][n.col_labels.index(b)] for b in vs]
-            for a in hs
-        ]
+        sub = [[n.entries[n.row_index[a]][n.col_index[b]] for b in vs] for a in hs]
         if any(e > max_entry for row in sub for e in row):
             continue
         if not submatrix_is_primitive_shape(n, frozenset(hs), frozenset(vs)):

@@ -328,10 +328,32 @@ def _coupling(line):
     ]
 
 
-@pytest.mark.parametrize("n", [40, 80])
-def test_staircases_with_closing_gaps_certify(n):
-    # lambda_2 / lambda_1 is 0.983 at n = 40 and 0.9956 at n = 80
-    line = optimal_geodesic(*_unit_specs(_staircase(n)))
+def _relabelled_staircase(n, seed):
+    """The staircase with its cells renumbered by a seeded permutation."""
+    o = _staircase(n)
+    sigma = list(range(1, n + 1))
+    random.Random(seed).shuffle(sigma)
+    h, v = [0] * n, [0] * n
+    for i in range(n):
+        h[sigma[i] - 1] = sigma[o.h[i] - 1]
+        v[sigma[i] - 1] = sigma[o.v[i] - 1]
+    return Origami(n, h, v)
+
+
+@pytest.mark.parametrize(
+    "n, relabel",
+    [
+        pytest.param(40, False, id="40"),
+        pytest.param(80, False, id="80"),
+        pytest.param(160, False, id="160"),
+        pytest.param(160, True, id="160-relabelled"),
+    ],
+)
+def test_staircases_with_closing_gaps_certify(n, relabel):
+    # lambda_2 / lambda_1 is 0.983 at n = 40, 0.9956 at n = 80 and 0.9989 at
+    # n = 160; renumbering the cells reorders the rows and columns of N
+    o = _relabelled_staircase(n, f"stair:{n}") if relabel else _staircase(n)
+    line = optimal_geodesic(*_unit_specs(o))
     lam = float(np.linalg.eigvalsh(np.array(gram(_coupling(line))))[-1])
     assert line.eigen.lower <= line.eigen.eigenvalue <= line.eigen.upper
     assert abs(line.eigen.eigenvalue - lam) <= 1e-10 * lam

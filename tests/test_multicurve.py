@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from origeo.multicurve import (
     VERTICAL,
     BusemannSpec,
     FillingStatus,
+    IntersectionMatrix,
     WeightedMulticurve,
     busemann_spec_to_json,
     core_curve,
@@ -15,8 +17,12 @@ from origeo.multicurve import (
     intersection,
     pair_intersection,
     parse_busemann_spec,
+    submatrix_is_primitive_shape,
+    support_is_primitive,
 )
 from origeo.origami import builtin
+from origeo.perron import is_primitive, wielandt_oracle
+from origeo.sampling import random_matrix, random_origami
 
 
 @pytest.fixture
@@ -170,3 +176,94 @@ def test_spec_rejects_non_finite_coefficients(l22, value):
     data = {"side": "vertical", "coeffs": [["B1", "1"], ["B2", value]], "approx": True}
     with pytest.raises(InputError, match="B2"):
         parse_busemann_spec(data, l22)
+
+
+# ---------------------------------------------------------------------------
+# the support-graph search on the nonzero cells
+
+
+def dense_primitive_shape(m):
+    """No zero row or column and one connected block, by merging every
+    pair of rows that share a column, over all cells of the dense matrix."""
+    if not m or not m[0]:
+        return False
+    k, l = len(m), len(m[0])
+    if not all(any(row) for row in m):
+        return False
+    if not all(any(row[j] for row in m) for j in range(l)):
+        return False
+    block = list(range(k))
+
+    def root(i):
+        while block[i] != i:
+            i = block[i]
+        return i
+
+    for j in range(l):
+        rows = [i for i in range(k) if m[i][j]]
+        for i in rows[1:]:
+            block[root(i)] = root(rows[0])
+    return len({root(i) for i in range(k)}) == 1
+
+
+def _random_support(rng):
+    """A random 0/1 matrix, sometimes with a zero row or a zero column."""
+    m = [list(row) for row in random_matrix(
+        rng, rng.randint(1, 6), rng.randint(1, 6), max_entry=1,
+        zero_chance=rng.choice([0.2, 0.5, 0.8]))]
+    if rng.random() < 0.2:
+        m[rng.randrange(len(m))] = [0] * len(m[0])
+    if rng.random() < 0.2:
+        j = rng.randrange(len(m[0]))
+        for row in m:
+            row[j] = 0
+    return m
+
+
+def test_sparse_search_agrees_with_the_oracles_on_random_supports():
+    rng = random.Random("sparse-search")
+    seen = set()
+    for _ in range(400):
+        m = _random_support(rng)
+        expect = dense_primitive_shape(m)
+        seen.add(expect)
+        row_cols = [[j for j, x in enumerate(row) if x] for row in m]
+        assert support_is_primitive(row_cols, len(m[0])) == expect
+        assert is_primitive(m) == expect
+        assert wielandt_oracle(m) == expect
+    assert seen == {True, False}
+
+
+def test_submatrix_shape_reads_label_subsets_off_the_sparse_rows():
+    rng = random.Random("submatrix-shape")
+    seen = set()
+    for _ in range(60):
+        n = random_origami(rng, (3, 30)).intersection_matrix()
+        for _ in range(5):
+            rows = rng.sample(n.row_labels, rng.randint(0, len(n.row_labels)))
+            cols = rng.sample(n.col_labels, rng.randint(0, len(n.col_labels)))
+            sub = [
+                [n.entries[n.row_labels.index(a)][n.col_labels.index(b)] for b in cols]
+                for a in rows
+            ]
+            expect = dense_primitive_shape(sub)
+            seen.add(expect)
+            for rs, cs in ((rows, cols), (frozenset(rows), frozenset(cols))):
+                assert submatrix_is_primitive_shape(n, rs, cs) == expect
+            if rows and cols:
+                assert wielandt_oracle(sub) == expect
+    assert seen == {True, False}
+
+
+def test_intersection_matrix_label_maps_and_sparse_rows():
+    n = IntersectionMatrix(((2, 0, 1), (0, 0, 3)), ("A2", "A1"), ("B3", "B1", "B2"))
+    assert dict(n.row_index) == {"A2": 0, "A1": 1}
+    assert dict(n.col_index) == {"B3": 0, "B1": 1, "B2": 2}
+    assert n.sparse_rows == (((0, 2), (2, 1)), ((2, 3),))
+    with pytest.raises(TypeError):
+        n.row_index["A3"] = 2  # shared by every caller, so read-only
+
+
+def test_intersection_matrix_refuses_negative_entries():
+    with pytest.raises(InputError, match="negative intersection number"):
+        IntersectionMatrix(((1, 2), (0, -1)), ("A1", "A2"), ("B1", "B2"))

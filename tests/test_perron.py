@@ -397,3 +397,99 @@ def test_frexp_image_of_extremes():
     a, d = perron._float_image(arr)
     for v, num in zip(arr.ravel().tolist(), a.ravel().tolist()):
         assert Fraction(num, d) == Fraction(v)
+
+
+# ---------------------------------------------------------------------------
+# the Collatz–Wielandt bracket on the nonzero cells of T
+
+
+def _outward(lo, hi):
+    """The exact bracket [lo, hi] rounded outward to floats."""
+    lower, upper = float(lo), float(hi)
+    if Fraction(lower) > lo:
+        lower = math.nextafter(lower, -math.inf)
+    if Fraction(upper) < hi:
+        upper = math.nextafter(upper, math.inf)
+    return lower, upper
+
+
+def _dense_quotients(t, x):
+    """(T x)_i / x_i for every row, over all k^2 cells in Fractions."""
+    t = [[Fraction(v) for v in row] for row in t]
+    x = [Fraction(v) for v in x]
+    return [sum(a * b for a, b in zip(row, x)) / xi for row, xi in zip(t, x)]
+
+
+@st.composite
+def _wide_symmetric_primitive(draw):
+    """Symmetric matrices with a connected support and a positive diagonal,
+    scaled so that their entries are subnormal, near 1e-300, near 1 or near
+    1e300."""
+    k = draw(st.integers(1, 6))
+    scale = draw(st.sampled_from([2.0**-1060, 1e-300, 1.0, 1e300]))
+    entry = st.floats(1.0, 10.0)
+    t = [[0.0] * k for _ in range(k)]
+    for i in range(k):
+        t[i][i] = draw(entry) * scale
+        # a random spanning tree keeps the support connected
+        if i:
+            j = draw(st.integers(0, i - 1))
+            t[i][j] = t[j][i] = draw(entry) * scale
+        for j in range(i):
+            if t[i][j] == 0 and draw(st.booleans()):
+                t[i][j] = t[j][i] = draw(entry) * scale
+    return np.array(t)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(_wide_symmetric_primitive())
+def test_sparse_bracket_equals_the_dense_rational_bracket(t):
+    try:
+        # subnormal entries carry few bits, so the float ratios the solve
+        # tracks are coarse; a loose tol still leaves the exact bracket
+        res = perron_solve(t, tol=0.5)
+    except NoConvergenceError:
+        assume(False)
+    q = _dense_quotients(t.tolist(), res.vector)
+    assert (res.lower, res.upper) == _outward(min(q), max(q))
+    assert res.lower <= res.eigenvalue <= res.upper
+
+
+def test_exact_entries_that_underflow_in_floats_stay_in_the_bracket(monkeypatch):
+    tiny = Fraction(1, 10**400)
+    assert float(tiny) == 0.0
+    # connected without the tiny cell too, so the float copy is primitive
+    t = ((2, tiny, 1), (tiny, 3, 1), (1, 1, 2))
+    seen = []
+    bracket = perron._collatz_wielandt
+
+    def spy(*args):
+        seen.append(bracket(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(perron, "_collatz_wielandt", spy)
+    res = perron_solve(t)
+    q = _dense_quotients(t, res.vector)
+    assert seen == [(min(q), max(q))]
+    assert (res.lower, res.upper) == _outward(min(q), max(q))
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_bracket_reads_only_the_nonzero_cells(monkeypatch, exact):
+    # tridiagonal, like the Gram matrix of a staircase coupling
+    k = 80
+    off = np.diag(np.ones(k - 1), 1)
+    t = np.diag(np.full(k, 3.0)) + off + off.T
+    cells = []
+    bracket = perron._collatz_wielandt
+
+    def spy(a, den, rows, cols, x):
+        cells.append((len(a), len(rows), len(cols)))
+        return bracket(a, den, rows, cols, x)
+
+    monkeypatch.setattr(perron, "_collatz_wielandt", spy)
+    perron_solve(t.astype(int).tolist() if exact else t)
+    nnz = np.count_nonzero(t)
+    assert nnz == 3 * k - 2 < k * k
+    assert cells == [(nnz, nnz, nnz)]
