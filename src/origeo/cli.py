@@ -18,8 +18,9 @@ timestamps and floats print with 15 significant digits, except a report's
 ``lambda``, printed as the shortest string that reads back to the same
 float so that it lies inside its printed bracket.  Only ``geodesic`` takes
 ``--tol``; ``flow`` and ``converge`` rebuild the line at the tolerance its
-report records.  ``--seed`` is taken by ``geodesic`` (the report records
-it), ``converge`` (its jitter) and ``check``.
+report records.  Only ``converge`` (its jitter) and ``check`` (its random
+cases) take ``--seed``; the geodesic construction draws nothing at random,
+and a report's ``config.seed`` is always 0.
 
 The argument parser is built once per process, on the first :func:`main`
 call, and reused; ``main`` then looks the subcommand up by name
@@ -183,7 +184,7 @@ def cmd_geodesic(args: argparse.Namespace) -> str:
     o = _resolve_origami(args)
     xi = parse_busemann_spec(_load_json(args.xi), o)
     eta = parse_busemann_spec(_load_json(args.eta), o)
-    line = optimal_geodesic(xi, eta, tol=cfg.tol, seed=cfg.seed)
+    line = optimal_geodesic(xi, eta, tol=cfg.tol)
     text = json.dumps(line_report(line), indent=2) + "\n"
     _emit(text, cfg.out)
     return text
@@ -369,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=None,
                    help="relative width the eigenvalue bracket must reach "
                         "(default 1e-12); flow and converge reuse the report's")
-    add_common(p)
+    add_common(p, seed=False)
 
     p = sub.add_parser("flow", help="sample a geodesic report along a time grid")
     p.add_argument("report", help="geodesic report JSON (from `origeo geodesic`)")

@@ -60,7 +60,6 @@ from .multicurve import (
     WeightedMulticurve,
     busemann_spec_to_json,
     core_labels,
-    core_pairings,
     filling_status,
     intersection,
     limit_values,
@@ -103,7 +102,6 @@ class GeodesicLine:
     walsh_forward_cosine: float
     walsh_backward_cosine: float
     tol: float
-    seed: int
     _points: Dict[float, WeightedSurface] = field(
         default_factory=dict, init=False, compare=False, repr=False
     )
@@ -119,17 +117,14 @@ class GeodesicLine:
 
 
 def optimal_geodesic(
-    xi: BusemannSpec,
-    eta: BusemannSpec,
-    origami: Optional[Origami] = None,
-    tol: float = DEFAULT_TOL,
-    seed: int = 0,
+    xi: BusemannSpec, eta: BusemannSpec, tol: float = DEFAULT_TOL
 ) -> GeodesicLine:
     """Construct the optimal geodesic joining two boundary specifications.
 
     The vertical-side family is always the forward datum; the two specs may
-    be passed in either order but must sit on opposite sides.  Raises
-    NotFillingError / NotPrimitiveError when the pair cannot span a
+    be passed in either order but must sit on opposite sides of one host;
+    they and ``tol`` fix every bit of the line (nothing is drawn at random).
+    Raises NotFillingError / NotPrimitiveError when the pair cannot span a
     geodesic, InputError when a coefficient's square leaves the normal
     float64 range or the float coupling M or M M^T leaves the float64 range
     (an entry overflows to inf, or one the exact coupling makes positive
@@ -139,8 +134,6 @@ def optimal_geodesic(
     """
     if xi.host is not eta.host:
         raise HostMismatch("the two specs live on different origamis")
-    if origami is not None and origami is not xi.host:
-        raise HostMismatch("passed origami is not the specs' host")
     if xi.side == eta.side:
         raise SideMismatch(
             f"need one family per side, got both on {xi.side}"
@@ -194,7 +187,7 @@ def optimal_geodesic(
     ):
         raise range_error
 
-    eigen = perron_solve(mmt, tol=tol, seed=seed)
+    eigen = perron_solve(mmt, tol=tol)
     scale = math.sqrt(eigen.eigenvalue)
     xv = np.array(eigen.vector)
     yv = (m.T @ xv) / scale
@@ -246,7 +239,6 @@ def optimal_geodesic(
         walsh_forward_cosine=cos_fwd,
         walsh_backward_cosine=cos_bwd,
         tol=tol,
-        seed=seed,
     )
 
 
@@ -329,20 +321,26 @@ def ray_limit(
     Read off the ergodic decomposition of ``components``:
     value(gamma)^2 = sum_k (w_k i(core_k, gamma))^2 / (w_k i(core_k, F)),
     which is :func:`limit_values` with q_k = w_k / i(core_k, F) for the
-    transverse foliation F.  That pairing is positive for primitive data.
+    transverse foliation F, one product of N (or N^T) with F's weights.
+    That pairing is positive for primitive data.
     """
     host, side = components.host, components.side
-    pairings = core_pairings(host, side, [transverse])[:, 0]
-    labels = [c.label for c in host.cylinders(side)]
-    own = np.array([lab in components.weights for lab in labels])
+    if transverse.host is not host:
+        raise HostMismatch("the two foliations live on different origamis")
+    if transverse.side == side:
+        raise SideMismatch(f"both foliations are {side}; F must be transverse")
+    n = host.intersection_matrix().array
+    f = np.array(transverse.vector(), float)
+    pairings = n @ f if side == HORIZONTAL else f @ n
+    w = np.array(components.vector(), float)
+    own = w > 0
     stray = own & ~(pairings > 0)
     if stray.any():
         raise CertificationError(
-            f"component {labels[int(stray.argmax())]} has zero pairing with the "
-            "transverse foliation; data is not primitive"
+            f"component {host.cylinders(side)[int(stray.argmax())].label} has "
+            "zero pairing with the transverse foliation; data is not primitive"
         )
-    w = np.array(components.vector(), float)
-    q = np.divide(w, pairings, out=np.zeros(len(labels)), where=own)
+    q = np.divide(w, pairings, out=np.zeros(len(w)), where=own)
     return limit_values(host, side, q, curves)
 
 
@@ -414,7 +412,8 @@ def reversed_line(line: GeodesicLine) -> GeodesicLine:
 
 
 def line_report(line: GeodesicLine) -> dict:
-    """JSON-ready report; embeds the inputs so the line can be rebuilt."""
+    """JSON-ready report; embeds the inputs so the line can be rebuilt.
+    ``config.seed`` is always 0: the construction draws nothing at random."""
     area_val = None
     if line.base_surface is not None:
         area_val = f"{float(line.base_surface.area()):.15g}"
@@ -438,7 +437,7 @@ def line_report(line: GeodesicLine) -> dict:
             "xi": busemann_spec_to_json(line.forward_spec),
             "eta": busemann_spec_to_json(line.backward_spec),
         },
-        "config": {"tol": line.tol, "seed": line.seed},
+        "config": {"tol": line.tol, "seed": 0},
     }
 
 
@@ -446,7 +445,8 @@ def line_from_report(report: dict) -> GeodesicLine:
     """Rebuild a line from a report's embedded inputs (deterministic).
 
     ``config`` is optional; when present it must be an object whose ``tol``
-    is a number and whose ``seed`` is an integer.
+    is a number and whose ``seed`` is an integer.  The seed's value is not
+    used: the construction draws nothing at random.
     """
     try:
         inputs = report["inputs"]
@@ -468,4 +468,4 @@ def line_from_report(report: dict) -> GeodesicLine:
         tol = float(tol)
     except OverflowError:
         raise InputError("report config 'tol' is beyond the float range") from None
-    return optimal_geodesic(xi, eta, tol=tol, seed=seed)
+    return optimal_geodesic(xi, eta, tol=tol)

@@ -81,15 +81,10 @@ def psi_rows(ext_x, ext_0, checks: Checks):
 
 
 def psi_interior(
-    z: WeightedSurface,
-    x: WeightedSurface,
-    x0: WeightedSurface,
-    family: Optional[Sequence[WeightedMulticurve]] = None,
+    z: WeightedSurface, x: WeightedSurface, x0: WeightedSurface
 ) -> ValueInterval:
     """d(X, Z) - d(X0, Z) as a certified interval."""
-    dxz = distance_interval(x, z, family=family)
-    d0z = distance_interval(x0, z, family=family)
-    return dxz.minus(d0z)
+    return distance_interval(x, z).minus(distance_interval(x0, z))
 
 
 def _enclosure(line: GeodesicLine, y: WeightedSurface, horizon: float) -> ValueInterval:
@@ -142,20 +137,15 @@ def busemann_rows(line: GeodesicLine, y: SurfaceRows, horizons, checks: Checks):
 
 
 def miyachi_intersection(
-    x: WeightedSurface,
-    y: WeightedSurface,
-    x0: WeightedSurface,
-    family: Optional[Sequence[WeightedMulticurve]] = None,
+    x: WeightedSurface, y: WeightedSurface, x0: WeightedSurface
 ) -> ValueInterval:
     """exp(-2 <X|Y>_{X0}) with the Gromov product taken interval-soundly.
 
     Multiplicative counterpart of the distance bracket: equals 1 exactly
     when X0 lies on a geodesic between X and Y.
     """
-    dx = distance_interval(x0, x, family=family)
-    dy = distance_interval(x0, y, family=family)
-    dxy = distance_interval(x, y, family=family)
-    lo, hi = checked(miyachi_rows, *((d.lo, d.hi) for d in (dx, dy, dxy)))
+    ds = distance_interval(x0, x), distance_interval(x0, y), distance_interval(x, y)
+    lo, hi = checked(miyachi_rows, *((d.lo, d.hi) for d in ds))
     return ValueInterval(at(lo, 0), at(hi, 0))
 
 

@@ -49,9 +49,9 @@ from typing import Sequence, Tuple, Union
 import numpy as np
 
 from .errors import InputError, NoConvergenceError, NotPrimitiveError
-from .multicurve import IntersectionMatrix, support_is_primitive
+from .multicurve import support_is_primitive
 
-Matrix = Union[IntersectionMatrix, Sequence[Sequence[Union[int, float]]]]
+Matrix = Sequence[Sequence[Union[int, float]]]
 
 DEFAULT_TOL = 1e-12
 # Power steps that may follow the dense solve.  Coefficients spread over
@@ -61,8 +61,6 @@ MAX_POWER_STEPS = 1000
 
 
 def _rows(matrix: Matrix) -> Tuple[Tuple, ...]:
-    if isinstance(matrix, IntersectionMatrix):
-        return matrix.entries
     rows = tuple(tuple(row) for row in matrix)
     if not rows or not rows[0]:
         raise InputError("matrix must be nonempty")
@@ -228,7 +226,7 @@ def _collatz_wielandt(
     return Fraction(num[lo], xs[lo] * den), Fraction(num[hi], xs[hi] * den)
 
 
-def perron_solve(t: Matrix, tol: float = DEFAULT_TOL, seed: int = 0) -> PerronResult:
+def perron_solve(t: Matrix, tol: float = DEFAULT_TOL) -> PerronResult:
     """Leading eigenpair of a primitive symmetric nonnegative matrix.
 
     One dense ``eigh``; the top eigenvector's absolute values, l1-normalized,
@@ -243,14 +241,12 @@ def perron_solve(t: Matrix, tol: float = DEFAULT_TOL, seed: int = 0) -> PerronRe
     takes up to MAX_POWER_STEPS power steps ``x <- Tx``: the brackets of
     successive powers are nested, and the steps repair small entries that
     ``eigh`` resolves only to absolute precision.  NoConvergenceError is
-    raised if the exact bracket is then still too wide.  ``seed`` is
-    accepted for compatibility and unused: the solve is deterministic.
+    raised if the exact bracket is then still too wide.  The solve is
+    deterministic: the same T gives the same bits.
     """
     if isinstance(t, np.ndarray) and t.dtype == np.float64:
         arr, rows = t, None
     else:
-        if isinstance(t, IntersectionMatrix):
-            t = t.entries
         rows = [tuple(row) for row in t]
         if any(len(row) != len(rows) for row in rows):
             raise InputError("matrix must be square")

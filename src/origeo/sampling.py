@@ -68,28 +68,15 @@ def random_origami(
     )
 
 
-def random_fraction(
-    rng: random.Random, max_num: int = 4, max_den: int = 3
-) -> Fraction:
-    """A positive rational with small numerator and denominator."""
-    return Fraction(rng.randint(1, max_num), rng.randint(1, max_den))
+def random_fraction(rng: random.Random) -> Fraction:
+    """A positive rational p/q with 1 <= p <= 4 and 1 <= q <= 3."""
+    return Fraction(rng.randint(1, 4), rng.randint(1, 3))
 
 
-def random_surface(
-    rng: random.Random,
-    origami: Origami,
-    max_num: int = 4,
-    max_den: int = 3,
-) -> WeightedSurface:
+def random_surface(rng: random.Random, origami: Origami) -> WeightedSurface:
     """Positive rational heights and widths on all cylinders of the origami."""
-    heights = {
-        c.label: random_fraction(rng, max_num, max_den)
-        for c in origami.cylinders(HORIZONTAL)
-    }
-    widths = {
-        c.label: random_fraction(rng, max_num, max_den)
-        for c in origami.cylinders(VERTICAL)
-    }
+    heights = {c.label: random_fraction(rng) for c in origami.cylinders(HORIZONTAL)}
+    widths = {c.label: random_fraction(rng) for c in origami.cylinders(VERTICAL)}
     return WeightedSurface(origami, heights, widths)
 
 

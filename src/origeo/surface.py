@@ -434,13 +434,17 @@ def curve_ext_rows(x: SurfaceRows, side: str, u: np.ndarray, u2: np.ndarray,
 
 
 def qc_rows(x: SurfaceRows, y: SurfaceRows, checks: Checks) -> np.ndarray:
-    """qc_upper at every row, over the cells of N only."""
+    """qc_upper at every row, over the cells of N only.
+
+    A cell whose products overflow or underflow on both sides (inf/inf or
+    0/0) counts as unbounded dilatation: the bound is then +inf, sound if
+    vacuous, where skipping the cell would leave out its stretch."""
     i, j = np.nonzero(x.origami.intersection_matrix().array)
-    p, q = x.heights[:, i] * y.widths[:, j], y.heights[:, i] * x.widths[:, j]
-    k_cell = np.maximum(p, q) / np.minimum(p, q)
-    # fmax skips the NaN of an overflowed inf/inf cell, as a scalar > would
-    return 0.5 * elementwise(math.log, np.fmax.reduce(k_cell, axis=1, initial=1.0),
-                             checks)
+    with np.errstate(all="ignore"):
+        p, q = x.heights[:, i] * y.widths[:, j], y.heights[:, i] * x.widths[:, j]
+        k_cell = np.maximum(p, q) / np.minimum(p, q)
+    k_cell = np.where(np.isnan(k_cell), math.inf, k_cell)
+    return 0.5 * elementwise(math.log, k_cell.max(axis=1, initial=1.0), checks)
 
 
 def distance_rows(x: SurfaceRows, y: SurfaceRows, checks: Checks):

@@ -11,6 +11,8 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
+
 from origeo.geodesic import flow_distance, optimal_geodesic, point_at
 from origeo.horo import busemann_interval, minsky_audit, psi_foliation
 from origeo.multicurve import HORIZONTAL, VERTICAL, BusemannSpec
@@ -159,9 +161,10 @@ def test_criterion_07_primitivity_and_eigen_oracles():
         t = gram(m)
         if not is_primitive(m) or any(t[i][i] == 0 for i in range(len(t))):
             continue
-        a = perron_solve(t, seed=1)
-        b = perron_solve(t, seed=2)
-        assert max(abs(x - y) for x, y in zip(a.vector, b.vector)) <= 1e-8
+        a = perron_solve(t)
+        ray = np.abs(np.linalg.eigh(np.array(t, dtype=float))[1][:, -1])
+        ray /= ray.sum()
+        assert max(abs(x - y) for x, y in zip(a.vector, ray)) <= 1e-8
         lam = float(exact_top_eigenvalue(t))
         assert abs(a.eigenvalue - lam) <= 1e-10 * max(1.0, lam)
         checked += 1

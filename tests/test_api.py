@@ -8,7 +8,9 @@ error classes, the core types and the operations the command line runs.
 """
 
 import ast
+import dataclasses
 import importlib
+import inspect
 import re
 from pathlib import Path
 
@@ -65,3 +67,25 @@ def test_benchmark_hooks_were_found():
     assert len(_entry_points()) >= 30
     names = set(_top_level_names())
     assert {"optimal_geodesic", "distance_interval", "point_at"} <= names
+
+
+@pytest.mark.parametrize(
+    "module, name, removed",
+    [
+        ("perron", "perron_solve", {"seed"}),
+        ("geodesic", "optimal_geodesic", {"seed", "origami"}),
+        ("horo", "psi_interior", {"family"}),
+        ("horo", "miyachi_intersection", {"family"}),
+        ("sampling", "random_surface", {"max_num", "max_den"}),
+        ("sampling", "random_fraction", {"max_num", "max_den"}),
+    ],
+)
+def test_unread_parameters_stay_removed(module, name, removed):
+    function = getattr(importlib.import_module(f"origeo.{module}"), name)
+    assert not removed & set(inspect.signature(function).parameters)
+
+
+def test_geodesic_line_has_no_seed():
+    from origeo.geodesic import GeodesicLine
+
+    assert "seed" not in {f.name for f in dataclasses.fields(GeodesicLine)}

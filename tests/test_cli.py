@@ -92,7 +92,7 @@ def test_geodesic_deterministic_bytes(files, tmp_path):
     for out in (a, b):
         res = run_cli(
             "geodesic", files["origami"], files["xi"], files["eta"],
-            "--seed", "3", "--out", str(out),
+            "--out", str(out),
         )
         assert res.returncode == 0
     assert a.read_bytes() == b.read_bytes()
@@ -282,9 +282,13 @@ def test_tol_is_a_geodesic_option_only(command, files, report_file):
     assert "--tol" in res.stderr
 
 
-@pytest.mark.parametrize("command", ["validate", "flow"])
+@pytest.mark.parametrize("command", ["validate", "flow", "geodesic"])
 def test_seed_is_not_a_validate_or_flow_option(command, files, report_file):
-    args = {"validate": [files["origami"]], "flow": [report_file]}[command]
+    args = {
+        "validate": [files["origami"]],
+        "flow": [report_file],
+        "geodesic": [files["origami"], files["xi"], files["eta"]],
+    }[command]
     assert run_cli(command, *args).returncode == 0
     res = run_cli(command, *args, "--seed", "1")
     assert res.returncode == 2
@@ -522,6 +526,19 @@ def test_long_flow_keeps_its_memos_bounded(report_file, monkeypatch, capsys):
     assert capsys.readouterr().out.count("\n") == 2002
     assert len(lines) == 1 and len(lines[0]._points) <= 4
     assert max(len(s._ext) for s in built) <= 8
+
+
+@pytest.mark.parametrize("command", ["flow", "converge"])
+def test_report_seed_value_is_unused(report_file, tmp_path, command, capsys):
+    report = json.loads(open(report_file).read())
+    report["config"]["seed"] = 3
+    seeded = tmp_path / "seeded.json"
+    seeded.write_text(json.dumps(report))
+    outputs = []
+    for path in (report_file, str(seeded)):
+        assert cli.main([command, path]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("command", ["flow", "converge"])

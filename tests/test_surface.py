@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -105,6 +106,20 @@ def test_upper_bound_is_bit_symmetric(unit_l22):
         {"B1": Fraction(2), "B2": Fraction(5, 4)},
     )
     assert qc_upper(unit_l22, other) == qc_upper(other, unit_l22)
+
+
+def test_overflowing_cells_do_not_drop_out_of_the_upper_bound(unit_l22):
+    # the cross products overflow to inf/inf; skipping those cells gave [0, 0]
+    o = unit_l22.origami
+    x = WeightedSurface(o, {"A1": 1e300, "A2": 1e300}, {"B1": 1e10, "B2": 1e10})
+    y = WeightedSurface(o, {"A1": 1e300, "A2": 1e300}, {"B1": 1e20, "B2": 1e20})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        iv = distance_interval(x, y)
+        upper = qc_upper(x, y)
+        assert upper == qc_upper(y, x)
+    assert iv.lo <= 0.5 * math.log(1e10) <= iv.hi
+    assert iv.hi <= upper
 
 
 def test_lower_bound_never_exceeds_upper(unit_l22):
