@@ -18,10 +18,8 @@ import random
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
-import numpy as np
-
 from . import sampling
-from .errors import InputError
+from .errors import InputError, np
 from .geodesic import (
     backward_limit,
     forward_limit,

@@ -39,8 +39,6 @@ import sys
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
-import numpy as np
-
 from . import checks as checks_mod
 from .errors import (
     CertificationError,
@@ -49,6 +47,7 @@ from .errors import (
     InputError,
     NoConvergenceError,
     at,
+    np,
 )
 from .geodesic import (
     GeodesicLine,

@@ -7,9 +7,34 @@ bad configuration) raise :class:`InputError` subclasses; hypothesis failures
 certificates get their own classes.  ``cli`` maps these to exit codes
 2 / 3 / 4 / 5 respectively.  Array kernels record their checks in a
 :class:`Checks`.
+
+Every origeo module takes NumPy as ``from .errors import np``.  Unless NumPy
+is imported already, ``np`` is a lazy module that loads NumPy at the first
+array operation: importing NumPy is about half of a cold ``validate``, which
+runs no array.  One plain ``import numpy`` anywhere in origeo loads it at
+once, since the import statement reads the module's ``__spec__``.
 """
 
-import numpy as np
+import importlib.util
+import sys
+
+
+def _lazy_import(name: str):
+    """The module ``name``, loaded on its first attribute access unless it is
+    imported already (the recipe of the :mod:`importlib` documentation)."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    loader = importlib.util.LazyLoader(spec.loader)
+    spec.loader = loader
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    loader.exec_module(module)
+    return module
+
+
+# 3.11's LazyLoader is not thread-safe on first access; origeo is single-threaded.
+np = _lazy_import("numpy")
 
 
 class InputError(ValueError):

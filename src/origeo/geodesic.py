@@ -39,8 +39,6 @@ import sys
 from dataclasses import dataclass, field, replace
 from typing import Dict, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .errors import (
     CertificationError,
     Checks,
@@ -50,6 +48,7 @@ from .errors import (
     SideMismatch,
     at,
     checked,
+    np,
 )
 from .intervals import outside
 from .multicurve import (

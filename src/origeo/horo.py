@@ -27,9 +27,7 @@ from __future__ import annotations
 import math
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
-import numpy as np
-
-from .errors import CertificationError, Checks, HostMismatch, InputError, at, checked
+from .errors import CertificationError, Checks, HostMismatch, InputError, at, checked, np
 from .geodesic import GeodesicLine, flow_rows, point_at, ray_limit, spec_pairing
 from .intervals import ValueInterval
 from .multicurve import (

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-import numpy as np
+from .errors import np
 
 Number = Union[int, float, Fraction]
 

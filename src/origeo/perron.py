@@ -46,9 +46,7 @@ from fractions import Fraction
 from itertools import compress
 from typing import Sequence, Tuple, Union
 
-import numpy as np
-
-from .errors import InputError, NoConvergenceError, NotPrimitiveError
+from .errors import InputError, NoConvergenceError, NotPrimitiveError, np
 from .multicurve import support_is_primitive
 
 Matrix = Sequence[Sequence[Union[int, float]]]

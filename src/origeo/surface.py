@@ -67,9 +67,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
-import numpy as np
-
-from .errors import CertificationError, Checks, HostMismatch, InputError, at, checked
+from .errors import CertificationError, Checks, HostMismatch, InputError, at, checked, np
 from .intervals import ValueInterval
 from .multicurve import (
     HORIZONTAL,

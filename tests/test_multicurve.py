@@ -1,7 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from origeo.errors import HostMismatch, InputError, SideMismatch
 from origeo.multicurve import (
@@ -11,6 +14,7 @@ from origeo.multicurve import (
     FillingStatus,
     IntersectionMatrix,
     WeightedMulticurve,
+    _check_weights,
     busemann_spec_to_json,
     core_curve,
     filling_status,
@@ -267,3 +271,28 @@ def test_intersection_matrix_label_maps_and_sparse_rows():
 def test_intersection_matrix_refuses_negative_entries():
     with pytest.raises(InputError, match="negative intersection number"):
         IntersectionMatrix(((1, 2), (0, -1)), ("A1", "A2"), ("B1", "B2"))
+
+
+_WEIGHTS = st.one_of(
+    st.integers(-3, 3),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]),
+    st.fractions(),
+)
+
+
+@given(st.lists(_WEIGHTS, min_size=1, max_size=5))
+def test_weight_check_accepts_what_the_comparison_accepted(weights):
+    """A Fraction is checked by its numerator; every weight must pass or fail
+    as ``0 < w < math.inf`` says, and the first failing one is named."""
+    labelled = {f"B{i}": w for i, w in enumerate(weights)}
+    failing = [label for label, w in labelled.items() if not 0 < w < math.inf]
+    if not failing:
+        assert _check_weights(labelled) == labelled
+        return
+    with pytest.raises(InputError) as caught:
+        _check_weights(labelled)
+    w = labelled[failing[0]]
+    assert str(caught.value) == (
+        f"weight on {failing[0]} must be positive and finite, got {w!r}"
+    )
