@@ -253,7 +253,7 @@ def check_interval_soundness(seed: int) -> dict:
         x = sampling.random_surface(rng, o)
         r = sampling.random_fraction(rng)
         cases += 1
-        exact = foliation_ext(x, VERTICAL, r)
+        exact = foliation_ext(x, r)
         scaled = x.defining_foliation(VERTICAL).scaled(r)
         iv = ext_interval(x, scaled)
         if not (iv.lo <= exact <= iv.hi):

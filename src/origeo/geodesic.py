@@ -311,11 +311,10 @@ def check_flow_distance(value, lo, hi, checks: Checks) -> None:
 
 
 def ray_limit(
-    components: WeightedMulticurve,
-    transverse: WeightedMulticurve,
-    curves: Optional[Sequence[WeightedMulticurve]] = None,
+    components: WeightedMulticurve, transverse: WeightedMulticurve
 ) -> np.ndarray:
-    """The ray's limit on ``curves`` (default: every core), unnormalized.
+    """The ray's limit on every core (in the order of ``core_labels``),
+    unnormalized.
 
     Read off the ergodic decomposition of ``components``:
     value(gamma)^2 = sum_k (w_k i(core_k, gamma))^2 / (w_k i(core_k, F)),
@@ -340,7 +339,7 @@ def ray_limit(
             "zero pairing with the transverse foliation; data is not primitive"
         )
     q = np.divide(w, pairings, out=np.zeros(len(w)), where=own)
-    return limit_values(host, side, q, curves)
+    return limit_values(host, side, q)
 
 
 def spec_pairing(

@@ -10,11 +10,11 @@ normalized to vanish at a chosen basepoint and returned as a certified
   proportionality path.
 * ``psi_interior`` — against an interior point ``Z``, the distance
   difference ``d(X, Z) - d(X0, Z)`` as a certified interval.
-* ``busemann_interval`` — against a geodesic line's forward endpoint, the
-  Busemann function enclosed between the foliation bound from below and a
-  far flow point from above: ``d(X, G(T)) - T`` decreases to the Busemann
-  value as the horizon ``T`` grows, so any finite horizon gives a sound
-  upper bound.
+* ``busemann_interval`` — against a geodesic line's forward endpoint,
+  normalized at the line's base G(0), the Busemann function enclosed
+  between the foliation bound from below and a far flow point from above:
+  ``d(X, G(T)) - T`` decreases to the Busemann value as the horizon ``T``
+  grows, so any finite horizon gives a sound upper bound.
 
 The audits at the bottom turn standard comparison inequalities into
 machine-checked certificates on concrete surfaces rather than trusting
@@ -25,7 +25,6 @@ theorem, and are reported as such.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from .errors import CertificationError, Checks, HostMismatch, InputError, at, checked, np
 from .geodesic import GeodesicLine, flow_rows, point_at, ray_limit, spec_pairing
@@ -105,24 +104,19 @@ def _enclose(ext_lo, d_hi, horizon, pairing: float, checks: Checks):
 
 
 def busemann_interval(
-    line: GeodesicLine,
-    x: WeightedSurface,
-    x0: Optional[WeightedSurface] = None,
-    horizon: float = 8.0,
+    line: GeodesicLine, x: WeightedSurface, horizon: float = 8.0
 ) -> ValueInterval:
-    """Enclose the Busemann function of the line's forward endpoint at X.
+    """Enclose the Busemann function of the line's forward endpoint at X,
+    normalized to vanish at the line's base G(0).
 
-    With ``x0=None`` the normalization point is the line's own base G(0);
-    otherwise the two enclosures are subtracted interval-soundly.  Larger
-    horizons tighten the upper bound (at ``T >= t + 5`` the enclosure at a
-    flow point G(t) is already sharp to ~1e-9).
+    For another basepoint X0, subtract the enclosure at X0:
+    ``busemann_interval(line, x).minus(busemann_interval(line, x0))``.
+    Larger horizons tighten the upper bound (at ``T >= t + 5`` the
+    enclosure at a flow point G(t) is already sharp to ~1e-9).
     """
     if not 0 < horizon < math.inf:
         raise InputError(f"horizon must be positive and finite, got {horizon}")
-    enc = _enclosure(line, x, horizon)
-    if x0 is not None:
-        enc = enc.minus(_enclosure(line, x0, horizon))
-    return enc
+    return _enclosure(line, x, horizon)
 
 
 def busemann_rows(line: GeodesicLine, y: SurfaceRows, horizons, checks: Checks):
@@ -160,49 +154,41 @@ def miyachi_rows(dx, dy, dxy, checks: Checks):
 # audits
 
 
-def minsky_audit(
-    x: WeightedSurface,
-    pairs: Optional[Iterable[Tuple[str, str]]] = None,
-) -> dict:
-    """Check n(a, b)^2 <= ExtHi(a) * ExtHi(b) over core pairs on X.
+def minsky_audit(x: WeightedSurface) -> dict:
+    """Check n(a, b)^2 <= ExtHi(a) * ExtHi(b) over every core pair on X.
 
-    The true extremal lengths satisfy the product inequality, so a
-    violation against the *upper* bounds can only come from a broken
+    The pairs run over the horizontal cores a and, for each, the vertical
+    cores b.  The true extremal lengths satisfy the product inequality, so
+    a violation against the *upper* bounds can only come from a broken
     interval.  Also asserts the defining-pair identity
     i(F_v, F_h)^2 = area^2, which holds bit-for-bit because both sides run
     the same accumulation.
     """
     host = x.origami
     matrix = host.intersection_matrix()
-    if pairs is None:
-        pairs = [
-            (a.label, b.label)
-            for a in host.cylinders(HORIZONTAL)
-            for b in host.cylinders(VERTICAL)
-        ]
-    hi_cache: Dict[Tuple[str, str], object] = {}
-
-    def ext_hi(side: str, label: str):
-        key = (side, label)
-        if key not in hi_cache:
-            hi_cache[key] = curve_ext_bounds(x, core_curve(host, side, label)).hi
-        return hi_cache[key]
-
+    # core labels are distinct across the sides (A1.. and B1..)
+    ext_hi = {
+        lab: curve_ext_bounds(x, core_curve(host, side, lab)).hi
+        for side, labels in (
+            (HORIZONTAL, matrix.row_labels), (VERTICAL, matrix.col_labels)
+        )
+        for lab in labels
+    }
     entries = []
     all_ok = True
-    for alab, blab in pairs:
-        n_ab = matrix.entries[matrix.row_index[alab]][matrix.col_index[blab]]
-        bound = ext_hi(HORIZONTAL, alab) * ext_hi(VERTICAL, blab)
-        ok = n_ab * n_ab <= bound
-        all_ok = all_ok and ok
-        entries.append(
-            {
-                "pair": [alab, blab],
-                "intersection": n_ab,
-                "extUpperProduct": float(bound),
-                "status": "certified" if ok else "violated",
-            }
-        )
+    for alab, row in zip(matrix.row_labels, matrix.entries):
+        for blab, n_ab in zip(matrix.col_labels, row):
+            bound = ext_hi[alab] * ext_hi[blab]
+            ok = n_ab * n_ab <= bound
+            all_ok = all_ok and ok
+            entries.append(
+                {
+                    "pair": [alab, blab],
+                    "intersection": n_ab,
+                    "extUpperProduct": float(bound),
+                    "status": "certified" if ok else "violated",
+                }
+            )
     fh = x.defining_foliation(HORIZONTAL)
     fv = x.defining_foliation(VERTICAL)
     pairing = intersection(fv, fh)
@@ -219,11 +205,9 @@ def minsky_audit(
     }
 
 
-def lower_bound_audit(
-    line: GeodesicLine,
-    curves: Optional[Sequence[WeightedMulticurve]] = None,
-) -> dict:
-    """Check i(F_v, gamma)/sqrt(area) <= forward limit value on gamma.
+def lower_bound_audit(line: GeodesicLine) -> dict:
+    """Check i(F_v, gamma)/sqrt(area) <= forward limit value on every core
+    gamma, in the order of :func:`~origeo.multicurve.core_labels`.
 
     Cauchy–Schwarz across the ergodic components; equality exactly when
     the component values i(gamma_i, gamma)/i(gamma_i, F_h) are all equal.
@@ -235,13 +219,12 @@ def lower_bound_audit(
     sqrt_area = math.sqrt(line.pairing)
     # i(F_v, gamma) = sum_k w_k i(core_k, gamma) over F_v's cores
     w_v = np.array(f_v.vector(), float)
-    pairings = w_v @ core_pairings(host, f_v.side, curves) / sqrt_area
-    limits = ray_limit(f_v, f_h, curves)
-    tags = core_labels(host) if curves is None else [_curve_tag(g) for g in curves]
+    pairings = w_v @ core_pairings(host, f_v.side) / sqrt_area
+    limits = ray_limit(f_v, f_h)
     entries = []
     min_margin = math.inf
     all_ok = True
-    for tag, lhs, rhs in zip(tags, pairings.tolist(), limits.tolist()):
+    for tag, lhs, rhs in zip(core_labels(host), pairings.tolist(), limits.tolist()):
         margin = rhs - lhs
         ok = margin >= -1e-12
         all_ok = all_ok and ok
@@ -262,64 +245,34 @@ def lower_bound_audit(
     }
 
 
-def delta_probe(
-    xi: BusemannSpec,
-    eta: BusemannSpec,
-    base: WeightedSurface,
-    curves: Optional[Sequence[WeightedMulticurve]] = None,
-) -> dict:
-    """Smallest combined pairing of the two specs over unit-length probes.
+def delta_probe(xi: BusemannSpec, eta: BusemannSpec, base: WeightedSurface) -> dict:
+    """Smallest combined pairing of the two specs over unit-length cores.
 
-    Each candidate curve (default: every core) is rescaled so its
-    extremal-length upper bound at ``base`` is 1, then min over candidates
-    of ``walsh_eval(xi, .) + walsh_eval(eta, .)`` is reported.  The bounds
-    are those of :func:`~origeo.surface.curve_ext_bounds`, bit for bit on a
-    float base: the candidates' weights are a (candidates x cores) block,
-    the identity for the default cores, and each side's columns go through
-    :func:`~origeo.surface.curve_ext_rows` against the base's one row; the
-    scales go straight to the pairing kernel.  A *probe*: the minimum over
-    the sampled family only, an upper bound for the true infimum over all
-    curves — labeled accordingly, never a certificate.
+    Each core is rescaled so its extremal-length upper bound at ``base`` is
+    1, then min over cores of ``walsh_eval(xi, .) + walsh_eval(eta, .)``
+    is reported, with the core's label as the witness.  The bounds are
+    those of :func:`~origeo.surface.curve_ext_bounds`, bit for bit on a
+    float base: the cores' weights are the identity block, and each side's
+    columns go through :func:`~origeo.surface.curve_ext_rows` against the
+    base's one row; the scales go straight to the pairing kernel.  A
+    *probe*: the minimum over the cores only, an upper bound for the true
+    infimum over all curves — labeled accordingly, never a certificate.
     """
     if xi.host is not base.origami or eta.host is not base.origami:
         raise HostMismatch("specs and base surface live on different origamis")
     host = base.origami
     labels = core_labels(host)
-    if curves is None:
-        own = np.eye(len(labels), dtype=bool)
-        u = u2 = own.astype(float)
-        tags = labels
-    elif not curves:
-        return {"value": math.inf, "witness": None, "status": "probe"}
-    else:
-        if any(gamma.host is not host for gamma in curves):
-            raise HostMismatch("curve lives on a different origami")
-        column = {lab: k for k, lab in enumerate(labels)}
-        shape = (len(curves), len(labels))
-        own, u, u2 = np.zeros(shape, bool), np.zeros(shape), np.zeros(shape)
-        for g, gamma in enumerate(curves):
-            for lab, w in gamma.weights.items():
-                k = column[lab]
-                own[g, k], u[g, k], u2[g, k] = True, float(w), float(w * w)
-        tags = [_curve_tag(gamma) for gamma in curves]
+    u = np.eye(len(labels))
     h = len(host.cylinders(HORIZONTAL))
     with Checks() as checks:
-        # a curve's columns on the other side are 0, and so is their bound
-        hi = sum(curve_ext_rows(base.rows, side, u[:, cols], u2[:, cols], checks)[1]
-                 for side, cols in ((HORIZONTAL, slice(h)), (VERTICAL, slice(h, None))))
+        # a core's columns on the other side are 0, and so is their bound
+        hi = sum(curve_ext_rows(base.rows, side, w, w, checks)[1]
+                 for side, w in ((HORIZONTAL, u[:, :h]), (VERTICAL, u[:, h:])))
         scales = 1.0 / np.sqrt(hi)
-        unit = u * scales[:, None]
-        checks.add(~np.where(own, (unit > 0) & (unit < math.inf), True).all(axis=1),
+        checks.add(~((scales > 0) & (scales < math.inf)),
                    lambda i: InputError(
-                       f"probe curve {tags[i]} has no unit rescaling in "
+                       f"probe curve {labels[i]} has no unit rescaling in "
                        f"floats: its extremal length bound is {at(hi, i)!r}"))
-    values = spec_pairing(xi, curves, scales) + spec_pairing(eta, curves, scales)
+    values = spec_pairing(xi, None, scales) + spec_pairing(eta, None, scales)
     best = int(np.argmin(values))
-    return {"value": float(values[best]), "witness": tags[best], "status": "probe"}
-
-
-def _curve_tag(gamma: WeightedMulticurve) -> str:
-    support = gamma.support
-    if len(support) == 1 and gamma.weights[support[0]] == 1:
-        return support[0]
-    return f"{gamma.side}:{'+'.join(support)}"
+    return {"value": float(values[best]), "witness": labels[best], "status": "probe"}

@@ -13,20 +13,22 @@ certifies the eigenvalue by the Collatz–Wielandt bracket
 ``min_i (Tx)_i/x_i <= rho(T) <= max_i (Tx)_i/x_i`` (Collatz 1942, Wielandt
 1950), valid for every positive x and evaluated in exact integer
 arithmetic on the binary expansions of T and x, as in Rump's verification
-methods (Acta Numerica 2010).  A float64 ndarray, as :func:`gram_array`
-forms it, is used as it is: ``np.frexp`` gives its exact integer image
-(53-bit mantissas over one power-of-two denominator), so the bracket is
-exact on the very matrix ``eigh`` saw.  Other inputs (sequences of ints,
-floats or rationals) are bracketed on their exact rational entries, so an
-entry too small for a float still counts.  Both the primitivity test and
-the bracket run over the nonzero cells of T only, and the bracket builds
-just its two extreme quotients as rationals, so on a staircase T, which
-is tridiagonal, their Python work is O(k) and not O(k^2).  The tolerance
-is relative: the solve refuses unless ``hi - lo <= tol * lo``.  Where
+methods (Acta Numerica 2010).  T is read as float64: ``np.frexp`` gives
+its exact integer image (53-bit mantissas over one power-of-two
+denominator), so the bracket is exact on the very matrix ``eigh`` saw.  A
+float64 ndarray, as :func:`gram_array` forms it, is used as it is.  Any
+other input must hold only numbers that float64 represents exactly, such
+as small integers; anything else (``Fraction(1, 3)``, an entry that
+underflows or overflows a float, a string, a ragged row) is refused with
+InputError rather than rounded.  Both the primitivity test and the
+bracket run over the nonzero cells of T only, and the bracket builds just
+its two extreme quotients as rationals, so on a staircase T, which is
+tridiagonal, their Python work is O(k) and not O(k^2).  The tolerance is
+relative: the solve refuses unless ``hi - lo <= tol * lo``.  Where
 ``eigh`` resolves small entries of x only to absolute precision (weights
 spread over many orders of magnitude), a few power steps ``x <- Tx``,
-whose brackets are nested, narrow the bracket first.  Simplicity needs no separate certificate; it
-follows from primitivity by Perron–Frobenius.
+whose brackets are nested, narrow the bracket first.  Simplicity needs no
+separate certificate; it follows from primitivity by Perron–Frobenius.
 
 :func:`wielandt_oracle` is the brute-force characterization (some power of
 the Gram matrix is entrywise positive, with the classical exponent bound
@@ -40,7 +42,6 @@ transpose-side system, and such inputs are not primitive for our purposes.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
@@ -169,23 +170,6 @@ def _check_symmetric_primitive(t: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return rows, cols
 
 
-def _as_ratio(v) -> Tuple[int, int]:
-    """Exact (numerator, denominator) of a float, an integer or a rational."""
-    if isinstance(v, float):
-        return v.as_integer_ratio()
-    if isinstance(v, numbers.Rational):
-        return int(v.numerator), int(v.denominator)
-    return float(v).as_integer_ratio()
-
-
-def _integer_matrix(rows: Sequence[Sequence]) -> Tuple[np.ndarray, int]:
-    """Integers A and a denominator d with A / d equal to the entries exactly."""
-    ratios = [[_as_ratio(v) for v in row] for row in rows]
-    den = math.lcm(*(d for row in ratios for _, d in row))
-    a = [[num * (den // d) for num, d in row] for row in ratios]
-    return np.array(a, dtype=object), den
-
-
 def _float_image(arr: np.ndarray) -> Tuple[np.ndarray, int]:
     """Integers A and a power of two d with A / d == arr exactly, for floats.
 
@@ -230,9 +214,10 @@ def perron_solve(t: Matrix, tol: float = DEFAULT_TOL) -> PerronResult:
     One dense ``eigh``; the top eigenvector's absolute values, l1-normalized,
     are certified by the Collatz–Wielandt bracket
     ``min_i (Tx)_i/x_i <= rho(T) <= max_i (Tx)_i/x_i``, evaluated exactly.
-    A float64 ndarray is taken as it is and bracketed on its ``frexp``
-    image; any other input is converted to floats for ``eigh`` and
-    bracketed on its exact entries.
+    T is read as float64 and the bracket is exact on that matrix: a float64
+    ndarray is taken as it is, and any other input whose entries float64
+    does not hold exactly (or that is not a matrix of numbers) is refused
+    with InputError.
     Primitivity (checked first, NotPrimitiveError otherwise) makes rho(T)
     simple, so no agreement test between runs is needed.  While the
     bracket, tracked in floats, is wider than ``tol * lo``, the vector
@@ -242,13 +227,13 @@ def perron_solve(t: Matrix, tol: float = DEFAULT_TOL) -> PerronResult:
     raised if the exact bracket is then still too wide.  The solve is
     deterministic: the same T gives the same bits.
     """
-    if isinstance(t, np.ndarray) and t.dtype == np.float64:
-        arr, rows = t, None
-    else:
-        rows = [tuple(row) for row in t]
-        if any(len(row) != len(rows) for row in rows):
-            raise InputError("matrix must be square")
-        arr = np.array([[float(v) for v in row] for row in rows], dtype=float)
+    try:
+        arr = np.asarray(t, dtype=float)
+        exact = arr is t or np.array_equal(arr, np.asarray(t, dtype=object))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"matrix must be an array of numbers: {exc}") from None
+    if not exact:
+        raise InputError("matrix entries must be numbers that float64 holds exactly")
     nz = _check_symmetric_primitive(arr)
     if not (0 < tol < math.inf):
         raise InputError(f"tolerance must be positive and finite, got {tol!r}")
@@ -269,12 +254,7 @@ def perron_solve(t: Matrix, tol: float = DEFAULT_TOL) -> PerronResult:
             iterations=iterations,
             residual=math.inf,
         )
-    if rows is None:
-        a, den = _float_image(arr[nz])
-    else:  # exact entries that round to 0.0 still count
-        a, den = _integer_matrix(rows)
-        nz = np.nonzero(a)
-        a = a[nz]
+    a, den = _float_image(arr[nz])
     lo, hi = _collatz_wielandt(a, den, *nz, x)
     if hi - lo > Fraction(tol) * lo:
         raise NoConvergenceError(

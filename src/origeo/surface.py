@@ -197,17 +197,16 @@ class WeightedSurface:
         )
 
 
-def foliation_ext(surface: WeightedSurface, side: str, r: Weight = 1) -> Weight:
-    """Extremal length of r times the surface's own defining foliation.
+def foliation_ext(surface: WeightedSurface, r: Weight = 1) -> Weight:
+    """Extremal length of r times either of the surface's own defining
+    foliations.
 
-    This is an exact evaluation: the extremal length of the defining
+    This is an exact evaluation: the extremal length of each defining
     foliation is the flat area, and extremal length is quadratic under
-    scaling.  The caller asserts that the foliation in question really is
-    ``r`` times the defining one — for anything else use
-    :func:`curve_ext_bounds`.
+    scaling, so the side does not enter.  The caller asserts that the
+    foliation in question really is ``r`` times a defining one — for
+    anything else use :func:`curve_ext_bounds`.
     """
-    if side not in (HORIZONTAL, VERTICAL):
-        raise InputError(f"unknown side {side!r}")
     if not (r > 0):
         raise InputError(f"scale must be positive, got {r!r}")
     return r * r * surface.area()
@@ -259,7 +258,7 @@ def ext_interval(surface: WeightedSurface, curve: WeightedMulticurve) -> ValueIn
         return entry[1]
     r = surface.proportionality(curve)
     if r is not None:
-        ival = ValueInterval.exact(foliation_ext(surface, curve.side, r))
+        ival = ValueInterval.exact(foliation_ext(surface, r))
     else:
         ival = curve_ext_bounds(surface, curve)
     if len(memo) >= _EXT_MEMO_SIZE:

@@ -19,6 +19,7 @@ import pytest
 import origeo
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SRC = Path(origeo.__file__).resolve().parent
 
 
 def _entry_points():
@@ -78,6 +79,12 @@ def test_benchmark_hooks_were_found():
         ("horo", "miyachi_intersection", {"family"}),
         ("sampling", "random_surface", {"max_num", "max_den"}),
         ("sampling", "random_fraction", {"max_num", "max_den"}),
+        ("geodesic", "ray_limit", {"curves"}),
+        ("horo", "lower_bound_audit", {"curves"}),
+        ("horo", "delta_probe", {"curves"}),
+        ("horo", "minsky_audit", {"pairs"}),
+        ("horo", "busemann_interval", {"x0"}),
+        ("surface", "foliation_ext", {"side"}),
     ],
 )
 def test_unread_parameters_stay_removed(module, name, removed):
@@ -89,3 +96,21 @@ def test_geodesic_line_has_no_seed():
     from origeo.geodesic import GeodesicLine
 
     assert "seed" not in {f.name for f in dataclasses.fields(GeodesicLine)}
+
+
+def _imported_names(tree):
+    """Each name an import binds in the module, except ``__future__`` ones."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((a.asname or a.name.split(".")[0]) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from ((a.asname or a.name) for a in node.names)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    """No linter runs here; deleting an option must not leave its imports."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = set(origeo.__all__) if path.name == "__init__.py" else set()
+    assert sorted(set(_imported_names(tree)) - used - exported) == []

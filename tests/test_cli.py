@@ -194,6 +194,27 @@ def test_bad_json_exits_input_error(tmp_path):
     assert run_cli("validate", str(p)).returncode == 2
 
 
+def test_non_utf8_file_exits_input_error(tmp_path):
+    p = tmp_path / "utf16.json"
+    # UTF-16 with its byte-order mark ff fe
+    p.write_bytes(b"\xff\xfe" + json.dumps(L22).encode("utf-16-le"))
+    res = run_cli("validate", str(p))
+    assert res.returncode == 2
+    assert f"{p} is not UTF-8 text" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_unwritable_out_exits_input_error(files, tmp_path, where):
+    out = tmp_path / "missing" / "x.json" if where == "missing-dir" else tmp_path
+    res = run_cli("validate", files["origami"], "--out", str(out))
+    assert res.returncode == 2
+    assert f"cannot write {out}" in res.stderr
+    assert "Traceback" not in res.stderr
+    # the file is written before stdout, so nothing was printed
+    assert res.stdout == ""
+
+
 def test_low_genus_exits_input_error(tmp_path):
     p = tmp_path / "torus.json"
     p.write_text(json.dumps({"squares": 2, "h": [2, 1], "v": [1, 2]}))

@@ -451,9 +451,9 @@ def test_limit_kernel_matches_per_core_reference(instance):
             lab: float(w) / float(intersection(core_curve(o, f.side, lab), g))
             for lab, w in f.weights.items()
         }
-        want = _brute_force_profile(side_cores, q, curves)
-        got = ray_limit(f, g, curves).tolist()
-        assert got[: len(cores)] == ray_limit(f, g).tolist()
+        want = _brute_force_profile(side_cores, q, cores)
+        got = ray_limit(f, g).tolist()
+        assert len(got) == len(cores)
         scale = max(want)
         assert all(abs(a - b) <= 1e-12 * scale for a, b in zip(got, want))
     for spec in (xi, eta):

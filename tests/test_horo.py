@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from origeo.errors import HostMismatch, InputError
 from origeo.geodesic import optimal_geodesic, point_at, reversed_line, spec_pairing
 from origeo.horo import (
-    _curve_tag,
     busemann_interval,
     delta_probe,
     lower_bound_audit,
@@ -103,8 +102,8 @@ def test_busemann_collapses_on_the_line(golden):
 
 def test_busemann_renormalizes_at_given_basepoint(golden):
     # with X0 = G(1) the value at G(t) becomes -t - (-1) = 1 - t
-    hv = busemann_interval(
-        golden, point_at(golden, 2.0), x0=point_at(golden, 1.0), horizon=8.0
+    hv = busemann_interval(golden, point_at(golden, 2.0)).minus(
+        busemann_interval(golden, point_at(golden, 1.0))
     )
     assert hv.lo <= -1.0 <= hv.hi
     assert hv.hi - hv.lo <= 1e-9
@@ -155,9 +154,10 @@ def test_minsky_audit_on_selected_pairs():
         {"A1": Fraction(2), "A2": Fraction(1, 3)},
         {"B1": Fraction(1), "B2": Fraction(5, 2)},
     )
-    rep = minsky_audit(x, pairs=[("A1", "B2")])
-    assert len(rep["pairs"]) == 1
-    assert rep["pairs"][0]["pair"] == ["A1", "B2"]
+    rep = minsky_audit(x)
+    assert len(rep["pairs"]) == 4
+    assert ["A1", "B2"] in [e["pair"] for e in rep["pairs"]]
+    assert all(e["status"] == "certified" for e in rep["pairs"])
     assert rep["status"] == "pass"
 
 
@@ -195,40 +195,22 @@ def test_delta_probe_is_labeled_and_minimal(golden):
     assert rep["value"] == pytest.approx(PHI**-0.5, abs=1e-12)
 
 
-def test_delta_probe_respects_curve_choice(golden):
-    only_a1 = [core_curve(golden.origami, HORIZONTAL, "A1")]
-    rep = delta_probe(
-        golden.forward_spec, golden.backward_spec, golden.base_surface,
-        curves=only_a1,
-    )
-    assert rep["witness"] == "A1"
-
-
-def test_composite_curve_tags_in_audit(golden):
-    mixed = WeightedMulticurve(
-        golden.origami, VERTICAL, {"B1": Fraction(1), "B2": Fraction(2)}
-    )
-    rep = lower_bound_audit(golden, curves=[mixed])
-    assert rep["entries"][0]["curve"] == "vertical:B1+B2"
-    assert rep["status"] == "pass"
-
-
 @pytest.mark.parametrize("draw", [random_full_instance, random_primitive_instance])
 @pytest.mark.parametrize("seed", range(4))
 def test_lower_bound_audit_pairs_like_the_per_curve_loop(draw, seed):
     rng = random.Random(f"audit:{seed}")
     o, xi, eta = draw(rng, (4, 12))
     line = optimal_geodesic(xi, eta)
-    mixed = WeightedMulticurve(o, VERTICAL, {c.label: Fraction(rng.randint(1, 9), 7)
-                                             for c in o.cylinders(VERTICAL)})
-    for audited, curves in ((line, None), (reversed_line(line), _cores(o) + [mixed])):
-        rep = lower_bound_audit(audited, curves)
+    cores = _cores(o)
+    for audited in (line, reversed_line(line)):
+        rep = lower_bound_audit(audited)
         sqrt_area = math.sqrt(audited.pairing)
-        for entry, gamma in zip(rep["entries"], curves or _cores(o)):
+        assert len(rep["entries"]) == len(cores)
+        for entry, gamma in zip(rep["entries"], cores):
             # the array sum runs in another order than the exact loop: a few
             # float64 roundings apart
             want = float(intersection(audited.vertical_foliation, gamma)) / sqrt_area
-            assert entry["curve"] == _curve_tag(gamma)
+            assert entry["curve"] == gamma.support[0]
             assert entry["pairingOverSqrtArea"] == pytest.approx(want, rel=1e-14, abs=0)
         assert rep["status"] == "pass"
 
@@ -239,22 +221,22 @@ def _cores(host):
             for side in (HORIZONTAL, VERTICAL) for c in host.cylinders(side)]
 
 
-def _probe_by_curve(xi, eta, base, curves, bound=curve_ext_bounds):
-    """delta_probe as a loop over the curves: one ``bound`` call (by default
+def _probe_by_core(xi, eta, base, bound=curve_ext_bounds):
+    """delta_probe as a loop over the cores: one ``bound`` call (by default
     curve_ext_bounds) and one rescaled multicurve each."""
+    cores = _cores(base.origami)
     units = [gamma.scaled(1.0 / math.sqrt(float(bound(base, gamma).hi)))
-             for gamma in curves]
+             for gamma in cores]
     values = spec_pairing(xi, units) + spec_pairing(eta, units)
     best = int(np.argmin(values))
-    return {"value": float(values[best]), "witness": _curve_tag(curves[best]),
+    return {"value": float(values[best]), "witness": cores[best].support[0],
             "status": "probe"}
 
 
 @st.composite
 def _probe_cases(draw):
     """A float base (a random line's, or one of its flow points or jittered
-    neighbours), the line's specs and, unless None, explicit probe curves of
-    one or several cores with exact or float weights."""
+    neighbours) and the line's specs."""
     rng = random.Random(draw(st.integers(0, 10**6)))
     _, xi, eta = random_full_instance(rng, (3, 12))
     line = optimal_geodesic(xi, eta)
@@ -265,30 +247,14 @@ def _probe_cases(draw):
         base = point_at(line, draw(st.floats(-6.0, 6.0)))
     else:
         base = jittered_surface(rng, line.base_surface, 0.3)[0]
-    if draw(st.booleans()):
-        return xi, eta, base, None
-    host = line.origami
-    weight = st.one_of(
-        st.fractions(Fraction(1, 1000), 1000).filter(lambda w: w > 0),
-        st.floats(1e-3, 1e3),
-        st.integers(1, 7),
-    )
-    curves = []
-    for _ in range(draw(st.integers(1, 6))):
-        side = draw(st.sampled_from([HORIZONTAL, VERTICAL]))
-        labels = [c.label for c in host.cylinders(side)]
-        support = draw(st.lists(st.sampled_from(labels), min_size=1, unique=True))
-        weights = {lab: draw(weight) for lab in support}
-        curves.append(WeightedMulticurve(host, side, weights))
-    return xi, eta, base, curves
+    return xi, eta, base
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(_probe_cases())
 def test_delta_probe_is_the_per_curve_bound_bit_for_bit(case):
-    xi, eta, base, curves = case
-    want = _probe_by_curve(xi, eta, base, curves or _cores(base.origami))
-    assert delta_probe(xi, eta, base, curves=curves) == want
+    xi, eta, base = case
+    assert delta_probe(xi, eta, base) == _probe_by_core(xi, eta, base)
 
 
 @pytest.mark.parametrize("height, width", [(1e300, 1e-300), (1e-300, 1e300)])
@@ -308,8 +274,8 @@ def test_delta_probe_takes_no_shortcut_on_a_one_cylinder_side():
     o, xi, eta = random_full_instance(random.Random("one-cylinder:9"), (3, 8))
     assert len(o.cylinders(HORIZONTAL)) == 1
     base = point_at(optimal_geodesic(xi, eta), 1.5)
-    want = _probe_by_curve(xi, eta, base, _cores(o))
-    assert want != _probe_by_curve(xi, eta, base, _cores(o), bound=ext_interval)
+    want = _probe_by_core(xi, eta, base)
+    assert want != _probe_by_core(xi, eta, base, bound=ext_interval)
     assert delta_probe(xi, eta, base) == want
 
 

@@ -234,6 +234,16 @@ def test_malformed_matrices_refused():
         perron_solve(())
 
 
+@pytest.mark.parametrize(
+    "t",
+    [[[10**400]], [[None]], [["1"]], [[Fraction(1, 3)]], [[1, 2], [3]], [[1j]]],
+    ids=["overflow", "none", "string", "third", "ragged", "complex"],
+)
+def test_entries_float64_does_not_hold_are_refused(t):
+    with pytest.raises(InputError, match="matrix"):
+        perron_solve(t)
+
+
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
 def test_non_finite_entries_refused(bad):
     with pytest.raises(InputError, match="finite"):
@@ -316,16 +326,29 @@ def test_numpy_matrices_are_read_exactly(dtype):
     assert res.lower <= (3 + math.sqrt(5)) / 2 <= res.upper
 
 
-def test_result_lambda_lies_inside_its_bracket():
+def _small_gram_matrices():
+    """The golden 2x2 and 29 integer Gram matrices of primitive couplings."""
     rng = random.Random("lambda-json")
     cases = [((2, 1), (1, 1))]
     while len(cases) < 30:
         m = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
         if is_primitive(m):
             cases.append(gram(m))
-    for t in cases:
+    return cases
+
+
+def test_result_lambda_lies_inside_its_bracket():
+    for t in _small_gram_matrices():
         res = perron_solve(t)
         assert res.lower <= res.eigenvalue <= res.upper
+
+
+def test_every_exact_input_form_gives_the_float64_result():
+    for t in _small_gram_matrices():
+        want = perron_solve(np.array(t, dtype=np.float64))
+        for form in (t, [list(row) for row in t], np.array(t, dtype=np.int64),
+                     np.array(t, dtype=np.float32)):
+            assert perron_solve(form) == want
 
 
 @pytest.mark.parametrize("family", ["wielandt", "primitivity", "large"])
@@ -382,12 +405,11 @@ _image_entries = st.one_of(
 def test_frexp_image_is_the_exact_rational_matrix(rows):
     arr = np.array(rows, dtype=float)
     a, d = perron._float_image(arr)
-    b, e = perron._integer_matrix(rows)
     assert d & (d - 1) == 0  # a power of two
     for i, row in enumerate(rows):
         for j, v in enumerate(row):
             assert isinstance(a[i, j], int)
-            assert Fraction(a[i, j], d) == Fraction(v) == Fraction(b[i, j], e)
+            assert Fraction(a[i, j], d) == Fraction(v)
 
 
 def test_frexp_image_of_extremes():
@@ -454,23 +476,14 @@ def test_sparse_bracket_equals_the_dense_rational_bracket(t):
     assert res.lower <= res.eigenvalue <= res.upper
 
 
-def test_exact_entries_that_underflow_in_floats_stay_in_the_bracket(monkeypatch):
+def test_exact_entries_that_underflow_in_floats_are_refused():
     tiny = Fraction(1, 10**400)
     assert float(tiny) == 0.0
-    # connected without the tiny cell too, so the float copy is primitive
+    # connected without the tiny cell too: the float copy is primitive, and
+    # only the lost entry is refused
     t = ((2, tiny, 1), (tiny, 3, 1), (1, 1, 2))
-    seen = []
-    bracket = perron._collatz_wielandt
-
-    def spy(*args):
-        seen.append(bracket(*args))
-        return seen[-1]
-
-    monkeypatch.setattr(perron, "_collatz_wielandt", spy)
-    res = perron_solve(t)
-    q = _dense_quotients(t, res.vector)
-    assert seen == [(min(q), max(q))]
-    assert (res.lower, res.upper) == _outward(min(q), max(q))
+    with pytest.raises(InputError, match="float64 holds exactly"):
+        perron_solve(t)
 
 
 @pytest.mark.parametrize("exact", [False, True])

@@ -41,10 +41,9 @@ def test_unit_surface_area_is_cell_count(unit_l22):
 
 
 def test_defining_foliation_ext_equals_area_exactly(unit_l22):
-    assert foliation_ext(unit_l22, VERTICAL) == unit_l22.area()
-    assert foliation_ext(unit_l22, HORIZONTAL) == unit_l22.area()
+    assert foliation_ext(unit_l22) == unit_l22.area()
     # quadratic scaling, exactly
-    assert foliation_ext(unit_l22, VERTICAL, Fraction(5, 2)) == Fraction(75, 4)
+    assert foliation_ext(unit_l22, Fraction(5, 2)) == Fraction(75, 4)
 
 
 def test_defining_multicurve_interval_collapses(unit_l22):
