@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence
 
 from . import sampling
-from .errors import InputError, np
+from .errors import SUITE_NAMES, InputError, np
 from .geodesic import (
     backward_limit,
     forward_limit,
@@ -290,19 +290,19 @@ def check_interval_soundness(seed: int) -> dict:
     return _report("interval-soundness", cases, failures)
 
 
-_SUITES: Sequence[tuple] = (
-    ("gauss-bonnet", check_gauss_bonnet),
-    ("perron-oracle", check_perron_oracle),
-    ("primitivity-oracle", check_primitivity_oracle),
-    ("minsky", check_minsky),
-    ("sandwich", check_sandwich),
-    ("walsh-consistency", check_walsh),
-    ("interval-soundness", check_interval_soundness),
-)
+_SUITES: Sequence[tuple] = tuple(zip(SUITE_NAMES, (
+    check_gauss_bonnet,
+    check_perron_oracle,
+    check_primitivity_oracle,
+    check_minsky,
+    check_sandwich,
+    check_walsh,
+    check_interval_soundness,
+), strict=True))
 
 
 def suite_names() -> List[str]:
-    return [name for name, _ in _SUITES]
+    return list(SUITE_NAMES)
 
 
 def run_suites(seed: int = 0, names: Optional[Sequence[str]] = None) -> dict:

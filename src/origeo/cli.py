@@ -25,7 +25,13 @@ and a report's ``config.seed`` is always 0.
 The argument parser is built once per process, on the first :func:`main`
 call, and reused; ``main`` then looks the subcommand up by name
 (``cmd_<command>``) at call time, so a ``cmd_*`` rebound on this module,
-say by a tracer or a test, is the one that runs.
+say by a tracer or a test, is the one that runs.  The same holds one layer
+down: this module holds ``geodesic``, ``surface``, ``horo``, ``intervals``,
+``sampling`` and ``checks`` as modules and reads each of their functions at
+the call, so a function rebound on the module that defines it is the one
+that runs, and a command loads only the layers it calls (``--help`` and
+``validate`` load none of them).  An unwritable ``--out`` is refused with
+the other options, before the command runs.
 """
 
 from __future__ import annotations
@@ -34,13 +40,16 @@ import argparse
 import functools
 import json
 import math
+import os
 import random
 import sys
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
-from . import checks as checks_mod
+from . import checks as checks_mod, geodesic, horo, intervals, sampling, surface
 from .errors import (
+    DEFAULT_TOL,
+    SUITE_NAMES,
     CertificationError,
     Checks,
     HypothesisError,
@@ -49,21 +58,8 @@ from .errors import (
     at,
     np,
 )
-from .geodesic import (
-    GeodesicLine,
-    check_flow_distance,
-    flow_rows,
-    line_from_report,
-    line_report,
-    optimal_geodesic,
-)
-from .horo import busemann_rows, delta_probe, miyachi_rows, psi_rows
-from .intervals import outside
 from .multicurve import parse_busemann_spec
 from .origami import builtin, catalog, parse_origami
-from .perron import DEFAULT_TOL
-from .sampling import jitter_factors
-from .surface import SurfaceRows, check_weights, distance_rows, ext_interval, ext_rows
 
 
 # Flow points G(s), G(t) carry weights scaled by e^{+-s}, e^{+-t}, and the
@@ -120,6 +116,24 @@ class RunConfig:
             raise InputError(f"--eps must be nonnegative and finite, got {self.eps}")
         if self.horizon is not None and not 0 < self.horizon < math.inf:
             raise InputError(f"--horizon must be positive and finite, got {self.horizon}")
+        if self.out:
+            _check_writable(self.out)
+
+
+def _check_writable(path: str) -> None:
+    """Refuse an output file that cannot be written, before the command runs:
+    a directory, or a file in a missing or closed directory.  It creates and
+    truncates nothing, so a command that fails later leaves the file as it was."""
+    parent = os.path.dirname(path) or os.curdir
+    if os.path.isdir(path):
+        reason = "it is a directory"
+    elif not os.path.isdir(parent):
+        reason = f"no directory {parent}"
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        reason = "permission denied"
+    else:
+        return
+    raise InputError(f"cannot write {path}: {reason}")
 
 
 def _config_from(args: argparse.Namespace) -> RunConfig:
@@ -188,8 +202,8 @@ def cmd_geodesic(args: argparse.Namespace) -> str:
     o = _resolve_origami(args)
     xi = parse_busemann_spec(_load_json(args.xi), o)
     eta = parse_busemann_spec(_load_json(args.eta), o)
-    line = optimal_geodesic(xi, eta, tol=cfg.tol)
-    text = json.dumps(line_report(line), indent=2) + "\n"
+    line = geodesic.optimal_geodesic(xi, eta, tol=cfg.tol)
+    text = json.dumps(geodesic.line_report(line), indent=2) + "\n"
     _emit(text, cfg.out)
     return text
 
@@ -207,7 +221,7 @@ def _grid(cfg: RunConfig) -> np.ndarray:
 
 def cmd_flow(args: argparse.Namespace) -> str:
     cfg = _config_from(args)
-    line = line_from_report(_load_json(args.report))
+    line = geodesic.line_from_report(_load_json(args.report))
     base = line.require_surface()
     horizon = cfg.horizon if cfg.horizon is not None else cfg.t_max + 5.0
     # each row pairs G(t) with the Busemann point G(max(horizon, t + 5))
@@ -238,29 +252,33 @@ def _csv_lines(table: np.ndarray) -> List[str]:
     return [template % tuple(row) for row in table.tolist()]
 
 
-def _flow_block(line: GeodesicLine, ts: np.ndarray, horizon: float) -> np.ndarray:
+def _flow_block(line: geodesic.GeodesicLine, ts: np.ndarray,
+                horizon: float) -> np.ndarray:
     """The flow CSV's columns at the times ts, each one array pass over the
     rows, with the checks of every row."""
     base = line.require_surface()
     with Checks() as checks:
-        pt = check_weights(flow_rows(line, ts, checks), checks)
+        pt = surface.check_weights(geodesic.flow_rows(line, ts, checks), checks)
         exts, psis = [], []
         for f in (line.vertical_foliation, line.horizontal_foliation):
             # the line's foliations are the base's own: F_v weighs the widths
-            exts.append(ext_rows(pt, f.side, base.rows.side(f.side), checks))
-            e0 = ext_interval(base, f)
-            psis.append(psi_rows(exts[-1], (e0.lo, e0.hi), checks))
+            exts.append(surface.ext_rows(pt, f.side, base.rows.side(f.side), checks))
+            e0 = surface.ext_interval(base, f)
+            psis.append(horo.psi_rows(exts[-1], (e0.lo, e0.hi), checks))
         for (lo, hi), want, name in zip(psis, (-ts, ts), ("psi_fv", "psi_fh")):
             def strays(i, lo=lo, hi=hi, want=want, name=name):
                 return CertificationError(f"{name} at t={at(ts, i)} strays from "
                                           f"{at(want, i)}: [{at(lo, i)}, {at(hi, i)}]")
-            checks.add(outside(lo, hi, want, 1e-12), strays)
-        bus_lo, bus_hi = busemann_rows(line, pt, np.maximum(horizon, ts + 5.0), checks)
-        checks.add(outside(bus_lo, bus_hi, -ts, 1e-9), lambda i: CertificationError(
-            f"Busemann enclosure at t={at(ts, i)} misses {at(-ts, i)}: "
-            f"[{at(bus_lo, i)}, {at(bus_hi, i)}]"))
+            checks.add(intervals.outside(lo, hi, want, 1e-12), strays)
+        bus_lo, bus_hi = horo.busemann_rows(line, pt, np.maximum(horizon, ts + 5.0),
+                                            checks)
+        checks.add(intervals.outside(bus_lo, bus_hi, -ts, 1e-9),
+                   lambda i: CertificationError(
+                       f"Busemann enclosure at t={at(ts, i)} misses {at(-ts, i)}: "
+                       f"[{at(bus_lo, i)}, {at(bus_hi, i)}]"))
         d_to_base = np.abs(ts)
-        check_flow_distance(d_to_base, *distance_rows(base.rows, pt, checks), checks)
+        geodesic.check_flow_distance(
+            d_to_base, *surface.distance_rows(base.rows, pt, checks), checks)
     return np.column_stack(
         [ts, pt.widths, pt.heights, exts[0][0], exts[1][0]]
         + [(lo + hi) / 2.0 for lo, hi in psis]
@@ -268,7 +286,7 @@ def _flow_block(line: GeodesicLine, ts: np.ndarray, horizon: float) -> np.ndarra
     )
 
 
-def _converge_payload(line: GeodesicLine, cfg: RunConfig) -> dict:
+def _converge_payload(line: geodesic.GeodesicLine, cfg: RunConfig) -> dict:
     base = line.require_surface()
     # the jitter widens each of G(-n-max) and G(n-max) by up to e^eps; the
     # cap keeps n-max below 89, so the whole ladder is one block of rows
@@ -278,29 +296,32 @@ def _converge_payload(line: GeodesicLine, cfg: RunConfig) -> dict:
     o, b = base.origami, base.rows
     ns = np.arange(1.0, cfg.n_max + 1)
     with Checks() as checks:
-        x = check_weights(flow_rows(line, -ns, checks), checks)
-        y = check_weights(flow_rows(line, ns, checks), checks)
-        d_xy = distance_rows(x, y, checks)
-        check_flow_distance(2.0 * ns, *d_xy, checks)
-        d_0x = distance_rows(b, x, checks)
-        check_flow_distance(ns, *d_0x, checks)
-        miyachi = miyachi_rows(d_0x, distance_rows(b, y, checks), d_xy, checks)
+        x = surface.check_weights(geodesic.flow_rows(line, -ns, checks), checks)
+        y = surface.check_weights(geodesic.flow_rows(line, ns, checks), checks)
+        d_xy = surface.distance_rows(x, y, checks)
+        geodesic.check_flow_distance(2.0 * ns, *d_xy, checks)
+        d_0x = surface.distance_rows(b, x, checks)
+        geodesic.check_flow_distance(ns, *d_0x, checks)
+        miyachi = horo.miyachi_rows(d_0x, surface.distance_rows(b, y, checks), d_xy,
+                                    checks)
 
         # per n, the height and width factors of G(-n), then those of G(n):
         # the order that gives each seed its jitter
         kh, k = b.heights.shape[1], b.heights.shape[1] + b.widths.shape[1]
-        draws = jitter_factors(random.Random(cfg.seed), range(cfg.n_max * 2 * k),
-                               cfg.eps)
+        draws = sampling.jitter_factors(random.Random(cfg.seed),
+                                        range(cfg.n_max * 2 * k), cfg.eps)
         f = np.fromiter(draws.values(), float).reshape(cfg.n_max, 2, k)
         hf_x, wf_x, hf_y, wf_y = f[:, 0, :kh], f[:, 0, kh:], f[:, 1, :kh], f[:, 1, kh:]
-        x_j = check_weights(SurfaceRows(o, x.heights * hf_x, x.widths * wf_x), checks)
-        y_j = check_weights(SurfaceRows(o, y.heights * hf_y, y.widths * wf_y), checks)
+        x_j = surface.check_weights(
+            surface.SurfaceRows(o, x.heights * hf_x, x.widths * wf_x), checks)
+        y_j = surface.check_weights(
+            surface.SurfaceRows(o, y.heights * hf_y, y.widths * wf_y), checks)
         # sqrt is correctly rounded in IEEE 754, so np.sqrt gives math.sqrt's bits
-        proxy = SurfaceRows(o, b.heights * np.sqrt(hf_x * hf_y),
-                            b.widths * np.sqrt(wf_x * wf_y))
-        d_proxy = distance_rows(b, check_weights(proxy, checks), checks)
-        d_j = distance_rows(x_j, y_j, checks)
-        d_0j = distance_rows(b, x_j, checks)
+        proxy = surface.SurfaceRows(o, b.heights * np.sqrt(hf_x * hf_y),
+                                    b.widths * np.sqrt(wf_x * wf_y))
+        d_proxy = surface.distance_rows(b, surface.check_weights(proxy, checks), checks)
+        d_j = surface.distance_rows(x_j, y_j, checks)
+        d_0j = surface.distance_rows(b, x_j, checks)
 
     return {
         "nMax": cfg.n_max,
@@ -312,7 +333,7 @@ def _converge_payload(line: GeodesicLine, cfg: RunConfig) -> dict:
             "rows": _rungs(proxyLo=d_proxy[0], proxyHi=d_proxy[1],
                            gapLo=d_j[0] - d_0j[1], gapHi=d_j[1] - d_0j[0]),
         },
-        "deltaProbe": delta_probe(line.forward_spec, line.backward_spec, base),
+        "deltaProbe": horo.delta_probe(line.forward_spec, line.backward_spec, base),
     }
 
 
@@ -324,7 +345,7 @@ def _rungs(**columns) -> List[dict]:
 
 def cmd_converge(args: argparse.Namespace) -> str:
     cfg = _config_from(args)
-    line = line_from_report(_load_json(args.report))
+    line = geodesic.line_from_report(_load_json(args.report))
     text = json.dumps(_converge_payload(line, cfg), indent=2) + "\n"
     _emit(text, cfg.out)
     return text
@@ -396,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="run randomized self-check suites")
     p.add_argument("--suite", action="append", default=None, metavar="NAME",
                    help="run only matching suites (may repeat); known: "
-                        + ", ".join(checks_mod.suite_names()))
+                        + ", ".join(SUITE_NAMES))
     add_common(p)
 
     return parser

@@ -13,6 +13,13 @@ is imported already, ``np`` is a lazy module that loads NumPy at the first
 array operation: importing NumPy is about half of a cold ``validate``, which
 runs no array.  One plain ``import numpy`` anywhere in origeo loads it at
 once, since the import statement reads the module's ``__spec__``.
+
+origeo's own layers past ``origami`` and ``multicurve`` share that handle:
+``import origeo`` registers each of them as a lazy module, which loads at
+its first attribute access, so a cold ``validate`` or ``--help`` runs only
+``errors``, ``multicurve``, ``origami`` and ``cli``.  The two values the
+command line's parser and configuration read, :data:`DEFAULT_TOL` and
+:data:`SUITE_NAMES`, are defined here for that reason.
 """
 
 import importlib.util
@@ -35,6 +42,12 @@ def _lazy_import(name: str):
 
 # 3.11's LazyLoader is not thread-safe on first access; origeo is single-threaded.
 np = _lazy_import("numpy")
+
+# The relative width an eigenvalue bracket must reach (``perron_solve``).
+DEFAULT_TOL = 1e-12
+# The self-check suites of ``origeo.checks``, in the order they run.
+SUITE_NAMES = ("gauss-bonnet", "perron-oracle", "primitivity-oracle", "minsky",
+               "sandwich", "walsh-consistency", "interval-soundness")
 
 
 class InputError(ValueError):

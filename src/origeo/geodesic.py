@@ -40,6 +40,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, Optional, Sequence, Tuple
 
 from .errors import (
+    DEFAULT_TOL,
     CertificationError,
     Checks,
     HostMismatch,
@@ -65,7 +66,7 @@ from .multicurve import (
     parse_busemann_spec,
 )
 from .origami import Origami, origami_to_json, parse_origami
-from .perron import DEFAULT_TOL, PerronResult, gram_array, perron_solve
+from .perron import PerronResult, gram_array, perron_solve
 from .surface import SurfaceRows, WeightedSurface, distance_interval, elementwise
 
 

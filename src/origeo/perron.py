@@ -47,12 +47,11 @@ from fractions import Fraction
 from itertools import compress
 from typing import Sequence, Tuple, Union
 
-from .errors import InputError, NoConvergenceError, NotPrimitiveError, np
+from .errors import DEFAULT_TOL, InputError, NoConvergenceError, NotPrimitiveError, np
 from .multicurve import support_is_primitive
 
 Matrix = Sequence[Sequence[Union[int, float]]]
 
-DEFAULT_TOL = 1e-12
 # Power steps that may follow the dense solve.  Coefficients spread over
 # 1e4..1e8 needed at most a few dozen in tests; a gap so small that 1000
 # steps do not suffice leaves the eigenvector ill-determined in floats.

@@ -5,31 +5,46 @@ pipeline through ``origeo``'s top-level names.  These tests read those
 files as text, without importing them, so that removing or renaming a name
 the benchmark relies on fails here.  ``origeo.__all__`` is kept to the
 error classes, the core types and the operations the command line runs.
+
+Most layers load on first use, so the tracer's contract is pinned too: each
+layer it wraps is in ``sys.modules`` once ``origeo`` is imported, and a
+function rebound on the module that defines it is the one that runs.
 """
 
+import argparse
 import ast
 import dataclasses
 import importlib
 import inspect
+import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import origeo
+from origeo import checks, cli, geodesic, horo
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SRC = Path(origeo.__file__).resolve().parent
+DATA = Path(__file__).resolve().parents[1] / "data"
+GOLDEN = [str(DATA / name) for name in ("l-2-2.json", "xi-unit.json", "eta-unit.json")]
+
+
+def _tracing_constant(name):
+    tree = ast.parse((PERFBENCH / "tracing.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        targets = getattr(node, "targets", [getattr(node, "target", None)])
+        if any(isinstance(t, ast.Name) and t.id == name for t in targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"perfbench/tracing.py defines no {name}")
 
 
 def _entry_points():
-    tree = ast.parse((PERFBENCH / "tracing.py").read_text(encoding="utf-8"))
-    for node in tree.body:
-        target = getattr(node, "target", None)
-        if isinstance(target, ast.Name) and target.id == "ENTRY_POINTS":
-            table = ast.literal_eval(node.value)
-            return [(layer, name) for layer, names in table.items() for name in names]
-    raise AssertionError("perfbench/tracing.py defines no ENTRY_POINTS")
+    table = _tracing_constant("ENTRY_POINTS")
+    return [(layer, name) for layer, names in table.items() for name in names]
 
 
 def _top_level_names():
@@ -114,3 +129,94 @@ def test_every_import_is_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     exported = set(origeo.__all__) if path.name == "__init__.py" else set()
     assert sorted(set(_imported_names(tree)) - used - exported) == []
+
+
+def _fresh(script):
+    """The last stdout line of ``script`` in a new interpreter, read as JSON."""
+    res = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", script],
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    return json.loads(res.stdout.splitlines()[-1])
+
+
+def test_traced_layers_are_registered_at_import():
+    """``import origeo`` puts every layer but ``cli`` in ``sys.modules``;
+    the benchmark imports ``cli`` itself.  Each then resolves its entry
+    points through ``vars()``, as the tracer does when it installs."""
+    layers = _tracing_constant("LAYERS")
+    assert "checks" in layers and "cli" in layers
+    missing = _fresh(
+        "import json, sys\n"
+        "import origeo\n"
+        f"missing = [l for l in {layers!r} if 'origeo.' + l not in sys.modules]\n"
+        "from origeo import cli\n"
+        f"for layer, name in {_entry_points()!r}:\n"
+        "    owner, _, attr = name.rpartition('.')\n"
+        "    module = sys.modules['origeo.' + layer]\n"
+        "    if attr not in vars(getattr(module, owner) if owner else module):\n"
+        "        missing.append(layer + '.' + name)\n"
+        "print(json.dumps(missing))\n"
+    )
+    assert missing == ["cli"]
+
+
+@pytest.fixture
+def report(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    assert cli.main(["geodesic", *GOLDEN, "--out", str(path)]) == 0
+    capsys.readouterr()
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "module, name, command",
+    [
+        (geodesic, "optimal_geodesic", ["geodesic", *GOLDEN]),
+        (geodesic, "line_from_report", ["flow", "REPORT", "--t-max", "0"]),
+        (horo, "delta_probe", ["converge", "REPORT", "--n-max", "2"]),
+        (checks, "run_suites", ["check", "--suite", "gauss"]),
+    ],
+    ids=["geodesic", "flow", "converge", "check"],
+)
+def test_function_rebound_on_its_module_is_the_one_cli_runs(
+    monkeypatch, capsys, report, module, name, command
+):
+    calls = []
+    original = getattr(module, name)
+    monkeypatch.setattr(
+        module, name, lambda *a, **k: calls.append(name) or original(*a, **k)
+    )
+    argv = [report if arg == "REPORT" else arg for arg in command]
+    assert cli.main(argv) == 0
+    assert calls == [name]
+
+
+def test_package_names_are_read_from_their_layer(monkeypatch):
+    assert origeo.point_at is geodesic.point_at
+    stand_in = object()
+    monkeypatch.setattr(geodesic, "point_at", stand_in)
+    assert origeo.point_at is stand_in
+
+
+def test_dir_and_star_import_list_every_public_name():
+    assert set(origeo.__all__) <= set(dir(origeo))
+    namespace = {}
+    exec("from origeo import *", namespace)
+    assert set(origeo.__all__) <= set(namespace)
+    assert not hasattr(origeo, "no_such_name")
+
+
+def test_a_submodule_imported_by_name_is_a_package_attribute():
+    assert _fresh(
+        "import json\n"
+        "import origeo.checks\n"
+        "print(json.dumps(origeo.checks.suite_names()))\n"
+    ) == checks.suite_names()
+
+
+def test_suite_help_lists_the_check_suites():
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    suite = next(a for a in subparsers.choices["check"]._actions if a.dest == "suite")
+    assert suite.help == ("run only matching suites (may repeat); known: "
+                          + ", ".join(checks.suite_names()))

@@ -215,6 +215,28 @@ def test_unwritable_out_exits_input_error(files, tmp_path, where):
     assert res.stdout == ""
 
 
+def test_unwritable_out_is_refused_before_the_suites_run(tmp_path, monkeypatch, capsys):
+    from origeo import checks
+
+    ran = []
+    monkeypatch.setattr(checks, "run_suites", lambda **kwargs: ran.append(kwargs))
+    out = tmp_path / "missing" / "x.json"
+    assert cli.main(["check", "--seed", "0", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: cannot write {out}: no directory {out.parent}\n"
+    assert captured.out == ""
+    assert ran == []
+    assert not out.parent.exists()
+
+
+def test_out_file_is_untouched_by_a_command_that_fails(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    out.write_text("kept")
+    assert cli.main(["check", "--suite", "no-such-suite", "--out", str(out)]) == 2
+    assert "no check suite matches" in capsys.readouterr().err
+    assert out.read_text() == "kept"
+
+
 def test_low_genus_exits_input_error(tmp_path):
     p = tmp_path / "torus.json"
     p.write_text(json.dumps({"squares": 2, "h": [2, 1], "v": [1, 2]}))
@@ -533,12 +555,13 @@ def test_converge_builds_each_point_once(report_file, monkeypatch, capsys):
 
 
 def test_long_flow_keeps_its_memos_bounded(report_file, monkeypatch, capsys):
-    from origeo import cli
+    from origeo import cli, geodesic
 
     lines = []
-    rebuild = cli.line_from_report
+    rebuild = geodesic.line_from_report
     monkeypatch.setattr(
-        cli, "line_from_report", lambda report: lines.append(rebuild(report)) or lines[-1]
+        geodesic, "line_from_report",
+        lambda report: lines.append(rebuild(report)) or lines[-1],
     )
     built, _, _ = _count_surfaces_and_proportionality(monkeypatch)
     code = cli.main(["flow", report_file, "--t-min", "0", "--t-max", "1",

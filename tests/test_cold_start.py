@@ -1,13 +1,16 @@
-"""NumPy loads at the first array operation, not at import.
+"""NumPy and origeo's heavy layers load at first use, not at import.
 
 ``origeo.errors.np`` is the one handle every module takes NumPy from.  A
 cold ``validate`` or ``--help`` runs no array, so it must finish without
 loading NumPy's submodules (``numpy`` itself is there, as the lazy module),
-and the handle must be NumPy whichever of the two is imported first.
+and the handle must be NumPy whichever of the two is imported first.  The
+layers past ``origami`` and ``multicurve`` are lazy modules of the same
+kind, and neither command may run one of them.
 """
 
 import ast
 import hashlib
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -23,6 +26,7 @@ GOLDEN = [str(DATA / name) for name in ("l-2-2.json", "xi-unit.json", "eta-unit.
 # md5 of ``geodesic`` on the golden line's stdout
 GOLDEN_GEODESIC_MD5 = "d74a457804b38c52049b74ec61c51608"
 NUMPY_SUBMODULES = ("numpy._core", "numpy.linalg")
+LAZY_LAYERS = ("geodesic", "surface", "horo", "perron", "checks", "sampling", "intervals")
 
 
 def _numpy_imports(tree):
@@ -125,3 +129,34 @@ def test_origeo_imported_first_shares_one_working_numpy():
         f"sys.exit(cli.main(['geodesic', *{GOLDEN!r}]))\n"
     )
     assert hashlib.md5(out.encode()).hexdigest() == GOLDEN_GEODESIC_MD5
+
+
+def _layers_run_by(*args):
+    """Run ``cli.main(args)`` in a new interpreter; return its exit code and
+    the lazy layers that ran.  A lazy module's type is not ``ModuleType``
+    until it loads, and reading the type does not load it."""
+    out = _run(
+        "import json, sys, types\n"
+        "from origeo import cli\n"
+        "try:\n"
+        f"    code = cli.main({list(args)!r})\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        f"ran = [n for n in {LAZY_LAYERS!r}\n"
+        "       if type(sys.modules['origeo.' + n]) is types.ModuleType]\n"
+        "print(json.dumps([code, ran]))\n"
+    )
+    code, ran = json.loads(out.splitlines()[-1])
+    return code, set(ran)
+
+
+@pytest.mark.parametrize("args", [("validate", "--builtin", "l-2-2"), ("--help",)])
+def test_cold_command_runs_no_lazy_layer(args):
+    assert _layers_run_by(*args) == (0, set())
+
+
+def test_cold_geodesic_runs_the_layers_it_calls():
+    code, ran = _layers_run_by("geodesic", *GOLDEN)
+    assert code == 0
+    assert {"geodesic", "perron", "surface"} <= ran
+    assert "checks" not in ran

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from origeo import cli
+from origeo import cli, horo
 from origeo.errors import CertificationError, Checks
 from origeo.geodesic import (
     flow_distance,
@@ -130,7 +130,7 @@ def test_converge_rows_are_the_scalar_values(report, n_max, eps, seed):
 def test_failing_rows_raise_the_earliest_rows_error(monkeypatch, capsys, failing, named):
     report = line_report(optimal_geodesic(*random_full_instance(
         random.Random(3), (3, 8))[1:]))
-    psi_rows = cli.psi_rows
+    psi_rows = horo.psi_rows
     names = iter(["psi_fv", "psi_fh"])  # the order flow asks for them
 
     def shifted(ext_x, ext_0, checks):
@@ -140,7 +140,7 @@ def test_failing_rows_raise_the_earliest_rows_error(monkeypatch, capsys, failing
         hi[rows] += 1.0
         return lo, hi
 
-    monkeypatch.setattr(cli, "psi_rows", shifted)
+    monkeypatch.setattr(horo, "psi_rows", shifted)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "report.json"
         path.write_text(json.dumps(report))
