@@ -38,6 +38,7 @@ from .multicurve import (
     core_labels,
     core_pairings,
     intersection,
+    is_exact,
 )
 from .surface import (
     SurfaceRows,
@@ -162,7 +163,8 @@ def minsky_audit(x: WeightedSurface) -> dict:
     a violation against the *upper* bounds can only come from a broken
     interval.  Also asserts the defining-pair identity
     i(F_v, F_h)^2 = area^2, which holds bit-for-bit because both sides run
-    the same accumulation.
+    the same accumulation.  On an exact surface each pair's comparison runs
+    on integers.
     """
     host = x.origami
     matrix = host.intersection_matrix()
@@ -174,31 +176,47 @@ def minsky_audit(x: WeightedSurface) -> dict:
         )
         for lab in labels
     }
+    # exact bounds as (numerator, denominator): each product is then compared
+    # over its one denominator, and its float is the correctly rounded quotient
+    exact = all(map(is_exact, ext_hi.values()))
+    if exact:
+        ext_hi = {lab: hi.as_integer_ratio() for lab, hi in ext_hi.items()}
     entries = []
     all_ok = True
     for alab, row in zip(matrix.row_labels, matrix.entries):
         for blab, n_ab in zip(matrix.col_labels, row):
-            bound = ext_hi[alab] * ext_hi[blab]
-            ok = n_ab * n_ab <= bound
+            if exact:
+                (na, da), (nb, db) = ext_hi[alab], ext_hi[blab]
+                ok, bound = n_ab * n_ab * da * db <= na * nb, na * nb / (da * db)
+            else:
+                bound = ext_hi[alab] * ext_hi[blab]
+                ok, bound = n_ab * n_ab <= bound, float(bound)
             all_ok = all_ok and ok
             entries.append(
                 {
                     "pair": [alab, blab],
                     "intersection": n_ab,
-                    "extUpperProduct": float(bound),
+                    "extUpperProduct": bound,
                     "status": "certified" if ok else "violated",
                 }
             )
     fh = x.defining_foliation(HORIZONTAL)
     fv = x.defining_foliation(VERTICAL)
-    pairing = intersection(fv, fh)
-    exact_eq = pairing * pairing == x.area() * x.area()
+    pairing, area = intersection(fv, fh), x.area()
+    if is_exact(pairing) and is_exact(area):
+        (pn, pd), (an, ad) = pairing.as_integer_ratio(), area.as_integer_ratio()
+        # lowest terms square to lowest terms: the squares are equal iff these are
+        exact_eq = (pn, pd) == (an, ad)
+        pairing_sq, area_sq = pn * pn / (pd * pd), an * an / (ad * ad)
+    else:
+        pairing_sq, area_sq = pairing * pairing, area * area
+        exact_eq = pairing_sq == area_sq
     all_ok = all_ok and exact_eq
     return {
         "pairs": entries,
         "definingEquality": {
-            "pairingSquared": float(pairing * pairing),
-            "areaSquared": float(x.area() * x.area()),
+            "pairingSquared": float(pairing_sq),
+            "areaSquared": float(area_sq),
             "status": "exact" if exact_eq else "violated",
         },
         "status": "pass" if all_ok else "fail",

@@ -10,9 +10,14 @@ geometric intersection number of weighted families is the bilinear form
 
     i(sum_i a_i alpha_i, sum_j b_j beta_j) = sum_ij a_i n_ij b_j.
 
-Weights are kept exact (`fractions.Fraction`) whenever the input is exact;
-real weights (e.g. eigenvector output) flow through the same formulas in
-floating point.
+A weight of type ``int`` or ``Fraction`` is exact.  A family whose weights
+are all exact has an integer form: its numerators in the host's cylinder
+order over one common denominator (their ``math.lcm``), built on first
+exact use.  The exact pairings run on those integers and build one
+``Fraction`` for the value they return, so no gcd runs per multiply and
+add.  Real weights (e.g. eigenvector output), alone or mixed with exact
+ones, flow through the same formulas in floating point.  ``fractions``
+itself loads at the first exact weight: a cold ``validate`` builds none.
 
 A :class:`BusemannSpec` names a weighted family on one side as the
 prescribed direction of a geodesic ray; :func:`filling_status` reports
@@ -36,19 +41,26 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from itertools import compress
 from types import MappingProxyType
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
-from .errors import HostMismatch, InputError, SideMismatch, np
+from .errors import HostMismatch, InputError, SideMismatch, _lazy_import, np
 
-Weight = Union[int, float, Fraction]
+fractions = _lazy_import("fractions")
+
+Weight = Union[int, float, "fractions.Fraction"]
 
 HORIZONTAL = "horizontal"
 VERTICAL = "vertical"
 SIDES = (HORIZONTAL, VERTICAL)
+
+
+def is_exact(w: Weight) -> bool:
+    """An ``int`` or ``Fraction``: a weight that an integer form holds exactly."""
+    # a float is rejected before the ABC check that isinstance runs for Fraction
+    return type(w) is not float and isinstance(w, (int, fractions.Fraction))
 
 
 @dataclass(frozen=True)
@@ -117,7 +129,7 @@ def _check_weights(weights: Mapping[str, Weight]) -> Dict[str, Weight]:
     for label, w in weights.items():
         # a Fraction is finite, and positive iff its numerator is; comparing
         # it with 0 and inf costs about 6x as much
-        if not (w.numerator > 0 if type(w) is Fraction else 0 < w < math.inf):
+        if not (w.numerator > 0 if type(w) is fractions.Fraction else 0 < w < math.inf):
             raise InputError(
                 f"weight on {label} must be positive and finite, got {w!r}"
             )
@@ -154,6 +166,10 @@ class WeightedMulticurve:
             if c.label in clean
         }
         object.__setattr__(self, "weights", MappingProxyType(ordered))
+        if not all(map(is_exact, ordered.values())):
+            # a float family has no integer form; fixing it here keeps the
+            # float paths off the lazy property's first-access cost
+            object.__setattr__(self, "integer_form", None)
 
     @property
     def support(self) -> Tuple[str, ...]:
@@ -164,12 +180,20 @@ class WeightedMulticurve:
 
     def vector(self) -> Tuple[Weight, ...]:
         """Weights aligned with the host's canonical cylinder order (exact 0s)."""
-        zero = Fraction(0) if all(
-            isinstance(w, (int, Fraction)) for w in self.weights.values()
-        ) else 0.0
+        zero = fractions.Fraction(0) if all(map(is_exact, self.weights.values())) else 0.0
         return tuple(
             self.weights.get(c.label, zero) for c in self.host.cylinders(self.side)
         )
+
+    @cached_property
+    def integer_form(self) -> Optional[Tuple[Tuple[int, ...], int]]:
+        """``(numerators, denominator)``: the weights as integers in the host's
+        cylinder order (0 off the support) over their one least common
+        denominator; None if a weight is a float (set at construction)."""
+        ratios = {lab: w.as_integer_ratio() for lab, w in self.weights.items()}
+        den = math.lcm(*(d for _, d in ratios.values()))
+        nums = {lab: n * (den // d) for lab, (n, d) in ratios.items()}
+        return tuple(nums.get(c.label, 0) for c in self.host.cylinders(self.side)), den
 
     def scaled(self, factor: Weight) -> "WeightedMulticurve":
         if not (factor > 0):
@@ -181,7 +205,7 @@ class WeightedMulticurve:
 
 def core_curve(host, side: str, label: str) -> WeightedMulticurve:
     """The single core curve of one cylinder, as a weight-1 multicurve."""
-    return WeightedMulticurve(host, side, {label: Fraction(1)})
+    return WeightedMulticurve(host, side, {label: 1})
 
 
 def _same_host(a: WeightedMulticurve, b: WeightedMulticurve) -> None:
@@ -194,8 +218,9 @@ def pair_intersection(a: WeightedMulticurve, b: WeightedMulticurve) -> Weight:
 
     ``a`` and ``b`` must live on opposite sides of the same origami.  The
     pairing is the bilinear form through the core intersection matrix,
-    summed over its nonzero cells in row order, and is exact whenever both
-    weight systems are exact.
+    summed over its nonzero cells in row order.  When both weight systems
+    are exact the sum runs on their integer forms and one ``Fraction`` is
+    built at the end.
     """
     _same_host(a, b)
     if a.side == b.side:
@@ -208,6 +233,14 @@ def pair_intersection(a: WeightedMulticurve, b: WeightedMulticurve) -> Weight:
         # one fixed loop makes it bit-for-bit symmetric in float arithmetic
         a, b = b, a
     n = a.host.intersection_matrix()  # rows are the horizontal cores
+    exact = a.integer_form
+    if exact is not None and b.integer_form is not None:
+        (an, ad), (bn, bd) = exact, b.integer_form
+        total = 0
+        for ai, cells in zip(an, n.sparse_rows):
+            if ai:
+                total += ai * sum([nij * bn[j] for j, nij in cells])
+        return fractions.Fraction(total, ad * bd)
     av = a.vector()
     bv = b.vector()
     total = 0
@@ -225,7 +258,7 @@ def intersection(a: WeightedMulticurve, b: WeightedMulticurve) -> Weight:
     """Like :func:`pair_intersection` but 0 for same-side (disjoint) families."""
     _same_host(a, b)
     if a.side == b.side:
-        return Fraction(0)
+        return 0
     return pair_intersection(a, b)
 
 
@@ -389,16 +422,14 @@ def parse_coefficient(text: str, approx: bool) -> Weight:
     s = str(text).strip()
     try:
         if approx:
-            return float(Fraction(s)) if "/" in s else float(s)
-        return Fraction(s)
+            return float(fractions.Fraction(s)) if "/" in s else float(s)
+        return fractions.Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad coefficient {text!r}: {exc}") from None
 
 
 def format_coefficient(value: Weight) -> str:
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, int):
+    if is_exact(value):
         return str(value)
     return f"{float(value):.15g}"
 

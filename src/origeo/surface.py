@@ -36,6 +36,16 @@ weights once.  The weights are read-only, so the derived quantities — the
 area, the circumference tables and the float weights behind ``qc_upper`` —
 are computed once per surface, on first use.
 
+A surface whose weights are all exact (``int`` or ``Fraction``) works on
+the integer forms of its foliations (see :mod:`origeo.multicurve`): per
+side, the circumferences as integers over the other side's denominator,
+and each annulus term over one lcm.  The area, the proportionality test,
+``foliation_ext`` and ``curve_ext_bounds`` then compare and sum integers,
+and build a ``Fraction`` only for the value they return;
+``kerckhoff_lower`` compares exact ratios cross-multiplied.  A surface or
+curve with any float weight runs the same formulas in floating point, in
+the order written below.
+
 Many float surfaces on one origami (the flow points of a grid, say) make a
 :class:`SurfaceRows` block; the ``*_rows`` kernels compute each quantity in
 one array pass over its rows, keeping the scalar code's IEEE operations in
@@ -65,7 +75,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple
 
 from .errors import CertificationError, Checks, HostMismatch, InputError, at, checked, np
 from .intervals import ValueInterval
@@ -75,6 +85,7 @@ from .multicurve import (
     Weight,
     WeightedMulticurve,
     intersection,
+    is_exact,
     pair_intersection,
 )
 from .origami import Origami
@@ -86,6 +97,20 @@ _EXT_MEMO_SIZE = 8
 _DISTANCE_SLACK = 1e-12
 
 
+class _ExactSide(NamedTuple):
+    """One side of an exact surface in integers: its weights are
+    ``own_k / den``, its circumferences ``circ_k / circ_den`` (the other
+    side's denominator), ``circ_k / own_k`` is ``annuli_k / lcm``, and the
+    area is ``area / (den * circ_den)``."""
+
+    den: int
+    circ: List[int]
+    circ_den: int
+    lcm: int
+    annuli: List[int]
+    area: int
+
+
 @dataclass(frozen=True)
 class WeightedSurface:
     """An origami with positive cylinder heights and widths (a flat metric).
@@ -93,8 +118,9 @@ class WeightedSurface:
     The surface is its two defining foliations, built and validated once:
     heights weight every horizontal core, widths every vertical core.
     ``heights`` and ``widths`` are their read-only weights, in the host's
-    cylinder order, so the quantities derived from them -- the area and the
-    circumference tables -- are computed once per surface, on first use.
+    cylinder order, so the quantities derived from them -- the area, the
+    circumference tables and, for exact weights, their integer forms -- are
+    computed once per surface, on first use.
     """
 
     origami: Origami
@@ -142,8 +168,40 @@ class WeightedSurface:
         return self._area
 
     @cached_property
+    def _integers(self) -> Optional[Dict[str, _ExactSide]]:
+        """Per side, the surface as integers (see :class:`_ExactSide`); None
+        if a weight is a float."""
+        forms = [self._defining[side].integer_form for side in (HORIZONTAL, VERTICAL)]
+        if None in forms:
+            return None
+        (hn, dh), (wn, dw) = forms
+        rows = self.origami.intersection_matrix().sparse_rows
+        horizontal = [sum([n * wn[j] for j, n in cells]) for cells in rows]
+        vertical = [0] * len(wn)
+        for h, cells in zip(hn, rows):
+            for j, n in cells:
+                vertical[j] += n * h
+        area = sum([h * c for h, c in zip(hn, horizontal)])
+        sides = {}
+        for side, (own, den), circ, circ_den in (
+            (HORIZONTAL, forms[0], horizontal, dw), (VERTICAL, forms[1], vertical, dh)
+        ):
+            lcm = math.lcm(*own)
+            annuli = [c * (lcm // o) for c, o in zip(circ, own)]
+            sides[side] = _ExactSide(den, circ, circ_den, lcm, annuli, area)
+        return sides
+
+    @cached_property
     def _circumferences(self) -> Dict[str, Dict[str, Weight]]:
         matrix = self.origami.intersection_matrix()
+        exact = self._integers
+        if exact is not None:
+            return {
+                side: {lab: Fraction(c, exact[side].circ_den)
+                       for lab, c in zip(labels, exact[side].circ)}
+                for side, labels in ((HORIZONTAL, matrix.row_labels),
+                                     (VERTICAL, matrix.col_labels))
+            }
         widths = [self.widths[lab] for lab in matrix.col_labels]
         vertical = [0] * len(widths)
         horizontal = {}
@@ -168,20 +226,23 @@ class WeightedSurface:
     def proportionality(self, curve: WeightedMulticurve) -> Optional[Weight]:
         """Return r with curve = r * (defining foliation of curve's side), else None.
 
-        Exact weights are compared exactly; any floating operand switches to a
-        relative tolerance of 1e-9 (flow-line surfaces carry float weights).
+        Exact weights are compared exactly, by cross-multiplying their
+        integer forms; any floating operand switches to a relative tolerance
+        of 1e-9 (flow-line surfaces carry float weights).
         """
         if curve.host is not self.origami:
             raise HostMismatch("curve lives on a different origami")
         if not curve.is_full_support():
             return None
-        own = self._defining[curve.side].weights
-        ratios = [curve.weights[lab] / own[lab] for lab in curve.weights]
-        exact = all(isinstance(r, Fraction) for r in ratios)
-        first = ratios[0]
-        if exact:
-            return first if all(r == first for r in ratios) else None
-        floats = [float(r) for r in ratios]
+        defining = self._defining[curve.side]
+        if curve.integer_form is not None and defining.integer_form is not None:
+            (nums, den), (own, own_den) = curve.integer_form, defining.integer_form
+            u0, o0 = nums[0], own[0]
+            if all(u * o0 == u0 * o for u, o in zip(nums, own)):
+                return Fraction(u0 * own_den, den * o0)
+            return None
+        own = defining.weights
+        floats = [float(curve.weights[lab] / own[lab]) for lab in curve.weights]
         lo, hi = min(floats), max(floats)
         if hi - lo <= _PROPORTIONAL_RTOL * hi:
             return floats[0]
@@ -207,9 +268,13 @@ def foliation_ext(surface: WeightedSurface, r: Weight = 1) -> Weight:
     foliation in question really is ``r`` times a defining one — for
     anything else use :func:`curve_ext_bounds`.
     """
-    if not (r > 0):
+    exact = is_exact(r)
+    if not (r.numerator > 0 if exact else r > 0):
         raise InputError(f"scale must be positive, got {r!r}")
-    return r * r * surface.area()
+    a = surface.area()
+    if exact and is_exact(a):
+        return Fraction(r.numerator ** 2 * a.numerator, r.denominator ** 2 * a.denominator)
+    return r * r * a
 
 
 def curve_ext_bounds(
@@ -220,10 +285,13 @@ def curve_ext_bounds(
     Lower bound: intersection numbers against both defining foliations,
     whose extremal lengths are known exactly.  Upper bound: disjoint flat
     annuli, ``sum u^2 * circumference/across`` over the support.  For the
-    defining foliation itself the two collapse to the exact area.
+    defining foliation itself the two collapse to the exact area.  Exact
+    weights on both run on integers (see :func:`_exact_ext_bounds`).
     """
     if curve.host is not surface.origami:
         raise HostMismatch("curve lives on a different origami")
+    if curve.integer_form is not None and surface._integers is not None:
+        return _exact_ext_bounds(*curve.integer_form, surface._integers[curve.side])
     a = surface.area()
     lo = 0
     for side in (HORIZONTAL, VERTICAL):
@@ -235,13 +303,33 @@ def curve_ext_bounds(
     for lab, u in curve.weights.items():  # across a cylinder: height or width
         hi = hi + u * u * (surface.circumference(curve.side, lab) / across[lab])
     if lo > hi:
-        # mathematically lo <= Ext <= hi; allow only float round-off grazing
-        if float(lo - hi) > 1e-9 * float(hi):
-            raise CertificationError(
-                f"extremal length bounds inverted: lo={lo} hi={hi}"
-            )
-        lo = hi
+        lo = _grazing(lo, hi)
     return ValueInterval(lo, hi)
+
+
+def _exact_ext_bounds(nums, den: int, side: _ExactSide) -> ValueInterval:
+    """curve_ext_bounds for the curve with weights ``nums / den`` on ``side``
+    of an exact surface, in integers.  Its pairing with the other side's
+    foliation is ``pairing / (den * circ_den)``, so the lower bound is
+    ``side.den * pairing^2 / (den^2 * circ_den * area)``; its annuli sum to
+    ``side.den * spread / (den^2 * circ_den * lcm)``."""
+    pairing = sum([u * c for u, c in zip(nums, side.circ) if u])
+    spread = sum([u * u * k for u, k in zip(nums, side.annuli) if u])
+    scale = den * den * side.circ_den
+    lo = Fraction(side.den * pairing * pairing, scale * side.area) if pairing else 0
+    hi = Fraction(side.den * spread, scale * side.lcm)
+    if pairing * pairing * side.lcm > spread * side.area:  # lo > hi
+        lo = _grazing(lo, hi)
+    return ValueInterval(lo, hi)
+
+
+def _grazing(lo: Weight, hi: Weight) -> Weight:
+    """The lower bound for an extremal length whose bounds came out with
+    lo > hi.  Mathematically lo <= Ext <= hi, so only float round-off may
+    graze: it gives hi, anything more raises."""
+    if float(lo - hi) > 1e-9 * float(hi):
+        raise CertificationError(f"extremal length bounds inverted: lo={lo} hi={hi}")
+    return hi
 
 
 def ext_interval(surface: WeightedSurface, curve: WeightedMulticurve) -> ValueInterval:
@@ -296,16 +384,25 @@ def kerckhoff_lower(
     ExtLo_X / ExtHi_Y bounds the distance's dilatation from below; defining
     foliations contribute exact ratios.  The bound is clamped at 0 (the sup
     over *all* curves realizes the distance; a finite family may undershoot).
+    Exact bounds are compared by cross-multiplying, and the best ratio is
+    divided once, correctly rounded as ``float`` of its ``Fraction`` is.
     """
     _same_origami(x, y)
-    best = 1  # ratio 1 <-> lower bound 0
+    quotients = []
     for curve in family:
-        ix = ext_interval(x, curve)
-        iy = ext_interval(y, curve)
-        for ratio in (
-            (ix.lo / iy.hi) if iy.hi > 0 else 0,
-            (iy.lo / ix.hi) if ix.hi > 0 else 0,
-        ):
+        ix, iy = ext_interval(x, curve), ext_interval(y, curve)
+        quotients += [(ix.lo, iy.hi), (iy.lo, ix.hi)]
+    if all(is_exact(lo) and is_exact(hi) for lo, hi in quotients):
+        num, den = 1, 1  # ratio 1 <-> lower bound 0
+        for lo, hi in quotients:
+            n, d = lo.numerator * hi.denominator, lo.denominator * hi.numerator
+            if d > 0 and n * den > num * d:
+                num, den = n, d
+        best = num / den
+    else:
+        best = 1
+        for lo, hi in quotients:
+            ratio = lo / hi if hi > 0 else 0
             if ratio > best:
                 best = ratio
     return 0.5 * math.log(float(best))

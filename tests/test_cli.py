@@ -450,6 +450,8 @@ GOLDEN_STDOUT_MD5 = {
     ("staircase-20", "flow", "--step", "0.05"): "d4767a701c3da23e21c02b22c90c102a",
     ("staircase-20", "converge", "--n-max", "20"): "e5768d4e206f863aea60d5af75d85326",
 }
+# md5 of ``check --seed 7``'s stdout: every suite's random stream and report
+CHECK_SEED_7_MD5 = "a817223dbb0cd5774c2b2b2cbddbead1"
 
 
 @pytest.fixture
@@ -498,6 +500,14 @@ def test_golden_stdout_is_pinned(report_file, l32_report, stair_report, argv):
     res = run_cli(args[0], report, *args[1:])
     assert res.returncode == 0, res.stderr
     assert hashlib.md5(res.stdout.encode()).hexdigest() == GOLDEN_STDOUT_MD5[argv]
+
+
+def test_check_seed_7_stdout_is_pinned():
+    import hashlib
+
+    res = run_cli("check", "--seed", "7")
+    assert res.returncode == 0, res.stderr
+    assert hashlib.md5(res.stdout.encode()).hexdigest() == CHECK_SEED_7_MD5
 
 
 def _count_surfaces_and_proportionality(monkeypatch):

@@ -5,7 +5,8 @@ cold ``validate`` or ``--help`` runs no array, so it must finish without
 loading NumPy's submodules (``numpy`` itself is there, as the lazy module),
 and the handle must be NumPy whichever of the two is imported first.  The
 layers past ``origami`` and ``multicurve`` are lazy modules of the same
-kind, and neither command may run one of them.
+kind, and neither command may run one of them.  ``fractions`` (which imports
+``decimal``) is one too: neither command builds an exact weight.
 """
 
 import ast
@@ -27,6 +28,7 @@ GOLDEN = [str(DATA / name) for name in ("l-2-2.json", "xi-unit.json", "eta-unit.
 GOLDEN_GEODESIC_MD5 = "d74a457804b38c52049b74ec61c51608"
 NUMPY_SUBMODULES = ("numpy._core", "numpy.linalg")
 LAZY_LAYERS = ("geodesic", "surface", "horo", "perron", "checks", "sampling", "intervals")
+EXACT_ARITHMETIC = ("fractions", "decimal")
 
 
 def _numpy_imports(tree):
@@ -78,7 +80,7 @@ def _cold(*args):
 def test_cold_validate_loads_no_numpy_submodule(capsys):
     res, imported = _cold("validate", "--builtin", "l-2-2")
     assert res.returncode == 0
-    assert imported.isdisjoint(NUMPY_SUBMODULES)
+    assert imported.isdisjoint(NUMPY_SUBMODULES + EXACT_ARITHMETIC)
     assert cli.main(["validate", "--builtin", "l-2-2"]) == 0
     assert res.stdout == capsys.readouterr().out
 
@@ -96,7 +98,7 @@ def test_cold_help_loads_no_numpy_submodule():
     res, imported = _cold("--help")
     assert res.returncode == 0
     assert "validate" in res.stdout
-    assert imported.isdisjoint(NUMPY_SUBMODULES)
+    assert imported.isdisjoint(NUMPY_SUBMODULES + EXACT_ARITHMETIC)
 
 
 def _run(script):
@@ -132,9 +134,10 @@ def test_origeo_imported_first_shares_one_working_numpy():
 
 
 def _layers_run_by(*args):
-    """Run ``cli.main(args)`` in a new interpreter; return its exit code and
-    the lazy layers that ran.  A lazy module's type is not ``ModuleType``
-    until it loads, and reading the type does not load it."""
+    """Run ``cli.main(args)`` in a new interpreter; return its exit code, the
+    lazy layers that ran and which of ``EXACT_ARITHMETIC`` ran.  A lazy
+    module's type is not ``ModuleType`` until it loads, and reading the type
+    does not load it."""
     out = _run(
         "import json, sys, types\n"
         "from origeo import cli\n"
@@ -144,19 +147,22 @@ def _layers_run_by(*args):
         "    code = exc.code\n"
         f"ran = [n for n in {LAZY_LAYERS!r}\n"
         "       if type(sys.modules['origeo.' + n]) is types.ModuleType]\n"
-        "print(json.dumps([code, ran]))\n"
+        f"exact = [n for n in {EXACT_ARITHMETIC!r}\n"
+        "         if type(sys.modules.get(n)) is types.ModuleType]\n"
+        "print(json.dumps([code, ran, exact]))\n"
     )
-    code, ran = json.loads(out.splitlines()[-1])
-    return code, set(ran)
+    code, ran, exact = json.loads(out.splitlines()[-1])
+    return code, set(ran), set(exact)
 
 
 @pytest.mark.parametrize("args", [("validate", "--builtin", "l-2-2"), ("--help",)])
 def test_cold_command_runs_no_lazy_layer(args):
-    assert _layers_run_by(*args) == (0, set())
+    assert _layers_run_by(*args) == (0, set(), set())
 
 
 def test_cold_geodesic_runs_the_layers_it_calls():
-    code, ran = _layers_run_by("geodesic", *GOLDEN)
+    code, ran, exact = _layers_run_by("geodesic", *GOLDEN)
     assert code == 0
     assert {"geodesic", "perron", "surface"} <= ran
     assert "checks" not in ran
+    assert exact == set(EXACT_ARITHMETIC)  # the specs' coefficients are exact
