@@ -19,28 +19,27 @@ from fractions import Fraction
 from typing import List, Optional, Sequence
 
 from . import sampling
-from .errors import SUITE_NAMES, InputError, np
+from .errors import SUITE_NAMES, Checks, InputError, np
 from .geodesic import (
     backward_limit,
+    flow_rows,
     forward_limit,
     optimal_geodesic,
-    point_at,
     reversed_line,
 )
-from .horo import (
-    busemann_interval,
-    minsky_audit,
-    miyachi_intersection,
-    psi_foliation,
-    psi_interior,
-)
+from .horo import busemann_rows, minsky_audit, miyachi_rows, psi_rows
+from .intervals import outside
 from .multicurve import HORIZONTAL, VERTICAL, BusemannSpec, core_curve, intersection
 from .origami import Origami, builtin, catalog
 from .perron import gram, is_primitive, perron_solve, wielandt_oracle
 from .surface import (
+    SurfaceRows,
+    check_weights,
     curve_ext_bounds,
     distance_interval,
+    distance_rows,
     ext_interval,
+    ext_rows,
     foliation_ext,
     qc_upper,
 )
@@ -59,6 +58,16 @@ def _report(name: str, cases: int, failures: List[str]) -> dict:
         "failures": failures[:_MAX_FAILURES],
         "status": "pass" if not failures else "fail",
     }
+
+
+def _row_failures(messages: List[str], flags, **columns) -> List[str]:
+    """Row by row, the message of each flag raised at the row, formatted with
+    its index ``i`` and its entry of each column: a loop's failures, in order."""
+    failures = []
+    for i, row in enumerate(zip(*flags)):
+        entries = {name: column[i] for name, column in columns.items()}
+        failures += [m.format(i=i, **entries) for m, flag in zip(messages, row) if flag]
+    return failures
 
 
 def check_gauss_bonnet(seed: int) -> dict:
@@ -182,6 +191,8 @@ def check_sandwich(seed: int) -> dict:
     must not exceed the Busemann enclosure's upper end, enclosures at
     nearby points must satisfy the 1-Lipschitz bound interval-consistently,
     and the interior horofunction normalized at Z itself must contain 0.
+    Each line's points are drawn first, in the order a loop over them would
+    draw, and evaluated as one block of rows.
     """
     rng = _suite_rng(seed, "sandwich")
     failures: List[str] = []
@@ -190,28 +201,37 @@ def check_sandwich(seed: int) -> dict:
     for _ in range(2):
         o, xi, eta = sampling.random_full_instance(rng)
         lines.append(optimal_geodesic(xi, eta))
-    per_line = [34, 33, 33]
-    for line, count in zip(lines, per_line):
-        base = line.base_surface
-        f_v = line.vertical_foliation
-        prev = None
-        for i in range(count):
-            t = rng.uniform(-2.0, 2.0)
-            z, _, _ = sampling.jittered_surface(rng, point_at(line, t), 0.25)
-            cases += 1
-            psi = psi_foliation(f_v, z, base)
-            bus = busemann_interval(line, z, horizon=7.0)
-            if psi.lo > bus.hi + 1e-9:
-                failures.append(f"sandwich inverted at jitter {i}")
-            zero = psi_interior(z, base, base)
-            if not (zero.lo <= 0.0 <= zero.hi):
-                failures.append(f"interior value at basepoint misses 0 at {i}")
-            if prev is not None:
-                d_hi = distance_interval(prev[0], z).hi
-                for a, b in ((prev[1], psi), (prev[2], bus)):
-                    if a.lo - b.hi > d_hi + 1e-9 or b.lo - a.hi > d_hi + 1e-9:
-                        failures.append(f"1-Lipschitz bound broken at {i}")
-            prev = (z, psi, bus)
+    for line, count in zip(lines, [34, 33, 33]):
+        b, f_v = line.base_surface.rows, line.vertical_foliation
+        labels = [*line.base_surface.heights, *line.base_surface.widths]
+        # per point its time, then its height and width factors
+        draws = np.array([[rng.uniform(-2.0, 2.0),
+                           *sampling.jitter_factors(rng, labels, 0.25).values()]
+                          for _ in range(count)])
+        h = 1 + b.heights.shape[1]
+        with Checks() as checks:
+            pt = flow_rows(line, draws[:, 0], checks)
+            z = check_weights(SurfaceRows(b.origami, pt.heights * draws[:, 1:h],
+                                          pt.widths * draws[:, h:]), checks)
+            psi = psi_rows(ext_rows(z, f_v.side, b.side(f_v.side), checks),
+                           (b.area, b.area), checks)
+            bus = busemann_rows(line, z, np.array([7.0]), checks)
+            d_lo, d_hi = distance_rows(b, z, checks)
+            # each point's distance to the one before it, checked at its row
+            step = Checks()
+            d_step = distance_rows(z[:-1], z[1:], step)[1]
+            for failed, error in step:
+                later = np.zeros(count, bool)
+                later[1:] = failed
+                checks.add(later, lambda i, error=error: error(i - 1))
+        cases += count
+        failures += _row_failures(
+            ["sandwich inverted at jitter {i}",
+             "interior value at basepoint misses 0 at {i}"]
+            + ["1-Lipschitz bound broken at {i}"] * 2,
+            [psi[0] > bus[1] + 1e-9, ~((d_lo - d_hi <= 0.0) & (0.0 <= d_hi - d_lo))]
+            + [np.r_[False, (lo[:-1] - hi[1:] > d_step + 1e-9)
+                     | (lo[1:] - hi[:-1] > d_step + 1e-9)] for lo, hi in (psi, bus)])
     return _report("sandwich", cases, failures)
 
 
@@ -273,20 +293,21 @@ def check_interval_soundness(seed: int) -> dict:
             failures.append(f"self distance not zero [{i}]")
 
     line = _golden_line()
-    area = intersection(line.horizontal_foliation, line.vertical_foliation)
-    for i in range(20):
-        s, t = rng.uniform(-3, 3), rng.uniform(-3, 3)
-        cases += 1
-        ps, pt = point_at(line, s), point_at(line, t)
-        d = distance_interval(ps, pt)
-        if not d.contains(abs(t - s), tol=1e-12):
-            failures.append(f"flow distance escapes interval at ({s:.3f},{t:.3f})")
-        if abs(float(pt.area()) - float(area)) > 1e-9 * float(area):
-            failures.append(f"flow does not preserve area at t={t:.3f}")
-        mi = miyachi_intersection(point_at(line, -abs(s)), point_at(line, abs(t)),
-                                  line.base_surface)
-        if not mi.contains(1.0, tol=1e-9):
-            failures.append(f"intersection proxy misses 1 at ({s:.3f},{t:.3f})")
+    area = float(intersection(line.horizontal_foliation, line.vertical_foliation))
+    s, t = np.array([[rng.uniform(-3, 3), rng.uniform(-3, 3)] for _ in range(20)]).T
+    with Checks() as checks:
+        ps, pt = flow_rows(line, s, checks), flow_rows(line, t, checks)
+        escapes = outside(*distance_rows(ps, pt, checks), np.abs(t - s), 1e-12)
+        x, y = flow_rows(line, -np.abs(s), checks), flow_rows(line, np.abs(t), checks)
+        d_x, d_y = (distance_rows(line.base_surface.rows, z, checks) for z in (x, y))
+        mi = miyachi_rows(d_x, d_y, distance_rows(x, y, checks), checks)
+    cases += len(s)
+    failures += _row_failures(
+        ["flow distance escapes interval at ({s:.3f},{t:.3f})",
+         "flow does not preserve area at t={t:.3f}",
+         "intersection proxy misses 1 at ({s:.3f},{t:.3f})"],
+        [escapes, np.abs(pt.area - area) > 1e-9 * area, outside(*mi, 1.0, 1e-9)],
+        s=s.tolist(), t=t.tolist())
     return _report("interval-soundness", cases, failures)
 
 

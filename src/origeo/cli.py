@@ -256,15 +256,15 @@ def _flow_block(line: geodesic.GeodesicLine, ts: np.ndarray,
                 horizon: float) -> np.ndarray:
     """The flow CSV's columns at the times ts, each one array pass over the
     rows, with the checks of every row."""
-    base = line.require_surface()
+    base = line.require_surface().rows
     with Checks() as checks:
-        pt = surface.check_weights(geodesic.flow_rows(line, ts, checks), checks)
+        pt = geodesic.flow_rows(line, ts, checks)
         exts, psis = [], []
         for f in (line.vertical_foliation, line.horizontal_foliation):
-            # the line's foliations are the base's own: F_v weighs the widths
-            exts.append(surface.ext_rows(pt, f.side, base.rows.side(f.side), checks))
-            e0 = surface.ext_interval(base, f)
-            psis.append(horo.psi_rows(exts[-1], (e0.lo, e0.hi), checks))
+            # the line's foliations are the base's own: F_v weighs the widths,
+            # and its extremal length at the base is the base's area
+            exts.append(surface.ext_rows(pt, f.side, base.side(f.side), checks))
+            psis.append(horo.psi_rows(exts[-1], (base.area, base.area), checks))
         for (lo, hi), want, name in zip(psis, (-ts, ts), ("psi_fv", "psi_fh")):
             def strays(i, lo=lo, hi=hi, want=want, name=name):
                 return CertificationError(f"{name} at t={at(ts, i)} strays from "
@@ -278,7 +278,7 @@ def _flow_block(line: geodesic.GeodesicLine, ts: np.ndarray,
                        f"[{at(bus_lo, i)}, {at(bus_hi, i)}]"))
         d_to_base = np.abs(ts)
         geodesic.check_flow_distance(
-            d_to_base, *surface.distance_rows(base.rows, pt, checks), checks)
+            d_to_base, *surface.distance_rows(base, pt, checks), checks)
     return np.column_stack(
         [ts, pt.widths, pt.heights, exts[0][0], exts[1][0]]
         + [(lo + hi) / 2.0 for lo, hi in psis]
@@ -296,8 +296,7 @@ def _converge_payload(line: geodesic.GeodesicLine, cfg: RunConfig) -> dict:
     o, b = base.origami, base.rows
     ns = np.arange(1.0, cfg.n_max + 1)
     with Checks() as checks:
-        x = surface.check_weights(geodesic.flow_rows(line, -ns, checks), checks)
-        y = surface.check_weights(geodesic.flow_rows(line, ns, checks), checks)
+        x, y = (geodesic.flow_rows(line, t, checks) for t in (-ns, ns))
         d_xy = surface.distance_rows(x, y, checks)
         geodesic.check_flow_distance(2.0 * ns, *d_xy, checks)
         d_0x = surface.distance_rows(b, x, checks)

@@ -113,25 +113,22 @@ class Checks(list):
             self.raise_first()
 
     def add(self, failed, error) -> None:
-        self.append((np.atleast_1d(failed), error))
+        self.append((np.asarray(failed), error))
 
     def raise_first(self) -> None:
         """Raise what the loop raised: the error of the earliest failing row,
         and within it of the first failing check."""
         if any(failed.any() for failed, _ in self):
-            masks = np.array(np.broadcast_arrays(*(failed for failed, _ in self)))
+            masks = np.array(np.broadcast_arrays(*(np.atleast_1d(f) for f, _ in self)))
             row = int(masks.any(axis=0).argmax())
             raise self[int(masks[:, row].argmax())][1](row)
 
 
 def checked(kernel, *args):
-    """``kernel(*args, checks)`` on one row, raising what its checks raise.
-    It skips the context: switching NumPy's warnings off and back costs about
-    6 us, more than most one-row kernels."""
-    checks = Checks()
-    result = kernel(*args, checks)
-    checks.raise_first()
-    return result
+    """``kernel(*args, checks)`` in a :class:`Checks` context, raising what
+    its checks raise: the one-row view of a row kernel."""
+    with Checks() as checks:
+        return kernel(*args, checks)
 
 
 def at(column, row: int):

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, Optional, Sequence, Tuple
 
 from .errors import (
@@ -67,7 +67,7 @@ from .multicurve import (
 )
 from .origami import Origami, origami_to_json, parse_origami
 from .perron import PerronResult, gram_array, perron_solve
-from .surface import SurfaceRows, WeightedSurface, distance_interval, elementwise
+from .surface import SurfaceRows, WeightedSurface, check_weights, distance_rows, elementwise
 
 
 @dataclass(frozen=True)
@@ -83,8 +83,6 @@ class GeodesicLine:
     families use all cores of their sides (otherwise the metric would need a
     cylinder of width zero, which is no metric on this origami — the
     eigen-data and limit functions remain available).
-    ``_points`` holds the last few flow points :func:`point_at` built; each
-    line, a reversed one included, starts with an empty memo of its own.
     """
 
     origami: Origami
@@ -102,9 +100,6 @@ class GeodesicLine:
     walsh_forward_cosine: float
     walsh_backward_cosine: float
     tol: float
-    _points: Dict[float, WeightedSurface] = field(
-        default_factory=dict, init=False, compare=False, repr=False
-    )
 
     def require_surface(self) -> WeightedSurface:
         if self.base_surface is None:
@@ -246,57 +241,48 @@ def optimal_geodesic(
 # flow
 
 
-# Flow points a line keeps for the scalar callers: the pipeline's
-# flow_distance(s, t) and busemann_interval at G(t) use G(s), G(t) and the
-# far point G(|t| + 5); the sandwich suite's Busemann calls share G(7)
-# among fresh points.  Four hold every point in use, and memory stays flat.
-_POINT_MEMO_SIZE = 4
-
-
-def point_at(line: GeodesicLine, t: float) -> WeightedSurface:
-    """The flow point at time t, the one-row case of :func:`flow_rows`.
-
-    ``t == 0`` is the base surface itself.  The line keeps the last
-    ``_POINT_MEMO_SIZE`` points it built, keyed by the float ``t`` and
-    dropping the least recently used first, so a time asked for again
-    returns the same surface, with its cached area and extremal lengths.
-    """
-    base = line.require_surface()
+def _flow_time(line: GeodesicLine, t: float) -> float:
+    line.require_surface()
     t = float(t)
     if not math.isfinite(t):
         raise InputError(f"flow time must be finite, got {t}")
+    return t
+
+
+def point_at(line: GeodesicLine, t: float) -> WeightedSurface:
+    """The flow point at time t, the one-row case of :func:`flow_rows`, built
+    anew at each call.  ``t == 0`` is the base surface itself.  The flow's
+    own callers take :func:`flow_rows` blocks and build no surface."""
+    t = _flow_time(line, t)
     if t == 0.0:
-        return base
-    memo = line._points
-    point = memo.pop(t, None)
-    if point is None:
-        point = checked(flow_rows, line, np.array([t])).surface(0)
-        if len(memo) >= _POINT_MEMO_SIZE:
-            del memo[next(iter(memo))]
-    memo[t] = point  # reinserted last: the most recently used
-    return point
+        return line.base_surface
+    return checked(flow_rows, line, np.array([t])).surface(0)
 
 
 def flow_rows(line: GeodesicLine, ts: np.ndarray, checks: Checks) -> SurfaceRows:
-    """The flow points at the times ``ts``, one row each (weights unchecked):
-    widths scaled by e^t, heights by e^{-t} (exchanged on a time-reversed
-    line, so that reversal negates the parameter)."""
+    """The flow points at the times ``ts``, one row each, with their weights
+    checked: widths scaled by e^t, heights by e^{-t} (exchanged on a
+    time-reversed line, so that reversal negates the parameter)."""
     base = line.require_surface().rows
     grow, shrink = (elementwise(math.exp, s, checks)[:, None] for s in (ts, -ts))
     if line.vertical_foliation.side != VERTICAL:
         grow, shrink = shrink, grow
-    return SurfaceRows(line.origami, base.heights * shrink, base.widths * grow)
+    return check_weights(
+        SurfaceRows(line.origami, base.heights * shrink, base.widths * grow), checks)
 
 
 def flow_distance(line: GeodesicLine, s: float, t: float) -> float:
     """Teichmueller distance |t - s| between two flow points, cross-checked.
 
     The certified distance interval from the defining-foliation family must
-    bracket |t - s| within 1e-12; a miss is a certification bug.
+    bracket |t - s| within 1e-12; a miss is a certification bug.  One-row
+    blocks of the two points go through :func:`distance_rows`.
     """
-    value = abs(float(t) - float(s))
-    ival = distance_interval(point_at(line, s), point_at(line, t))
-    checked(check_flow_distance, value, ival.lo, ival.hi)
+    s, t = _flow_time(line, s), _flow_time(line, t)
+    value = abs(t - s)
+    with Checks() as checks:
+        x, y = (flow_rows(line, np.array([u]), checks) for u in (s, t))
+        check_flow_distance(value, *distance_rows(x, y, checks), checks)
     return value
 
 

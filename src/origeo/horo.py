@@ -16,6 +16,9 @@ normalized to vanish at a chosen basepoint and returned as a certified
   ``d(X, G(T)) - T`` decreases to the Busemann value as the horizon ``T``
   grows, so any finite horizon gives a sound upper bound.
 
+On float surfaces each runs the one-row case of ``*_rows`` kernels, which
+``flow`` and the self-checks run on whole blocks of surfaces.
+
 The audits at the bottom turn standard comparison inequalities into
 machine-checked certificates on concrete surfaces rather than trusting
 them abstractly; violations indicate a broken interval, not a broken
@@ -26,9 +29,9 @@ from __future__ import annotations
 
 import math
 
-from .errors import CertificationError, Checks, HostMismatch, InputError, at, checked, np
-from .geodesic import GeodesicLine, flow_rows, point_at, ray_limit, spec_pairing
-from .intervals import ValueInterval
+from .errors import CertificationError, Checks, HostMismatch, InputError, at, np
+from .geodesic import GeodesicLine, flow_rows, ray_limit, spec_pairing
+from .intervals import ValueInterval, one_row
 from .multicurve import (
     HORIZONTAL,
     VERTICAL,
@@ -43,7 +46,6 @@ from .multicurve import (
 from .surface import (
     SurfaceRows,
     WeightedSurface,
-    check_weights,
     curve_ext_bounds,
     curve_ext_rows,
     distance_interval,
@@ -63,11 +65,8 @@ def psi_foliation(
     f: WeightedMulticurve, x: WeightedSurface, x0: WeightedSurface
 ) -> ValueInterval:
     """Horofunction of the foliation ray F, normalized at X0."""
-    if x.origami is not f.host or x0.origami is not f.host:
-        raise HostMismatch("foliation and surfaces live on different origamis")
     ext_x, ext_0 = ext_interval(x, f), ext_interval(x0, f)
-    lo, hi = checked(psi_rows, (ext_x.lo, ext_x.hi), (ext_0.lo, ext_0.hi))
-    return ValueInterval(at(lo, 0), at(hi, 0))
+    return one_row(psi_rows, (ext_x.lo, ext_x.hi), (ext_0.lo, ext_0.hi))
 
 
 def psi_rows(ext_x, ext_0, checks: Checks):
@@ -85,30 +84,12 @@ def psi_interior(
     return distance_interval(x, z).minus(distance_interval(x0, z))
 
 
-def _enclosure(line: GeodesicLine, y: WeightedSurface, horizon: float) -> ValueInterval:
-    if y.origami is not line.origami:
-        raise HostMismatch("surface does not live on the line's origami")
-    ext = ext_interval(y, line.vertical_foliation)
-    d = distance_interval(y, point_at(line, horizon))
-    lo, hi = checked(_enclose, ext.lo, d.hi, horizon, line.pairing)
-    return ValueInterval(at(lo, 0), at(hi, 0))
-
-
-def _enclose(ext_lo, d_hi, horizon, pairing: float, checks: Checks):
-    """The foliation bound below, d(Y, G(horizon)) - horizon above."""
-    lo = 0.5 * elementwise(math.log, ext_lo, checks) - 0.5 * math.log(pairing)
-    hi = d_hi - horizon
-    checks.add(lo > hi + 1e-9, lambda i: CertificationError(
-        f"Busemann enclosure inverted: lo={at(lo, i)!r} > hi={at(hi, i)!r}"))
-    swap = lo > hi
-    return np.where(swap, hi, lo), np.where(swap, lo, hi)
-
-
 def busemann_interval(
     line: GeodesicLine, x: WeightedSurface, horizon: float = 8.0
 ) -> ValueInterval:
     """Enclose the Busemann function of the line's forward endpoint at X,
-    normalized to vanish at the line's base G(0).
+    normalized to vanish at the line's base G(0): the one-row
+    :func:`busemann_rows`.
 
     For another basepoint X0, subtract the enclosure at X0:
     ``busemann_interval(line, x).minus(busemann_interval(line, x0))``.
@@ -117,16 +98,24 @@ def busemann_interval(
     """
     if not 0 < horizon < math.inf:
         raise InputError(f"horizon must be positive and finite, got {horizon}")
-    return _enclosure(line, x, horizon)
+    if x.origami is not line.origami:
+        raise HostMismatch("surface does not live on the line's origami")
+    return one_row(busemann_rows, line, x.rows, np.array([float(horizon)]))
 
 
 def busemann_rows(line: GeodesicLine, y: SurfaceRows, horizons, checks: Checks):
-    """busemann_interval(line, Y, horizon=h) at every row, h the row's own."""
+    """busemann_interval(line, Y, horizon=h) at every row, h the row's own
+    (one horizon stands for all): the foliation bound below,
+    d(Y, G(h)) - h above."""
     f_v = line.vertical_foliation  # the base's own
     ext_lo, _ = ext_rows(y, f_v.side, line.require_surface().rows.side(f_v.side), checks)
-    far = check_weights(flow_rows(line, horizons, checks), checks)
-    _, d_hi = distance_rows(y, far, checks)
-    return _enclose(ext_lo, d_hi, horizons, line.pairing, checks)
+    _, d_hi = distance_rows(y, flow_rows(line, horizons, checks), checks)
+    lo = 0.5 * elementwise(math.log, ext_lo, checks) - 0.5 * math.log(line.pairing)
+    hi = d_hi - horizons
+    checks.add(lo > hi + 1e-9, lambda i: CertificationError(
+        f"Busemann enclosure inverted: lo={at(lo, i)!r} > hi={at(hi, i)!r}"))
+    swap = lo > hi
+    return np.where(swap, hi, lo), np.where(swap, lo, hi)
 
 
 def miyachi_intersection(
@@ -138,8 +127,7 @@ def miyachi_intersection(
     when X0 lies on a geodesic between X and Y.
     """
     ds = distance_interval(x0, x), distance_interval(x0, y), distance_interval(x, y)
-    lo, hi = checked(miyachi_rows, *((d.lo, d.hi) for d in ds))
-    return ValueInterval(at(lo, 0), at(hi, 0))
+    return one_row(miyachi_rows, *((d.lo, d.hi) for d in ds))
 
 
 def miyachi_rows(dx, dy, dxy, checks: Checks):
@@ -284,7 +272,7 @@ def delta_probe(xi: BusemannSpec, eta: BusemannSpec, base: WeightedSurface) -> d
     h = len(host.cylinders(HORIZONTAL))
     with Checks() as checks:
         # a core's columns on the other side are 0, and so is their bound
-        hi = sum(curve_ext_rows(base.rows, side, w, w, checks)[1]
+        hi = sum(curve_ext_rows(base.rows, side, w, checks)[1]
                  for side, w in ((HORIZONTAL, u[:, :h]), (VERTICAL, u[:, h:])))
         scales = 1.0 / np.sqrt(hi)
         checks.add(~((scales > 0) & (scales < math.inf)),

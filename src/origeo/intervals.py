@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .errors import np
+from .errors import at, checked, np
 
 Number = Union[int, float, Fraction]
 
@@ -51,3 +51,10 @@ class ValueInterval:
 def outside(lo, hi, value, tol: Number = 0):
     """Row-wise ``not ValueInterval(lo, hi).contains(value, tol)``."""
     return ~((np.asarray(lo) - tol <= value) & (value <= np.asarray(hi) + tol))
+
+
+def one_row(kernel, *args) -> ValueInterval:
+    """The (lo, hi) columns a row kernel gives on one row, as an interval:
+    the scalar view of the kernel (see :func:`origeo.errors.checked`)."""
+    lo, hi = checked(kernel, *args)
+    return ValueInterval(at(lo, 0), at(hi, 0))

@@ -15,8 +15,8 @@ are all exact has an integer form: its numerators in the host's cylinder
 order over one common denominator (their ``math.lcm``), built on first
 exact use.  The exact pairings run on those integers and build one
 ``Fraction`` for the value they return, so no gcd runs per multiply and
-add.  Real weights (e.g. eigenvector output), alone or mixed with exact
-ones, flow through the same formulas in floating point.  ``fractions``
+add.  A family with any real weight (e.g. eigenvector output) pairs on
+the ``float()`` of its weights, through the float kernel.  ``fractions``
 itself loads at the first exact weight: a cold ``validate`` builds none.
 
 A :class:`BusemannSpec` names a weighted family on one side as the
@@ -118,6 +118,12 @@ class IntersectionMatrix:
         out.flags.writeable = False
         return out
 
+    @cached_property
+    def cells(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The nonzero cells in row order (rows i, columns j, float entries)."""
+        i, j = np.nonzero(self.array)
+        return i, j, self.array[i, j]
+
     def as_lists(self) -> list:
         return [list(row) for row in self.entries]
 
@@ -179,7 +185,12 @@ class WeightedMulticurve:
         return len(self.weights) == len(self.host.cylinders(self.side))
 
     def vector(self) -> Tuple[Weight, ...]:
-        """Weights aligned with the host's canonical cylinder order (exact 0s)."""
+        """Weights aligned with the host's canonical cylinder order (exact 0s),
+        built once: the weights are read-only."""
+        return self._vector
+
+    @cached_property
+    def _vector(self) -> Tuple[Weight, ...]:
         zero = fractions.Fraction(0) if all(map(is_exact, self.weights.values())) else 0.0
         return tuple(
             self.weights.get(c.label, zero) for c in self.host.cylinders(self.side)
@@ -220,7 +231,8 @@ def pair_intersection(a: WeightedMulticurve, b: WeightedMulticurve) -> Weight:
     pairing is the bilinear form through the core intersection matrix,
     summed over its nonzero cells in row order.  When both weight systems
     are exact the sum runs on their integer forms and one ``Fraction`` is
-    built at the end.
+    built at the end; otherwise it is the one-row :func:`pairing_rows` of
+    their ``float()`` weights.
     """
     _same_host(a, b)
     if a.side == b.side:
@@ -232,26 +244,25 @@ def pair_intersection(a: WeightedMulticurve, b: WeightedMulticurve) -> Weight:
         # canonical accumulation order: the pairing is symmetric, and running
         # one fixed loop makes it bit-for-bit symmetric in float arithmetic
         a, b = b, a
-    n = a.host.intersection_matrix()  # rows are the horizontal cores
     exact = a.integer_form
-    if exact is not None and b.integer_form is not None:
-        (an, ad), (bn, bd) = exact, b.integer_form
-        total = 0
-        for ai, cells in zip(an, n.sparse_rows):
-            if ai:
-                total += ai * sum([nij * bn[j] for j, nij in cells])
-        return fractions.Fraction(total, ad * bd)
-    av = a.vector()
-    bv = b.vector()
+    if exact is None or b.integer_form is None:
+        with np.errstate(all="ignore"):  # a sum beyond the floats is inf
+            return float(pairing_rows(a.host, *(np.array([f.vector()], float)
+                                                for f in (a, b)))[0])
+    (an, ad), (bn, bd) = exact, b.integer_form
     total = 0
-    for ai, cells in zip(av, n.sparse_rows):
-        if ai == 0:
-            continue
-        for j, nij in cells:
-            bj = bv[j]
-            if bj != 0:
-                total += ai * nij * bj
-    return total
+    for ai, cells in zip(an, a.host.intersection_matrix().sparse_rows):
+        if ai:
+            total += ai * sum([nij * bn[j] for j, nij in cells])
+    return fractions.Fraction(total, ad * bd)
+
+
+def pairing_rows(host, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """pair_intersection at every row of the horizontal float weights a and
+    the vertical ones b (0 off a support), summed over the nonzero cells of
+    N in row order."""
+    i, j, n = host.intersection_matrix().cells
+    return np.add.accumulate((a[:, i] * n) * b[:, j], axis=1)[:, -1]
 
 
 def intersection(a: WeightedMulticurve, b: WeightedMulticurve) -> Weight:
@@ -449,18 +460,22 @@ def parse_busemann_spec(data: Mapping, host) -> BusemannSpec:
         raise InputError("boundary spec needs 'side' and 'coeffs'") from None
     if side not in SIDES:
         raise InputError(f"side must be one of {SIDES}, got {side!r}")
-    approx = bool(data.get("approx", False))
+    approx = data.get("approx", False)
+    if not isinstance(approx, bool):
+        raise InputError(f"'approx' must be true or false, got {approx!r}")
     if not isinstance(raw, Iterable) or isinstance(raw, (str, bytes)):
         raise InputError("'coeffs' must be a list of [label, value] pairs")
     coeffs: Dict[str, Weight] = {}
-    for item in raw:
+    for k, item in enumerate(raw):
         try:
             label, value = item
         except (TypeError, ValueError):
             raise InputError(f"bad coefficient entry {item!r}") from None
+        if not isinstance(label, str):
+            raise InputError(f"coeffs[{k}] = {item!r}: the label must be a string")
         if label in coeffs:
             raise InputError(f"duplicate component {label!r}")
-        coeffs[str(label)] = parse_coefficient(value, approx)
+        coeffs[label] = parse_coefficient(value, approx)
     return BusemannSpec(host, side, coeffs, approx=approx)
 
 

@@ -31,42 +31,23 @@ give the lower bound ``1/2 log max ExtLo_X/ExtHi_Y`` (both orientations).
 Every computed interval must contain the true Teichmueller distance — an
 inverted interval means a bug, not an inaccuracy, and raises.
 
-A surface is built on its two defining foliations, which validate its
-weights once.  The weights are read-only, so the derived quantities — the
-area, the circumference tables and the float weights behind ``qc_upper`` —
-are computed once per surface, on first use.
-
 A surface whose weights are all exact (``int`` or ``Fraction``) works on
 the integer forms of its foliations (see :mod:`origeo.multicurve`): per
 side, the circumferences as integers over the other side's denominator,
 and each annulus term over one lcm.  The area, the proportionality test,
 ``foliation_ext`` and ``curve_ext_bounds`` then compare and sum integers,
 and build a ``Fraction`` only for the value they return;
-``kerckhoff_lower`` compares exact ratios cross-multiplied.  A surface or
-curve with any float weight runs the same formulas in floating point, in
-the order written below.
+``kerckhoff_lower`` compares exact ratios cross-multiplied.
 
-Many float surfaces on one origami (the flow points of a grid, say) make a
-:class:`SurfaceRows` block; the ``*_rows`` kernels compute each quantity in
-one array pass over its rows, keeping the scalar code's IEEE operations in
-order (sums left to right by ``np.add.accumulate``, exp and log through
-``math``), so each row has the bits of the scalar call on its surface
-(``qc_upper`` is the one-row case of ``qc_rows``).  ``curve_ext_rows`` is
-the one array form of ``curve_ext_bounds``' pairing and annulus bounds;
-``ext_rows`` is the proportional shortcut plus that kernel, as
-``ext_interval`` is the shortcut plus ``curve_ext_bounds``.  A one-row
-block broadcasts against a block of curve weights, one curve per row,
-which is how :func:`origeo.horo.delta_probe` bounds its probes.
-
-Extremal lengths are memoized per surface, but bounded: each surface keeps
-the ``ext_interval`` of at most ``_EXT_MEMO_SIZE`` curves, keyed by the
-curve's identity, and empties the memo when it is full.  Each entry holds
-its curve, so a key's ``id`` cannot be recycled while the entry lives.  The
-scalar callers reuse surfaces: the pipeline's ``flow_distance`` and
-``busemann_interval`` share G(t), and the sandwich suite's 34 Busemann
-calls share the far point G(7), which meets two new curves per call, hence
-the bound.  Flow points are memoized, also bounded, by their line (see
-:func:`origeo.geodesic.point_at`).
+Any float weight takes the one float form: the ``*_rows`` kernels, each
+one array pass over a :class:`SurfaceRows` block of surfaces on one origami
+(the flow points of a grid, say) on their ``float()`` weights.  They keep
+the canonical loops' IEEE operations in order (sums left to right by
+``np.add.accumulate``, exp and log through ``math``), so a row's bits do
+not depend on its block, and a scalar float call is the one-row view of its
+kernel through :func:`origeo.errors.checked`.  A one-row block broadcasts
+against a block of curve weights, one curve per row, as in
+:func:`origeo.horo.delta_probe`.
 """
 
 from __future__ import annotations
@@ -75,23 +56,22 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional
 
 from .errors import CertificationError, Checks, HostMismatch, InputError, at, checked, np
-from .intervals import ValueInterval
+from .intervals import ValueInterval, one_row
 from .multicurve import (
     HORIZONTAL,
     VERTICAL,
     Weight,
     WeightedMulticurve,
-    intersection,
     is_exact,
     pair_intersection,
+    pairing_rows,
 )
 from .origami import Origami
 
 _PROPORTIONAL_RTOL = 1e-9
-_EXT_MEMO_SIZE = 8
 # Float round-off by which a distance's lower bound may exceed its upper
 # bound before distance_interval calls the bracket inverted.
 _DISTANCE_SLACK = 1e-12
@@ -119,8 +99,8 @@ class WeightedSurface:
     heights weight every horizontal core, widths every vertical core.
     ``heights`` and ``widths`` are their read-only weights, in the host's
     cylinder order, so the quantities derived from them -- the area, the
-    circumference tables and, for exact weights, their integer forms -- are
-    computed once per surface, on first use.
+    float rows and, for exact weights, their integer forms -- are computed
+    once per surface, on first use.
     """
 
     origami: Origami
@@ -128,9 +108,6 @@ class WeightedSurface:
     widths: Mapping[str, Weight]
     _defining: Dict[str, WeightedMulticurve] = field(
         init=False, repr=False, compare=False
-    )
-    _ext: Dict[int, Tuple[WeightedMulticurve, ValueInterval]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
     )
 
     def __post_init__(self):
@@ -191,61 +168,36 @@ class WeightedSurface:
             sides[side] = _ExactSide(den, circ, circ_den, lcm, annuli, area)
         return sides
 
-    @cached_property
-    def _circumferences(self) -> Dict[str, Dict[str, Weight]]:
-        matrix = self.origami.intersection_matrix()
-        exact = self._integers
-        if exact is not None:
-            return {
-                side: {lab: Fraction(c, exact[side].circ_den)
-                       for lab, c in zip(labels, exact[side].circ)}
-                for side, labels in ((HORIZONTAL, matrix.row_labels),
-                                     (VERTICAL, matrix.col_labels))
-            }
-        widths = [self.widths[lab] for lab in matrix.col_labels]
-        vertical = [0] * len(widths)
-        horizontal = {}
-        for lab, cells in zip(matrix.row_labels, matrix.sparse_rows):
-            horizontal[lab] = sum(n * widths[j] for j, n in cells)
-            for j, n in cells:
-                vertical[j] += n * self.heights[lab]
-        return {HORIZONTAL: horizontal, VERTICAL: dict(zip(matrix.col_labels, vertical))}
-
     def circumference(self, side: str, label: str) -> Weight:
         """Core length of a cylinder: summed cell widths (resp. heights)."""
-        return self._circumferences[side][label]
+        matrix = self.origami.intersection_matrix()
+        k = (matrix.row_index if side == HORIZONTAL else matrix.col_index)[label]
+        exact = self._integers
+        if exact is None:
+            return circumference_rows(self.rows, side)[0, k].item()
+        return Fraction(exact[side].circ[k], exact[side].circ_den)
 
     @cached_property
     def rows(self) -> "SurfaceRows":
         """The surface as a one-row block, its weights as floats."""
-        return SurfaceRows(self.origami, *(
-            np.array([[float(w) for w in weights.values()]])
-            for weights in (self.heights, self.widths)
-        ))
+        return SurfaceRows(self.origami, *(_row(self._defining[side])
+                                           for side in (HORIZONTAL, VERTICAL)))
 
     def proportionality(self, curve: WeightedMulticurve) -> Optional[Weight]:
         """Return r with curve = r * (defining foliation of curve's side), else None.
 
         Exact weights are compared exactly, by cross-multiplying their
-        integer forms; any floating operand switches to a relative tolerance
-        of 1e-9 (flow-line surfaces carry float weights).
+        integer forms; any floating operand switches to the relative
+        tolerance of :func:`ext_rows` (flow-line surfaces carry float weights).
         """
-        if curve.host is not self.origami:
-            raise HostMismatch("curve lives on a different origami")
-        if not curve.is_full_support():
-            return None
-        defining = self._defining[curve.side]
-        if curve.integer_form is not None and defining.integer_form is not None:
-            (nums, den), (own, own_den) = curve.integer_form, defining.integer_form
-            u0, o0 = nums[0], own[0]
-            if all(u * o0 == u0 * o for u, o in zip(nums, own)):
-                return Fraction(u0 * own_den, den * o0)
-            return None
-        own = defining.weights
-        floats = [float(curve.weights[lab] / own[lab]) for lab in curve.weights]
-        lo, hi = min(floats), max(floats)
-        if hi - lo <= _PROPORTIONAL_RTOL * hi:
-            return floats[0]
+        if not _exact(self, curve):
+            prop, r = _proportional(self.rows, curve.side, _row(curve))
+            return at(r, 0) if prop[0] else None
+        (nums, den), (own, own_den) = (
+            curve.integer_form, self._defining[curve.side].integer_form)
+        u0, o0 = nums[0], own[0]
+        if all(u * o0 == u0 * o for u, o in zip(nums, own)):
+            return Fraction(u0 * own_den, den * o0)
         return None
 
     def scaled(self, width_factor: Weight, height_factor: Weight) -> "WeightedSurface":
@@ -256,6 +208,19 @@ class WeightedSurface:
             {k: w * height_factor for k, w in self.heights.items()},
             {k: w * width_factor for k, w in self.widths.items()},
         )
+
+
+def _exact(surface: WeightedSurface, curve: WeightedMulticurve) -> bool:
+    """Whether the surface and the curve, on one origami, are all exact, so
+    that a formula runs on their integer forms; otherwise it runs on floats."""
+    if curve.host is not surface.origami:
+        raise HostMismatch("curve lives on a different origami")
+    return curve.integer_form is not None and surface._integers is not None
+
+
+def _row(curve: WeightedMulticurve) -> np.ndarray:
+    """The curve's weights as one row of floats, 0 off its support."""
+    return np.array([curve.vector()], float)
 
 
 def foliation_ext(surface: WeightedSurface, r: Weight = 1) -> Weight:
@@ -285,74 +250,39 @@ def curve_ext_bounds(
     Lower bound: intersection numbers against both defining foliations,
     whose extremal lengths are known exactly.  Upper bound: disjoint flat
     annuli, ``sum u^2 * circumference/across`` over the support.  For the
-    defining foliation itself the two collapse to the exact area.  Exact
-    weights on both run on integers (see :func:`_exact_ext_bounds`).
-    """
-    if curve.host is not surface.origami:
-        raise HostMismatch("curve lives on a different origami")
-    if curve.integer_form is not None and surface._integers is not None:
-        return _exact_ext_bounds(*curve.integer_form, surface._integers[curve.side])
-    a = surface.area()
-    lo = 0
-    for side in (HORIZONTAL, VERTICAL):
-        pairing = intersection(curve, surface.defining_foliation(side))
-        cand = pairing * pairing / a
-        if cand > lo:
-            lo = cand
-    hi, across = 0, surface.defining_foliation(curve.side).weights
-    for lab, u in curve.weights.items():  # across a cylinder: height or width
-        hi = hi + u * u * (surface.circumference(curve.side, lab) / across[lab])
-    if lo > hi:
-        lo = _grazing(lo, hi)
-    return ValueInterval(lo, hi)
-
-
-def _exact_ext_bounds(nums, den: int, side: _ExactSide) -> ValueInterval:
-    """curve_ext_bounds for the curve with weights ``nums / den`` on ``side``
-    of an exact surface, in integers.  Its pairing with the other side's
-    foliation is ``pairing / (den * circ_den)``, so the lower bound is
+    defining foliation itself the two collapse to the exact area.  Any float
+    weight runs the one-row :func:`curve_ext_rows`.  Exact weights run on
+    integers: for the curve's ``nums / den`` on ``side`` (an
+    :class:`_ExactSide`), its pairing with the other side's foliation is
+    ``pairing / (den * circ_den)``, so the lower bound is
     ``side.den * pairing^2 / (den^2 * circ_den * area)``; its annuli sum to
-    ``side.den * spread / (den^2 * circ_den * lcm)``."""
+    ``side.den * spread / (den^2 * circ_den * lcm)``.  Exact bounds cannot
+    graze: lo > hi raises.
+    """
+    if not _exact(surface, curve):
+        return one_row(curve_ext_rows, surface.rows, curve.side, _row(curve))
+    (nums, den), side = curve.integer_form, surface._integers[curve.side]
     pairing = sum([u * c for u, c in zip(nums, side.circ) if u])
     spread = sum([u * u * k for u, k in zip(nums, side.annuli) if u])
     scale = den * den * side.circ_den
     lo = Fraction(side.den * pairing * pairing, scale * side.area) if pairing else 0
     hi = Fraction(side.den * spread, scale * side.lcm)
     if pairing * pairing * side.lcm > spread * side.area:  # lo > hi
-        lo = _grazing(lo, hi)
+        raise CertificationError(f"extremal length bounds inverted: lo={lo} hi={hi}")
     return ValueInterval(lo, hi)
 
 
-def _grazing(lo: Weight, hi: Weight) -> Weight:
-    """The lower bound for an extremal length whose bounds came out with
-    lo > hi.  Mathematically lo <= Ext <= hi, so only float round-off may
-    graze: it gives hi, anything more raises."""
-    if float(lo - hi) > 1e-9 * float(hi):
-        raise CertificationError(f"extremal length bounds inverted: lo={lo} hi={hi}")
-    return hi
-
-
 def ext_interval(surface: WeightedSurface, curve: WeightedMulticurve) -> ValueInterval:
-    """Enclosure that collapses to the exact value on defining foliations.
-
-    Memoized per surface by the curve's identity (see the module notes): a
-    curve asked for again gets the very same interval object.
-    """
-    if curve.host is not surface.origami:
-        raise HostMismatch("curve lives on a different origami")
-    memo = surface._ext
-    entry = memo.get(id(curve))
-    if entry is not None:
-        return entry[1]
+    """Enclosure that collapses to the exact value on defining foliations:
+    ``foliation_ext`` of r when the curve is r times one, else
+    :func:`curve_ext_bounds`.  Any float weight runs the one-row
+    :func:`ext_rows`."""
+    if not _exact(surface, curve):
+        return one_row(ext_rows, surface.rows, curve.side, _row(curve))
     r = surface.proportionality(curve)
-    if r is not None:
-        ival = ValueInterval.exact(foliation_ext(surface, r))
-    else:
-        ival = curve_ext_bounds(surface, curve)
-    if len(memo) >= _EXT_MEMO_SIZE:
-        memo.clear()
-    memo[id(curve)] = (curve, ival)
-    return ival
+    if r is None:
+        return curve_ext_bounds(surface, curve)
+    return ValueInterval.exact(foliation_ext(surface, r))
 
 
 def _same_origami(x: WeightedSurface, y: WeightedSurface) -> None:
@@ -387,7 +317,6 @@ def kerckhoff_lower(
     Exact bounds are compared by cross-multiplying, and the best ratio is
     divided once, correctly rounded as ``float`` of its ``Fraction`` is.
     """
-    _same_origami(x, y)
     quotients = []
     for curve in family:
         ix, iy = ext_interval(x, curve), ext_interval(y, curve)
@@ -416,25 +345,18 @@ def distance_interval(
     """Certified enclosure of the Teichmueller distance between two metrics.
 
     Defaults the test family to X's defining foliations (exact on flow
-    lines).  An inverted interval beyond ``_DISTANCE_SLACK`` is a
-    certification bug and raises; grazing within it is clamped.  Both bounds are at least 0:
+    lines); with any float weight that is the one-row :func:`distance_rows`.
+    Two exact surfaces, or an explicit family, take :func:`kerckhoff_lower`.
+    An inverted interval beyond ``_DISTANCE_SLACK`` is a certification bug
+    and raises; grazing within it is clamped.  Both bounds are at least 0:
     the lower starts from the ratio 1, the upper from the dilatation 1.
     """
     _same_origami(x, y)
     if family is None:
-        family = [
-            x.defining_foliation(VERTICAL),
-            x.defining_foliation(HORIZONTAL),
-        ]
-    lo = kerckhoff_lower(x, y, family)
-    hi = qc_upper(x, y)
-    if lo > hi:
-        if lo - hi > _DISTANCE_SLACK:
-            raise CertificationError(
-                f"distance bounds inverted: lower {lo} exceeds upper {hi}"
-            )
-        lo = hi
-    return ValueInterval(lo, hi)
+        if x._integers is None or y._integers is None:
+            return one_row(distance_rows, x.rows, y.rows)
+        family = [x.defining_foliation(VERTICAL), x.defining_foliation(HORIZONTAL)]
+    return one_row(_bracket, kerckhoff_lower(x, y, family), qc_upper(x, y))
 
 
 def elementwise(fn, values, checks: Checks) -> np.ndarray:
@@ -455,10 +377,14 @@ def elementwise(fn, values, checks: Checks) -> np.ndarray:
 
 class SurfaceRows:
     """Flat metrics on one origami, one per row of the float arrays
-    ``heights`` and ``widths`` (cylinder order)."""
+    ``heights`` and ``widths`` (cylinder order); ``block[rows]`` is the block
+    of the rows a slice or an index array selects."""
 
     def __init__(self, origami: Origami, heights: np.ndarray, widths: np.ndarray):
         self.origami, self.heights, self.widths = origami, heights, widths
+
+    def __getitem__(self, rows) -> "SurfaceRows":
+        return SurfaceRows(self.origami, self.heights[rows], self.widths[rows])
 
     def side(self, side: str) -> np.ndarray:
         return self.heights if side == HORIZONTAL else self.widths
@@ -474,11 +400,12 @@ class SurfaceRows:
         return pairing_rows(self.origami, self.heights, self.widths)
 
 
-def pairing_rows(origami: Origami, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """pair_intersection of the horizontal weights a and vertical ones b."""
-    n = origami.intersection_matrix().array
-    i, j = np.nonzero(n)
-    return np.add.accumulate((a[:, i] * n[i, j]) * b[:, j], axis=1)[:, -1]
+def circumference_rows(x: SurfaceRows, side: str) -> np.ndarray:
+    """Every core length of ``side`` at every row: per cylinder, its cells'
+    widths (resp. heights) summed in the order of N."""
+    n = x.origami.intersection_matrix().array
+    cells, along = (n, x.widths) if side == HORIZONTAL else (n.T, x.heights)
+    return np.add.accumulate(cells * along[:, None, :], axis=2)[:, :, -1]
 
 
 def check_weights(x: SurfaceRows, checks: Checks) -> SurfaceRows:
@@ -489,37 +416,40 @@ def check_weights(x: SurfaceRows, checks: Checks) -> SurfaceRows:
     return x
 
 
-def ext_rows(x: SurfaceRows, side: str, u: np.ndarray, checks: Checks):
-    """ext_interval at every row for the full-support curve with weights u on
-    ``side``: r^2 * area if it is r times the defining foliation, else the
-    curve_ext_rows enclosure."""
+def _proportional(x: SurfaceRows, side: str, u: np.ndarray):
+    """Per row, whether the weights u on ``side`` are r times the defining
+    foliation, within ``_PROPORTIONAL_RTOL`` and on its full support, and r."""
     ratios = u / x.side(side)
     lo, hi = ratios.min(axis=1), ratios.max(axis=1)
-    prop, r = hi - lo <= _PROPORTIONAL_RTOL * hi, ratios[:, 0]
+    full = (u > 0).all(axis=1)
+    return full & (hi - lo <= _PROPORTIONAL_RTOL * hi), ratios[:, 0]
+
+
+def ext_rows(x: SurfaceRows, side: str, u: np.ndarray, checks: Checks):
+    """ext_interval at every row for the curve with weights u on ``side``
+    (0 off its support): r^2 * area if it is r times the defining
+    foliation, else the curve_ext_rows enclosure."""
+    prop, r = _proportional(x, side, u)
     checks.add(prop & ~(r > 0), lambda i: InputError(
         f"scale must be positive, got {at(r, i)!r}"))
     exact = r * r * x.area
     if prop.all():
         return exact, exact
-    lo, hi = curve_ext_rows(x, side, u, u * u, checks, where=~prop)
+    lo, hi = curve_ext_rows(x, side, u, checks, where=~prop)
     return np.where(prop, exact, lo), np.where(prop, exact, hi)
 
 
-def curve_ext_rows(x: SurfaceRows, side: str, u: np.ndarray, u2: np.ndarray,
-                   checks: Checks, where=True):
+def curve_ext_rows(x: SurfaceRows, side: str, u: np.ndarray, checks: Checks,
+                   where=True):
     """curve_ext_bounds at every row for the curve with weights u on ``side``
-    (0 off its support) and squared weights u2 (float(w * w) for an exact w,
-    as curve_ext_bounds squares); only the rows in ``where`` are checked."""
+    (0 off its support); only the rows in ``where`` are checked."""
     # the pairing with the other side's foliation, ...
     a, b = (u, x.widths) if side == HORIZONTAL else (x.heights, u)
     pairing = pairing_rows(x.origami, a, b)
     cand = pairing * pairing / x.area
     lo = np.where(cand > 0, cand, 0.0)
     # ... and the annuli, sum u^2 * circumference/across over the support
-    n = x.origami.intersection_matrix().array
-    cells, along = (n, x.widths) if side == HORIZONTAL else (n.T, x.heights)
-    circumference = np.add.accumulate(cells * along[:, None, :], axis=2)[:, :, -1]
-    annuli = np.where(u > 0, u2 * (circumference / x.side(side)), 0.0)
+    annuli = np.where(u > 0, u * u * (circumference_rows(x, side) / x.side(side)), 0.0)
     hi = np.add.accumulate(annuli, axis=1)[:, -1]
     # mathematically lo <= Ext <= hi; allow only float round-off grazing
     checks.add(where & (lo - hi > 1e-9 * hi), lambda i: CertificationError(
@@ -533,24 +463,31 @@ def qc_rows(x: SurfaceRows, y: SurfaceRows, checks: Checks) -> np.ndarray:
     A cell whose products overflow or underflow on both sides (inf/inf or
     0/0) counts as unbounded dilatation: the bound is then +inf, sound if
     vacuous, where skipping the cell would leave out its stretch."""
-    i, j = np.nonzero(x.origami.intersection_matrix().array)
-    with np.errstate(all="ignore"):
-        p, q = x.heights[:, i] * y.widths[:, j], y.heights[:, i] * x.widths[:, j]
-        k_cell = np.maximum(p, q) / np.minimum(p, q)
+    i, j, _ = x.origami.intersection_matrix().cells
+    p, q = x.heights[:, i] * y.widths[:, j], y.heights[:, i] * x.widths[:, j]
+    k_cell = np.maximum(p, q) / np.minimum(p, q)
     k_cell = np.where(np.isnan(k_cell), math.inf, k_cell)
     return 0.5 * elementwise(math.log, k_cell.max(axis=1, initial=1.0), checks)
 
 
 def distance_rows(x: SurfaceRows, y: SurfaceRows, checks: Checks):
-    """distance_interval(X, Y) at every row, on X's defining foliations."""
+    """distance_interval(X, Y) at every row, on X's defining foliations.
+
+    At X each of them is exactly X's own (ratio 1), so its extremal length
+    is X's area; only Y's extremal lengths are bounded."""
     best = 1.0  # ratio 1 <-> lower bound 0
     for side in (VERTICAL, HORIZONTAL):
-        (x_lo, x_hi), (y_lo, y_hi) = (ext_rows(z, side, x.side(side), checks)
-                                      for z in (x, y))
-        for num, den in ((x_lo, y_hi), (y_lo, x_hi)):
-            ratio = np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
-            best = np.where(ratio > best, ratio, best)
-    lo, hi = 0.5 * elementwise(math.log, best, checks), qc_rows(x, y, checks)
+        y_lo, y_hi = ext_rows(y, side, x.side(side), checks)
+        for num, den in ((x.area, y_hi), (y_lo, x.area)):
+            # a bound that is not positive gives no ratio; fmax skips nan
+            best = np.fmax(best, num / np.where(den > 0, den, math.inf))
+    lo = 0.5 * elementwise(math.log, best, checks)
+    return _bracket(lo, qc_rows(x, y, checks), checks)
+
+
+def _bracket(lo, hi, checks: Checks):
+    """A distance's lower and upper bound as its interval: lo above hi by
+    more than ``_DISTANCE_SLACK`` raises, grazing within it is clamped."""
     checks.add(lo - hi > _DISTANCE_SLACK, lambda i: CertificationError(
         f"distance bounds inverted: lower {at(lo, i)} exceeds upper {at(hi, i)}"))
     return np.where(lo > hi, hi, lo), hi

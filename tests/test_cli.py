@@ -432,6 +432,34 @@ def test_non_finite_spec_weight_exits_input_error(files, tmp_path, value):
     assert "B2" in res.stderr and "finite" in res.stderr
 
 
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        [[["A1"], "1"], ["A2", "1"]],  # unhashable: a traceback, exit 1
+        [[{"A1": 1}, "1"], ["A2", "1"]],
+        [[1, "1"], ["A2", "1"]],  # an int was read as the label "1"
+    ],
+)
+def test_spec_label_that_is_not_a_string_exits_input_error(files, tmp_path, coeffs):
+    eta = tmp_path / "eta-label.json"
+    eta.write_text(json.dumps({"side": "horizontal", "coeffs": coeffs}))
+    res = run_cli("geodesic", files["origami"], files["xi"], str(eta))
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+    assert "coeffs[0]" in res.stderr and "must be a string" in res.stderr
+
+
+@pytest.mark.parametrize("approx", ["no", "false", 0, 1, None, []])
+def test_approx_that_is_not_a_boolean_exits_input_error(files, tmp_path, approx):
+    # "no" was read as true, and the report echoed "approx": true
+    xi = tmp_path / "xi-approx.json"
+    xi.write_text(json.dumps(dict(XI_UNIT, approx=approx)))
+    res = run_cli("geodesic", files["origami"], str(xi), files["eta"])
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
+    assert "'approx' must be true or false" in res.stderr
+
+
 # md5 of the stdout of the golden line, of the l-3-2 line with unit specs
 # (keys starting "l-3-2") and of the canonical staircase-20 line with unit
 # specs (21 cores, 29 CSV columns; keys starting "staircase-20"): evaluating
@@ -450,8 +478,10 @@ GOLDEN_STDOUT_MD5 = {
     ("staircase-20", "flow", "--step", "0.05"): "d4767a701c3da23e21c02b22c90c102a",
     ("staircase-20", "converge", "--n-max", "20"): "e5768d4e206f863aea60d5af75d85326",
 }
-# md5 of ``check --seed 7``'s stdout: every suite's random stream and report
+# md5 of ``check --seed 7``'s and ``check --seed 0``'s stdout: every
+# suite's random stream and report
 CHECK_SEED_7_MD5 = "a817223dbb0cd5774c2b2b2cbddbead1"
+CHECK_SEED_0_MD5 = "ffaf8864fd828d66325775acc3dbaff7"
 
 
 @pytest.fixture
@@ -510,6 +540,14 @@ def test_check_seed_7_stdout_is_pinned():
     assert hashlib.md5(res.stdout.encode()).hexdigest() == CHECK_SEED_7_MD5
 
 
+def test_check_seed_0_stdout_is_pinned():
+    import hashlib
+
+    res = run_cli("check", "--seed", "0")
+    assert res.returncode == 0, res.stderr
+    assert hashlib.md5(res.stdout.encode()).hexdigest() == CHECK_SEED_0_MD5
+
+
 def _count_surfaces_and_proportionality(monkeypatch):
     """Count the surfaces built, the proportionality calls and the blocks of
     rows (each block is a whole column of surfaces)."""
@@ -540,13 +578,13 @@ def test_flow_builds_each_point_once(report_file, monkeypatch, capsys):
     built, calls, blocks = _count_surfaces_and_proportionality(monkeypatch)
     assert cli.main(["flow", report_file, "--step", "0.05"]) == 0
     assert capsys.readouterr().out.count("\n") == 122  # header and 121 rows
-    # only the base is a surface object, and only its own two foliations go
-    # through the scalar proportionality test; the 121 rows are one block of
-    # flow points and one of far Busemann points, next to the base's block.
-    # The row loop built 122 surfaces and made 724 proportionality calls
-    # (362 surfaces and 1,815 calls before that)
+    # only the base is a surface object, and nothing goes through the scalar
+    # proportionality test; the 121 rows are one block of flow points and one
+    # of far Busemann points, next to the base's block.  The row loop built
+    # 122 surfaces and made 724 proportionality calls (362 surfaces and 1,815
+    # calls before that), and the base's own two foliations made 2 more
     assert len(built) == 1
-    assert len(calls) == 2
+    assert len(calls) == 0
     assert len(blocks) == 3
 
 
@@ -564,7 +602,7 @@ def test_converge_builds_each_point_once(report_file, monkeypatch, capsys):
     assert len(blocks) == 6
 
 
-def test_long_flow_keeps_its_memos_bounded(report_file, monkeypatch, capsys):
+def test_long_flow_builds_only_the_base_surface(report_file, monkeypatch, capsys):
     from origeo import cli, geodesic
 
     lines = []
@@ -578,8 +616,8 @@ def test_long_flow_keeps_its_memos_bounded(report_file, monkeypatch, capsys):
                      "--step", "0.0005"])
     assert code == 0
     assert capsys.readouterr().out.count("\n") == 2002
-    assert len(lines) == 1 and len(lines[0]._points) <= 4
-    assert max(len(s._ext) for s in built) <= 8
+    # the 2,001 rows are blocks of rows: the base is the one surface object
+    assert len(lines) == 1 and len(built) == 1
 
 
 @pytest.mark.parametrize("command", ["flow", "converge"])

@@ -5,7 +5,9 @@ and compares their integer forms, and builds a ``Fraction`` only for the
 value it returns.  The references below are the plain formulas in the
 canonical order, with every ``int`` weight promoted to ``Fraction``: on exact
 data they give the exact rationals, and on data with any float weight they
-give the float bits that the float path must keep.
+give the float bits that the float path must keep.  Data with any float
+weight runs on the ``float()`` of every weight, as the float kernels do, so
+its references take ``weight=float``.
 """
 
 import math
@@ -36,17 +38,20 @@ from origeo.surface import (
 SIDES = (HORIZONTAL, VERTICAL)
 
 
-def _promoted(curve):
-    return {lab: Fraction(w) if isinstance(w, int) else w
-            for lab, w in curve.weights.items()}
+def _exact_weight(w):
+    return Fraction(w) if isinstance(w, int) else w
 
 
-def ref_pairing(a, b):
+def _promoted(curve, weight=_exact_weight):
+    return {lab: weight(w) for lab, w in curve.weights.items()}
+
+
+def ref_pairing(a, b, weight=_exact_weight):
     if a.side != HORIZONTAL:
         a, b = b, a
     n = a.host.intersection_matrix()
-    wa, wb = _promoted(a), _promoted(b)
-    total = 0
+    wa, wb = _promoted(a, weight), _promoted(b, weight)
+    total = weight(0)
     for lab, cells in zip(n.row_labels, n.sparse_rows):
         ai = wa.get(lab, 0)
         for j, nij in cells:
@@ -56,13 +61,14 @@ def ref_pairing(a, b):
     return total
 
 
-def ref_area(x):
-    return ref_pairing(x.defining_foliation(HORIZONTAL), x.defining_foliation(VERTICAL))
+def ref_area(x, weight=_exact_weight):
+    return ref_pairing(x.defining_foliation(HORIZONTAL), x.defining_foliation(VERTICAL),
+                       weight)
 
 
-def ref_circumference(x, side, label):
+def ref_circumference(x, side, label, weight=_exact_weight):
     n = x.origami.intersection_matrix()
-    heights, widths = (_promoted(x.defining_foliation(s)) for s in SIDES)
+    heights, widths = (_promoted(x.defining_foliation(s), weight) for s in SIDES)
     if side == HORIZONTAL:
         cells = n.sparse_rows[n.row_index[label]]
         return sum(nij * widths[n.col_labels[j]] for j, nij in cells)
@@ -70,10 +76,11 @@ def ref_circumference(x, side, label):
     return sum(row[j] * heights[lab] for lab, row in zip(n.row_labels, n.entries) if row[j])
 
 
-def ref_proportionality(x, curve):
+def ref_proportionality(x, curve, weight=_exact_weight):
     if not curve.is_full_support():
         return None
-    own, weights = _promoted(x.defining_foliation(curve.side)), _promoted(curve)
+    own = _promoted(x.defining_foliation(curve.side), weight)
+    weights = _promoted(curve, weight)
     ratios = [weights[lab] / own[lab] for lab in weights]
     if all(isinstance(r, Fraction) for r in ratios):
         return ratios[0] if all(r == ratios[0] for r in ratios) else None
@@ -81,27 +88,27 @@ def ref_proportionality(x, curve):
     return float(ratios[0]) if hi - lo <= 1e-9 * hi else None
 
 
-def ref_bounds(x, curve):
+def ref_bounds(x, curve, weight=_exact_weight):
     other = HORIZONTAL if curve.side == VERTICAL else VERTICAL
-    pairing = ref_pairing(curve, x.defining_foliation(other))
-    cand = pairing * pairing / ref_area(x)
+    pairing = ref_pairing(curve, x.defining_foliation(other), weight)
+    cand = pairing * pairing / ref_area(x, weight)
     lo = cand if cand > 0 else 0
-    hi, across = 0, _promoted(x.defining_foliation(curve.side))
-    for lab, u in _promoted(curve).items():
-        hi = hi + u * u * (ref_circumference(x, curve.side, lab) / across[lab])
+    hi, across = 0, _promoted(x.defining_foliation(curve.side), weight)
+    for lab, u in _promoted(curve, weight).items():
+        hi = hi + u * u * (ref_circumference(x, curve.side, lab, weight) / across[lab])
     return (hi if lo > hi else lo), hi  # float round-off may graze
 
 
-def ref_ext(x, curve):
-    r = ref_proportionality(x, curve)
+def ref_ext(x, curve, weight=_exact_weight):
+    r = ref_proportionality(x, curve, weight)
     if r is None:
-        return ref_bounds(x, curve)
-    return r * r * ref_area(x), r * r * ref_area(x)
+        return ref_bounds(x, curve, weight)
+    return r * r * ref_area(x, weight), r * r * ref_area(x, weight)
 
 
-def ref_minsky(x):
+def ref_minsky(x, weight=_exact_weight):
     n = x.origami.intersection_matrix()
-    ext_hi = {lab: ref_bounds(x, core_curve(x.origami, side, lab))[1]
+    ext_hi = {lab: ref_bounds(x, core_curve(x.origami, side, lab), weight)[1]
               for side, labels in ((HORIZONTAL, n.row_labels), (VERTICAL, n.col_labels))
               for lab in labels}
     entries = []
@@ -111,7 +118,8 @@ def ref_minsky(x):
             entries.append({"pair": [alab, blab], "intersection": n_ab,
                             "extUpperProduct": float(bound),
                             "status": "certified" if n_ab * n_ab <= bound else "violated"})
-    pairing, area = ref_pairing(*(x.defining_foliation(s) for s in SIDES)), ref_area(x)
+    pairing = ref_pairing(*(x.defining_foliation(s) for s in SIDES), weight)
+    area = ref_area(x, weight)
     equal = pairing * pairing == area * area
     ok = equal and all(e["status"] == "certified" for e in entries)
     return {
@@ -206,14 +214,18 @@ def test_mixed_families_keep_the_float_bits(instance):
     x, pair, r, scaled = instance
     exact_surface = all(_exact_family(x.defining_foliation(s)) for s in SIDES)
     a, b = pair[HORIZONTAL], pair[VERTICAL]
-    assert same(pair_intersection(a, b), ref_pairing(a, b),
-                _exact_family(a) and _exact_family(b))
-    assert same(x.area(), ref_area(x), exact_surface)
+    exact_pair = _exact_family(a) and _exact_family(b)
+    assert same(pair_intersection(a, b),
+                ref_pairing(a, b, _exact_weight if exact_pair else float), exact_pair)
+    assert same(x.area(), ref_area(x, _exact_weight if exact_surface else float),
+                exact_surface)
     for curve in (a, b, scaled):
         exact = exact_surface and _exact_family(curve)
-        assert _same_interval(curve_ext_bounds(x, curve), ref_bounds(x, curve), exact)
-        assert _same_interval(ext_interval(x, curve), ref_ext(x, curve), exact)
-    assert minsky_audit(x) == ref_minsky(x)
+        weight = _exact_weight if exact else float
+        assert _same_interval(curve_ext_bounds(x, curve), ref_bounds(x, curve, weight),
+                              exact)
+        assert _same_interval(ext_interval(x, curve), ref_ext(x, curve, weight), exact)
+    assert minsky_audit(x) == ref_minsky(x, _exact_weight if exact_surface else float)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

@@ -105,7 +105,7 @@ def test_point_at_rejects_non_finite(golden):
 
 @pytest.mark.parametrize("reversed_first", [False, True])
 def test_reversed_line_never_reads_the_forward_flow_points(golden, reversed_first):
-    forward_one = point_at(golden, 1.0)  # G(1) now sits in the forward memo
+    forward_one = point_at(golden, 1.0)
     rev = reversed_line(golden)
     if reversed_first:
         back, fwd = point_at(rev, 1.0), point_at(golden, -1.0)
@@ -113,14 +113,6 @@ def test_reversed_line_never_reads_the_forward_flow_points(golden, reversed_firs
         fwd, back = point_at(golden, -1.0), point_at(rev, 1.0)
     assert (back.widths, back.heights) == (fwd.widths, fwd.heights)
     assert back is not forward_one and back.widths != forward_one.widths
-
-
-def test_point_memo_keeps_the_most_recently_used_points(golden):
-    far = point_at(golden, 8.0)
-    for t in (0.5, 1.0, 1.5, 2.0, 2.5):
-        assert point_at(golden, t) is point_at(golden, t)
-        assert point_at(golden, 8.0) is far
-    assert len(golden._points) == 4
 
 
 def test_flow_distance_is_exact_parameter_gap(golden):

@@ -1,9 +1,12 @@
-"""The column-wise ``flow`` and ``converge`` against the scalar API, row by row.
+"""The row kernels: against the exact path, and block by block against one row.
 
-``flow`` and ``converge`` evaluate whole blocks of rows with the array
-kernels; every printed number must be what the scalar functions give the
-row's surface, and a failing check must raise what a loop over the rows
-would have raised first.
+The float kernels' extremal lengths and distance brackets must agree with
+the exact integer path on the same numbers (each float weight read as the
+``Fraction`` it is), within the kernels' documented slack.  ``flow`` and
+``converge`` evaluate whole blocks of rows; every printed number must be
+what the one-row calls give the row's surface, with the jitter drawn in the
+order of :func:`origeo.sampling.jittered_surface`, and a failing check must
+raise what a loop over the rows would have raised first.
 """
 
 import contextlib
@@ -12,6 +15,7 @@ import json
 import math
 import random
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -23,16 +27,32 @@ from origeo import cli, horo
 from origeo.errors import CertificationError, Checks
 from origeo.geodesic import (
     flow_distance,
+    flow_rows,
     line_from_report,
     line_report,
     optimal_geodesic,
     point_at,
 )
 from origeo.horo import busemann_interval, miyachi_intersection, psi_foliation
-from origeo.multicurve import parse_busemann_spec
+from origeo.multicurve import (
+    HORIZONTAL,
+    VERTICAL,
+    BusemannSpec,
+    WeightedMulticurve,
+    parse_busemann_spec,
+)
 from origeo.origami import parse_origami
 from origeo.sampling import jittered_surface, random_full_instance
-from origeo.surface import WeightedSurface, distance_interval, ext_interval
+from origeo.surface import (
+    SurfaceRows,
+    WeightedSurface,
+    curve_ext_bounds,
+    curve_ext_rows,
+    distance_interval,
+    distance_rows,
+    ext_interval,
+    ext_rows,
+)
 
 
 def _fmt(x):
@@ -54,6 +74,97 @@ def _run(report, *argv):
         path.write_text(json.dumps(report))
         assert cli.main([argv[0], str(path), *argv[1:]]) == 0
     return out.getvalue()
+
+
+# The slack of the float kernels: an extremal length's bounds may graze by
+# 1e-9 relative (curve_ext_rows), and a curve within 1e-9 relative of r times
+# a defining foliation takes the proportional value; a distance's bounds may
+# cross by 1e-12 (_DISTANCE_SLACK).
+EXT_SLACK = 1e-9
+DISTANCE_SLACK = 1e-12
+
+
+def _staircase_line(n):
+    """The staircase with n cells, h = (1 2)(3 4)... and v = (2 3)(4 5)...,
+    with unit specs on all of its cores."""
+    h = [i + 2 if i % 2 == 0 else i for i in range(n)]
+    v = [1] + [i + 2 if i % 2 == 1 else i for i in range(1, n - 1)] + [n]
+    o = parse_origami({"squares": n, "h": h, "v": v})
+    xi, eta = (BusemannSpec(o, side, {c.label: 1 for c in o.cylinders(side)})
+               for side in (VERTICAL, HORIZONTAL))
+    return optimal_geodesic(xi, eta)
+
+
+def _as_fractions(weights):
+    return {lab: Fraction(w) for lab, w in weights.items()}
+
+
+def _exact_surface(rows, i):
+    x = rows.surface(i)
+    return WeightedSurface(x.origami, _as_fractions(x.heights), _as_fractions(x.widths))
+
+
+def _exact_curve(curve):
+    return WeightedMulticurve(curve.host, curve.side, _as_fractions(curve.weights))
+
+
+@st.composite
+def _blocks(draw):
+    """Two blocks of float flow points of a random-full line or of a
+    staircase, the second jittered by factors in [e^-0.3, e^0.3], and float
+    curves on them: the line's foliations, one within 1e-6 of F_v but not
+    proportional to it, and random curves, some without full support."""
+    if draw(st.booleans()):
+        line = optimal_geodesic(*random_full_instance(
+            random.Random(draw(st.integers(0, 10**6))), (3, 8))[1:])
+    else:
+        line = _staircase_line(draw(st.sampled_from([10, 20])))
+    o, count = line.origami, draw(st.integers(1, 4))
+    times = st.lists(st.floats(-3.0, 3.0), min_size=count, max_size=count)
+    with Checks() as checks:
+        x = flow_rows(line, np.array(draw(times)), checks)
+        y = flow_rows(line, np.array(draw(times)), checks)
+    h, k = x.heights.shape[1], x.heights.shape[1] + x.widths.shape[1]
+    jitter = np.exp(np.array(draw(st.lists(
+        st.floats(-0.3, 0.3), min_size=count * k, max_size=count * k))).reshape(count, k))
+    y = SurfaceRows(o, y.heights * jitter[:, :h], y.widths * jitter[:, h:])
+    f_v = line.vertical_foliation
+    curves = [f_v, line.horizontal_foliation, WeightedMulticurve(o, f_v.side, {
+        lab: w * (1.0 + m * 1e-6) for m, (lab, w) in enumerate(f_v.weights.items())})]
+    for side in (HORIZONTAL, VERTICAL):
+        labels = [c.label for c in o.cylinders(side)]
+        support = draw(st.lists(st.sampled_from(labels), min_size=1, unique=True))
+        curves.append(WeightedMulticurve(o, side, {
+            lab: draw(st.floats(0.1, 10.0)) for lab in support}))
+    return x, y, curves
+
+
+def _agree(got, want, slack):
+    lo, hi = (float(v) for v in (want.lo, want.hi))
+    return abs(got[0] - lo) <= slack * hi and abs(got[1] - hi) <= slack * hi
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_blocks())
+def test_float_kernels_agree_with_the_exact_path(block):
+    x, y, curves = block
+    with Checks() as checks:
+        ext = [(z, c, *(kernel(z, c.side, np.array([c.vector()]), checks)
+                        for kernel in (ext_rows, curve_ext_rows)))
+               for z in (x, y) for c in curves]
+        dist = distance_rows(x, y, checks)
+    for i in range(len(x.heights)):
+        for z, c, interval, bounds in ext:
+            exact_z, exact_c = _exact_surface(z, i), _exact_curve(c)
+            assert _agree([a[i] for a in interval], ext_interval(exact_z, exact_c),
+                          EXT_SLACK)
+            assert _agree([a[i] for a in bounds], curve_ext_bounds(exact_z, exact_c),
+                          EXT_SLACK)
+        want = distance_interval(_exact_surface(x, i), _exact_surface(y, i))
+        assert abs(dist[0][i] - want.lo) <= DISTANCE_SLACK
+        assert abs(dist[1][i] - want.hi) <= DISTANCE_SLACK
+        one = distance_interval(x.surface(i), y.surface(i))  # the one-row view
+        assert (one.lo, one.hi) == (dist[0][i], dist[1][i])
 
 
 @settings(max_examples=6, deadline=None, derandomize=True, database=None)
