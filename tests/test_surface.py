@@ -302,15 +302,22 @@ def test_surface_rejects_missing_unknown_and_bad_weights(heights, widths, named)
         WeightedSurface(builtin("l-2-2"), heights, widths)
 
 
-def test_equal_curves_get_equal_intervals(unit_l22):
-    # equal curves that are distinct objects, and curves built and freed one
-    # after another, each get the bounds of curve_ext_bounds
+def test_ext_memo_tells_equal_curves_apart(unit_l22):
+    # ext_interval keeps no memo: equal curves that are distinct objects each
+    # get the bounds of curve_ext_bounds
     o = unit_l22.origami
     a = WeightedMulticurve(o, VERTICAL, {"B1": Fraction(1)})
     b = WeightedMulticurve(o, VERTICAL, {"B1": Fraction(1)})
     assert a == b and a is not b
     want = curve_ext_bounds(unit_l22, a)
     assert ext_interval(unit_l22, a) == want and ext_interval(unit_l22, b) == want
+
+
+def test_ext_memo_never_serves_a_recycled_curve(unit_l22):
+    # a curve freed after its lookup may hand its id to the next one, which
+    # must still get its own bounds
+    o = unit_l22.origami
     for k in range(1, 40):
         curve = WeightedMulticurve(o, HORIZONTAL, {"A1": Fraction(k)})
         assert ext_interval(unit_l22, curve) == curve_ext_bounds(unit_l22, curve)
+        del curve
