@@ -322,10 +322,6 @@ _SUITES: Sequence[tuple] = tuple(zip(SUITE_NAMES, (
 ), strict=True))
 
 
-def suite_names() -> List[str]:
-    return list(SUITE_NAMES)
-
-
 def run_suites(seed: int = 0, names: Optional[Sequence[str]] = None) -> dict:
     """Run the selected suites (substring match, e.g. "perron") in order."""
     selected: List[tuple] = []
@@ -335,12 +331,12 @@ def run_suites(seed: int = 0, names: Optional[Sequence[str]] = None) -> dict:
             if not matches:
                 raise InputError(
                     f"no check suite matches {token!r}; known: "
-                    + ", ".join(suite_names())
+                    + ", ".join(SUITE_NAMES)
                 )
             for pair in matches:
                 if pair not in selected:
                     selected.append(pair)
-        selected.sort(key=lambda pair: suite_names().index(pair[0]))
+        selected.sort(key=lambda pair: SUITE_NAMES.index(pair[0]))
     else:
         selected = list(_SUITES)
     suites = [func(seed) for _, func in selected]

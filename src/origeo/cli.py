@@ -26,12 +26,14 @@ The argument parser is built once per process, on the first :func:`main`
 call, and reused; ``main`` then looks the subcommand up by name
 (``cmd_<command>``) at call time, so a ``cmd_*`` rebound on this module,
 say by a tracer or a test, is the one that runs.  The same holds one layer
-down: this module holds ``geodesic``, ``surface``, ``horo``, ``intervals``,
-``sampling`` and ``checks`` as modules and reads each of their functions at
-the call, so a function rebound on the module that defines it is the one
-that runs, and a command loads only the layers it calls (``--help`` and
-``validate`` load none of them).  An unwritable ``--out`` is refused with
-the other options, before the command runs.
+down: this module holds ``geodesic``, ``horo`` and ``checks`` as modules and
+reads each of their functions at the call, so a function rebound on the
+module that defines it is the one that runs, and a command loads only the
+layers it calls (``--help`` and ``validate`` load none of them).  The
+commands only parse, dispatch and print: the flow table and the
+convergence ladder are :func:`origeo.horo.flow_table` and
+:func:`origeo.horo.converge_ladder`.  An unwritable ``--out`` is refused
+with the other options, before the command runs.
 """
 
 from __future__ import annotations
@@ -41,46 +43,25 @@ import functools
 import json
 import math
 import os
-import random
 import sys
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
-from . import checks as checks_mod, geodesic, horo, intervals, sampling, surface
+from . import checks as checks_mod, geodesic, horo
 from .errors import (
     DEFAULT_TOL,
     SUITE_NAMES,
     CertificationError,
-    Checks,
     HypothesisError,
     InputError,
     NoConvergenceError,
-    at,
     np,
 )
 from .multicurve import parse_busemann_spec
 from .origami import builtin, catalog, parse_origami
 
 
-# Flow points G(s), G(t) carry weights scaled by e^{+-s}, e^{+-t}, and the
-# brackets between them compare extremal lengths, which scale like e^{2|t|}.
-# Keeping e^{2 (|s| + |t|)} below the square root of the largest float
-# leaves the other half of the exponent range to the weights themselves.
-MAX_REACH = math.log(sys.float_info.max) / 4
 MAX_GRID_ROWS = 10_000
-# A flow grid is evaluated this many rows at a time, so that memory stays
-# flat up to MAX_GRID_ROWS: a block's largest array is this many times the
-# largest per-row array, the (cylinders x cylinders) circumference table of
-# an extremal length off the defining foliations.
-_BLOCK_ROWS = 128
-
-
-def _check_reach(reach: float, what: str) -> None:
-    if not reach <= MAX_REACH:
-        raise InputError(
-            f"{what} is {reach:g}, beyond the {MAX_REACH:.1f} that floats "
-            "carry (log of the largest float / 4)"
-        )
 
 
 @dataclass
@@ -174,7 +155,7 @@ def _resolve_origami(args: argparse.Namespace):
     return parse_origami(_load_json(args.origami))
 
 
-def _emit(text: str, out: Optional[str]) -> None:
+def _emit(text: str, out: Optional[str]) -> str:
     if out:
         try:
             with open(out, "w", encoding="utf-8") as fh:
@@ -182,6 +163,7 @@ def _emit(text: str, out: Optional[str]) -> None:
         except OSError as exc:
             raise InputError(f"cannot write {out}: {exc}") from None
     sys.stdout.write(text)
+    return text
 
 
 # ---------------------------------------------------------------------------
@@ -191,10 +173,7 @@ def _emit(text: str, out: Optional[str]) -> None:
 def cmd_validate(args: argparse.Namespace) -> str:
     cfg = _config_from(args)
     o = _resolve_origami(args)
-    summary = o.validate()
-    text = json.dumps(summary.to_json(), indent=2) + "\n"
-    _emit(text, cfg.out)
-    return text
+    return _emit(json.dumps(o.validate().to_json(), indent=2) + "\n", cfg.out)
 
 
 def cmd_geodesic(args: argparse.Namespace) -> str:
@@ -203,9 +182,7 @@ def cmd_geodesic(args: argparse.Namespace) -> str:
     xi = parse_busemann_spec(_load_json(args.xi), o)
     eta = parse_busemann_spec(_load_json(args.eta), o)
     line = geodesic.optimal_geodesic(xi, eta, tol=cfg.tol)
-    text = json.dumps(geodesic.line_report(line), indent=2) + "\n"
-    _emit(text, cfg.out)
-    return text
+    return _emit(json.dumps(geodesic.line_report(line), indent=2) + "\n", cfg.out)
 
 
 def _grid(cfg: RunConfig) -> np.ndarray:
@@ -224,12 +201,6 @@ def cmd_flow(args: argparse.Namespace) -> str:
     line = geodesic.line_from_report(_load_json(args.report))
     base = line.require_surface()
     horizon = cfg.horizon if cfg.horizon is not None else cfg.t_max + 5.0
-    # each row pairs G(t) with the Busemann point G(max(horizon, t + 5))
-    _check_reach(
-        max(abs(cfg.t_min), abs(cfg.t_max)) + max(horizon, cfg.t_max + 5.0),
-        "flow time plus horizon",
-    )
-    grid = _grid(cfg)
     header = (
         ["t"]
         + [f"width_{lab}" for lab in base.widths]
@@ -237,12 +208,8 @@ def cmd_flow(args: argparse.Namespace) -> str:
         + ["ext_fv", "ext_fh", "psi_fv", "psi_fh",
            "busemann_lo", "busemann_hi", "d_to_base"]
     )
-    rows = [",".join(header)]
-    for start in range(0, len(grid), _BLOCK_ROWS):
-        rows += _csv_lines(_flow_block(line, grid[start:start + _BLOCK_ROWS], horizon))
-    text = "\n".join(rows) + "\n"
-    _emit(text, cfg.out)
-    return text
+    rows = [",".join(header), *_csv_lines(horo.flow_table(line, _grid(cfg), horizon))]
+    return _emit("\n".join(rows) + "\n", cfg.out)
 
 
 def _csv_lines(table: np.ndarray) -> List[str]:
@@ -252,111 +219,18 @@ def _csv_lines(table: np.ndarray) -> List[str]:
     return [template % tuple(row) for row in table.tolist()]
 
 
-def _flow_block(line: geodesic.GeodesicLine, ts: np.ndarray,
-                horizon: float) -> np.ndarray:
-    """The flow CSV's columns at the times ts, each one array pass over the
-    rows, with the checks of every row."""
-    base = line.require_surface().rows
-    with Checks() as checks:
-        pt = geodesic.flow_rows(line, ts, checks)
-        exts, psis = [], []
-        for f in (line.vertical_foliation, line.horizontal_foliation):
-            # the line's foliations are the base's own: F_v weighs the widths,
-            # and its extremal length at the base is the base's area
-            exts.append(surface.ext_rows(pt, f.side, base.side(f.side), checks))
-            psis.append(horo.psi_rows(exts[-1], (base.area, base.area), checks))
-        for (lo, hi), want, name in zip(psis, (-ts, ts), ("psi_fv", "psi_fh")):
-            def strays(i, lo=lo, hi=hi, want=want, name=name):
-                return CertificationError(f"{name} at t={at(ts, i)} strays from "
-                                          f"{at(want, i)}: [{at(lo, i)}, {at(hi, i)}]")
-            checks.add(intervals.outside(lo, hi, want, 1e-12), strays)
-        bus_lo, bus_hi = horo.busemann_rows(line, pt, np.maximum(horizon, ts + 5.0),
-                                            checks)
-        checks.add(intervals.outside(bus_lo, bus_hi, -ts, 1e-9),
-                   lambda i: CertificationError(
-                       f"Busemann enclosure at t={at(ts, i)} misses {at(-ts, i)}: "
-                       f"[{at(bus_lo, i)}, {at(bus_hi, i)}]"))
-        d_to_base = np.abs(ts)
-        geodesic.check_flow_distance(
-            d_to_base, *surface.distance_rows(base, pt, checks), checks)
-    return np.column_stack(
-        [ts, pt.widths, pt.heights, exts[0][0], exts[1][0]]
-        + [(lo + hi) / 2.0 for lo, hi in psis]
-        + [bus_lo, bus_hi, d_to_base]
-    )
-
-
-def _converge_payload(line: geodesic.GeodesicLine, cfg: RunConfig) -> dict:
-    base = line.require_surface()
-    # the jitter widens each of G(-n-max) and G(n-max) by up to e^eps; the
-    # cap keeps n-max below 89, so the whole ladder is one block of rows
-    _check_reach(
-        2.0 * (cfg.n_max + cfg.eps), "the span of G(-n-max) and G(n-max) plus --eps"
-    )
-    o, b = base.origami, base.rows
-    ns = np.arange(1.0, cfg.n_max + 1)
-    with Checks() as checks:
-        x, y = (geodesic.flow_rows(line, t, checks) for t in (-ns, ns))
-        d_xy = surface.distance_rows(x, y, checks)
-        geodesic.check_flow_distance(2.0 * ns, *d_xy, checks)
-        d_0x = surface.distance_rows(b, x, checks)
-        geodesic.check_flow_distance(ns, *d_0x, checks)
-        miyachi = horo.miyachi_rows(d_0x, surface.distance_rows(b, y, checks), d_xy,
-                                    checks)
-
-        # per n, the height and width factors of G(-n), then those of G(n):
-        # the order that gives each seed its jitter
-        kh, k = b.heights.shape[1], b.heights.shape[1] + b.widths.shape[1]
-        draws = sampling.jitter_factors(random.Random(cfg.seed),
-                                        range(cfg.n_max * 2 * k), cfg.eps)
-        f = np.fromiter(draws.values(), float).reshape(cfg.n_max, 2, k)
-        hf_x, wf_x, hf_y, wf_y = f[:, 0, :kh], f[:, 0, kh:], f[:, 1, :kh], f[:, 1, kh:]
-        x_j = surface.check_weights(
-            surface.SurfaceRows(o, x.heights * hf_x, x.widths * wf_x), checks)
-        y_j = surface.check_weights(
-            surface.SurfaceRows(o, y.heights * hf_y, y.widths * wf_y), checks)
-        # sqrt is correctly rounded in IEEE 754, so np.sqrt gives math.sqrt's bits
-        proxy = surface.SurfaceRows(o, b.heights * np.sqrt(hf_x * hf_y),
-                                    b.widths * np.sqrt(wf_x * wf_y))
-        d_proxy = surface.distance_rows(b, surface.check_weights(proxy, checks), checks)
-        d_j = surface.distance_rows(x_j, y_j, checks)
-        d_0j = surface.distance_rows(b, x_j, checks)
-
-    return {
-        "nMax": cfg.n_max,
-        "eps": cfg.eps,
-        "seed": cfg.seed,
-        "exact": _rungs(gap=2.0 * ns - ns, miyachiLo=miyachi[0], miyachiHi=miyachi[1]),
-        "jittered": {
-            "note": "demonstration, not certificate",
-            "rows": _rungs(proxyLo=d_proxy[0], proxyHi=d_proxy[1],
-                           gapLo=d_j[0] - d_0j[1], gapHi=d_j[1] - d_0j[0]),
-        },
-        "deltaProbe": horo.delta_probe(line.forward_spec, line.backward_spec, base),
-    }
-
-
-def _rungs(**columns) -> List[dict]:
-    """One object per rung n = 1, 2, ...: n, then a number per column."""
-    rows = zip(*(np.asarray(c).tolist() for c in columns.values()))
-    return [dict(zip(("n", *columns), (n, *row))) for n, row in enumerate(rows, 1)]
-
-
 def cmd_converge(args: argparse.Namespace) -> str:
     cfg = _config_from(args)
     line = geodesic.line_from_report(_load_json(args.report))
-    text = json.dumps(_converge_payload(line, cfg), indent=2) + "\n"
-    _emit(text, cfg.out)
-    return text
+    ladder = horo.converge_ladder(line, cfg.n_max, cfg.eps, cfg.seed)
+    return _emit(json.dumps(ladder, indent=2) + "\n", cfg.out)
 
 
 def cmd_check(args: argparse.Namespace) -> str:
     cfg = _config_from(args)
     report = checks_mod.run_suites(seed=cfg.seed, names=cfg.suites or None)
     report["config"] = {"seed": cfg.seed}
-    text = json.dumps(report, indent=2) + "\n"
-    _emit(text, cfg.out)
-    return text
+    return _emit(json.dumps(report, indent=2) + "\n", cfg.out)
 
 
 # ---------------------------------------------------------------------------

@@ -67,7 +67,13 @@ from .multicurve import (
 )
 from .origami import Origami, origami_to_json, parse_origami
 from .perron import PerronResult, gram_array, perron_solve
-from .surface import SurfaceRows, WeightedSurface, check_weights, distance_rows, elementwise
+from .surface import SurfaceRows, WeightedSurface, check_weights, distance_rows
+
+# Flow points G(s), G(t) carry weights scaled by e^{+-s}, e^{+-t}, and the
+# brackets between them compare extremal lengths, which scale like e^{2|t|}.
+# Keeping e^{2 (|s| + |t|)} below the square root of the largest float
+# leaves the other half of the exponent range to the weights themselves.
+MAX_REACH = math.log(sys.float_info.max) / 4
 
 
 @dataclass(frozen=True)
@@ -249,6 +255,22 @@ def _flow_time(line: GeodesicLine, t: float) -> float:
     return t
 
 
+def check_reach(reach: float, what: str) -> None:
+    """Refuse a largest |s| + |t| of compared flow points beyond MAX_REACH."""
+    if not reach <= MAX_REACH:
+        raise InputError(
+            f"{what} is {reach:g}, beyond the {MAX_REACH:.1f} that floats "
+            "carry (log of the largest float / 4)"
+        )
+
+
+def _exp(t: float) -> float:
+    try:  # inf past the float range: the weights' check refuses the row
+        return math.exp(t)
+    except OverflowError:
+        return math.inf
+
+
 def point_at(line: GeodesicLine, t: float) -> WeightedSurface:
     """The flow point at time t, the one-row case of :func:`flow_rows`, built
     anew at each call.  ``t == 0`` is the base surface itself.  The flow's
@@ -264,7 +286,7 @@ def flow_rows(line: GeodesicLine, ts: np.ndarray, checks: Checks) -> SurfaceRows
     checked: widths scaled by e^t, heights by e^{-t} (exchanged on a
     time-reversed line, so that reversal negates the parameter)."""
     base = line.require_surface().rows
-    grow, shrink = (elementwise(math.exp, s, checks)[:, None] for s in (ts, -ts))
+    grow, shrink = (np.array([_exp(u) for u in s.tolist()])[:, None] for s in (ts, -ts))
     if line.vertical_foliation.side != VERTICAL:
         grow, shrink = shrink, grow
     return check_weights(

@@ -17,7 +17,8 @@ normalized to vanish at a chosen basepoint and returned as a certified
   grows, so any finite horizon gives a sound upper bound.
 
 On float surfaces each runs the one-row case of ``*_rows`` kernels, which
-``flow`` and the self-checks run on whole blocks of surfaces.
+the self-checks, ``flow_table`` (``origeo flow``) and ``converge_ladder``
+(``origeo converge``) run on whole blocks of surfaces.
 
 The audits at the bottom turn standard comparison inequalities into
 machine-checked certificates on concrete surfaces rather than trusting
@@ -28,10 +29,19 @@ theorem, and are reported as such.
 from __future__ import annotations
 
 import math
+import random
 
+from . import sampling
 from .errors import CertificationError, Checks, HostMismatch, InputError, at, np
-from .geodesic import GeodesicLine, flow_rows, ray_limit, spec_pairing
-from .intervals import ValueInterval, one_row
+from .geodesic import (
+    GeodesicLine,
+    check_flow_distance,
+    check_reach,
+    flow_rows,
+    ray_limit,
+    spec_pairing,
+)
+from .intervals import ValueInterval, one_row, outside
 from .multicurve import (
     HORIZONTAL,
     VERTICAL,
@@ -46,6 +56,7 @@ from .multicurve import (
 from .surface import (
     SurfaceRows,
     WeightedSurface,
+    check_weights,
     curve_ext_bounds,
     curve_ext_rows,
     distance_interval,
@@ -137,6 +148,104 @@ def miyachi_rows(dx, dy, dxy, checks: Checks):
     product_hi = 0.5 * (dx[1] + dy[1] - dxy[0])
     return (elementwise(math.exp, -2.0 * product_hi, checks),
             elementwise(math.exp, -2.0 * product_lo, checks))
+
+
+# ---------------------------------------------------------------------------
+# tables
+
+# A flow table is evaluated this many rows at a time, so that memory stays
+# flat however long the grid: a block's largest array is this many times the
+# largest per-row array, the (cylinders x cylinders) circumference table of
+# an extremal length off the defining foliations.
+_BLOCK_ROWS = 128
+
+
+def flow_table(line: GeodesicLine, ts: np.ndarray, horizon: float) -> np.ndarray:
+    """One row per time t of ``ts``: t, the widths and heights of G(t), Ext
+    and psi of F_v and F_h there, the Busemann enclosure against the far
+    point G(max(horizon, t + 5)) and d(G(0), G(t)), with the checks of every
+    row.  Each column is one array pass over a block of rows."""
+    base = line.require_surface().rows
+    check_reach(float(np.abs(ts).max() + max(horizon, ts.max() + 5.0)),
+                "flow time plus horizon")
+    blocks = []
+    for start in range(0, len(ts), _BLOCK_ROWS):
+        t = ts[start:start + _BLOCK_ROWS]
+        with Checks() as checks:
+            pt = flow_rows(line, t, checks)
+            exts, psis = [], []
+            for f in (line.vertical_foliation, line.horizontal_foliation):
+                # the line's foliations are the base's own: F_v weighs the
+                # widths, and its extremal length at the base is the base's area
+                exts.append(ext_rows(pt, f.side, base.side(f.side), checks))
+                psis.append(psi_rows(exts[-1], (base.area, base.area), checks))
+            for (lo, hi), want, name in zip(psis, (-t, t), ("psi_fv", "psi_fh")):
+                def strays(i, lo=lo, hi=hi, want=want, name=name):
+                    return CertificationError(f"{name} at t={at(t, i)} strays from "
+                                              f"{at(want, i)}: [{at(lo, i)}, {at(hi, i)}]")
+                checks.add(outside(lo, hi, want, 1e-12), strays)
+            bus_lo, bus_hi = busemann_rows(line, pt, np.maximum(horizon, t + 5.0), checks)
+            checks.add(outside(bus_lo, bus_hi, -t, 1e-9),
+                       lambda i: CertificationError(
+                           f"Busemann enclosure at t={at(t, i)} misses {at(-t, i)}: "
+                           f"[{at(bus_lo, i)}, {at(bus_hi, i)}]"))
+            d_to_base = np.abs(t)
+            check_flow_distance(d_to_base, *distance_rows(base, pt, checks), checks)
+        blocks.append(np.column_stack([t, pt.widths, pt.heights, exts[0][0], exts[1][0],
+                                       *((lo + hi) / 2.0 for lo, hi in psis),
+                                       bus_lo, bus_hi, d_to_base]))
+    return np.vstack(blocks)
+
+
+def converge_ladder(line: GeodesicLine, n_max: int, eps: float, seed: int) -> dict:
+    """The boundary convergence scheme at the rungs n = 1..n_max, as JSON:
+    the exact pairs G(-n), G(n) with their gap and Miyachi bracket, the same
+    pairs jittered by factors in [e^-eps, e^eps] drawn from ``seed`` (a
+    demonstration, not a certificate), and the line's :func:`delta_probe`."""
+    base = line.require_surface()
+    # the jitter widens each of G(-n-max) and G(n-max) by up to e^eps; the
+    # cap keeps n-max below 89, so the whole ladder is one block of rows
+    check_reach(2.0 * (n_max + eps), "the span of G(-n-max) and G(n-max) plus --eps")
+    o, b = base.origami, base.rows
+    ns = np.arange(1.0, n_max + 1)
+    with Checks() as checks:
+        x, y = (flow_rows(line, t, checks) for t in (-ns, ns))
+        d_xy = distance_rows(x, y, checks)
+        check_flow_distance(2.0 * ns, *d_xy, checks)
+        d_0x = distance_rows(b, x, checks)
+        check_flow_distance(ns, *d_0x, checks)
+        miyachi = miyachi_rows(d_0x, distance_rows(b, y, checks), d_xy, checks)
+
+        # per n, the height and width factors of G(-n), then those of G(n):
+        # the order that gives each seed its jitter
+        kh, k = b.heights.shape[1], b.heights.shape[1] + b.widths.shape[1]
+        draws = sampling.jitter_factors(random.Random(seed), range(n_max * 2 * k), eps)
+        f = np.fromiter(draws.values(), float).reshape(n_max, 2, k)
+        hf_x, wf_x, hf_y, wf_y = f[:, 0, :kh], f[:, 0, kh:], f[:, 1, :kh], f[:, 1, kh:]
+        x_j = check_weights(SurfaceRows(o, x.heights * hf_x, x.widths * wf_x), checks)
+        y_j = check_weights(SurfaceRows(o, y.heights * hf_y, y.widths * wf_y), checks)
+        # sqrt is correctly rounded in IEEE 754, so np.sqrt gives math.sqrt's bits
+        proxy = SurfaceRows(o, b.heights * np.sqrt(hf_x * hf_y),
+                            b.widths * np.sqrt(wf_x * wf_y))
+        d_proxy = distance_rows(b, check_weights(proxy, checks), checks)
+        d_j = distance_rows(x_j, y_j, checks)
+        d_0j = distance_rows(b, x_j, checks)
+
+    def rungs(**columns):
+        # one object per rung: n, then a number per column
+        rows = zip(*(np.asarray(c).tolist() for c in columns.values()))
+        return [dict(zip(("n", *columns), (n, *row))) for n, row in enumerate(rows, 1)]
+
+    return {
+        "nMax": n_max, "eps": eps, "seed": seed,
+        "exact": rungs(gap=2.0 * ns - ns, miyachiLo=miyachi[0], miyachiHi=miyachi[1]),
+        "jittered": {
+            "note": "demonstration, not certificate",
+            "rows": rungs(proxyLo=d_proxy[0], proxyHi=d_proxy[1],
+                          gapLo=d_j[0] - d_0j[1], gapHi=d_j[1] - d_0j[0]),
+        },
+        "deltaProbe": delta_probe(line.forward_spec, line.backward_spec, base),
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -32,11 +32,11 @@ separate certificate; it follows from primitivity by Perron–Frobenius.
 
 :func:`wielandt_oracle` is the brute-force characterization (some power of
 the Gram matrix is entrywise positive, with the classical exponent bound
-``(k-1)^2 + 1``, run as NumPy products of the 0/1 support), used by the
-self-check suites against
-:func:`is_primitive`.  Note the oracle must look at *both* ``M M^T`` and
-``M^T M``: a zero column of ``M`` leaves ``M M^T`` untouched but breaks the
-transpose-side system, and such inputs are not primitive for our purposes.
+``(k-1)^2 + 1``, run as boolean squarings of the 0/1 support), used by
+the self-check suites against :func:`is_primitive`.  Note the oracle must
+look at *both* ``M M^T`` and ``M^T M``: a zero column of ``M`` leaves
+``M M^T`` untouched but breaks the transpose-side system, and such inputs
+are not primitive for our purposes.
 """
 
 from __future__ import annotations
@@ -107,22 +107,20 @@ def is_primitive(matrix: Matrix) -> bool:
     return support_is_primitive([list(compress(cols, row)) for row in rows], len(cols))
 
 
-def _some_power_positive(t: Sequence[Sequence[int]]) -> bool:
-    support = np.array(t) != 0
-    base = support.astype(np.int64)
-    # boolean (support) arithmetic is enough for positivity of powers
-    for _ in range((len(base) - 1) ** 2 + 1):
-        if support.all():
-            return True
-        support = support.astype(np.int64) @ base > 0
+def _some_power_positive(t) -> bool:
+    """Whether a power of t's 0/1 support up to Wielandt's exponent
+    (k-1)^2 + 1 is all positive: t, t^2, t^4, ... by boolean squaring, since
+    every power past the first positive one is positive too."""
+    support, power = np.array(t) != 0, 1
+    while not support.all() and power < (len(support) - 1) ** 2 + 1:
+        support, power = support @ support, 2 * power
     return bool(support.all())
 
 
 def wielandt_oracle(matrix: Matrix) -> bool:
     """Brute-force primitivity: both Gram matrices have a positive power."""
-    rows = _rows(matrix)
-    cols = tuple(zip(*rows))
-    return _some_power_positive(gram(rows)) and _some_power_positive(gram(cols))
+    s = np.array(_rows(matrix)) != 0
+    return _some_power_positive(s @ s.T) and _some_power_positive(s.T @ s)
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ import pytest
 
 import origeo
 from origeo import checks, cli, geodesic, horo
+from origeo.errors import SUITE_NAMES
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SRC = Path(origeo.__file__).resolve().parent
@@ -131,6 +132,16 @@ def test_every_import_is_used(path):
     assert sorted(set(_imported_names(tree)) - used - exported) == []
 
 
+def test_cli_only_parses_dispatches_and_prints():
+    """Array work lives beside the row kernels, not in the command line:
+    ``cli`` reaches the flat layer only through ``geodesic`` and ``horo``."""
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    assert set(_imported_names(tree)).isdisjoint(
+        {"surface", "intervals", "sampling", "random"})
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert used.isdisjoint({"Checks", "at"})
+
+
 def _fresh(script):
     """The last stdout line of ``script`` in a new interpreter, read as JSON."""
     res = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", script],
@@ -210,8 +221,8 @@ def test_a_submodule_imported_by_name_is_a_package_attribute():
     assert _fresh(
         "import json\n"
         "import origeo.checks\n"
-        "print(json.dumps(origeo.checks.suite_names()))\n"
-    ) == checks.suite_names()
+        "print(json.dumps(origeo.checks.SUITE_NAMES))\n"
+    ) == list(SUITE_NAMES)
 
 
 def test_suite_help_lists_the_check_suites():
@@ -219,4 +230,4 @@ def test_suite_help_lists_the_check_suites():
                       if isinstance(a, argparse._SubParsersAction))
     suite = next(a for a in subparsers.choices["check"]._actions if a.dest == "suite")
     assert suite.help == ("run only matching suites (may repeat); known: "
-                          + ", ".join(checks.suite_names()))
+                          + ", ".join(SUITE_NAMES))

@@ -297,6 +297,14 @@ def test_long_horizon_flow_exits_input_error(report_file):
     assert "flow time plus horizon" in res.stderr
 
 
+def test_row_cap_is_checked_before_the_reach_cap(report_file):
+    # 1,000,001 rows reaching t = 1e6: the grid is refused before any time is
+    res = run_cli("flow", report_file, "--t-min", "0", "--t-max", "1e6", "--step", "1")
+    assert res.returncode == 2
+    assert res.stderr == ("error: time grid needs 1000001 rows, more than 10000; "
+                          "raise --step or narrow [--t-min, --t-max]\n")
+
+
 def test_tiny_step_flow_exits_input_error(report_file):
     res = run_cli("flow", report_file, "--t-min", "0", "--t-max", "1",
                   "--step", "1e-9")

@@ -103,6 +103,14 @@ def test_point_at_rejects_non_finite(golden):
             point_at(golden, t)
 
 
+@pytest.mark.parametrize("t", [800.0, -800.0])
+def test_flow_time_past_the_float_range_is_an_input_error(golden, t):
+    # e^800 overflows to inf and e^-800 underflows to 0: either weight is refused
+    for call in (lambda: point_at(golden, t), lambda: flow_distance(golden, 0, t)):
+        with pytest.raises(InputError, match="^weight on A1 must be positive and finite"):
+            call()
+
+
 @pytest.mark.parametrize("reversed_first", [False, True])
 def test_reversed_line_never_reads_the_forward_flow_points(golden, reversed_first):
     forward_one = point_at(golden, 1.0)

@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from origeo import cli, horo
+from origeo import cli, geodesic, horo
 from origeo.errors import CertificationError, Checks
 from origeo.geodesic import (
     flow_distance,
@@ -184,7 +184,7 @@ def test_flow_cells_are_the_scalar_values(report, t_min, step, horizon):
     base = line.base_surface
     f_v, f_h = line.vertical_foliation, line.horizontal_foliation
     rows = [row.split(",") for row in out.splitlines()[1:]]
-    assert len(rows) > cli._BLOCK_ROWS
+    assert len(rows) > horo._BLOCK_ROWS
     for i, row in enumerate(rows):
         t = t_min + i * step
         pt = point_at(line, t)
@@ -288,9 +288,10 @@ def _line_report(xi, eta):
         # row t = 708: e^-1416 underflows r^2 of F_v at G(t) to 0, log(0)
         (("1", "1"), ("1", "1"), ["flow", "--t-min=0", "--t-max=708",
          "--step=708", "--horizon=1"], (ValueError, "math domain error")),
-        # row t = -712: math.exp(712) overflows
+        # row t = -712: e^712 overflows to inf, a height G(t) cannot carry
         (("1", "1"), ("1", "1"), ["flow", "--t-min=-712", "--t-max=-690",
-         "--step=0.5", "--horizon=1"], (OverflowError, "math range error")),
+         "--step=0.5", "--horizon=1"],
+         (2, "error: weight on A1 must be positive and finite, got inf\n")),
         # rung n = 178: the bracket of d(G(-n), G(n)) overflows
         (("1", "1"), ("1", "1"), ["converge", "--n-max=200", "--eps=0"],
          (5, "certification failure: flow distance 356.0 escapes certified "
@@ -304,7 +305,7 @@ def _line_report(xi, eta):
 def test_overflowing_rows_fail_as_the_row_loop_failed(monkeypatch, capsys, xi, eta,
                                                        argv, outcome):
     report = _line_report(xi, eta)
-    monkeypatch.setattr(cli, "MAX_REACH", 2000.0)
+    monkeypatch.setattr(geodesic, "MAX_REACH", 2000.0)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "report.json"
         path.write_text(json.dumps(report))

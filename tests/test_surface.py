@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from origeo.errors import InputError
+from origeo.errors import CertificationError, InputError
+from origeo.geodesic import flow_distance, optimal_geodesic
 from origeo.multicurve import (
     HORIZONTAL,
     VERTICAL,
+    BusemannSpec,
     WeightedMulticurve,
     core_curve,
 )
@@ -66,6 +68,19 @@ def test_near_proportional_curve_interval_contains_its_lower_bound(unit_l22):
     )
     lower = curve_ext_bounds(unit_l22, curve).lo  # 3.0000000018
     assert ext_interval(unit_l22, curve).contains(lower)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=CertificationError,
+    reason="ROADMAP item 1: past the reach cap the distance bracket of "
+    "G(-178) and G(178) overflows to [inf, inf]",
+)
+def test_flow_distance_beyond_the_reach_cap_is_certified(unit_l22):
+    o = unit_l22.origami
+    line = optimal_geodesic(BusemannSpec(o, VERTICAL, unit_l22.widths),
+                            BusemannSpec(o, HORIZONTAL, unit_l22.heights))
+    assert flow_distance(line, -178, 178) == 356.0
 
 
 def test_core_curve_bounds_exact_fractions(unit_l22):
