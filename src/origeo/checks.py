@@ -30,7 +30,7 @@ from .geodesic import (
 from .horo import busemann_rows, minsky_audit, miyachi_rows, psi_rows
 from .intervals import outside
 from .multicurve import HORIZONTAL, VERTICAL, BusemannSpec, core_curve, intersection
-from .origami import Origami, builtin, catalog
+from .origami import builtin, catalog
 from .perron import gram, is_primitive, perron_solve, wielandt_oracle
 from .surface import (
     SurfaceRows,
@@ -102,8 +102,7 @@ def check_gauss_bonnet(seed: int) -> dict:
         audit(builtin(name), name)
     for i in range(100):
         n = rng.randint(2, 10)
-        h, v = sampling.random_transitive_pair(rng, n)
-        audit(Origami(n, h, v), f"random[{i}]")
+        audit(sampling.random_connected_origami(rng, n), f"random[{i}]")
     return _report("gauss-bonnet", cases, failures)
 
 

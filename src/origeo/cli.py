@@ -44,8 +44,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from . import checks as checks_mod, geodesic, horo
 from .errors import (
@@ -58,15 +57,15 @@ from .errors import (
     np,
 )
 from .multicurve import parse_busemann_spec
-from .origami import builtin, catalog, parse_origami
+from .origami import _CATALOG_DATA, builtin, parse_origami
 
 
 MAX_GRID_ROWS = 10_000
 
 
-@dataclass
-class RunConfig:
-    """Validated knobs shared by the subcommands."""
+class RunConfig(NamedTuple):
+    """Knobs shared by the subcommands, checked where :func:`_config_from`
+    builds them."""
 
     tol: float = DEFAULT_TOL
     seed: int = 0
@@ -77,28 +76,7 @@ class RunConfig:
     n_max: int = 20
     eps: float = 0.05
     out: Optional[str] = None
-    suites: List[str] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if not 0 < self.tol < math.inf:
-            raise InputError(f"--tol must be positive and finite, got {self.tol}")
-        for flag, value in (("--t-min", self.t_min), ("--t-max", self.t_max)):
-            if not math.isfinite(value):
-                raise InputError(f"{flag} must be finite, got {value}")
-        if not 0 < self.step < math.inf:
-            raise InputError(f"--step must be positive and finite, got {self.step}")
-        if self.t_min > self.t_max:
-            raise InputError(
-                f"empty time grid: t-min {self.t_min} > t-max {self.t_max}"
-            )
-        if self.n_max < 1:
-            raise InputError(f"--n-max must be at least 1, got {self.n_max}")
-        if not 0 <= self.eps < math.inf:
-            raise InputError(f"--eps must be nonnegative and finite, got {self.eps}")
-        if self.horizon is not None and not 0 < self.horizon < math.inf:
-            raise InputError(f"--horizon must be positive and finite, got {self.horizon}")
-        if self.out:
-            _check_writable(self.out)
+    suites: Tuple[str, ...] = ()
 
 
 def _check_writable(path: str) -> None:
@@ -126,8 +104,26 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
         if hasattr(args, name) and getattr(args, name) is not None:
             kwargs[name] = getattr(args, name)
     if getattr(args, "suite", None):
-        kwargs["suites"] = list(args.suite)
-    return RunConfig(**kwargs)
+        kwargs["suites"] = tuple(args.suite)
+    cfg = RunConfig(**kwargs)
+    if not 0 < cfg.tol < math.inf:
+        raise InputError(f"--tol must be positive and finite, got {cfg.tol}")
+    for flag, value in (("--t-min", cfg.t_min), ("--t-max", cfg.t_max)):
+        if not math.isfinite(value):
+            raise InputError(f"{flag} must be finite, got {value}")
+    if not 0 < cfg.step < math.inf:
+        raise InputError(f"--step must be positive and finite, got {cfg.step}")
+    if cfg.t_min > cfg.t_max:
+        raise InputError(f"empty time grid: t-min {cfg.t_min} > t-max {cfg.t_max}")
+    if cfg.n_max < 1:
+        raise InputError(f"--n-max must be at least 1, got {cfg.n_max}")
+    if not 0 <= cfg.eps < math.inf:
+        raise InputError(f"--eps must be nonnegative and finite, got {cfg.eps}")
+    if cfg.horizon is not None and not 0 < cfg.horizon < math.inf:
+        raise InputError(f"--horizon must be positive and finite, got {cfg.horizon}")
+    if cfg.out:
+        _check_writable(cfg.out)
+    return cfg
 
 
 def _load_json(path: str) -> dict:
@@ -150,7 +146,7 @@ def _resolve_origami(args: argparse.Namespace):
     if args.origami is None:
         raise InputError(
             "an origami is required: pass a JSON file or --builtin NAME "
-            f"(known: {', '.join(catalog())})"
+            f"(known: {', '.join(_CATALOG_DATA)})"
         )
     return parse_origami(_load_json(args.origami))
 
@@ -255,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("origami", nargs="?", default=None,
                        help="origami description JSON")
         p.add_argument("--builtin", default=None, metavar="NAME",
-                       help=f"use a built-in origami ({', '.join(catalog())})")
+                       help=f"use a built-in origami ({', '.join(_CATALOG_DATA)})")
 
     p = sub.add_parser("validate", help="audit an origami description")
     add_origami_source(p)

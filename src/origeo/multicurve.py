@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress
 from types import MappingProxyType
@@ -63,8 +62,33 @@ def is_exact(w: Weight) -> bool:
     return type(w) is not float and isinstance(w, (int, fractions.Fraction))
 
 
-@dataclass(frozen=True)
-class IntersectionMatrix:
+class _Record:
+    """Read-only fields, as on a frozen dataclass: ``__init__`` stores them in
+    ``__dict__`` (where ``cached_property`` keeps its values too), ``==``
+    compares the ones ``_fields`` names and ``repr`` shows them."""
+
+    _fields: Tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._key()))
+        return f"{type(self).__name__}({shown})"
+
+
+class IntersectionMatrix(_Record):
     """Geometric intersection numbers of two transverse core-curve families.
 
     ``entries[i][j]`` is the intersection number of the i-th curve of the row
@@ -75,26 +99,26 @@ class IntersectionMatrix:
     map each label to its position, read-only, built with the matrix.
     """
 
-    entries: Tuple[Tuple[Weight, ...], ...]
-    row_labels: Tuple[str, ...]
-    col_labels: Tuple[str, ...]
-    row_index: Mapping[str, int] = field(init=False, repr=False, compare=False)
-    col_index: Mapping[str, int] = field(init=False, repr=False, compare=False)
+    _fields = ("entries", "row_labels", "col_labels")
 
-    def __post_init__(self):
+    def __init__(self, entries: Tuple[Tuple[Weight, ...], ...],
+                 row_labels: Tuple[str, ...], col_labels: Tuple[str, ...]):
+        fields = self.__dict__
+        fields.update(entries=entries, row_labels=row_labels, col_labels=col_labels)
         k, l = self.shape
         if k == 0 or l == 0:
             raise InputError("intersection matrix must be nonempty")
-        if any(len(row) != l for row in self.entries):
+        if any(len(row) != l for row in entries):
             raise InputError("ragged intersection matrix")
-        if len(self.row_labels) != k or len(self.col_labels) != l:
+        if len(row_labels) != k or len(col_labels) != l:
             raise InputError("label count does not match matrix shape")
-        if min(map(min, self.entries)) < 0:
+        if min(map(min, entries)) < 0:
             raise InputError("negative intersection number")
-        rows = {lab: i for i, lab in enumerate(self.row_labels)}
-        cols = {lab: j for j, lab in enumerate(self.col_labels)}
-        object.__setattr__(self, "row_index", MappingProxyType(rows))
-        object.__setattr__(self, "col_index", MappingProxyType(cols))
+        fields["row_index"] = MappingProxyType(dict(zip(row_labels, range(k))))
+        fields["col_index"] = MappingProxyType(dict(zip(col_labels, range(l))))
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @property
     def shape(self) -> Tuple[int, int]:
@@ -143,8 +167,7 @@ def _check_weights(weights: Mapping[str, Weight]) -> Dict[str, Weight]:
     return clean
 
 
-@dataclass(frozen=True)
-class WeightedMulticurve:
+class WeightedMulticurve(_Record):
     """Positive weights on pairwise disjoint cores of one side of an origami.
 
     ``weights`` is a read-only mapping in the host's cylinder order, so its
@@ -152,30 +175,30 @@ class WeightedMulticurve:
     change under it.
     """
 
-    host: object
-    side: str
-    weights: Mapping[str, Weight]
+    _fields = ("host", "side", "weights")
+
+    def __init__(self, host, side: str, weights: Mapping[str, Weight]):
+        self.__dict__.update(host=host, side=side, weights=weights)
+        self.__post_init__()
 
     def __post_init__(self):
+        """Check the weights and keep them in the host's cylinder order; apart
+        from ``__init__``, so that one hook sees every construction."""
         if self.side not in SIDES:
             raise InputError(f"unknown side {self.side!r}")
         clean = _check_weights(self.weights)
-        valid = {c.label for c in self.host.cylinders(self.side)}
-        unknown = set(clean) - valid
+        cylinders = self.host.cylinders(self.side)
+        unknown = set(clean).difference(c.label for c in cylinders)
         if unknown:
             raise InputError(
                 f"no {self.side} cylinder labelled {sorted(unknown)} on this origami"
             )
-        ordered = {
-            c.label: clean[c.label]
-            for c in self.host.cylinders(self.side)
-            if c.label in clean
-        }
-        object.__setattr__(self, "weights", MappingProxyType(ordered))
+        ordered = {c.label: clean[c.label] for c in cylinders if c.label in clean}
+        self.__dict__["weights"] = MappingProxyType(ordered)
         if not all(map(is_exact, ordered.values())):
             # a float family has no integer form; fixing it here keeps the
             # float paths off the lazy property's first-access cost
-            object.__setattr__(self, "integer_form", None)
+            self.__dict__["integer_form"] = None
 
     @property
     def support(self) -> Tuple[str, ...]:
@@ -399,8 +422,7 @@ def filling_status(a: WeightedMulticurve, b: WeightedMulticurve) -> FillingStatu
 # Prescribed boundary directions and their JSON form
 
 
-@dataclass(frozen=True)
-class BusemannSpec:
+class BusemannSpec(_Record):
     """A prescribed boundary direction: positive coefficients on disjoint cores.
 
     ``coeffs`` maps cylinder labels (all on ``side``) to positive numbers;
@@ -409,16 +431,14 @@ class BusemannSpec:
     as the multicurve that :meth:`as_multicurve` returns.
     """
 
-    host: object
-    side: str
-    coeffs: Mapping[str, Weight]
-    approx: bool = False
-    _curve: WeightedMulticurve = field(init=False, repr=False, compare=False)
+    _fields = ("host", "side", "coeffs", "approx")
 
-    def __post_init__(self):
-        curve = WeightedMulticurve(self.host, self.side, self.coeffs)
-        object.__setattr__(self, "_curve", curve)
-        object.__setattr__(self, "coeffs", curve.weights)
+    def __init__(self, host, side: str, coeffs: Mapping[str, Weight],
+                 approx: bool = False):
+        curve = WeightedMulticurve(host, side, coeffs)
+        self.__dict__.update(
+            host=host, side=side, coeffs=curve.weights, approx=approx, _curve=curve
+        )
 
     def as_multicurve(self) -> WeightedMulticurve:
         return self._curve

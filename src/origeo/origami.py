@@ -32,15 +32,13 @@ origami ``h = (1 2)(3)``, ``v = (1 3)(2)``: two horizontal cylinders
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Sequence, Tuple
 
 from .errors import CertificationError, ComplexityError, InputError, InvalidOrigami
-from .multicurve import HORIZONTAL, VERTICAL, IntersectionMatrix
+from .multicurve import HORIZONTAL, VERTICAL, IntersectionMatrix, support_is_primitive
 
 
-@dataclass(frozen=True)
-class Cylinder:
+class Cylinder(NamedTuple):
     """A maximal ring of cells around a common (horizontal or vertical) core.
 
     ``cells`` lists the cycle in permutation order starting from its smallest
@@ -108,7 +106,8 @@ def _cycles(perm: Tuple[int, ...]) -> List[Tuple[int, ...]]:
 class Origami:
     """A connected square-tiled surface; see module docstring for the model.
 
-    The constructor enforces well-formedness only (bijections, transitivity).
+    The constructor enforces well-formedness only (bijections, transitivity)
+    and builds the cylinders and N, on which transitivity is tested.
     The genus >= 2 complexity gate is applied by :meth:`validate`, so that
     structural identities remain checkable on torus covers too.
     """
@@ -120,25 +119,52 @@ class Origami:
         self.n = n
         self.h = _as_permutation(h, n, "h")
         self.v = _as_permutation(v, n, "v")
-        self._check_transitive()
         self._cyls: Dict[str, Tuple[Cylinder, ...]] = {}
-        self._matrix: IntersectionMatrix = None
+        for side, prefix, perm in ((HORIZONTAL, "A", self.h), (VERTICAL, "B", self.v)):
+            self._cyls[side] = tuple(
+                Cylinder(side, f"{prefix}{k + 1}", cells)
+                for k, cells in enumerate(_cycles(perm))
+            )
+        self._matrix = self._build_matrix()
+        self._check_transitive()
         self._cone_orders: Tuple[int, ...] = None
 
+    def _build_matrix(self) -> IntersectionMatrix:
+        hor, ver = self._cyls[HORIZONTAL], self._cyls[VERTICAL]
+        col_of = [0] * (self.n + 1)
+        for j, c in enumerate(ver):
+            for cell in c.cells:
+                col_of[cell] = j
+        entries = []
+        for c in hor:
+            row = [0] * len(ver)
+            for cell in c.cells:
+                row[col_of[cell]] += 1
+            entries.append(tuple(row))
+        return IntersectionMatrix(
+            tuple(entries),
+            tuple(c.label for c in hor),
+            tuple(c.label for c in ver),
+        )
+
     def _check_transitive(self) -> None:
-        seen = {1}
-        frontier = [1]
-        while frontier:
-            c = frontier.pop()
-            for image in (self.h[c - 1], self.v[c - 1]):
-                if image not in seen:
-                    seen.add(image)
-                    frontier.append(image)
-        if len(seen) != self.n:
-            missing = sorted(set(range(1, self.n + 1)) - seen)
-            raise InvalidOrigami(
-                f"surface is disconnected: cells {missing} unreachable from cell 1"
-            )
+        """<h, v> is transitive on the cells iff N's support graph is connected:
+        every cell lies in one horizontal and one vertical cylinder."""
+        rows = [[j for j, _ in row] for row in self._matrix.sparse_rows]
+        if support_is_primitive(rows, len(self._cyls[VERTICAL])):
+            return
+        # the orbit of cell 1 (in A1) is the union of the cylinders it meets
+        cylinders = self._cyls[HORIZONTAL] + self._cyls[VERTICAL]
+        seen, size = set(cylinders[0].cells), 0
+        while size < len(seen):  # until a pass meets no new cylinder
+            size = len(seen)
+            for c in cylinders:
+                if not seen.isdisjoint(c.cells):
+                    seen.update(c.cells)
+        missing = sorted(set(range(1, self.n + 1)) - seen)
+        raise InvalidOrigami(
+            f"surface is disconnected: cells {missing} unreachable from cell 1"
+        )
 
     # ------------------------------------------------------------------
     # cylinders and the intersection matrix
@@ -147,13 +173,6 @@ class Origami:
         """Cylinders of one side, sorted by smallest cell, labelled A1../B1..."""
         if side not in (HORIZONTAL, VERTICAL):
             raise InputError(f"unknown side {side!r}")
-        if side not in self._cyls:
-            perm = self.h if side == HORIZONTAL else self.v
-            prefix = "A" if side == HORIZONTAL else "B"
-            self._cyls[side] = tuple(
-                Cylinder(side, f"{prefix}{k + 1}", cells)
-                for k, cells in enumerate(_cycles(perm))
-            )
         return self._cyls[side]
 
     def intersection_matrix(self) -> IntersectionMatrix:
@@ -164,22 +183,6 @@ class Origami:
         the horizontal cylinder lengths, column sums the vertical ones, and
         the grand total is ``n``.
         """
-        if self._matrix is None:
-            hor = self.cylinders(HORIZONTAL)
-            ver = self.cylinders(VERTICAL)
-            col_of = {}
-            for j, c in enumerate(ver):
-                for cell in c.cells:
-                    col_of[cell] = j
-            entries = [[0] * len(ver) for _ in hor]
-            for i, c in enumerate(hor):
-                for cell in c.cells:
-                    entries[i][col_of[cell]] += 1
-            self._matrix = IntersectionMatrix(
-                tuple(tuple(row) for row in entries),
-                tuple(c.label for c in hor),
-                tuple(c.label for c in ver),
-            )
         return self._matrix
 
     # ------------------------------------------------------------------
@@ -251,8 +254,7 @@ class Origami:
         return hash((self.n, self.h, self.v))
 
 
-@dataclass(frozen=True)
-class ValidationSummary:
+class ValidationSummary(NamedTuple):
     n: int
     horizontal: Tuple[Cylinder, ...]
     vertical: Tuple[Cylinder, ...]

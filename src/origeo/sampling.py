@@ -34,19 +34,25 @@ def random_permutation(rng: random.Random, n: int) -> Tuple[int, ...]:
     return tuple(cells)
 
 
-def random_transitive_pair(
-    rng: random.Random, n: int
-) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    """Two permutations of 1..n generating a transitive action."""
+def random_connected_origami(rng: random.Random, n: int) -> Origami:
+    """The origami of the first random pair of permutations of 1..n that
+    generates a transitive action."""
     for _ in range(_MAX_TRIES):
         h = random_permutation(rng, n)
         v = random_permutation(rng, n)
         try:
-            Origami(n, h, v)
+            return Origami(n, h, v)
         except InvalidOrigami:
             continue
-        return h, v
     raise InputError(f"no transitive pair found for n={n} (should not happen)")
+
+
+def random_transitive_pair(
+    rng: random.Random, n: int
+) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """Two permutations of 1..n generating a transitive action."""
+    o = random_connected_origami(rng, n)
+    return o.h, o.v
 
 
 def random_origami(
@@ -58,8 +64,7 @@ def random_origami(
     lo, hi = n_range
     for _ in range(_MAX_TRIES):
         n = rng.randint(lo, hi)
-        h, v = random_transitive_pair(rng, n)
-        o = Origami(n, h, v)
+        o = random_connected_origami(rng, n)
         if min_genus is not None and o.genus() < min_genus:
             continue
         return o

@@ -361,17 +361,21 @@ def distance_interval(
 
 def elementwise(fn, values, checks: Checks) -> np.ndarray:
     """``fn`` per value (``math.exp``/``log`` keep the scalar code's bits).
-    A value fn rejects gives nan, and its row raises what fn raised."""
-    out, errors = [], {}
+    A value fn rejects gives nan, and its row raises an :class:`InputError`
+    naming fn and the value: the row lies past the float range."""
+    out, rejected = [], {}
     for i, v in enumerate(np.asarray(values, float).ravel().tolist()):
         try:
             out.append(fn(v))
-        except (ValueError, OverflowError) as exc:
+        except (ValueError, OverflowError):
             out.append(math.nan)
-            errors[i] = exc
-    if errors:
-        checks.add(np.isin(np.arange(len(out)), list(errors)),
-                   lambda i: errors[i if len(out) > 1 else 0])
+            rejected[i] = v
+    if rejected:
+        def error(row: int) -> InputError:
+            value = rejected[row if len(out) > 1 else 0]
+            return InputError(f"{fn.__name__}({value!r}) has no finite float value: "
+                              "the point lies past the float range")
+        checks.add(np.isin(np.arange(len(out)), list(rejected)), error)
     return np.array(out)
 
 

@@ -114,6 +114,51 @@ def test_geodesic_line_has_no_seed():
     assert "seed" not in {f.name for f in dataclasses.fields(GeodesicLine)}
 
 
+def _records():
+    """Two equal constructions of each record type on the cold path, its
+    fields, and whether it hashes."""
+    from fractions import Fraction
+
+    from origeo.multicurve import HORIZONTAL, VERTICAL
+    from origeo.origami import Cylinder
+
+    def matrix():
+        return origeo.IntersectionMatrix(((1, 1), (1, 0)), ("A1", "A2"), ("B1", "B2"))
+
+    def curve():
+        return origeo.WeightedMulticurve(origeo.builtin("l-2-2"), VERTICAL,
+                                         {"B1": Fraction(1), "B2": 0.5})
+
+    def spec():
+        return origeo.BusemannSpec(origeo.builtin("l-2-2"), HORIZONTAL,
+                                   {"A2": Fraction(2)}, approx=True)
+
+    return [
+        (lambda: Cylinder(HORIZONTAL, "A1", (1, 2)), ("side", "label", "cells"), True),
+        (lambda: origeo.builtin("l-2-2").summary(),
+         ("n", "horizontal", "vertical", "cone_orders", "genus", "matrix"), True),
+        (matrix, ("entries", "row_labels", "col_labels"), True),
+        (curve, ("host", "side", "weights"), False),
+        (spec, ("host", "side", "coeffs", "approx"), False),
+    ]
+
+
+@pytest.mark.parametrize(
+    "make, fields, hashes", _records(),
+    ids=["Cylinder", "ValidationSummary", "IntersectionMatrix", "WeightedMulticurve",
+         "BusemannSpec"],
+)
+def test_records_are_read_only_and_compare_by_field(make, fields, hashes):
+    record = make()
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+    assert record == make()
+    assert all(f"{name}=" in repr(record) for name in fields)
+    if hashes:
+        assert hash(record) == hash(make())
+
+
 def _imported_names(tree):
     """Each name an import binds in the module, except ``__future__`` ones."""
     for node in ast.walk(tree):

@@ -6,7 +6,8 @@ loading NumPy's submodules (``numpy`` itself is there, as the lazy module),
 and the handle must be NumPy whichever of the two is imported first.  The
 layers past ``origami`` and ``multicurve`` are lazy modules of the same
 kind, and neither command may run one of them.  ``fractions`` (which imports
-``decimal``) is one too: neither command builds an exact weight.
+``decimal``) is one too: neither command builds an exact weight.  Nor does
+either import ``dataclasses`` or ``inspect``.
 """
 
 import ast
@@ -29,6 +30,9 @@ GOLDEN_GEODESIC_MD5 = "d74a457804b38c52049b74ec61c51608"
 NUMPY_SUBMODULES = ("numpy._core", "numpy.linalg")
 LAZY_LAYERS = ("geodesic", "surface", "horo", "perron", "checks", "sampling", "intervals")
 EXACT_ARITHMETIC = ("fractions", "decimal")
+# dataclasses imports inspect, ast, dis and tokenize; the records on the cold
+# path are plain classes and NamedTuples, so neither command needs them
+RECORD_MACHINERY = ("dataclasses", "inspect")
 
 
 def _numpy_imports(tree):
@@ -80,7 +84,7 @@ def _cold(*args):
 def test_cold_validate_loads_no_numpy_submodule(capsys):
     res, imported = _cold("validate", "--builtin", "l-2-2")
     assert res.returncode == 0
-    assert imported.isdisjoint(NUMPY_SUBMODULES + EXACT_ARITHMETIC)
+    assert imported.isdisjoint(NUMPY_SUBMODULES + EXACT_ARITHMETIC + RECORD_MACHINERY)
     assert cli.main(["validate", "--builtin", "l-2-2"]) == 0
     assert res.stdout == capsys.readouterr().out
 
@@ -98,7 +102,7 @@ def test_cold_help_loads_no_numpy_submodule():
     res, imported = _cold("--help")
     assert res.returncode == 0
     assert "validate" in res.stdout
-    assert imported.isdisjoint(NUMPY_SUBMODULES + EXACT_ARITHMETIC)
+    assert imported.isdisjoint(NUMPY_SUBMODULES + EXACT_ARITHMETIC + RECORD_MACHINERY)
 
 
 def _run(script):

@@ -93,6 +93,16 @@ def test_interior_horofunction_brackets_the_difference(golden):
     assert at_base.lo <= 0.0 <= at_base.hi
 
 
+@pytest.mark.parametrize("horofunction", [
+    lambda line, x: busemann_interval(line, x),
+    lambda line, x: psi_foliation(line.vertical_foliation, x, line.base_surface),
+], ids=["busemann_interval", "psi_foliation"])
+def test_a_flow_point_past_the_float_range_is_refused(golden, horofunction):
+    # at t = 700 the extremal length e^-1400 * area underflows to 0
+    with pytest.raises(InputError, match=r"^log\(0\.0\) has no finite float value"):
+        horofunction(golden, point_at(golden, 700))
+
+
 def test_busemann_collapses_on_the_line(golden):
     for t in (-2.0, -0.5, 0.0, 1.0, 2.5):
         hv = busemann_interval(golden, point_at(golden, t), horizon=t + 5.0)

@@ -77,8 +77,38 @@ def test_torus_is_rejected_by_validate_but_constructible():
 
 
 def test_disconnected_pair_rejected():
-    with pytest.raises(InvalidOrigami):
+    with pytest.raises(InvalidOrigami, match=r"^surface is disconnected: cells \[3, 4\] "
+                                             "unreachable from cell 1$"):
         Origami(4, (2, 1, 4, 3), (1, 2, 3, 4))
+
+
+def _orbit_of_cell_1(h, v):
+    """The cells reached from cell 1 by h and v: the reference for the
+    connectivity test, which runs on N's support graph."""
+    seen, frontier = {1}, [1]
+    while frontier:
+        c = frontier.pop()
+        for image in (h[c - 1], v[c - 1]):
+            if image not in seen:
+                seen.add(image)
+                frontier.append(image)
+    return seen
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 9).flatmap(lambda n: st.tuples(st.permutations(range(1, n + 1)),
+                                                     st.permutations(range(1, n + 1)))))
+def test_connectivity_agrees_with_the_cell_orbit(pair):
+    h, v = pair
+    n = len(h)
+    missing = sorted(set(range(1, n + 1)) - _orbit_of_cell_1(h, v))
+    if not missing:
+        assert Origami(n, h, v).n == n
+        return
+    with pytest.raises(InvalidOrigami) as caught:
+        Origami(n, h, v)
+    assert str(caught.value) == (
+        f"surface is disconnected: cells {missing} unreachable from cell 1")
 
 
 def test_non_bijection_rejected():

@@ -287,7 +287,9 @@ def _line_report(xi, eta):
          (2, "error: weight on A1 must be positive and finite, got inf\n")),
         # row t = 708: e^-1416 underflows r^2 of F_v at G(t) to 0, log(0)
         (("1", "1"), ("1", "1"), ["flow", "--t-min=0", "--t-max=708",
-         "--step=708", "--horizon=1"], (ValueError, "math domain error")),
+         "--step=708", "--horizon=1"],
+         (2, "error: log(0.0) has no finite float value: the point lies past the "
+             "float range\n")),
         # row t = -712: e^712 overflows to inf, a height G(t) cannot carry
         (("1", "1"), ("1", "1"), ["flow", "--t-min=-712", "--t-max=-690",
          "--step=0.5", "--horizon=1"],
