@@ -104,11 +104,12 @@ class Checks(list):
     what failed at the end."""
 
     def __enter__(self) -> "Checks":
-        self._saved = np.seterr(all="ignore")
+        self._quiet = np.errstate(all="ignore")
+        self._quiet.__enter__()
         return self
 
-    def __exit__(self, kind, *_) -> None:
-        np.seterr(**self._saved)
+    def __exit__(self, kind, *exc) -> None:
+        self._quiet.__exit__(kind, *exc)
         if kind is None:
             self.raise_first()
 
@@ -118,7 +119,7 @@ class Checks(list):
     def raise_first(self) -> None:
         """Raise what the loop raised: the error of the earliest failing row,
         and within it of the first failing check."""
-        if any(failed.any() for failed, _ in self):
+        if any(map(np.count_nonzero, (failed for failed, _ in self))):
             masks = np.array(np.broadcast_arrays(*(np.atleast_1d(f) for f, _ in self)))
             row = int(masks.any(axis=0).argmax())
             raise self[int(masks[:, row].argmax())][1](row)

@@ -154,32 +154,31 @@ def optimal_geodesic(
     # rows = xi components, columns = eta components
     n = host.intersection_matrix()
     xi_support, eta_support = xi.support, eta.support
+    cols = [n.col_index[lab] for lab in xi_support]
+    rows = [n.row_index[lab] for lab in eta_support]
     range_error = InputError(
         "the coefficients span more than float64 carries: a coefficient's "
         "square leaves the normal range, or the coupling M or M M^T "
         "overflows to inf or underflows to 0"
     )
     try:  # an exact coefficient beyond float64 raises here
-        c = [float(xi.coeffs[lab]) for lab in xi_support]
-        d = [float(eta.coeffs[lab]) for lab in eta_support]
+        c = xi.as_multicurve().row[cols].tolist()
+        d = eta.as_multicurve().row[rows].tolist()
     except OverflowError:
         raise range_error from None
     # spec_pairing, behind the limit certificate, squares every coefficient
     if not all(sys.float_info.min <= v * v < math.inf for v in c + d):
         raise range_error
-    n_sub = n.array[
-        np.ix_(
-            [n.row_index[lab] for lab in eta_support],
-            [n.col_index[lab] for lab in xi_support],
-        )
-    ]
+    # full supports take N whole, in cylinder order
+    full = status is FillingStatus.FILLING_CERTIFIED
+    n_sub = n.array if full else n.array[np.ix_(rows, cols)]
     with np.errstate(all="ignore"):  # range loss is reported just below
         m = np.outer(c, d) * n_sub.T
         mmt = gram_array(m)
     # M and M M^T are positive at most where their exact values are, so a
     # nonzero count below the exact one is an entry that underflowed to 0;
-    # equal counts give M the support of n_sub^T, which filling_status found
-    # primitive
+    # equal counts give M the support of n_sub^T, which filling_status
+    # certified primitive
     if not (
         np.isfinite(m).all()
         and np.isfinite(mmt).all()
@@ -200,7 +199,7 @@ def optimal_geodesic(
             f"two-sided system failed to close: |M y - sqrt(lambda) x| = {closure:.3g}"
         )
 
-    y = tuple(float(v) for v in yv)
+    y = tuple(yv.tolist())
     widths = {lab: ci * xi_i for lab, ci, xi_i in zip(xi_support, c, eigen.vector)}
     heights = {lab: dj * yj for lab, dj, yj in zip(eta_support, d, y)}
     base = None
@@ -297,14 +296,15 @@ def flow_distance(line: GeodesicLine, s: float, t: float) -> float:
     """Teichmueller distance |t - s| between two flow points, cross-checked.
 
     The certified distance interval from the defining-foliation family must
-    bracket |t - s| within 1e-12; a miss is a certification bug.  One-row
-    blocks of the two points go through :func:`distance_rows`.
+    bracket |t - s| within 1e-12; a miss is a certification bug.  The two
+    points are one two-row :func:`flow_rows` block, whose weights are checked
+    (s first) before its rows go through :func:`distance_rows`.
     """
     s, t = _flow_time(line, s), _flow_time(line, t)
     value = abs(t - s)
+    x = checked(flow_rows, line, np.array([s, t]))
     with Checks() as checks:
-        x, y = (flow_rows(line, np.array([u]), checks) for u in (s, t))
-        check_flow_distance(value, *distance_rows(x, y, checks), checks)
+        check_flow_distance(value, *distance_rows(x[:1], x[1:], checks), checks)
     return value
 
 
@@ -337,9 +337,9 @@ def ray_limit(
     if transverse.side == side:
         raise SideMismatch(f"both foliations are {side}; F must be transverse")
     n = host.intersection_matrix().array
-    f = np.array(transverse.vector(), float)
+    f = transverse.row
     pairings = n @ f if side == HORIZONTAL else f @ n
-    w = np.array(components.vector(), float)
+    w = components.row
     own = w > 0
     stray = own & ~(pairings > 0)
     if stray.any():
@@ -358,19 +358,26 @@ def spec_pairing(
 ) -> np.ndarray:
     """i(spec, gamma) = sqrt(sum_i c_i^2 i(gamma_i, gamma)^2) on ``curves``,
     each scaled by its entry of ``scales`` if given."""
-    q = np.array([float(c) ** 2 for c in spec.as_multicurve().vector()])
+    # Python's float power (libm pow), whose bits NumPy's square does not
+    # always match
+    q = np.array([c ** 2 for c in spec.as_multicurve().row.tolist()])
     return limit_values(spec.host, spec.side, q, curves, scales)
 
 
+def _norm(a: np.ndarray) -> float:
+    """The l2 norm, as ``np.linalg.norm`` takes it: sqrt of a @ a."""
+    return math.sqrt(a @ a)
+
+
 def _cosine(a: np.ndarray, b: np.ndarray) -> float:
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
+    na, nb = _norm(a), _norm(b)
     if na == 0 or nb == 0:
         return 0.0
     return float(a @ b / (na * nb))
 
 
 def _normalized(host: Origami, values: np.ndarray) -> Dict[str, float]:
-    norm = np.linalg.norm(values)
+    norm = _norm(values)
     if norm == 0:
         raise CertificationError("limit function vanished on every core")
     return dict(zip(core_labels(host), (values / norm).tolist()))

@@ -333,7 +333,7 @@ def lower_bound_audit(line: GeodesicLine) -> dict:
     host = line.origami
     sqrt_area = math.sqrt(line.pairing)
     # i(F_v, gamma) = sum_k w_k i(core_k, gamma) over F_v's cores
-    w_v = np.array(f_v.vector(), float)
+    w_v = f_v.row
     pairings = w_v @ core_pairings(host, f_v.side) / sqrt_area
     limits = ray_limit(f_v, f_h)
     entries = []

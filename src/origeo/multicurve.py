@@ -15,9 +15,10 @@ are all exact has an integer form: its numerators in the host's cylinder
 order over one common denominator (their ``math.lcm``), built on first
 exact use.  The exact pairings run on those integers and build one
 ``Fraction`` for the value they return, so no gcd runs per multiply and
-add.  A family with any real weight (e.g. eigenvector output) pairs on
-the ``float()`` of its weights, through the float kernel.  ``fractions``
-itself loads at the first exact weight: a cold ``validate`` builds none.
+add.  A family with any real weight (e.g. eigenvector output) pairs
+through the float kernel, on its float :attr:`WeightedMulticurve.row`: the
+weights converted once, on first float use.  ``fractions`` itself loads at
+the first exact weight: a cold ``validate`` builds none, and no row.
 
 A :class:`BusemannSpec` names a weighted family on one side as the
 prescribed direction of a geodesic ray; :func:`filling_status` reports
@@ -148,6 +149,19 @@ class IntersectionMatrix(_Record):
         i, j = np.nonzero(self.array)
         return i, j, self.array[i, j]
 
+    @cached_property
+    def core_pairings(self) -> Dict[str, np.ndarray]:
+        """Per side, i(core_k, core_l) for the cores k of that side (rows)
+        and every core l in the order of :func:`core_labels` (columns): N or
+        N^T beside a zero block for the side's own cores.  Read-only, built
+        once per matrix."""
+        n = self.array
+        h, v = n.shape
+        horizontal, vertical = np.zeros((h, h + v)), np.zeros((v, h + v))
+        horizontal[:, h:], vertical[:, :h] = n, n.T
+        horizontal.flags.writeable = vertical.flags.writeable = False
+        return {HORIZONTAL: horizontal, VERTICAL: vertical}
+
     def as_lists(self) -> list:
         return [list(row) for row in self.entries]
 
@@ -207,6 +221,17 @@ class WeightedMulticurve(_Record):
     def is_full_support(self) -> bool:
         return len(self.weights) == len(self.host.cylinders(self.side))
 
+    @cached_property
+    def row(self) -> np.ndarray:
+        """The weights as one read-only float64 row in the host's cylinder
+        order, 0 off the support: each weight is converted once, on first
+        use.  An exact weight past the float range raises OverflowError, one
+        that underflows reads 0 at its place in the support."""
+        out = np.array([float(self.weights.get(c.label, 0))
+                        for c in self.host.cylinders(self.side)])
+        out.flags.writeable = False
+        return out
+
     def vector(self) -> Tuple[Weight, ...]:
         """Weights aligned with the host's canonical cylinder order (exact 0s),
         built once: the weights are read-only."""
@@ -255,7 +280,7 @@ def pair_intersection(a: WeightedMulticurve, b: WeightedMulticurve) -> Weight:
     summed over its nonzero cells in row order.  When both weight systems
     are exact the sum runs on their integer forms and one ``Fraction`` is
     built at the end; otherwise it is the one-row :func:`pairing_rows` of
-    their ``float()`` weights.
+    their float rows.
     """
     _same_host(a, b)
     if a.side == b.side:
@@ -270,8 +295,7 @@ def pair_intersection(a: WeightedMulticurve, b: WeightedMulticurve) -> Weight:
     exact = a.integer_form
     if exact is None or b.integer_form is None:
         with np.errstate(all="ignore"):  # a sum beyond the floats is inf
-            return float(pairing_rows(a.host, *(np.array([f.vector()], float)
-                                                for f in (a, b)))[0])
+            return float(pairing_rows(a.host, a.row[None], b.row[None])[0])
     (an, ad), (bn, bd) = exact, b.integer_form
     total = 0
     for ai, cells in zip(an, a.host.intersection_matrix().sparse_rows):
@@ -285,7 +309,7 @@ def pairing_rows(host, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     the vertical ones b (0 off a support), summed over the nonzero cells of
     N in row order."""
     i, j, n = host.intersection_matrix().cells
-    return np.add.accumulate((a[:, i] * n) * b[:, j], axis=1)[:, -1]
+    return np.add.accumulate((a.take(i, 1) * n) * b.take(j, 1), axis=1)[:, -1]
 
 
 def intersection(a: WeightedMulticurve, b: WeightedMulticurve) -> Weight:
@@ -310,20 +334,19 @@ def core_pairings(
     """i(core_k, gamma) in floats, read off N: one row per core k of
     ``side``, one column per curve (default: every core, as in
     :func:`core_labels`).  ``scales``, one per curve, stands for
-    ``gamma.scaled(scale)``: each float weight is multiplied by its scale."""
-    n = host.intersection_matrix().array
-    h, v = n.shape
-    if side == HORIZONTAL:
-        pairs = np.hstack([np.zeros((h, h)), n])
-    else:
-        pairs = np.hstack([n.T, np.zeros((v, v))])
+    ``gamma.scaled(scale)``: each float weight is multiplied by its scale.
+    Without curves that is the matrix's cached
+    :attr:`IntersectionMatrix.core_pairings` block."""
+    pairs = host.intersection_matrix().core_pairings[side]
     if curves is None:  # the weights are the identity
         return pairs if scales is None else pairs * scales
     if any(gamma.host is not host for gamma in curves):
         raise HostMismatch("curve lives on a different origami")
-    weights = np.array(
-        [[float(g.weights.get(lab, 0)) for g in curves] for lab in core_labels(host)]
-    )
+    h = len(host.cylinders(HORIZONTAL))
+    weights = np.zeros((len(pairs[0]), len(curves)))
+    for col, gamma in enumerate(curves):  # each curve's float row, on its side
+        start = 0 if gamma.side == HORIZONTAL else h
+        weights[start:start + len(gamma.row), col] = gamma.row
     if scales is not None:
         weights = weights * scales
     return pairs @ weights
@@ -341,7 +364,10 @@ def limit_values(
 
     The one float kernel behind every limit and spec pairing: k runs over
     the cores of ``side``, ``q`` holds their weights in cylinder order, and
-    all cores and curves are evaluated in one product with N.
+    all cores and curves are evaluated in one product with N.  On the
+    identity curves that product reads the zero-padded N (or N^T) each
+    matrix keeps: the padding keeps the bits, since BLAS sums a column of
+    the padded product in another order than the same column of N alone.
     """
     return np.sqrt(q @ core_pairings(host, side, curves, scales) ** 2)
 
@@ -403,18 +429,19 @@ def filling_status(a: WeightedMulticurve, b: WeightedMulticurve) -> FillingStatu
 
     See the module docstring for the meaning of the three values.  Weights do
     not matter here, only supports: filling is a property of the underlying
-    curve system.
+    curve system.  Full supports need no search: an origami is connected
+    (its constructor refuses it otherwise), so all of N has a connected
+    support graph.
     """
     _same_host(a, b)
     if a.side == b.side:
         raise SideMismatch("filling needs families on opposite sides")
     hor, ver = (a, b) if a.side == HORIZONTAL else (b, a)
-    matrix = a.host.intersection_matrix()
-    ok = submatrix_is_primitive_shape(matrix, hor.support, ver.support)
-    if not ok:
-        return FillingStatus.NOT_FILLING
     if hor.is_full_support() and ver.is_full_support():
         return FillingStatus.FILLING_CERTIFIED
+    matrix = a.host.intersection_matrix()
+    if not submatrix_is_primitive_shape(matrix, hor.support, ver.support):
+        return FillingStatus.NOT_FILLING
     return FillingStatus.MATRIX_PRIMITIVE_ONLY
 
 
@@ -454,6 +481,11 @@ def parse_coefficient(text: str, approx: bool) -> Weight:
     try:
         if approx:
             return float(fractions.Fraction(s)) if "/" in s else float(s)
+        num, slash, den = s.partition("/")
+        digits = num.isascii() and num.isdigit()
+        if digits and (not slash or den.isascii() and den.isdigit()):
+            # digits "p" or "p/q", read as the Fraction grammar reads them
+            return fractions.Fraction(int(num), int(den) if slash else 1)
         return fractions.Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad coefficient {text!r}: {exc}") from None
@@ -483,14 +515,15 @@ def parse_busemann_spec(data: Mapping, host) -> BusemannSpec:
     approx = data.get("approx", False)
     if not isinstance(approx, bool):
         raise InputError(f"'approx' must be true or false, got {approx!r}")
-    if not isinstance(raw, Iterable) or isinstance(raw, (str, bytes)):
+    if not isinstance(raw, (list, tuple)):
         raise InputError("'coeffs' must be a list of [label, value] pairs")
     coeffs: Dict[str, Weight] = {}
     for k, item in enumerate(raw):
-        try:
-            label, value = item
-        except (TypeError, ValueError):
-            raise InputError(f"bad coefficient entry {item!r}") from None
+        # a string would unpack into its characters, an object into its keys
+        if not (isinstance(item, (list, tuple)) and len(item) == 2):
+            raise InputError(
+                f"coeffs[{k}] = {item!r}: an entry must be a [label, value] pair")
+        label, value = item
         if not isinstance(label, str):
             raise InputError(f"coeffs[{k}] = {item!r}: the label must be a string")
         if label in coeffs:

@@ -20,15 +20,20 @@ float64 ndarray, as :func:`gram_array` forms it, is used as it is.  Any
 other input must hold only numbers that float64 represents exactly, such
 as small integers; anything else (``Fraction(1, 3)``, an entry that
 underflows or overflows a float, a string, a ragged row) is refused with
-InputError rather than rounded.  Both the primitivity test and the
-bracket run over the nonzero cells of T only, and the bracket builds just
-its two extreme quotients as rationals, so on a staircase T, which is
-tridiagonal, their Python work is O(k) and not O(k^2).  The tolerance is
-relative: the solve refuses unless ``hi - lo <= tol * lo``.  Where
-``eigh`` resolves small entries of x only to absolute precision (weights
-spread over many orders of magnitude), a few power steps ``x <- Tx``,
-whose brackets are nested, narrow the bracket first.  Simplicity needs no
-separate certificate; it follows from primitivity by Perron–Frobenius.
+InputError rather than rounded.  Both the primitivity search and the
+bracket run over the nonzero cells of T only, so on a staircase T, which is
+tridiagonal, their Python work is O(k) and not O(k^2).  The bracket stays
+in Python integers to the end: its two extreme quotients are compared by
+cross-multiplying, rounded outward by one correctly rounded ``int / int``
+and one comparison with the float's ``as_integer_ratio()``, and the
+tolerance is tested cross-multiplied too, so no ``Fraction`` is built.  The
+tolerance is relative: the solve refuses unless ``hi - lo <= tol * lo``.
+An eigenvalue whose upper end is not a finite float is refused with
+InputError.  Where ``eigh`` resolves small entries of x only to absolute
+precision (weights spread over many orders of magnitude), a few power
+steps ``x <- Tx``, whose brackets are nested, narrow the bracket first.
+Simplicity needs no separate certificate; it follows from primitivity by
+Perron–Frobenius.
 
 :func:`wielandt_oracle` is the brute-force characterization (some power of
 the Gram matrix is entrywise positive, with the classical exponent bound
@@ -42,8 +47,9 @@ are not primitive for our purposes.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import lru_cache
 from itertools import compress
 from typing import Sequence, Tuple, Union
 
@@ -93,13 +99,22 @@ def gram_array(m: np.ndarray) -> np.ndarray:
     what :func:`perron_solve` takes as it is.
     """
     t = m @ m.T
-    return np.triu(t) + np.triu(t, 1).T
+    i, j = _upper_cells(len(t))
+    t[j, i] = t[i, j]
+    return t
+
+
+@lru_cache(maxsize=None)
+def _upper_cells(k: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the cells above the diagonal of a k x k
+    matrix, built once per k."""
+    return np.triu_indices(k, 1)
 
 
 def is_primitive(matrix: Matrix) -> bool:
     """No zero row, no zero column, connected bipartite support graph.
 
-    Delegates to :func:`multicurve.support_is_primitive`, the one
+    Delegates to :func:`multicurve.support_is_primitive`, the bipartite
     support-graph search of the package, on the nonzero cells of each row.
     """
     rows = _rows(matrix)
@@ -152,19 +167,38 @@ def _check_symmetric_primitive(t: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         raise InputError(f"matrix must be square, got {k}x{l}")
     if not np.isfinite(t).all():
         raise InputError("matrix entries must be finite")
-    if np.any(t < 0):
+    if t.min() < 0:
         raise InputError("matrix must be entrywise nonnegative")
-    if not np.array_equal(t, t.T):
+    if not (t == t.T).all():
         raise InputError("matrix must be symmetric (use gram())")
     rows, cols = np.nonzero(t)
-    row_cols = [[] for _ in range(k)]
-    for i, j in zip(rows.tolist(), cols.tolist()):
-        row_cols[i].append(j)
-    if np.any(np.diag(t) == 0) or not support_is_primitive(row_cols, k):
+    if not (t.diagonal().all() and _connected(cols.tolist(), _row_starts(rows, k))):
         raise NotPrimitiveError(
             "matrix is not primitive: zero line or disconnected support"
         )
     return rows, cols
+
+
+def _row_starts(rows: np.ndarray, k: int) -> list:
+    """Where each of the k rows begins among cells listed in row order, and
+    where the last one ends."""
+    return np.searchsorted(rows, np.arange(k + 1)).tolist()
+
+
+def _connected(cols: list, starts: list) -> bool:
+    """Whether the symmetric support whose row i holds the columns
+    ``cols[starts[i]:starts[i + 1]]`` is connected: one depth-first search
+    from row 0.  With a positive diagonal that is primitivity."""
+    seen = [False] * (len(starts) - 1)
+    seen[0], stack, reached = True, [0], 1
+    while stack:
+        i = stack.pop()
+        for j in cols[starts[i]:starts[i + 1]]:
+            if not seen[j]:
+                seen[j] = True
+                stack.append(j)
+                reached += 1
+    return reached == len(seen)
 
 
 def _float_image(arr: np.ndarray) -> Tuple[np.ndarray, int]:
@@ -172,28 +206,30 @@ def _float_image(arr: np.ndarray) -> Tuple[np.ndarray, int]:
 
     ``frexp`` splits every entry into a 53-bit integer mantissa and a binary
     exponent; shifting all mantissas to the smallest exponent gives Python
-    integers over one power-of-two denominator (subnormals included).
+    integers over one power-of-two denominator (subnormals included; a zero
+    has mantissa 0, so its exponent may only make d larger).
     """
     mantissa, exponent = np.frexp(arr)
     mantissa = (mantissa * 2.0**53).astype(np.int64)
-    exponent = exponent.astype(np.int64) - 53
-    nonzero = mantissa != 0
-    low = min(int(exponent[nonzero].min()), 0) if nonzero.any() else 0
-    shift = np.where(nonzero, exponent - low, 0)
-    return mantissa.astype(object) << shift.astype(object), 1 << -low
+    exponent = exponent - 53
+    low = min(int(exponent.min()), 0)
+    return mantissa.astype(object) << (exponent - low).astype(object), 1 << -low
+
+
+Quotient = Tuple[int, int]
 
 
 def _collatz_wielandt(
     a: np.ndarray, den: int, rows: np.ndarray, cols: np.ndarray, x: np.ndarray
-) -> Tuple[Fraction, Fraction]:
-    """min_i and max_i of (T x)_i / x_i, exact, for x > 0 and T = a / den.
+) -> Tuple[Quotient, Quotient]:
+    """min_i and max_i of (T x)_i / x_i, exact, for x > 0 and T = a / den,
+    each as a pair (numerator, denominator) of positive integers.
 
     T is given by its nonzero cells: integers ``a`` at (``rows``, ``cols``),
     in row order, with at least one cell in every row.
     """
     xi, _ = _float_image(x)
-    starts = np.searchsorted(rows, np.arange(len(x)))
-    num = np.add.reduceat(a * xi[cols], starts).tolist()
+    num = np.add.reduceat(a * xi[cols], _row_starts(rows, len(x))[:-1]).tolist()
     xs = xi.tolist()
     # x > 0, so num_i / x_i < num_j / x_j exactly when num_i x_j < num_j x_i
     lo = hi = 0
@@ -202,7 +238,28 @@ def _collatz_wielandt(
             lo = i
         elif num[i] * xs[hi] > num[hi] * xs[i]:
             hi = i
-    return Fraction(num[lo], xs[lo] * den), Fraction(num[hi], xs[hi] * den)
+    return (num[lo], xs[lo] * den), (num[hi], xs[hi] * den)
+
+
+def _outward(num: int, den: int, toward: float) -> float:
+    """The float next to num / den (both positive) on the side of ``toward``
+    (-inf or +inf): the nearest float, one ulp further out if it lies on the
+    wrong side.  ``int / int`` rounds correctly; a quotient past the float
+    range gives inf upward and the largest float downward."""
+    try:
+        near = num / den
+    except OverflowError:
+        return math.inf if toward > 0 else sys.float_info.max
+    p, q = near.as_integer_ratio()
+    if (p * den < num * q) if toward > 0 else (p * den > num * q):
+        return math.nextafter(near, toward)
+    return near
+
+
+def _wider_than(lo: Quotient, hi: Quotient, tol) -> bool:
+    """Whether hi - lo > tol * lo, cross-multiplied over the denominators."""
+    (ln, ld), (hn, hd), (tn, td) = lo, hi, tol.as_integer_ratio()
+    return (hn * ld - ln * hd) * td > tn * ln * hd
 
 
 def perron_solve(t: Matrix, tol: float = DEFAULT_TOL) -> PerronResult:
@@ -220,9 +277,11 @@ def perron_solve(t: Matrix, tol: float = DEFAULT_TOL) -> PerronResult:
     bracket, tracked in floats, is wider than ``tol * lo``, the vector
     takes up to MAX_POWER_STEPS power steps ``x <- Tx``: the brackets of
     successive powers are nested, and the steps repair small entries that
-    ``eigh`` resolves only to absolute precision.  NoConvergenceError is
-    raised if the exact bracket is then still too wide.  The solve is
-    deterministic: the same T gives the same bits.
+    ``eigh`` resolves only to absolute precision.  A bracket whose upper
+    end is not a finite float is refused with InputError (the eigenvalue
+    leaves the float64 range) as soon as the float ratios overflow;
+    NoConvergenceError is raised if the exact bracket is still too wide.
+    The solve is deterministic: the same T gives the same bits.
     """
     try:
         arr = np.asarray(t, dtype=float)
@@ -231,43 +290,49 @@ def perron_solve(t: Matrix, tol: float = DEFAULT_TOL) -> PerronResult:
         raise InputError(f"matrix must be an array of numbers: {exc}") from None
     if not exact:
         raise InputError("matrix entries must be numbers that float64 holds exactly")
-    nz = _check_symmetric_primitive(arr)
+    rows, cols = _check_symmetric_primitive(arr)
     if not (0 < tol < math.inf):
         raise InputError(f"tolerance must be positive and finite, got {tol!r}")
     values, vectors = np.linalg.eigh(arr)
     x = np.abs(vectors[:, -1])
     x = x / x.sum()
-    for iterations in range(1, MAX_POWER_STEPS + 2):
-        y = arr @ x
-        if np.all(x > 0):
-            # float ratios are good to about k ulps: they sum nonnegative terms
-            ratios = y / x
-            if ratios.max() - ratios.min() <= tol * ratios.min():
-                break
-        x = y / y.sum()
+    with np.errstate(all="ignore"):  # ratios past the float range stop the steps
+        for iterations in range(1, MAX_POWER_STEPS + 2):
+            y = arr @ x
+            if np.all(x > 0):
+                # float ratios are good to about k ulps: they sum nonnegative terms
+                ratios = y / x
+                low, high = ratios.min(), ratios.max()
+                if high - low <= tol * low or high == math.inf:
+                    break
+            x = y / y.sum()
     if not np.all(x > 0):
         raise NoConvergenceError(
             "eigenvector entries underflow to zero",
             iterations=iterations,
             residual=math.inf,
         )
-    a, den = _float_image(arr[nz])
-    lo, hi = _collatz_wielandt(a, den, *nz, x)
-    if hi - lo > Fraction(tol) * lo:
-        raise NoConvergenceError(
-            f"Collatz–Wielandt bracket around {float(lo)!r} has relative width "
-            f"{float((hi - lo) / lo):.3g}, above tol {tol:.3g}",
-            iterations=iterations,
-            residual=float(hi - lo),
-        )
+    a, den = _float_image(arr[rows, cols])
+    lo, hi = _collatz_wielandt(a, den, rows, cols, x)
     # round the exact bracket outward, and put eigh's value inside it
-    lower, upper = float(lo), float(hi)
-    if Fraction(lower) > lo:
-        lower = math.nextafter(lower, -math.inf)
-    if Fraction(upper) < hi:
-        upper = math.nextafter(upper, math.inf)
+    upper = _outward(*hi, math.inf)
+    if upper == math.inf:
+        raise InputError(
+            "the leading eigenvalue leaves the float64 range: its "
+            "Collatz–Wielandt upper bound exceeds the largest float"
+        )
+    if _wider_than(lo, hi, tol):
+        (ln, ld), (hn, hd) = lo, hi
+        gap = hn * ld - ln * hd
+        raise NoConvergenceError(
+            f"Collatz–Wielandt bracket around {ln / ld!r} has relative width "
+            f"{gap / (ln * hd):.3g}, above tol {tol:.3g}",
+            iterations=iterations,
+            residual=gap / (hd * ld),
+        )
+    lower = _outward(*lo, -math.inf)
     lam = min(max(float(values[-1]), lower), upper)
     residual = float(np.max(np.abs(arr @ x - lam * x)))
     return PerronResult(
-        lam, tuple(float(v) for v in x), residual, iterations, lower, upper
+        lam, tuple(x.tolist()), residual, iterations, lower, upper
     )

@@ -41,7 +41,7 @@ and build a ``Fraction`` only for the value they return;
 
 Any float weight takes the one float form: the ``*_rows`` kernels, each
 one array pass over a :class:`SurfaceRows` block of surfaces on one origami
-(the flow points of a grid, say) on their ``float()`` weights.  They keep
+(the flow points of a grid, say) on their families' float rows.  They keep
 the canonical loops' IEEE operations in order (sums left to right by
 ``np.add.accumulate``, exp and log through ``math``), so a row's bits do
 not depend on its block, and a scalar float call is the one-row view of its
@@ -219,8 +219,8 @@ def _exact(surface: WeightedSurface, curve: WeightedMulticurve) -> bool:
 
 
 def _row(curve: WeightedMulticurve) -> np.ndarray:
-    """The curve's weights as one row of floats, 0 off its support."""
-    return np.array([curve.vector()], float)
+    """The curve's float row as a one-row block (a read-only view)."""
+    return curve.row[None]
 
 
 def foliation_ext(surface: WeightedSurface, r: Weight = 1) -> Weight:
@@ -394,10 +394,14 @@ class SurfaceRows:
         return self.heights if side == HORIZONTAL else self.widths
 
     def surface(self, row: int) -> WeightedSurface:
-        """Row ``row`` as a surface; building it validates the weights."""
-        return WeightedSurface(self.origami, *(dict(zip(
+        """Row ``row`` as a surface; building it validates the weights.  The
+        surface keeps the row as its one-row block: its weights are the
+        row's floats, so its own rows would read the same bits."""
+        surface = WeightedSurface(self.origami, *(dict(zip(
             [c.label for c in self.origami.cylinders(side)], self.side(side)[row].tolist()
         )) for side in (HORIZONTAL, VERTICAL)))
+        surface.__dict__["rows"] = self[[row]]
+        return surface
 
     @cached_property
     def area(self) -> np.ndarray:
@@ -415,8 +419,8 @@ def circumference_rows(x: SurfaceRows, side: str) -> np.ndarray:
 def check_weights(x: SurfaceRows, checks: Checks) -> SurfaceRows:
     """WeightedSurface's weight validation at every row: a failing row
     raises what building its surface raises."""
-    good = [((a > 0) & (a < math.inf)).all(axis=1) for a in (x.heights, x.widths)]
-    checks.add(~(good[0] & good[1]), x.surface)
+    weights = np.concatenate((x.heights, x.widths), axis=1)
+    checks.add(~((weights > 0) & (weights < math.inf)).all(axis=1), x.surface)
     return x
 
 
@@ -468,7 +472,8 @@ def qc_rows(x: SurfaceRows, y: SurfaceRows, checks: Checks) -> np.ndarray:
     0/0) counts as unbounded dilatation: the bound is then +inf, sound if
     vacuous, where skipping the cell would leave out its stretch."""
     i, j, _ = x.origami.intersection_matrix().cells
-    p, q = x.heights[:, i] * y.widths[:, j], y.heights[:, i] * x.widths[:, j]
+    p = x.heights.take(i, 1) * y.widths.take(j, 1)
+    q = y.heights.take(i, 1) * x.widths.take(j, 1)
     k_cell = np.maximum(p, q) / np.minimum(p, q)
     k_cell = np.where(np.isnan(k_cell), math.inf, k_cell)
     return 0.5 * elementwise(math.log, k_cell.max(axis=1, initial=1.0), checks)

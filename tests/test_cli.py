@@ -457,6 +457,60 @@ def test_spec_label_that_is_not_a_string_exits_input_error(files, tmp_path, coef
     assert "coeffs[0]" in res.stderr and "must be a string" in res.stderr
 
 
+@pytest.mark.parametrize(
+    "coeffs, entry",
+    [
+        (["B1", "B2"], "coeffs[0] = 'B1'"),  # read as "duplicate component 'B'"
+        (["B1"], "coeffs[0] = 'B1'"),  # read as "no vertical cylinder ['B']"
+        ([["B1", "1"], "B2"], "coeffs[1] = 'B2'"),
+        ([["B1", "1", "2"]], "coeffs[0] = ['B1', '1', '2']"),
+        ([{"B1": "1"}], "coeffs[0] = {'B1': '1'}"),
+    ],
+)
+def test_spec_entry_that_is_not_a_pair_is_named(files, tmp_path, coeffs, entry):
+    xi = tmp_path / "xi-entry.json"
+    xi.write_text(json.dumps({"side": "vertical", "coeffs": coeffs}))
+    res = run_cli("geodesic", files["origami"], str(xi), files["eta"])
+    assert res.returncode == 2
+    assert res.stderr.splitlines() == [
+        f"error: {entry}: an entry must be a [label, value] pair"]
+
+
+def test_spec_coeffs_that_are_an_object_are_refused(files, tmp_path):
+    xi = tmp_path / "xi-object.json"
+    xi.write_text(json.dumps({"side": "vertical", "coeffs": {"B1": "1", "B2": "1"}}))
+    res = run_cli("geodesic", files["origami"], str(xi), files["eta"])
+    assert res.returncode == 2
+    assert res.stderr.splitlines() == [
+        "error: 'coeffs' must be a list of [label, value] pairs"]
+
+
+def test_flow_on_a_report_with_string_entries_is_refused(report_file, tmp_path):
+    report = json.loads(open(report_file).read())
+    report["inputs"]["xi"]["coeffs"] = ["B1", "B2"]
+    bad = tmp_path / "report-entries.json"
+    bad.write_text(json.dumps(report))
+    res = run_cli("flow", str(bad))
+    assert res.returncode == 2
+    assert "coeffs[0] = 'B1': an entry must be a [label, value] pair" in res.stderr
+
+
+def test_eigenvalue_past_the_float_range_exits_input_error(files, tmp_path):
+    # M and M M^T fit; lambda ~ 2.2e308 does not.  It was exit 4 after four
+    # RuntimeWarnings (an error under -W error here) and 1,001 power steps
+    for name, side, prefix in (("xi", "vertical", "B"), ("eta", "horizontal", "A")):
+        (tmp_path / f"{name}-huge.json").write_text(json.dumps({
+            "side": side, "coeffs": [[f"{prefix}1", "9.6e76"], [f"{prefix}2", "9.6e76"]],
+            "approx": True,
+        }))
+    res = run_cli("geodesic", files["origami"], str(tmp_path / "xi-huge.json"),
+                  str(tmp_path / "eta-huge.json"))
+    assert res.returncode == 2
+    assert res.stderr.splitlines() == [
+        "error: the leading eigenvalue leaves the float64 range: its "
+        "Collatz–Wielandt upper bound exceeds the largest float"]
+
+
 @pytest.mark.parametrize("approx", ["no", "false", 0, 1, None, []])
 def test_approx_that_is_not_a_boolean_exits_input_error(files, tmp_path, approx):
     # "no" was read as true, and the report echoed "approx": true

@@ -501,3 +501,77 @@ def test_line_foliations_are_the_base_surface_datum(golden):
     base = golden.base_surface
     assert golden.vertical_foliation is base.defining_foliation(VERTICAL)
     assert golden.horizontal_foliation is base.defining_foliation(HORIZONTAL)
+
+
+def test_eigenvalue_past_the_float_range_is_an_input_error():
+    # M and M M^T fit in float64, lambda ~ 2.2e308 does not
+    o = builtin("l-2-2")
+    xi = BusemannSpec(o, VERTICAL, {"B1": 9.6e76, "B2": 9.6e76}, approx=True)
+    eta = BusemannSpec(o, HORIZONTAL, {"A1": 9.6e76, "A2": 9.6e76}, approx=True)
+    with pytest.raises(InputError, match="eigenvalue leaves the float64 range"):
+        optimal_geodesic(xi, eta)
+
+
+@pytest.mark.parametrize("instance", ["random-full", "staircase-40"])
+def test_construction_converts_solves_and_pads_once(monkeypatch, instance):
+    # one construction and both limits: each spec coefficient goes to float
+    # once, the solve builds no Fraction and runs once, and the limit kernel
+    # on the identity curves stacks no zero block
+    import fractions
+
+    from origeo import geodesic, perron
+
+    if instance == "random-full":
+        _, xi, eta = random_full_instance(random.Random("40:0"), (40, 40))
+    else:
+        xi, eta = _unit_specs(_staircase(40))
+    converted, built, solves, stacks = [], [], [], []
+    in_perron = []
+    to_float, new = fractions.Fraction.__float__, fractions.Fraction.__new__
+    monkeypatch.setattr(fractions.Fraction, "__float__",
+                        lambda self: converted.append(id(self)) or to_float(self))
+    monkeypatch.setattr(
+        fractions.Fraction, "__new__",
+        staticmethod(lambda cls, *a, **k: (in_perron and built.append(a)) or new(cls, *a, **k)))
+    solve = perron.perron_solve
+
+    def counted_solve(*args, **kwargs):
+        solves.append(1)
+        in_perron.append(1)
+        try:
+            return solve(*args, **kwargs)
+        finally:
+            in_perron.pop()
+
+    monkeypatch.setattr(geodesic, "perron_solve", counted_solve)
+    hstack = np.hstack
+    monkeypatch.setattr(np, "hstack", lambda *a, **k: stacks.append(1) or hstack(*a, **k))
+    line = optimal_geodesic(xi, eta)
+    forward_limit(line), backward_limit(line)
+    coefficients = [id(c) for spec in (xi, eta) for c in spec.coeffs.values()]
+    assert all(isinstance(c, Fraction) for spec in (xi, eta) for c in spec.coeffs.values())
+    assert sorted(converted) == sorted(coefficients)
+    assert built == []
+    assert solves == [1]
+    assert stacks == []
+
+
+@pytest.mark.parametrize("value", [Fraction(10**400), Fraction(1, 10**400)])
+def test_exact_coefficient_past_the_float_range_is_refused(value):
+    # the float row reads 10^400 as an OverflowError and 10^-400 as 0; the
+    # underflowed coefficient is refused, not dropped from the support
+    o = builtin("l-2-2")
+    xi = BusemannSpec(o, VERTICAL, {"B1": Fraction(1), "B2": value})
+    eta = BusemannSpec(o, HORIZONTAL, {"A1": Fraction(1), "A2": Fraction(1)})
+    with pytest.raises(InputError, match="coefficients span more than float64"):
+        optimal_geodesic(xi, eta)
+
+
+def test_float_row_is_read_only_in_cylinder_order():
+    o = builtin("l-2-2")
+    curve = WeightedMulticurve(o, VERTICAL, {"B2": Fraction(1, 3)})
+    row = curve.row
+    assert row.dtype == np.float64 and row.tolist() == [0.0, 1 / 3]
+    assert curve.row is row  # converted once
+    with pytest.raises(ValueError):
+        row[0] = 1.0

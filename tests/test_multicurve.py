@@ -21,6 +21,7 @@ from origeo.multicurve import (
     intersection,
     pair_intersection,
     parse_busemann_spec,
+    parse_coefficient,
     submatrix_is_primitive_shape,
     support_is_primitive,
 )
@@ -296,3 +297,30 @@ def test_weight_check_accepts_what_the_comparison_accepted(weights):
     assert str(caught.value) == (
         f"weight on {failing[0]} must be positive and finite, got {w!r}"
     )
+
+
+@pytest.mark.parametrize("text", [
+    "1", "4/3", "007", "12/08", "0", "1/0", "3/", "/3", "", "1.5", "-3/4", " 5 ",
+    "+2", "1e3", "1_0", "١", "²", "3/²", "9" * 30 + "/3",
+])
+def test_exact_coefficients_parse_as_the_fraction_grammar(text):
+    # digit strings skip the Fraction regex; every text gives what it gave
+    try:
+        expected = Fraction(text.strip())
+    except (ValueError, ZeroDivisionError) as exc:
+        with pytest.raises(InputError) as refused:
+            parse_coefficient(text, False)
+        assert str(refused.value) == f"bad coefficient {text!r}: {exc}"
+        return
+    value = parse_coefficient(text, False)
+    assert type(value) is Fraction and value == expected
+
+
+def test_full_supports_fill_without_a_search(l22, monkeypatch):
+    # a connected origami's N has a connected support graph
+    import origeo.multicurve as mc
+
+    monkeypatch.setattr(mc, "submatrix_is_primitive_shape", None)
+    full_v = WeightedMulticurve(l22, VERTICAL, {"B1": 1, "B2": 1})
+    full_h = WeightedMulticurve(l22, HORIZONTAL, {"A1": 1, "A2": 1})
+    assert filling_status(full_v, full_h) is FillingStatus.FILLING_CERTIFIED

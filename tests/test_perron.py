@@ -9,6 +9,7 @@ solve and its certified bracket produce is then compared against that.
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -504,3 +505,61 @@ def test_bracket_reads_only_the_nonzero_cells(monkeypatch, exact):
     nnz = np.count_nonzero(t)
     assert nnz == 3 * k - 2 < k * k
     assert cells == [(nnz, nnz, nnz)]
+
+
+# ---------------------------------------------------------------------------
+# the integer rounding of the bracket, against the Fraction rule
+
+
+def _fraction_rule(num, den):
+    """The bracket's two ends as float(Fraction) and one nextafter step
+    outward rounded them; the largest float and inf past the float range."""
+    q = Fraction(num, den)
+    try:
+        lower = upper = float(q)
+    except OverflowError:
+        return sys.float_info.max, math.inf
+    if Fraction(lower) > q:
+        lower = math.nextafter(lower, -math.inf)
+    if Fraction(upper) < q:
+        upper = math.nextafter(upper, math.inf)
+    return lower, upper
+
+
+@st.composite
+def _quotients(draw):
+    """Positive n / d from 2^-1100 to 2^1100: subnormal, normal and past the
+    float range, some of them floats exactly."""
+    if draw(st.booleans()):
+        num, den = draw(st.integers(1, 2**64)), draw(st.integers(1, 2**64))
+    else:
+        num, den = draw(st.floats(5e-324, 2.0**1000)).as_integer_ratio()
+        scale = draw(st.integers(1, 2**20))
+        num, den = num * scale, den * scale
+    shift = draw(st.integers(-1100, 1100))
+    return (num << shift, den) if shift >= 0 else (num, den << -shift)
+
+
+@settings(max_examples=1500, deadline=None, derandomize=True, database=None)
+@given(_quotients())
+def test_integer_rounding_is_the_fraction_rule(quotient):
+    num, den = quotient
+    lower, upper = perron._outward(num, den, -math.inf), perron._outward(num, den, math.inf)
+    assert (lower, upper) == _fraction_rule(num, den)
+    assert Fraction(lower) <= Fraction(num, den)
+    assert upper == math.inf or Fraction(num, den) <= Fraction(upper)
+
+
+@settings(max_examples=800, deadline=None, derandomize=True, database=None)
+@given(_quotients(), _quotients(),
+       st.one_of(st.just(1e-12), st.floats(5e-324, 1e3)))
+def test_integer_tolerance_test_is_the_fraction_test(lo, hi, tol):
+    width = Fraction(*hi) - Fraction(*lo)
+    assert perron._wider_than(lo, hi, tol) == (width > Fraction(tol) * Fraction(*lo))
+
+
+def test_eigenvalue_past_the_float_range_is_an_input_error():
+    # each entry fits, lambda = 2e308 does not; RuntimeWarnings are errors here
+    with pytest.raises(InputError, match="leaves the float64 range"):
+        perron_solve([[1e308, 1e308], [1e308, 1e308]])
+
