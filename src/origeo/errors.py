@@ -119,7 +119,7 @@ class Checks(list):
     def raise_first(self) -> None:
         """Raise what the loop raised: the error of the earliest failing row,
         and within it of the first failing check."""
-        if any(map(np.count_nonzero, (failed for failed, _ in self))):
+        if any(np.count_nonzero(failed) for failed, _ in self):
             masks = np.array(np.broadcast_arrays(*(np.atleast_1d(f) for f, _ in self)))
             row = int(masks.any(axis=0).argmax())
             raise self[int(masks[:, row].argmax())][1](row)
