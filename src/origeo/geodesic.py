@@ -169,9 +169,13 @@ def optimal_geodesic(
     # spec_pairing, behind the limit certificate, squares every coefficient
     if not all(sys.float_info.min <= v * v < math.inf for v in c + d):
         raise range_error
-    # full supports take N whole, in cylinder order
-    full = status is FillingStatus.FILLING_CERTIFIED
-    n_sub = n.array if full else n.array[np.ix_(rows, cols)]
+    # full supports take N whole, in cylinder order, and the nonzero counts
+    # of N and N^T N that N keeps
+    if status is FillingStatus.FILLING_CERTIFIED:
+        n_sub, support = n.array, (len(n.cells[0]), n.gram_nonzeros)
+    else:
+        n_sub = n.array[np.ix_(rows, cols)]
+        support = (np.count_nonzero(n_sub), np.count_nonzero(n_sub.T @ n_sub))
     with np.errstate(all="ignore"):  # range loss is reported just below
         m = np.outer(c, d) * n_sub.T
         mmt = gram_array(m)
@@ -182,8 +186,7 @@ def optimal_geodesic(
     if not (
         np.isfinite(m).all()
         and np.isfinite(mmt).all()
-        and np.count_nonzero(m) == np.count_nonzero(n_sub)
-        and np.count_nonzero(mmt) == np.count_nonzero(n_sub.T @ n_sub)
+        and (np.count_nonzero(m), np.count_nonzero(mmt)) == support
     ):
         raise range_error
 

@@ -10,6 +10,10 @@ geometric intersection number of weighted families is the bilinear form
 
     i(sum_i a_i alpha_i, sum_j b_j beta_j) = sum_ij a_i n_ij b_j.
 
+:class:`IntersectionMatrix` stores that matrix by its nonzero cells, at
+most one per square: the pairings, the support searches and its float
+array read them, and its dense table is derived only on request.
+
 A weight of type ``int`` or ``Fraction`` is exact.  A family whose weights
 are all exact has an integer form: its numerators in the host's cylinder
 order over one common denominator (their ``math.lcm``), built on first
@@ -66,7 +70,8 @@ def is_exact(w: Weight) -> bool:
 class _Record:
     """Read-only fields, as on a frozen dataclass: ``__init__`` stores them in
     ``__dict__`` (where ``cached_property`` keeps its values too), ``==``
-    compares the ones ``_fields`` names and ``repr`` shows them."""
+    compares the ones ``_fields`` names and ``repr`` shows them.  A field
+    may be a ``cached_property``, derived on the first comparison."""
 
     _fields: Tuple[str, ...] = ()
 
@@ -77,7 +82,7 @@ class _Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def _key(self) -> tuple:
-        return tuple(map(self.__dict__.__getitem__, self._fields))
+        return tuple([getattr(self, f) for f in self._fields])
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -92,21 +97,26 @@ class _Record:
 class IntersectionMatrix(_Record):
     """Geometric intersection numbers of two transverse core-curve families.
 
-    ``entries[i][j]`` is the intersection number of the i-th curve of the row
-    family with the j-th curve of the column family.  For an origami these
-    are the cell counts shared by cylinder pairs, so the row sums are the
-    horizontal cylinder lengths, the column sums the vertical ones, and the
-    grand total is the number of squares.  ``row_index`` and ``col_index``
-    map each label to its position, read-only, built with the matrix.
+    The stored form is :attr:`sparse_rows`: per row, the (column, count)
+    pairs of its nonzero cells in column order.  ``entries[i][j]``, the
+    intersection number of the i-th curve of the row family with the j-th
+    curve of the column family, is the dense table derived from them on
+    first use.  For an origami these are the cell counts shared by cylinder
+    pairs, so the row sums are the horizontal cylinder lengths, the column
+    sums the vertical ones, and the grand total is the number of squares.
+    ``row_index`` and ``col_index`` map each label to its position,
+    read-only, built with the matrix.
+
+    The constructor takes the dense table, checks it and keeps its nonzero
+    cells; :meth:`from_sparse_rows` takes the cells themselves.
     """
 
     _fields = ("entries", "row_labels", "col_labels")
 
     def __init__(self, entries: Tuple[Tuple[Weight, ...], ...],
                  row_labels: Tuple[str, ...], col_labels: Tuple[str, ...]):
-        fields = self.__dict__
-        fields.update(entries=entries, row_labels=row_labels, col_labels=col_labels)
-        k, l = self.shape
+        k = len(entries)
+        l = len(entries[0]) if k else 0
         if k == 0 or l == 0:
             raise InputError("intersection matrix must be nonempty")
         if any(len(row) != l for row in entries):
@@ -115,39 +125,91 @@ class IntersectionMatrix(_Record):
             raise InputError("label count does not match matrix shape")
         if min(map(min, entries)) < 0:
             raise InputError("negative intersection number")
-        fields["row_index"] = MappingProxyType(dict(zip(row_labels, range(k))))
-        fields["col_index"] = MappingProxyType(dict(zip(col_labels, range(l))))
+        cols = range(l)
+        rows = tuple(
+            tuple([(j, row[j]) for j in compress(cols, row)]) for row in entries
+        )
+        self._store(rows, row_labels, col_labels)
+
+    @classmethod
+    def from_sparse_rows(cls, rows: Tuple[Tuple[Tuple[int, Weight], ...], ...],
+                         row_labels: Tuple[str, ...],
+                         col_labels: Tuple[str, ...]) -> "IntersectionMatrix":
+        """The matrix whose row i has the (column, count) cells ``rows[i]``,
+        each row in increasing column order; checked in one pass over the
+        cells: the checks of the dense constructor, in their sparse form."""
+        k, l = len(row_labels), len(col_labels)
+        if k == 0 or l == 0:
+            raise InputError("intersection matrix must be nonempty")
+        if len(rows) != k:
+            raise InputError("label count does not match matrix shape")
+        for row in rows:
+            last = -1
+            for j, count in row:
+                if not last < j < l:
+                    raise InputError(
+                        f"cell columns must increase within 0..{l - 1} in each row")
+                if not count > 0:
+                    raise InputError("a stored cell must hold a positive count")
+                last = j
+        matrix = cls.__new__(cls)
+        matrix._store(rows, row_labels, col_labels)
+        return matrix
+
+    def _store(self, rows, row_labels, col_labels) -> None:
+        self.__dict__.update(
+            sparse_rows=rows, row_labels=row_labels, col_labels=col_labels,
+            row_index=MappingProxyType(dict(zip(row_labels, range(len(row_labels))))),
+            col_index=MappingProxyType(dict(zip(col_labels, range(len(col_labels))))),
+        )
 
     def __hash__(self) -> int:
         return hash(self._key())
 
     @property
     def shape(self) -> Tuple[int, int]:
-        return len(self.entries), len(self.entries[0]) if self.entries else 0
+        return len(self.row_labels), len(self.col_labels)
 
     def total(self) -> Weight:
-        return sum(sum(row) for row in self.entries)
+        return sum([count for row in self.sparse_rows for _, count in row])
 
     @cached_property
-    def sparse_rows(self) -> Tuple[Tuple[Tuple[int, Weight], ...], ...]:
-        """Per row, the (column, entry) pairs of its nonzero entries, in order."""
-        cols = range(len(self.col_labels))
-        return tuple(
-            tuple([(j, row[j]) for j in compress(cols, row)]) for row in self.entries
-        )
-
-    @cached_property
-    def array(self) -> np.ndarray:
-        """The entries as a read-only float array, built once per matrix."""
-        out = np.array(self.entries, dtype=float)
-        out.flags.writeable = False
-        return out
+    def entries(self) -> Tuple[Tuple[Weight, ...], ...]:
+        """The dense table, 0 off the cells; built once, for the readers
+        that want every pair (the JSON form, audits over all pairs)."""
+        out = []
+        for row in self.sparse_rows:
+            dense = [0] * len(self.col_labels)
+            for j, count in row:
+                dense[j] = count
+            out.append(tuple(dense))
+        return tuple(out)
 
     @cached_property
     def cells(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The nonzero cells in row order (rows i, columns j, float entries)."""
-        i, j = np.nonzero(self.array)
-        return i, j, self.array[i, j]
+        rows = self.sparse_rows
+        i = np.repeat(np.arange(len(rows)), [len(row) for row in rows])
+        j = np.array([j for row in rows for j, _ in row], dtype=np.intp)
+        n = np.array([count for row in rows for _, count in row], dtype=float)
+        return i, j, n
+
+    @cached_property
+    def array(self) -> np.ndarray:
+        """The entries as a read-only float array, built once per matrix
+        from the cells."""
+        i, j, n = self.cells
+        out = np.zeros(self.shape)
+        out[i, j] = n
+        out.flags.writeable = False
+        return out
+
+    @cached_property
+    def gram_nonzeros(self) -> int:
+        """The number of nonzero entries of N^T N, counted once per matrix:
+        N is nonnegative, so no sum cancels and the float product counts
+        exactly."""
+        return int(np.count_nonzero(self.array.T @ self.array))
 
     @cached_property
     def core_pairings(self) -> Dict[str, np.ndarray]:
@@ -484,8 +546,11 @@ def parse_coefficient(text: str, approx: bool) -> Weight:
         num, slash, den = s.partition("/")
         digits = num.isascii() and num.isdigit()
         if digits and (not slash or den.isascii() and den.isdigit()):
-            # digits "p" or "p/q", read as the Fraction grammar reads them
-            return fractions.Fraction(int(num), int(den) if slash else 1)
+            # digits "p" or "p/q", read as the Fraction grammar reads them;
+            # one argument skips the gcd with 1
+            if not slash:
+                return fractions.Fraction(int(num))
+            return fractions.Fraction(int(num), int(den))
         return fractions.Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad coefficient {text!r}: {exc}") from None

@@ -85,6 +85,8 @@ def _as_permutation(images: Sequence[int], n: int, name: str) -> Tuple[int, ...]
 
 
 def _cycles(perm: Tuple[int, ...]) -> List[Tuple[int, ...]]:
+    """The cycles of ``perm``, each from its smallest cell; the scan meets a
+    cycle first at that cell, so they come in increasing order of it."""
     n = len(perm)
     seen = [False] * (n + 1)
     cycles = []
@@ -99,7 +101,6 @@ def _cycles(perm: Tuple[int, ...]) -> List[Tuple[int, ...]]:
             seen[cur] = True
             cur = perm[cur - 1]
         cycles.append(tuple(cycle))
-    cycles.sort(key=min)
     return cycles
 
 
@@ -130,19 +131,22 @@ class Origami:
         self._cone_orders: Tuple[int, ...] = None
 
     def _build_matrix(self) -> IntersectionMatrix:
+        """N by its nonzero cells: one pass over each horizontal cylinder's
+        cells counts them per vertical cylinder."""
         hor, ver = self._cyls[HORIZONTAL], self._cyls[VERTICAL]
         col_of = [0] * (self.n + 1)
         for j, c in enumerate(ver):
             for cell in c.cells:
                 col_of[cell] = j
-        entries = []
+        rows = []
         for c in hor:
-            row = [0] * len(ver)
+            counts: Dict[int, int] = {}
             for cell in c.cells:
-                row[col_of[cell]] += 1
-            entries.append(tuple(row))
-        return IntersectionMatrix(
-            tuple(entries),
+                j = col_of[cell]
+                counts[j] = counts.get(j, 0) + 1
+            rows.append(tuple(sorted(counts.items())))
+        return IntersectionMatrix.from_sparse_rows(
+            tuple(rows),
             tuple(c.label for c in hor),
             tuple(c.label for c in ver),
         )
@@ -181,7 +185,9 @@ class Origami:
         Equals the geometric intersection number of the two core curves: the
         cores cross once in every cell their cylinders share.  Row sums are
         the horizontal cylinder lengths, column sums the vertical ones, and
-        the grand total is ``n``.
+        the grand total is ``n``.  Built with the origami and stored by its
+        nonzero cells, at most ``n`` of them; the dense table is derived
+        only for the readers that ask for it.
         """
         return self._matrix
 

@@ -152,8 +152,9 @@ def random_primitive_instance(
         vs = sorted(rng.sample(ver, k))
         hs = sorted(rng.sample(hor, l))
         n = o.intersection_matrix()
-        sub = [[n.entries[n.row_index[a]][n.col_index[b]] for b in vs] for a in hs]
-        if any(e > max_entry for row in sub for e in row):
+        cols = {n.col_index[b] for b in vs}
+        rows = (n.sparse_rows[n.row_index[a]] for a in hs)
+        if any(e > max_entry for row in rows for j, e in row if j in cols):
             continue
         if not submatrix_is_primitive_shape(n, frozenset(hs), frozenset(vs)):
             continue
@@ -168,21 +169,12 @@ def random_full_instance(
 ) -> Tuple[Origami, BusemannSpec, BusemannSpec]:
     """Like random_primitive_instance but always using all cores per side.
 
-    Full-support pairs on a connected origami always fill, so these
-    instances carry a flat realization (a base surface).
+    Full-support pairs on a connected origami always fill (the origami's
+    constructor certified N primitive), so these instances carry a flat
+    realization (a base surface).
     """
-    for _ in range(_MAX_TRIES):
-        o = random_origami(rng, n_range, min_genus=2)
-        n = o.intersection_matrix()
-        if not submatrix_is_primitive_shape(
-            n, frozenset(n.row_labels), frozenset(n.col_labels)
-        ):
-            continue
-        xi = BusemannSpec(
-            o, VERTICAL, {b: random_fraction(rng) for b in n.col_labels}
-        )
-        eta = BusemannSpec(
-            o, HORIZONTAL, {a: random_fraction(rng) for a in n.row_labels}
-        )
-        return o, xi, eta
-    raise InputError("no full filling instance found (should not happen)")
+    o = random_origami(rng, n_range, min_genus=2)
+    n = o.intersection_matrix()
+    xi = BusemannSpec(o, VERTICAL, {b: random_fraction(rng) for b in n.col_labels})
+    eta = BusemannSpec(o, HORIZONTAL, {a: random_fraction(rng) for a in n.row_labels})
+    return o, xi, eta

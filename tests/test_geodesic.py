@@ -556,6 +556,18 @@ def test_construction_converts_solves_and_pads_once(monkeypatch, instance):
     assert stacks == []
 
 
+def test_staircase_line_never_builds_the_dense_table():
+    # N of staircase-160 has 160 nonzero cells out of 80 x 81; the line, a
+    # flow distance, a flow point and a Busemann enclosure read the cells
+    from origeo.horo import busemann_interval
+
+    o = _staircase(160)
+    line = optimal_geodesic(*_unit_specs(o))
+    flow_distance(line, -1.0, 2.0)
+    busemann_interval(line, point_at(line, 2.0), horizon=7.0)
+    assert "entries" not in vars(o.intersection_matrix())
+
+
 @pytest.mark.parametrize("value", [Fraction(10**400), Fraction(1, 10**400)])
 def test_exact_coefficient_past_the_float_range_is_refused(value):
     # the float row reads 10^400 as an OverflowError and 10^-400 as 0; the

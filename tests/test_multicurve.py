@@ -261,17 +261,46 @@ def test_submatrix_shape_reads_label_subsets_off_the_sparse_rows():
 
 
 def test_intersection_matrix_label_maps_and_sparse_rows():
-    n = IntersectionMatrix(((2, 0, 1), (0, 0, 3)), ("A2", "A1"), ("B3", "B1", "B2"))
+    labels = (("A2", "A1"), ("B3", "B1", "B2"))
+    n = IntersectionMatrix(((2, 0, 1), (0, 0, 3)), *labels)
     assert dict(n.row_index) == {"A2": 0, "A1": 1}
     assert dict(n.col_index) == {"B3": 0, "B1": 1, "B2": 2}
     assert n.sparse_rows == (((0, 2), (2, 1)), ((2, 3),))
     with pytest.raises(TypeError):
         n.row_index["A3"] = 2  # shared by every caller, so read-only
+    cells = IntersectionMatrix.from_sparse_rows(n.sparse_rows, *labels)
+    assert "entries" not in vars(cells)  # derived on first use
+    assert cells == n and cells.entries == ((2, 0, 1), (0, 0, 3))
+    assert cells.array.tolist() == [[2.0, 0.0, 1.0], [0.0, 0.0, 3.0]]
+    assert (cells.shape, cells.total(), cells.gram_nonzeros) == ((2, 3), 6, 4)
 
 
 def test_intersection_matrix_refuses_negative_entries():
     with pytest.raises(InputError, match="negative intersection number"):
         IntersectionMatrix(((1, 2), (0, -1)), ("A1", "A2"), ("B1", "B2"))
+
+
+@pytest.mark.parametrize(
+    "rows, labels, message",
+    [
+        pytest.param((), ((), ("B1",)), "nonempty", id="no-rows"),
+        pytest.param(((),), (("A1",), ()), "nonempty", id="no-columns"),
+        pytest.param((((0, 1),),), (("A1", "A2"), ("B1",)), "label count",
+                     id="label-count"),
+        pytest.param((((1, 1),),), (("A1",), ("B1",)), "cell columns", id="column-past-end"),
+        pytest.param((((-1, 1),),), (("A1",), ("B1",)), "cell columns", id="negative-column"),
+        pytest.param((((1, 1), (0, 1)),), (("A1",), ("B1", "B2")), "cell columns",
+                     id="columns-out-of-order"),
+        pytest.param((((0, 1), (0, 1)),), (("A1",), ("B1",)), "cell columns",
+                     id="repeated-column"),
+        pytest.param((((0, 0),),), (("A1",), ("B1",)), "positive count", id="zero-count"),
+        pytest.param((((0, -2),),), (("A1",), ("B1",)), "positive count",
+                     id="negative-count"),
+    ],
+)
+def test_sparse_rows_are_checked_cell_by_cell(rows, labels, message):
+    with pytest.raises(InputError, match=message):
+        IntersectionMatrix.from_sparse_rows(rows, *labels)
 
 
 _WEIGHTS = st.one_of(

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from origeo import cli
 from origeo.errors import ComplexityError, InputError, InvalidOrigami
-from origeo.multicurve import HORIZONTAL, VERTICAL
+from origeo.multicurve import HORIZONTAL, VERTICAL, IntersectionMatrix
 from origeo.origami import (
     Origami,
     builtin,
@@ -260,3 +260,52 @@ def test_catalog_cone_orders_match_the_corner_walk(name):
     o = builtin(name)
     assert o.cone_orders() == corner_walk_orders(o)
     assert o.cone_orders() is o.cone_orders()
+
+
+def _cell_counts(o):
+    """Reference N: +1 at (h-cycle, v-cycle) for every cell, each family's
+    cycles numbered in increasing order of their smallest cell."""
+    def cycle_of(perm):
+        cycles = set()
+        for cell in range(1, o.n + 1):
+            orbit, cur = {cell}, perm[cell - 1]
+            while cur != cell:
+                orbit.add(cur)
+                cur = perm[cur - 1]
+            cycles.add(frozenset(orbit))
+        ordered = sorted(cycles, key=min)
+        return {cell: k for k, cyc in enumerate(ordered) for cell in cyc}, len(ordered)
+
+    (row, k), (col, l) = cycle_of(o.h), cycle_of(o.v)
+    return Counter((row[c], col[c]) for c in range(1, o.n + 1)), k, l
+
+
+@st.composite
+def _matrix_cases(draw):
+    """A random origami, or a staircase with its cells relabelled."""
+    if draw(st.booleans()):
+        return draw(_origamis())[0]
+    n = draw(st.sampled_from([4, 10, 20, 40, 160]))
+    return _relabelled(_staircase(n), draw(st.permutations(range(1, n + 1))))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(_matrix_cases())
+def test_intersection_matrix_is_the_per_cell_count(o):
+    counts, k, l = _cell_counts(o)
+    n = o.intersection_matrix()
+    assert "entries" not in vars(n)  # the cells are the stored form
+    cells = sorted(counts)  # row order, columns increasing in each row
+    assert n.shape == (k, l)
+    assert n.total() == o.n
+    assert n.sparse_rows == tuple(
+        tuple((j, counts[i, j]) for j in range(l) if (i, j) in counts) for i in range(k))
+    i, j, values = n.cells
+    assert (i.dtype.kind, j.dtype.kind, values.dtype) == ("i", "i", np.float64)
+    assert list(zip(i.tolist(), j.tolist())) == cells
+    assert values.tolist() == [float(counts[c]) for c in cells]
+    dense = tuple(tuple(counts[i, j] for j in range(l)) for i in range(k))
+    assert np.array_equal(n.array, np.array(dense, dtype=float))
+    assert not n.array.flags.writeable
+    assert n.entries == dense
+    assert n == IntersectionMatrix(dense, n.row_labels, n.col_labels)

@@ -167,6 +167,28 @@ def test_float_kernels_agree_with_the_exact_path(block):
         assert (one.lo, one.hi) == (dist[0][i], dist[1][i])
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=CertificationError,
+    reason="ROADMAP item 1: the distance bracket of two near-proportional "
+    "float surfaces inverts: lower 1.0000000004191738 exceeds upper 1.0",
+)
+def test_near_proportional_distance_bracket_is_certified():
+    # two float surfaces on h = [3, 2, 1], v = [1, 3, 2], drawn by
+    # test_float_kernels_agree_with_the_exact_path with float curve rows;
+    # read as Fractions they have the distance bracket [0.99999999958, 1.0]
+    o = parse_origami({"squares": 3, "h": [3, 2, 1], "v": [1, 3, 2]})
+    x = SurfaceRows(o, np.array([[0.24998817354334912, 0.520260095022889]]),
+                    np.array([[0.3795275689430812, 4.677508519031928]]))
+    y = SurfaceRows(o, np.array([[0.6795383094725521, 1.4142135623730951]]),
+                    np.array([[0.13962038997193676, 1.7207592215367105]]))
+    want = distance_interval(_exact_surface(x, 0), _exact_surface(y, 0))
+    with Checks() as checks:
+        lo, hi = distance_rows(x, y, checks)
+    assert abs(lo[0] - want.lo) <= DISTANCE_SLACK
+    assert abs(hi[0] - want.hi) <= DISTANCE_SLACK
+
+
 @settings(max_examples=6, deadline=None, derandomize=True, database=None)
 @given(
     _reports(),
