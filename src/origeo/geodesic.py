@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Dict, Optional, Sequence, Tuple
 
 from .errors import (
@@ -89,6 +89,9 @@ class GeodesicLine:
     families use all cores of their sides (otherwise the metric would need a
     cylinder of width zero, which is no metric on this origami — the
     eigen-data and limit functions remain available).
+    ``forward_values`` and ``backward_values`` are the read-only
+    :func:`ray_limit` vectors the Walsh cosines checked, which the limits
+    normalize.
     """
 
     origami: Origami
@@ -106,6 +109,8 @@ class GeodesicLine:
     walsh_forward_cosine: float
     walsh_backward_cosine: float
     tol: float
+    forward_values: np.ndarray = field(compare=False, repr=False)
+    backward_values: np.ndarray = field(compare=False, repr=False)
 
     def require_surface(self) -> WeightedSurface:
         if self.base_surface is None:
@@ -131,7 +136,8 @@ def optimal_geodesic(
     (an entry overflows to inf, or one the exact coupling makes positive
     underflows to 0), and CertificationError when an
     internal consistency certificate (system closure, limit
-    proportionality) fails.
+    proportionality) fails.  The base surface is the row c*x, d*y, checked
+    once by :func:`check_weights`.
     """
     if xi.host is not eta.host:
         raise HostMismatch("the two specs live on different origamis")
@@ -202,23 +208,25 @@ def optimal_geodesic(
             f"two-sided system failed to close: |M y - sqrt(lambda) x| = {closure:.3g}"
         )
 
-    y = tuple(yv.tolist())
-    widths = {lab: ci * xi_i for lab, ci, xi_i in zip(xi_support, c, eigen.vector)}
-    heights = {lab: dj * yj for lab, dj, yj in zip(eta_support, d, y)}
+    with np.errstate(all="ignore"):  # a weight past the float range is refused below
+        widths, heights = np.multiply(c, xv), np.multiply(d, yv)
     base = None
     if status is FillingStatus.FILLING_CERTIFIED:
-        # the foliations are the base surface's own, validated once with it
-        base = WeightedSurface(host, heights, widths)
-        f_vert = base.defining_foliation(VERTICAL)
-        f_hor = base.defining_foliation(HORIZONTAL)
+        # the foliations are the base surface's own, checked once as its row
+        base = WeightedSurface._from_checked_row(
+            checked(check_weights, SurfaceRows(host, heights[None], widths[None])))
+        f_vert, f_hor = (base.defining_foliation(s) for s in (VERTICAL, HORIZONTAL))
     else:
-        f_vert = WeightedMulticurve(host, VERTICAL, widths)
-        f_hor = WeightedMulticurve(host, HORIZONTAL, heights)
+        f_vert = WeightedMulticurve(host, VERTICAL, dict(zip(xi_support, widths.tolist())))
+        f_hor = WeightedMulticurve(host, HORIZONTAL,
+                                   dict(zip(eta_support, heights.tolist())))
 
     pairing = intersection(f_hor, f_vert) if base is None else base.area()
 
-    cos_fwd = _cosine(ray_limit(f_vert, f_hor), spec_pairing(xi))
-    cos_bwd = _cosine(ray_limit(f_hor, f_vert), spec_pairing(eta))
+    forward, backward = ray_limit(f_vert, f_hor), ray_limit(f_hor, f_vert)
+    forward.flags.writeable = backward.flags.writeable = False
+    cos_fwd = _cosine(forward, spec_pairing(xi))
+    cos_bwd = _cosine(backward, spec_pairing(eta))
     certificate_floor = 1 - max(10 * tol, 1e-11)
     if cos_fwd < certificate_floor or cos_bwd < certificate_floor:
         raise CertificationError(
@@ -232,7 +240,7 @@ def optimal_geodesic(
         backward_spec=eta,
         eigen=eigen,
         x=tuple(eigen.vector),
-        y=y,
+        y=tuple(yv.tolist()),
         scale=scale,
         vertical_foliation=f_vert,
         horizontal_foliation=f_hor,
@@ -242,6 +250,8 @@ def optimal_geodesic(
         walsh_forward_cosine=cos_fwd,
         walsh_backward_cosine=cos_bwd,
         tol=tol,
+        forward_values=forward,
+        backward_values=backward,
     )
 
 
@@ -280,7 +290,7 @@ def point_at(line: GeodesicLine, t: float) -> WeightedSurface:
     t = _flow_time(line, t)
     if t == 0.0:
         return line.base_surface
-    return checked(flow_rows, line, np.array([t])).surface(0)
+    return WeightedSurface._from_checked_row(checked(flow_rows, line, np.array([t])))
 
 
 def flow_rows(line: GeodesicLine, ts: np.ndarray, checks: Checks) -> SurfaceRows:
@@ -390,26 +400,22 @@ def forward_limit(line: GeodesicLine) -> Dict[str, float]:
     """The ray's forward limit evaluated on all cores, l2-normalized.
 
     Proportional to i(forward_spec, .) — this proportionality is the
-    construction's consistency certificate.
+    construction's consistency certificate, which checked these values.
     """
-    return _normalized(
-        line.origami, ray_limit(line.vertical_foliation, line.horizontal_foliation)
-    )
+    return _normalized(line.origami, line.forward_values)
 
 
 def backward_limit(line: GeodesicLine) -> Dict[str, float]:
-    """Same for t -> -infinity: roles of the two foliations exchanged."""
-    return _normalized(
-        line.origami, ray_limit(line.horizontal_foliation, line.vertical_foliation)
-    )
+    """Same for t -> -infinity: the line's ``backward_values``."""
+    return _normalized(line.origami, line.backward_values)
 
 
 def reversed_line(line: GeodesicLine) -> GeodesicLine:
     """Time reversal: swaps the two foliations/specs and negates t.
 
     Shares the construction's eigen record; the swapped x/y keep their
-    original normalization so that forward_limit(reversed) is bit-for-bit
-    backward_limit(original).
+    original normalization, and the two limit vectors are swapped, so that
+    forward_limit(reversed) is bit-for-bit backward_limit(original).
     """
     return replace(
         line,
@@ -421,6 +427,8 @@ def reversed_line(line: GeodesicLine) -> GeodesicLine:
         horizontal_foliation=line.vertical_foliation,
         walsh_forward_cosine=line.walsh_backward_cosine,
         walsh_backward_cosine=line.walsh_forward_cosine,
+        forward_values=line.backward_values,
+        backward_values=line.forward_values,
     )
 
 
@@ -465,14 +473,14 @@ def line_from_report(report: dict) -> GeodesicLine:
     is a number and whose ``seed`` is an integer.  The seed's value is not
     used: the construction draws nothing at random.
     """
-    try:
+    try:  # the JSON lookups only: the parsers raise InputError themselves
         inputs = report["inputs"]
         config = report.get("config", {})
-        host = parse_origami(inputs["origami"])
-        xi = parse_busemann_spec(inputs["xi"], host)
-        eta = parse_busemann_spec(inputs["eta"], host)
+        docs = inputs["origami"], inputs["xi"], inputs["eta"]
     except (KeyError, TypeError) as exc:
         raise InputError(f"report lacks reconstructible inputs: {exc}") from None
+    host = parse_origami(docs[0])
+    xi, eta = (parse_busemann_spec(doc, host) for doc in docs[1:])
     if not isinstance(config, dict):
         raise InputError(f"report 'config' must be an object, got {config!r}")
     tol = config.get("tol", DEFAULT_TOL)

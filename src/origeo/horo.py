@@ -38,7 +38,6 @@ from .geodesic import (
     check_flow_distance,
     check_reach,
     flow_rows,
-    ray_limit,
     spec_pairing,
 )
 from .intervals import ValueInterval, one_row, outside
@@ -329,13 +328,11 @@ def lower_bound_audit(line: GeodesicLine) -> dict:
     Needs no flat realization: the area here is the pairing i(F_v, F_h),
     which exists even for proper-subset (MatrixPrimitiveOnly) data.
     """
-    f_v, f_h = line.vertical_foliation, line.horizontal_foliation
-    host = line.origami
+    f_v, host = line.vertical_foliation, line.origami
     sqrt_area = math.sqrt(line.pairing)
     # i(F_v, gamma) = sum_k w_k i(core_k, gamma) over F_v's cores
-    w_v = f_v.row
-    pairings = w_v @ core_pairings(host, f_v.side) / sqrt_area
-    limits = ray_limit(f_v, f_h)
+    pairings = f_v.row @ core_pairings(host, f_v.side) / sqrt_area
+    limits = line.forward_values  # ray_limit(F_v, F_h), kept by the line
     entries = []
     min_margin = math.inf
     all_ok = True

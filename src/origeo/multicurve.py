@@ -259,7 +259,7 @@ class WeightedMulticurve(_Record):
 
     def __post_init__(self):
         """Check the weights and keep them in the host's cylinder order; apart
-        from ``__init__``, so that one hook sees every construction."""
+        from ``__init__``, so that one hook sees every checking construction."""
         if self.side not in SIDES:
             raise InputError(f"unknown side {self.side!r}")
         clean = _check_weights(self.weights)
@@ -275,6 +275,18 @@ class WeightedMulticurve(_Record):
             # a float family has no integer form; fixing it here keeps the
             # float paths off the lazy property's first-access cost
             self.__dict__["integer_form"] = None
+
+    @classmethod
+    def _from_checked_row(cls, host, side: str, row: np.ndarray) -> "WeightedMulticurve":
+        """The full-support float family on the weights ``row`` (cylinder
+        order) that a row check passed, read off the row with no second check."""
+        curve = cls.__new__(cls)
+        row = row.view()
+        row.flags.writeable = False
+        labels = [c.label for c in host.cylinders(side)]
+        curve.__dict__.update(host=host, side=side, row=row, integer_form=None,
+                              weights=MappingProxyType(dict(zip(labels, row.tolist()))))
+        return curve
 
     @property
     def support(self) -> Tuple[str, ...]:
@@ -566,7 +578,8 @@ def parse_busemann_spec(data: Mapping, host) -> BusemannSpec:
     """Build a :class:`BusemannSpec` from its JSON object form.
 
     Expected shape: ``{"side": "vertical", "coeffs": [["B1", "1"], ...]}``
-    with optional ``"approx": true`` marking non-exact coefficients.
+    with optional ``"approx": true`` marking non-exact coefficients.  Each
+    entry is checked, but each distinct coefficient text is parsed once.
     """
     if not isinstance(data, Mapping):
         raise InputError("boundary spec must be a JSON object")
@@ -583,6 +596,7 @@ def parse_busemann_spec(data: Mapping, host) -> BusemannSpec:
     if not isinstance(raw, (list, tuple)):
         raise InputError("'coeffs' must be a list of [label, value] pairs")
     coeffs: Dict[str, Weight] = {}
+    parsed: Dict[str, Weight] = {}  # text -> value, for this call only
     for k, item in enumerate(raw):
         # a string would unpack into its characters, an object into its keys
         if not (isinstance(item, (list, tuple)) and len(item) == 2):
@@ -593,7 +607,12 @@ def parse_busemann_spec(data: Mapping, host) -> BusemannSpec:
             raise InputError(f"coeffs[{k}] = {item!r}: the label must be a string")
         if label in coeffs:
             raise InputError(f"duplicate component {label!r}")
-        coeffs[label] = parse_coefficient(value, approx)
+        if type(value) is not str:  # 1 and True: one dict key, two texts
+            coeffs[label] = parse_coefficient(value, approx)
+        elif value in parsed:
+            coeffs[label] = parsed[value]
+        else:
+            coeffs[label] = parsed[value] = parse_coefficient(value, approx)
     return BusemannSpec(host, side, coeffs, approx=approx)
 
 

@@ -120,9 +120,22 @@ class WeightedSurface:
                 if c.label not in weights:
                     raise InputError(f"missing {what} for cylinder {c.label}")
             defining[side] = WeightedMulticurve(self.origami, side, weights)
-        object.__setattr__(self, "_defining", defining)
-        object.__setattr__(self, "heights", defining[HORIZONTAL].weights)
-        object.__setattr__(self, "widths", defining[VERTICAL].weights)
+        self._keep(defining)
+
+    def _keep(self, defining: Dict[str, WeightedMulticurve]) -> None:
+        """Keep the foliations: the last step of both constructors (one hook)."""
+        self.__dict__.update(_defining=defining, heights=defining[HORIZONTAL].weights,
+                             widths=defining[VERTICAL].weights)
+
+    @classmethod
+    def _from_checked_row(cls, block: "SurfaceRows") -> "WeightedSurface":
+        """The surface of a one-row block that :func:`check_weights` passed,
+        read off the row with no second check; it keeps the block as its rows."""
+        surface = cls.__new__(cls)
+        surface.__dict__.update(origami=block.origami, rows=block)
+        surface._keep({side: WeightedMulticurve._from_checked_row(
+            block.origami, side, block.side(side)[0]) for side in (HORIZONTAL, VERTICAL)})
+        return surface
 
     # ------------------------------------------------------------------
 
@@ -382,7 +395,9 @@ def elementwise(fn, values, checks: Checks) -> np.ndarray:
 class SurfaceRows:
     """Flat metrics on one origami, one per row of the float arrays
     ``heights`` and ``widths`` (cylinder order); ``block[rows]`` is the block
-    of the rows a slice or an index array selects."""
+    of the rows a slice or an index array selects.  :meth:`surface` builds
+    a row's surface through the validating constructor; a one-row block that
+    :func:`check_weights` passed becomes one with no second check."""
 
     def __init__(self, origami: Origami, heights: np.ndarray, widths: np.ndarray):
         self.origami, self.heights, self.widths = origami, heights, widths

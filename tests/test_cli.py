@@ -357,19 +357,21 @@ def test_flow_pairs_each_surface_once(report_file, monkeypatch, capsys):
 
     calls, surfaces = [], []
     pairing = multicurve.pair_intersection
-    init = surface.WeightedSurface.__post_init__
+    keep = surface.WeightedSurface._keep
 
     def counted_pairing(a, b):
         calls.append((a, b))
         return pairing(a, b)
 
-    def counted_init(self):
+    def counted_keep(self, defining):
         surfaces.append(self)
-        init(self)
+        keep(self, defining)
 
     for module in (multicurve, surface):
         monkeypatch.setattr(module, "pair_intersection", counted_pairing)
-    monkeypatch.setattr(surface.WeightedSurface, "__post_init__", counted_init)
+    # the last step of both constructors, the validating one and the one
+    # from checked rows
+    monkeypatch.setattr(surface.WeightedSurface, "_keep", counted_keep)
     code = cli.main(["flow", report_file, "--t-min", "0", "--t-max", "1",
                      "--step", "0.5"])
     assert code == 0
@@ -616,12 +618,14 @@ def _count_surfaces_and_proportionality(monkeypatch):
     from origeo import surface
 
     built, calls, blocks = [], [], []
-    init = surface.WeightedSurface.__post_init__
+    keep = surface.WeightedSurface._keep
     proportionality = surface.WeightedSurface.proportionality
     rows_init = surface.SurfaceRows.__init__
+    # _keep ends both constructors: the validating one and the one from
+    # checked rows
     monkeypatch.setattr(
-        surface.WeightedSurface, "__post_init__",
-        lambda self: built.append(self) or init(self),
+        surface.WeightedSurface, "_keep",
+        lambda self, defining: built.append(self) or keep(self, defining),
     )
     monkeypatch.setattr(
         surface.WeightedSurface, "proportionality",

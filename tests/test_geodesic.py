@@ -34,9 +34,11 @@ from origeo.multicurve import (
     core_curve,
     intersection,
 )
-from origeo.origami import Origami, builtin
+from origeo.errors import checked
+from origeo.origami import Origami, builtin, origami_to_json, parse_origami
 from origeo.perron import gram
 from origeo.sampling import random_full_instance, random_primitive_instance
+from origeo.surface import SurfaceRows, WeightedSurface, check_weights
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -234,6 +236,18 @@ def test_report_without_inputs_is_rejected(golden):
     del rep["inputs"]
     with pytest.raises(InputError):
         line_from_report(rep)
+
+
+def test_a_fault_inside_a_report_parser_propagates(golden, monkeypatch):
+    # only the report's own JSON lookups become "lacks reconstructible inputs"
+    from origeo import geodesic
+
+    def faulty(data, host):
+        raise TypeError("fault inside the parser")
+
+    monkeypatch.setattr(geodesic, "parse_busemann_spec", faulty)
+    with pytest.raises(TypeError, match="fault inside the parser"):
+        line_from_report(line_report(golden))
 
 
 @pytest.mark.parametrize(
@@ -587,3 +601,115 @@ def test_float_row_is_read_only_in_cylinder_order():
     assert curve.row is row  # converted once
     with pytest.raises(ValueError):
         row[0] = 1.0
+
+
+# ---------------------------------------------------------------------------
+# quantities derived once: surfaces from checked rows, limits from the
+# certificate
+
+
+def _random_full_line(seed):
+    return optimal_geodesic(*random_full_instance(random.Random(f"once:{seed}"))[1:])
+
+
+def _staircase_line(n):
+    return optimal_geodesic(*_unit_specs(_staircase(n)))
+
+
+LINES = [lambda: _random_full_line(0), lambda: _random_full_line(1),
+         lambda: _random_full_line(2), lambda: _staircase_line(40)]
+
+
+def _assert_validated_twin(surface):
+    """surface equals, bit for bit, what the validating constructor builds
+    from its weights."""
+    twin = WeightedSurface(surface.origami, dict(surface.heights), dict(surface.widths))
+    assert list(surface.heights.items()) == list(twin.heights.items())
+    assert list(surface.widths.items()) == list(twin.widths.items())
+    assert surface == twin
+    for got, want in ((surface.rows.heights, twin.rows.heights),
+                      (surface.rows.widths, twin.rows.widths)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert float(surface.area()).hex() == float(twin.area()).hex()
+    for side in (HORIZONTAL, VERTICAL):
+        got, want = surface.defining_foliation(side), twin.defining_foliation(side)
+        assert got == want
+        assert list(got.weights.values()) == surface.rows.side(side)[0].tolist()
+        assert got.row.tobytes() == want.row.tobytes()
+        assert not got.row.flags.writeable
+        assert got.integer_form is None and want.integer_form is None
+
+
+@pytest.mark.parametrize("make", LINES)
+def test_surfaces_from_checked_rows_match_the_validating_constructor(make):
+    line = make()
+    _assert_validated_twin(line.base_surface)
+    for t in (-2.5, -0.125, 0.75, 3.0):
+        _assert_validated_twin(point_at(line, t))
+
+
+@pytest.mark.parametrize("bad", [0.0, math.inf])
+def test_a_checked_row_with_a_bad_weight_raises_the_constructors_text(bad):
+    block = SurfaceRows(builtin("l-2-2"), np.array([[1.0, bad]]), np.array([[1.0, 1.0]]))
+    with pytest.raises(InputError,
+                       match=f"^weight on A2 must be positive and finite, got {bad!r}$"):
+        checked(check_weights, block)
+
+
+@pytest.mark.parametrize("make", LINES)
+def test_limits_are_the_certificate_vectors_and_reverse_bit_for_bit(make):
+    line = make()
+    f_v, f_h = line.vertical_foliation, line.horizontal_foliation
+    assert line.forward_values.tobytes() == ray_limit(f_v, f_h).tobytes()
+    assert line.backward_values.tobytes() == ray_limit(f_h, f_v).tobytes()
+    assert not line.forward_values.flags.writeable
+    rev = reversed_line(line)
+    assert forward_limit(rev) == backward_limit(line)
+    assert backward_limit(rev) == forward_limit(line)
+    assert rev == reversed_line(reversed_line(rev))
+
+
+def test_staircase_pipeline_checks_and_derives_each_quantity_once(monkeypatch):
+    """One staircase-160 pipeline: each spec weight meets the Python weight
+    check once, the two ray limits are computed only while the line is
+    constructed, and each distinct coefficient text is parsed once per spec."""
+    from origeo import geodesic, multicurve
+    from origeo.horo import busemann_interval
+    from origeo.multicurve import filling_status, parse_busemann_spec
+
+    o = _staircase(160)
+    docs = [origami_to_json(o)] + [
+        {"side": side, "coeffs": [[c.label, "1"] for c in o.cylinders(side)]}
+        for side in (VERTICAL, HORIZONTAL)]
+    weights, texts, limits, constructing = [], [], [], []
+    check, parse = multicurve._check_weights, multicurve.parse_coefficient
+    limit, construct = geodesic.ray_limit, optimal_geodesic
+
+    def constructed(*args):
+        constructing.append(1)
+        try:
+            return construct(*args)
+        finally:
+            constructing.pop()
+
+    monkeypatch.setattr(multicurve, "_check_weights",
+                        lambda w: weights.extend(w) or check(w))
+    monkeypatch.setattr(multicurve, "parse_coefficient",
+                        lambda text, approx: texts.append(text) or parse(text, approx))
+    monkeypatch.setattr(geodesic, "ray_limit",
+                        lambda *args: limits.append(bool(constructing)) or limit(*args))
+
+    host = parse_origami(docs[0])
+    host.validate()
+    xi, eta = (parse_busemann_spec(doc, host) for doc in docs[1:])
+    filling_status(xi.as_multicurve(), eta.as_multicurve())
+    line = constructed(xi, eta)
+    forward_limit(line), backward_limit(line)
+    flow_distance(line, -1.0, 2.0)
+    busemann_interval(line, point_at(line, 2.0), horizon=7.0)
+
+    labels = [c.label for side in (VERTICAL, HORIZONTAL) for c in host.cylinders(side)]
+    assert len(labels) == 161
+    assert sorted(weights) == sorted(labels)
+    assert limits == [True, True]
+    assert texts == ["1", "1"]

@@ -183,6 +183,36 @@ def test_spec_rejects_non_finite_coefficients(l22, value):
         parse_busemann_spec(data, l22)
 
 
+def test_spec_parses_each_coefficient_text_once(l22, monkeypatch):
+    from origeo import multicurve
+
+    texts = []
+    parse = multicurve.parse_coefficient
+    monkeypatch.setattr(multicurve, "parse_coefficient",
+                        lambda text, approx: texts.append(text) or parse(text, approx))
+    spec = parse_busemann_spec(
+        {"side": "vertical", "coeffs": [["B1", "1/2"], ["B2", "1/2"]]}, l22)
+    assert texts == ["1/2"]
+    assert spec.coeffs == {"B1": Fraction(1, 2), "B2": Fraction(1, 2)}
+
+
+@pytest.mark.parametrize(
+    "coeffs, error",
+    [
+        # the checks still run per entry, and a bad text raises at its first
+        ([["B1", "1"], ["B1", "1"]], "^duplicate component 'B1'$"),
+        ([["B1", "x"], ["B1", "x"]], "^bad coefficient 'x'"),
+        ([["B1", "1"], [2, "1"]], r"^coeffs\[1\] = \[2, '1'\]: the label must be"),
+        # a number is not its text: true after 1 is still refused
+        ([["B1", 1], ["B2", True]], "^bad coefficient True"),
+        ([["B1", "1"], ["B2", True]], "^bad coefficient True"),
+    ],
+)
+def test_spec_parse_checks_every_entry(l22, coeffs, error):
+    with pytest.raises(InputError, match=error):
+        parse_busemann_spec({"side": "vertical", "coeffs": coeffs}, l22)
+
+
 # ---------------------------------------------------------------------------
 # the support-graph search on the nonzero cells
 
