@@ -29,13 +29,13 @@ from .geodesic import (
 )
 from .horo import busemann_rows, minsky_audit, miyachi_rows, psi_rows
 from .intervals import outside
-from .multicurve import HORIZONTAL, VERTICAL, BusemannSpec, core_curve, intersection
+from .multicurve import HORIZONTAL, VERTICAL, BusemannSpec, intersection
 from .origami import builtin, catalog
-from .perron import gram, is_primitive, perron_solve, wielandt_oracle
+from .perron import gram, is_primitive, perron_solve, wielandt_block
 from .surface import (
     SurfaceRows,
     check_weights,
-    curve_ext_bounds,
+    core_ext_bounds,
     distance_interval,
     distance_rows,
     ext_interval,
@@ -147,18 +147,16 @@ def check_perron_oracle(seed: int) -> dict:
 
 
 def check_primitivity_oracle(seed: int) -> dict:
-    """Support-graph primitivity test against two-sided boolean powers."""
+    """Support-graph primitivity test against two-sided boolean powers, the
+    matrices drawn first and run through the oracle as one block."""
     rng = _suite_rng(seed, "primitivity-oracle")
-    failures: List[str] = []
-    cases = 0
-    for i in range(500):
-        m = sampling.random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
-        cases += 1
-        fast = is_primitive(m)
-        slow = wielandt_oracle(m)
-        if fast != slow:
-            failures.append(f"case {i}: is_primitive={fast} but powers say {slow}")
-    return _report("primitivity-oracle", cases, failures)
+    matrices = [sampling.random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
+                for _ in range(500)]
+    powers = wielandt_block(matrices)
+    failures = [f"case {i}: is_primitive={fast} but powers say {slow}"
+                for i, (fast, slow) in enumerate(zip(map(is_primitive, matrices), powers))
+                if fast != slow]
+    return _report("primitivity-oracle", len(matrices), failures)
 
 
 def check_minsky(seed: int) -> dict:
@@ -278,10 +276,8 @@ def check_interval_soundness(seed: int) -> dict:
         if not (iv.lo <= exact <= iv.hi):
             failures.append(f"scaled defining foliation escapes its interval [{i}]")
         for side in (HORIZONTAL, VERTICAL):
-            for cyl in o.cylinders(side):
-                bounds = curve_ext_bounds(x, core_curve(o, side, cyl.label))
-                if bounds.lo > bounds.hi:
-                    failures.append(f"core bounds inverted on {cyl.label} [{i}]")
+            failures += [f"core bounds inverted on {cyl.label} [{i}]" for cyl, lo, hi
+                         in zip(o.cylinders(side), *core_ext_bounds(x, side)) if lo > hi]
         y = sampling.random_surface(rng, o)
         if qc_upper(x, y) != qc_upper(y, x):
             failures.append(f"upper distance bound not symmetric [{i}]")

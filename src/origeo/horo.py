@@ -46,7 +46,6 @@ from .multicurve import (
     VERTICAL,
     BusemannSpec,
     WeightedMulticurve,
-    core_curve,
     core_labels,
     core_pairings,
     intersection,
@@ -56,7 +55,7 @@ from .surface import (
     SurfaceRows,
     WeightedSurface,
     check_weights,
-    curve_ext_bounds,
+    core_ext_bounds,
     curve_ext_rows,
     distance_interval,
     distance_rows,
@@ -259,19 +258,13 @@ def minsky_audit(x: WeightedSurface) -> dict:
     a violation against the *upper* bounds can only come from a broken
     interval.  Also asserts the defining-pair identity
     i(F_v, F_h)^2 = area^2, which holds bit-for-bit because both sides run
-    the same accumulation.  On an exact surface each pair's comparison runs
-    on integers.
+    the same accumulation.  The cores' upper bounds take one pass per side;
+    on an exact surface each pair's comparison runs on integers.
     """
-    host = x.origami
-    matrix = host.intersection_matrix()
+    matrix = x.origami.intersection_matrix()
     # core labels are distinct across the sides (A1.. and B1..)
-    ext_hi = {
-        lab: curve_ext_bounds(x, core_curve(host, side, lab)).hi
-        for side, labels in (
-            (HORIZONTAL, matrix.row_labels), (VERTICAL, matrix.col_labels)
-        )
-        for lab in labels
-    }
+    ext_hi = dict(zip(matrix.core_labels, [
+        hi for side in (HORIZONTAL, VERTICAL) for hi in core_ext_bounds(x, side)[1]]))
     # exact bounds as (numerator, denominator): each product is then compared
     # over its one denominator, and its float is the correctly rounded quotient
     exact = all(map(is_exact, ext_hi.values()))

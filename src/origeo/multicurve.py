@@ -212,6 +212,12 @@ class IntersectionMatrix(_Record):
         return int(np.count_nonzero(self.array.T @ self.array))
 
     @cached_property
+    def core_labels(self) -> Tuple[str, ...]:
+        """Every core, rows then columns, as :func:`core_labels` lists them;
+        built once per matrix."""
+        return tuple(self.row_labels) + tuple(self.col_labels)
+
+    @cached_property
     def core_pairings(self) -> Dict[str, np.ndarray]:
         """Per side, i(core_k, core_l) for the cores k of that side (rows)
         and every core l in the order of :func:`core_labels` (columns): N or
@@ -395,8 +401,9 @@ def intersection(a: WeightedMulticurve, b: WeightedMulticurve) -> Weight:
 
 
 def core_labels(host) -> Tuple[str, ...]:
-    """Every core of the host: horizontal A1.. first, then vertical B1.."""
-    return tuple(c.label for side in SIDES for c in host.cylinders(side))
+    """Every core of the host: horizontal A1.. first, then vertical B1..,
+    kept by its intersection matrix."""
+    return host.intersection_matrix().core_labels
 
 
 def core_pairings(

@@ -38,7 +38,8 @@ Perron–Frobenius.
 :func:`wielandt_oracle` is the brute-force characterization (some power of
 the Gram matrix is entrywise positive, with the classical exponent bound
 ``(k-1)^2 + 1``, run as boolean squarings of the 0/1 support), used by
-the self-check suites against :func:`is_primitive`.  Note the oracle must
+the self-check suites against :func:`is_primitive`; :func:`wielandt_block`
+runs it on a block of matrices, one stack per shape.  Note the oracle must
 look at *both* ``M M^T`` and ``M^T M``: a zero column of ``M`` leaves
 ``M M^T`` untouched but breaks the transpose-side system, and such inputs
 are not primitive for our purposes.
@@ -51,7 +52,7 @@ import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
-from typing import Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 from .errors import DEFAULT_TOL, InputError, NoConvergenceError, NotPrimitiveError, np
 from .multicurve import support_is_primitive
@@ -122,20 +123,35 @@ def is_primitive(matrix: Matrix) -> bool:
     return support_is_primitive([list(compress(cols, row)) for row in rows], len(cols))
 
 
-def _some_power_positive(t) -> bool:
+def _some_power_positive(t) -> np.ndarray:
     """Whether a power of t's 0/1 support up to Wielandt's exponent
-    (k-1)^2 + 1 is all positive: t, t^2, t^4, ... by boolean squaring, since
-    every power past the first positive one is positive too."""
-    support, power = np.array(t) != 0, 1
-    while not support.all() and power < (len(support) - 1) ** 2 + 1:
+    (k-1)^2 + 1 is all positive, for t or each matrix of a stack of k x k
+    ones: t, t^2, t^4, ... by boolean squaring, since every power past the
+    first positive one is positive too."""
+    support, power = np.asarray(t) != 0, 1
+    while not support.all() and power < (support.shape[-1] - 1) ** 2 + 1:
         support, power = support @ support, 2 * power
-    return bool(support.all())
+    return support.all(axis=(-2, -1))
 
 
 def wielandt_oracle(matrix: Matrix) -> bool:
     """Brute-force primitivity: both Gram matrices have a positive power."""
-    s = np.array(_rows(matrix)) != 0
-    return _some_power_positive(s @ s.T) and _some_power_positive(s.T @ s)
+    return wielandt_block([matrix])[0]
+
+
+def wielandt_block(matrices: Sequence[Matrix]) -> List[bool]:
+    """:func:`wielandt_oracle` of each matrix, in order: the matrices of one
+    shape are stacked, and each stack takes its two Gram products and their
+    squarings at once."""
+    rows, shapes, out = [_rows(m) for m in matrices], {}, {}
+    for i, r in enumerate(rows):
+        shapes.setdefault((len(r), len(r[0])), []).append(i)
+    for index in shapes.values():
+        s = np.array([rows[i] for i in index]) != 0
+        st = s.transpose(0, 2, 1)
+        both = _some_power_positive(s @ st) & _some_power_positive(st @ s)
+        out.update(zip(index, both.tolist()))
+    return [out[i] for i in range(len(rows))]
 
 
 @dataclass(frozen=True)

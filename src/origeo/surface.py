@@ -56,7 +56,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple
 
 from .errors import CertificationError, Checks, HostMismatch, InputError, at, checked, np
 from .intervals import ValueInterval, one_row
@@ -274,15 +274,41 @@ def curve_ext_bounds(
     """
     if not _exact(surface, curve):
         return one_row(curve_ext_rows, surface.rows, curve.side, _row(curve))
-    (nums, den), side = curve.integer_form, surface._integers[curve.side]
-    pairing = sum([u * c for u, c in zip(nums, side.circ) if u])
-    spread = sum([u * u * k for u, k in zip(nums, side.annuli) if u])
-    scale = den * den * side.circ_den
-    lo = Fraction(side.den * pairing * pairing, scale * side.area) if pairing else 0
-    hi = Fraction(side.den * spread, scale * side.lcm)
-    if pairing * pairing * side.lcm > spread * side.area:  # lo > hi
-        raise CertificationError(f"extremal length bounds inverted: lo={lo} hi={hi}")
+    (lo,), (hi,) = _exact_ext_bounds(surface._integers[curve.side], [curve.integer_form])
     return ValueInterval(lo, hi)
+
+
+def core_ext_bounds(surface: WeightedSurface, side: str) -> Tuple[list, list]:
+    """curve_ext_bounds of every core of ``side`` (weight 1), in cylinder
+    order, as the lists of their lower and upper ends: one pass over the
+    side, with no multicurve per core.  A float surface runs
+    :func:`curve_ext_rows` on the identity block against its one row."""
+    exact = surface._integers
+    if exact is None:
+        u = np.eye(len(surface.origami.cylinders(side)))
+        lo, hi = checked(curve_ext_rows, surface.rows, side, u)
+        return lo.tolist(), hi.tolist()
+    return _exact_ext_bounds(exact[side])
+
+
+def _exact_ext_bounds(side: _ExactSide, curves=None) -> Tuple[list, list]:
+    """curve_ext_bounds' exact lists (lo, hi) for the integer forms ``(nums,
+    den)`` of ``curves`` on ``side``; by default each core of ``side``."""
+    if curves is None:  # a core's pairing is its circumference, its spread its annulus
+        terms = zip(side.circ, side.annuli, [1] * len(side.circ))
+    else:
+        terms = [(sum([u * c for u, c in zip(nums, side.circ) if u]),
+                  sum([u * u * k for u, k in zip(nums, side.annuli) if u]), den)
+                 for nums, den in curves]
+    lo, hi = [], []
+    for pairing, spread, den in terms:
+        scale = den * den * side.circ_den
+        lo.append(Fraction(side.den * pairing ** 2, scale * side.area) if pairing else 0)
+        hi.append(Fraction(side.den * spread, scale * side.lcm))
+        if pairing * pairing * side.lcm > spread * side.area:  # lo > hi
+            raise CertificationError(
+                f"extremal length bounds inverted: lo={lo[-1]} hi={hi[-1]}")
+    return lo, hi
 
 
 def ext_interval(surface: WeightedSurface, curve: WeightedMulticurve) -> ValueInterval:

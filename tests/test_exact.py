@@ -30,6 +30,7 @@ from origeo.multicurve import (
 from origeo.origami import builtin
 from origeo.surface import (
     WeightedSurface,
+    core_ext_bounds,
     curve_ext_bounds,
     ext_interval,
     foliation_ext,
@@ -226,6 +227,24 @@ def test_mixed_families_keep_the_float_bits(instance):
                               exact)
         assert _same_interval(ext_interval(x, curve), ref_ext(x, curve, weight), exact)
     assert minsky_audit(x) == ref_minsky(x, _exact_weight if exact_surface else float)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([
+    (("int", "fraction"),) * 3,                       # an exact surface
+    (("fraction",), ("float",), ("int",)),            # a mixed one
+    (("float",), ("float",), ("int",)),
+]).flatmap(_instances))
+def test_core_bounds_of_a_side_are_each_core_s_bounds(instance):
+    x = instance[0]
+    exact = all(_exact_family(x.defining_foliation(s)) for s in SIDES)
+    for side in SIDES:
+        want = [curve_ext_bounds(x, core_curve(x.origami, side, c.label))
+                for c in x.origami.cylinders(side)]
+        lo, hi = core_ext_bounds(x, side)
+        assert len(lo) == len(hi) == len(want)
+        for got_lo, got_hi, bounds in zip(lo, hi, want):
+            assert _same_interval(bounds, (got_lo, got_hi), exact)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

@@ -31,9 +31,16 @@ from origeo.origami import builtin
 from origeo.sampling import (
     jittered_surface,
     random_full_instance,
+    random_origami,
     random_primitive_instance,
+    random_surface,
 )
-from origeo.surface import WeightedSurface, curve_ext_bounds, ext_interval
+from origeo.surface import (
+    WeightedSurface,
+    core_ext_bounds,
+    curve_ext_bounds,
+    ext_interval,
+)
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -267,6 +274,33 @@ def test_delta_probe_is_the_per_curve_bound_bit_for_bit(case):
     assert delta_probe(xi, eta, base) == _probe_by_core(xi, eta, base)
 
 
+def _core_bounds_by_core(x, side):
+    """core_ext_bounds as a loop over the cores of a side."""
+    bounds = [curve_ext_bounds(x, core_curve(x.origami, side, c.label))
+              for c in x.origami.cylinders(side)]
+    return [b.lo for b in bounds], [b.hi for b in bounds]
+
+
+def _float_bits(values):
+    return [(type(v), v.hex()) for v in values]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_probe_cases())
+def test_core_bounds_of_a_float_side_are_the_per_core_bounds_bit_for_bit(case):
+    base = case[2]
+    for side in (HORIZONTAL, VERTICAL):
+        got, want = core_ext_bounds(base, side), _core_bounds_by_core(base, side)
+        assert [_float_bits(b) for b in got] == [_float_bits(b) for b in want]
+
+
+def test_core_bounds_of_the_golden_base_are_the_per_core_bounds(golden):
+    for side in (HORIZONTAL, VERTICAL):
+        got = core_ext_bounds(golden.base_surface, side)
+        want = _core_bounds_by_core(golden.base_surface, side)
+        assert [_float_bits(b) for b in got] == [_float_bits(b) for b in want]
+
+
 @pytest.mark.parametrize("height, width", [(1e300, 1e-300), (1e-300, 1e300)])
 def test_delta_probe_refuses_a_curve_without_unit_rescaling(golden, height, width):
     # the annulus bound of A1 is 0 on the first surface and inf on the second
@@ -297,4 +331,20 @@ def test_default_probes_build_no_multicurve(golden, monkeypatch):
                         lambda self: built.append(self) or init(self))
     delta_probe(golden.forward_spec, golden.backward_spec, golden.base_surface)
     lower_bound_audit(golden)
+    assert built == []
+
+
+@pytest.mark.parametrize("surface", ["exact", "golden"])
+def test_minsky_audit_builds_no_multicurve_per_core(golden, monkeypatch, surface):
+    """Every core's bounds are one pass over its side, not a curve per core."""
+    if surface == "exact":
+        rng = random.Random("1:minsky")  # the minsky suite's stream at seed 1
+        x = random_surface(rng, random_origami(rng, (3, 8)))
+    else:
+        x = golden.base_surface
+    built = []
+    init = WeightedMulticurve.__post_init__
+    monkeypatch.setattr(WeightedMulticurve, "__post_init__",
+                        lambda self: built.append(self) or init(self))
+    assert minsky_audit(x)["status"] == "pass"
     assert built == []

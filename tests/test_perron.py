@@ -7,8 +7,10 @@ second-largest root, then bisects with Fractions.  Everything the dense
 solve and its certified bracket produce is then compared against that.
 """
 
+import itertools
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -28,8 +30,10 @@ from origeo.perron import (
     gram_array,
     is_primitive,
     perron_solve,
+    wielandt_block,
     wielandt_oracle,
 )
+from origeo import checks
 from origeo.sampling import random_matrix
 
 
@@ -210,6 +214,58 @@ def test_two_sided_oracle_matches_support_test():
     for _ in range(200):
         m = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
         assert wielandt_oracle(m) == is_primitive(m)
+
+
+def _matrices_of_shape(rows, cols):
+    """Every support of a small shape (nonzero cells 2); 40 random matrices
+    of a larger one, then each with its last row and, apart, its last
+    column zeroed."""
+    if rows * cols <= 8:
+        return [tuple(cells[i:i + cols] for i in range(0, rows * cols, cols))
+                for cells in itertools.product((0, 2), repeat=rows * cols)]
+    rng = random.Random(f"block:{rows}x{cols}")
+    drawn = [random_matrix(rng, rows, cols) for _ in range(40)]
+    zero_row = [m[:-1] + ((0,) * cols,) for m in drawn]
+    zero_col = [tuple(row[:-1] + (0,) for row in m) for m in drawn]
+    return drawn + zero_row + zero_col
+
+
+_SHAPES = [(r, c) for r in range(1, 6) for c in range(1, 6)]
+
+
+@pytest.mark.parametrize("rows, cols", _SHAPES, ids=[f"{r}x{c}" for r, c in _SHAPES])
+def test_block_oracle_agrees_case_by_case(rows, cols):
+    ms = _matrices_of_shape(rows, cols)
+    block = wielandt_block(ms)
+    assert block == [wielandt_oracle(m) for m in ms]
+    assert block == [brute_force_primitive(m) for m in ms]
+    assert all(type(ok) is bool for ok in block)
+
+
+def test_block_oracle_answers_a_mixed_block_in_input_order():
+    ms = [m for shape in _SHAPES for m in _matrices_of_shape(*shape)[::7]]
+    random.Random("mixed block").shuffle(ms)
+    want = [brute_force_primitive(m) for m in ms]
+    assert len({(len(m), len(m[0])) for m in ms}) == len(_SHAPES)
+    assert True in want and False in want
+    assert wielandt_block(ms) == want
+    assert wielandt_block([]) == []
+
+
+@pytest.mark.parametrize("flipped", [[3, 417], list(range(20, 170, 10))])
+def test_primitivity_suite_reports_each_disagreement_in_case_order(monkeypatch, flipped):
+    calls = itertools.count()
+    monkeypatch.setattr(checks, "is_primitive",
+                        lambda m: is_primitive(m) != (next(calls) in flipped))
+    report = checks.check_primitivity_oracle(5)
+    assert (report["status"], report["cases"]) == ("fail", 500)
+    shown = flipped[:checks._MAX_FAILURES]
+    assert [f.split(":")[0] for f in report["failures"]] == [f"case {i}" for i in shown]
+    for failure in report["failures"]:
+        fast, slow = re.fullmatch(
+            r"case \d+: is_primitive=(True|False) but powers say (True|False)",
+            failure).groups()
+        assert fast != slow
 
 
 def test_zero_column_is_not_primitive():
