@@ -195,7 +195,7 @@ def _grid(cfg: RunConfig) -> np.ndarray:
 def cmd_flow(args: argparse.Namespace) -> str:
     cfg = _config_from(args)
     line = geodesic.line_from_report(_load_json(args.report))
-    base = line.require_surface()
+    base = line.base_surface
     horizon = cfg.horizon if cfg.horizon is not None else cfg.t_max + 5.0
     header = (
         ["t"]

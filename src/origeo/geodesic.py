@@ -15,9 +15,12 @@ backward limit ``eta`` is found by a Perron–Frobenius reduction:
    ``x*sqrt(lambda) = M y`` and ``y*sqrt(lambda) = M^T x``, the closed
    two-sided system, up to the bracket's relative width;
 3. the geodesic's vertical foliation puts weight ``x_i * c_i`` on
-   ``gamma_i``, the horizontal one ``y_j * d_j`` on ``delta_j``; when both
-   families use all cores, these weights *are* the widths and heights of the
-   time-0 flat surface.
+   ``gamma_i``, the horizontal one ``y_j * d_j`` on ``delta_j``; these
+   weights *are* the widths and heights of the time-0 flat surface.
+
+A proper filling pair runs these steps on its O′
+(:func:`origeo.multicurve.filling_origami`), whose N is the host's N
+restricted to the two supports, under the host's labels and order.
 
 Flowing for time ``t`` multiplies widths by ``e^t`` and heights by
 ``e^{-t}``; the fixed vertical multicurve then has extremal length
@@ -45,7 +48,6 @@ from .errors import (
     Checks,
     HostMismatch,
     InputError,
-    NotFillingError,
     SideMismatch,
     at,
     checked,
@@ -56,12 +58,10 @@ from .multicurve import (
     HORIZONTAL,
     VERTICAL,
     BusemannSpec,
-    FillingStatus,
     WeightedMulticurve,
     busemann_spec_to_json,
     core_labels,
-    filling_status,
-    intersection,
+    filling_origami,
     limit_values,
     parse_busemann_spec,
 )
@@ -85,10 +85,9 @@ class GeodesicLine:
     l1-normalized leading eigenvector over the forward components, ``y`` its
     transpose-side partner, ``scale`` the growth factor sqrt(lambda).
     ``pairing`` is i(F_h, F_v), the area of every flow point, computed once.
-    ``base_surface`` is the time-0 flat surface; it exists exactly when both
-    families use all cores of their sides (otherwise the metric would need a
-    cylinder of width zero, which is no metric on this origami — the
-    eigen-data and limit functions remain available).
+    ``base_surface`` is the time-0 flat surface on ``origami``: the host, or
+    for proper supports the pair's O′ (whose ``parent`` is the host), where
+    the specs, the foliations and the limits live: on the used cores.
     ``forward_values`` and ``backward_values`` are the read-only
     :func:`ray_limit` vectors the Walsh cosines checked, which the limits
     normalize.
@@ -104,22 +103,12 @@ class GeodesicLine:
     vertical_foliation: WeightedMulticurve
     horizontal_foliation: WeightedMulticurve
     pairing: float
-    base_surface: Optional[WeightedSurface]
-    filling: FillingStatus
+    base_surface: WeightedSurface
     walsh_forward_cosine: float
     walsh_backward_cosine: float
     tol: float
     forward_values: np.ndarray = field(compare=False, repr=False)
     backward_values: np.ndarray = field(compare=False, repr=False)
-
-    def require_surface(self) -> WeightedSurface:
-        if self.base_surface is None:
-            raise NotFillingError(
-                "this line was built from proper core subsets "
-                "(MatrixPrimitiveOnly); it has no flat realization on the "
-                "host origami, so flow operations are unavailable"
-            )
-        return self.base_surface
 
 
 def optimal_geodesic(
@@ -147,52 +136,38 @@ def optimal_geodesic(
         )
     if xi.side != VERTICAL:
         xi, eta = eta, xi  # forward datum is carried by the vertical side
-    host: Origami = xi.host
-    host.validate()
-
-    status = filling_status(xi.as_multicurve(), eta.as_multicurve())
-    if status is FillingStatus.NOT_FILLING:
-        raise NotFillingError(
-            "the families do not fill: restricted intersection matrix has a "
-            "zero line or a disconnected support graph"
-        )
+    xi.host.validate()
+    # a proper filling pair runs on its O′, whose cores carry their labels
+    host: Origami = filling_origami(xi.as_multicurve(), eta.as_multicurve())
+    if host is not xi.host:
+        xi, eta = (BusemannSpec(host, s.side, s.coeffs, s.approx) for s in (xi, eta))
 
     # rows = xi components, columns = eta components
     n = host.intersection_matrix()
-    xi_support, eta_support = xi.support, eta.support
-    cols = [n.col_index[lab] for lab in xi_support]
-    rows = [n.row_index[lab] for lab in eta_support]
     range_error = InputError(
         "the coefficients span more than float64 carries: a coefficient's "
         "square leaves the normal range, or the coupling M or M M^T "
         "overflows to inf or underflows to 0"
     )
     try:  # an exact coefficient beyond float64 raises here
-        c = xi.as_multicurve().row[cols].tolist()
-        d = eta.as_multicurve().row[rows].tolist()
+        c = xi.as_multicurve().row.tolist()
+        d = eta.as_multicurve().row.tolist()
     except OverflowError:
         raise range_error from None
     # spec_pairing, behind the limit certificate, squares every coefficient
     if not all(sys.float_info.min <= v * v < math.inf for v in c + d):
         raise range_error
-    # full supports take N whole, in cylinder order, and the nonzero counts
-    # of N and N^T N that N keeps
-    if status is FillingStatus.FILLING_CERTIFIED:
-        n_sub, support = n.array, (len(n.cells[0]), n.gram_nonzeros)
-    else:
-        n_sub = n.array[np.ix_(rows, cols)]
-        support = (np.count_nonzero(n_sub), np.count_nonzero(n_sub.T @ n_sub))
     with np.errstate(all="ignore"):  # range loss is reported just below
-        m = np.outer(c, d) * n_sub.T
+        m = np.outer(c, d) * n.array.T
         mmt = gram_array(m)
     # M and M M^T are positive at most where their exact values are, so a
-    # nonzero count below the exact one is an entry that underflowed to 0;
-    # equal counts give M the support of n_sub^T, which filling_status
-    # certified primitive
+    # nonzero count below the one N keeps (for N and N^T N) is an entry that
+    # underflowed to 0; equal counts give M the connected support of N^T
     if not (
         np.isfinite(m).all()
         and np.isfinite(mmt).all()
-        and (np.count_nonzero(m), np.count_nonzero(mmt)) == support
+        and (np.count_nonzero(m), np.count_nonzero(mmt)) == (len(n.cells[0]),
+                                                             n.gram_nonzeros)
     ):
         raise range_error
 
@@ -210,18 +185,10 @@ def optimal_geodesic(
 
     with np.errstate(all="ignore"):  # a weight past the float range is refused below
         widths, heights = np.multiply(c, xv), np.multiply(d, yv)
-    base = None
-    if status is FillingStatus.FILLING_CERTIFIED:
-        # the foliations are the base surface's own, checked once as its row
-        base = WeightedSurface._from_checked_row(
-            checked(check_weights, SurfaceRows(host, heights[None], widths[None])))
-        f_vert, f_hor = (base.defining_foliation(s) for s in (VERTICAL, HORIZONTAL))
-    else:
-        f_vert = WeightedMulticurve(host, VERTICAL, dict(zip(xi_support, widths.tolist())))
-        f_hor = WeightedMulticurve(host, HORIZONTAL,
-                                   dict(zip(eta_support, heights.tolist())))
-
-    pairing = intersection(f_hor, f_vert) if base is None else base.area()
+    # the foliations are the base surface's own, checked once as its row
+    base = WeightedSurface._from_checked_row(
+        checked(check_weights, SurfaceRows(host, heights[None], widths[None])))
+    f_vert, f_hor = (base.defining_foliation(s) for s in (VERTICAL, HORIZONTAL))
 
     forward, backward = ray_limit(f_vert, f_hor), ray_limit(f_hor, f_vert)
     forward.flags.writeable = backward.flags.writeable = False
@@ -244,9 +211,8 @@ def optimal_geodesic(
         scale=scale,
         vertical_foliation=f_vert,
         horizontal_foliation=f_hor,
-        pairing=float(pairing),
+        pairing=float(base.area()),
         base_surface=base,
-        filling=status,
         walsh_forward_cosine=cos_fwd,
         walsh_backward_cosine=cos_bwd,
         tol=tol,
@@ -259,8 +225,7 @@ def optimal_geodesic(
 # flow
 
 
-def _flow_time(line: GeodesicLine, t: float) -> float:
-    line.require_surface()
+def _flow_time(t: float) -> float:
     t = float(t)
     if not math.isfinite(t):
         raise InputError(f"flow time must be finite, got {t}")
@@ -287,7 +252,7 @@ def point_at(line: GeodesicLine, t: float) -> WeightedSurface:
     """The flow point at time t, the one-row case of :func:`flow_rows`, built
     anew at each call.  ``t == 0`` is the base surface itself.  The flow's
     own callers take :func:`flow_rows` blocks and build no surface."""
-    t = _flow_time(line, t)
+    t = _flow_time(t)
     if t == 0.0:
         return line.base_surface
     return WeightedSurface._from_checked_row(checked(flow_rows, line, np.array([t])))
@@ -297,7 +262,7 @@ def flow_rows(line: GeodesicLine, ts: np.ndarray, checks: Checks) -> SurfaceRows
     """The flow points at the times ``ts``, one row each, with their weights
     checked: widths scaled by e^t, heights by e^{-t} (exchanged on a
     time-reversed line, so that reversal negates the parameter)."""
-    base = line.require_surface().rows
+    base = line.base_surface.rows
     grow, shrink = (np.array([_exp(u) for u in s.tolist()])[:, None] for s in (ts, -ts))
     if line.vertical_foliation.side != VERTICAL:
         grow, shrink = shrink, grow
@@ -313,7 +278,7 @@ def flow_distance(line: GeodesicLine, s: float, t: float) -> float:
     points are one two-row :func:`flow_rows` block, whose weights are checked
     (s first) before its rows go through :func:`distance_rows`.
     """
-    s, t = _flow_time(line, s), _flow_time(line, t)
+    s, t = _flow_time(s), _flow_time(t)
     value = abs(t - s)
     x = checked(flow_rows, line, np.array([s, t]))
     with Checks() as checks:
@@ -437,11 +402,9 @@ def reversed_line(line: GeodesicLine) -> GeodesicLine:
 
 
 def line_report(line: GeodesicLine) -> dict:
-    """JSON-ready report; embeds the inputs so the line can be rebuilt.
+    """JSON-ready report; embeds the inputs so the line can be rebuilt: the
+    host (an O′'s parent) and the specs, whose labels O′ keeps.
     ``config.seed`` is always 0: the construction draws nothing at random."""
-    area_val = None
-    if line.base_surface is not None:
-        area_val = f"{float(line.base_surface.area()):.15g}"
     return {
         "lambda": repr(float(line.eigen.eigenvalue)),
         "lambdaLo": line.eigen.lower,
@@ -453,12 +416,12 @@ def line_report(line: GeodesicLine) -> dict:
         "scaleFactor": f"{line.scale:.15g}",
         "fVert": {k: f"{v:.15g}" for k, v in line.vertical_foliation.weights.items()},
         "fHor": {k: f"{v:.15g}" for k, v in line.horizontal_foliation.weights.items()},
-        "area": area_val,
-        "filling": line.filling.value,
+        "area": f"{float(line.base_surface.area()):.15g}",
+        "filling": "FillingCertified",
         "walshForwardCosine": line.walsh_forward_cosine,
         "walshBackwardCosine": line.walsh_backward_cosine,
         "inputs": {
-            "origami": origami_to_json(line.origami),
+            "origami": origami_to_json(line.origami.parent),
             "xi": busemann_spec_to_json(line.forward_spec),
             "eta": busemann_spec_to_json(line.backward_spec),
         },

@@ -117,7 +117,7 @@ def busemann_rows(line: GeodesicLine, y: SurfaceRows, horizons, checks: Checks):
     (one horizon stands for all): the foliation bound below,
     d(Y, G(h)) - h above."""
     f_v = line.vertical_foliation  # the base's own
-    ext_lo, _ = ext_rows(y, f_v.side, line.require_surface().rows.side(f_v.side), checks)
+    ext_lo, _ = ext_rows(y, f_v.side, line.base_surface.rows.side(f_v.side), checks)
     _, d_hi = distance_rows(y, flow_rows(line, horizons, checks), checks)
     lo = 0.5 * elementwise(math.log, ext_lo, checks) - 0.5 * math.log(line.pairing)
     hi = d_hi - horizons
@@ -163,7 +163,7 @@ def flow_table(line: GeodesicLine, ts: np.ndarray, horizon: float) -> np.ndarray
     and psi of F_v and F_h there, the Busemann enclosure against the far
     point G(max(horizon, t + 5)) and d(G(0), G(t)), with the checks of every
     row.  Each column is one array pass over a block of rows."""
-    base = line.require_surface().rows
+    base = line.base_surface.rows
     check_reach(float(np.abs(ts).max() + max(horizon, ts.max() + 5.0)),
                 "flow time plus horizon")
     blocks = []
@@ -200,7 +200,7 @@ def converge_ladder(line: GeodesicLine, n_max: int, eps: float, seed: int) -> di
     the exact pairs G(-n), G(n) with their gap and Miyachi bracket, the same
     pairs jittered by factors in [e^-eps, e^eps] drawn from ``seed`` (a
     demonstration, not a certificate), and the line's :func:`delta_probe`."""
-    base = line.require_surface()
+    base = line.base_surface
     # the jitter widens each of G(-n-max) and G(n-max) by up to e^eps; the
     # cap keeps n-max below 89, so the whole ladder is one block of rows
     check_reach(2.0 * (n_max + eps), "the span of G(-n-max) and G(n-max) plus --eps")
@@ -314,12 +314,12 @@ def minsky_audit(x: WeightedSurface) -> dict:
 
 def lower_bound_audit(line: GeodesicLine) -> dict:
     """Check i(F_v, gamma)/sqrt(area) <= forward limit value on every core
-    gamma, in the order of :func:`~origeo.multicurve.core_labels`.
+    gamma of the line's origami (of a proper pair's O′: the used cores), in
+    the order of :func:`~origeo.multicurve.core_labels`.
 
     Cauchy–Schwarz across the ergodic components; equality exactly when
     the component values i(gamma_i, gamma)/i(gamma_i, F_h) are all equal.
-    Needs no flat realization: the area here is the pairing i(F_v, F_h),
-    which exists even for proper-subset (MatrixPrimitiveOnly) data.
+    The area here is the pairing i(F_v, F_h) that the line keeps.
     """
     f_v, host = line.vertical_foliation, line.origami
     sqrt_area = math.sqrt(line.pairing)

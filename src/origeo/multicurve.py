@@ -26,19 +26,16 @@ the first exact weight: a cold ``validate`` builds none, and no row.
 
 A :class:`BusemannSpec` names a weighted family on one side as the
 prescribed direction of a geodesic ray; :func:`filling_status` reports
-whether a transverse pair of families can span a geodesic at all:
+whether a transverse pair of families fills the surface, so that it spans a
+geodesic:
 
 ``FillingCertified``
-    both families use *all* cores of their side on a connected origami; the
-    complement of the union of cores is then a disjoint union of rectangles,
-    so the pair fills the surface outright.
-``MatrixPrimitiveOnly``
-    the restricted coupling matrix has no zero row/column and a connected
-    bipartite support graph, but a proper subset of cores is used, so
-    topological filling is not certified.
+    every region of the complement of the union of the cores is a disc:
+    the rectangles between the cores for full supports, and for proper
+    ones exactly when genus(O′) = genus(O) (see :func:`filling_origami`).
 ``NotFilling``
-    some component is disjoint from the whole opposite family, or the
-    support graph is disconnected.
+    a used core meets no core of the other family, the cores fall into
+    more pieces than one, or a region of the complement is not a disc.
 """
 
 from __future__ import annotations
@@ -48,9 +45,10 @@ import math
 from functools import cached_property
 from itertools import compress
 from types import MappingProxyType
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
-from .errors import HostMismatch, InputError, SideMismatch, _lazy_import, np
+from .errors import (HostMismatch, InputError, NotFillingError, SideMismatch, _lazy_import,
+                     np)
 
 fractions = _lazy_import("fractions")
 
@@ -455,7 +453,6 @@ def limit_values(
 
 class FillingStatus(enum.Enum):
     FILLING_CERTIFIED = "FillingCertified"
-    MATRIX_PRIMITIVE_ONLY = "MatrixPrimitiveOnly"
     NOT_FILLING = "NotFilling"
 
 
@@ -490,40 +487,37 @@ def support_is_primitive(row_cols: Sequence[Sequence[int]], n_cols: int) -> bool
     return len(seen_rows) == len(row_cols)
 
 
-def submatrix_is_primitive_shape(
-    matrix: IntersectionMatrix,
-    row_support: Iterable[str],
-    col_support: Iterable[str],
-) -> bool:
-    """:func:`support_is_primitive` on the rows and columns of the supports,
-    read off the nonzero cells of N."""
-    pos = {matrix.col_index[lab]: p for p, lab in enumerate(col_support)}
-    row_cols = [
-        [pos[j] for j, _ in matrix.sparse_rows[matrix.row_index[lab]] if j in pos]
-        for lab in row_support
-    ]
-    return support_is_primitive(row_cols, len(pos))
+def filling_origami(a: WeightedMulticurve, b: WeightedMulticurve):
+    """The origami on which a filling transverse pair spans its line, or
+    NotFillingError naming why the pair does not fill.
 
-
-def filling_status(a: WeightedMulticurve, b: WeightedMulticurve) -> FillingStatus:
-    """Three-valued filling check for a transverse pair of weighted families.
-
-    See the module docstring for the meaning of the three values.  Weights do
-    not matter here, only supports: filling is a property of the underlying
-    curve system.  Full supports need no search: an origami is connected
-    (its constructor refuses it otherwise), so all of N has a connected
-    support graph.
+    Full supports fill on the host, which is connected.  Proper ones fill on
+    O′ (Thurston's construction): the ribbon neighbourhood of the union of
+    the cores, each boundary circle capped by a disc.  So χ(O′) >= χ(O),
+    with equality exactly when every region of the complement is a disc.
     """
     _same_host(a, b)
     if a.side == b.side:
         raise SideMismatch("filling needs families on opposite sides")
     hor, ver = (a, b) if a.side == HORIZONTAL else (b, a)
     if hor.is_full_support() and ver.is_full_support():
-        return FillingStatus.FILLING_CERTIFIED
-    matrix = a.host.intersection_matrix()
-    if not submatrix_is_primitive_shape(matrix, hor.support, ver.support):
+        return a.host
+    cut = a.host._restricted(hor.support, ver.support)  # connected, no zero line
+    g, g_cut = a.host.genus(), cut.genus()
+    if g_cut < g:
+        raise NotFillingError("the families do not fill: a region of the complement "
+                              f"is not a disc: genus(O′) = {g_cut} < {g}")
+    return cut
+
+
+def filling_status(a: WeightedMulticurve, b: WeightedMulticurve) -> FillingStatus:
+    """Whether a transverse pair fills (see the module docstring): only the
+    supports matter, not the weights.  :func:`filling_origami` as a value."""
+    try:
+        filling_origami(a, b)
+    except NotFillingError:
         return FillingStatus.NOT_FILLING
-    return FillingStatus.MATRIX_PRIMITIVE_ONLY
+    return FillingStatus.FILLING_CERTIFIED
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,8 @@ from __future__ import annotations
 import operator
 from typing import Dict, List, Mapping, NamedTuple, Sequence, Tuple
 
-from .errors import CertificationError, ComplexityError, InputError, InvalidOrigami
+from .errors import (CertificationError, ComplexityError, InputError, InvalidOrigami,
+                     NotFillingError)
 from .multicurve import HORIZONTAL, VERTICAL, IntersectionMatrix, support_is_primitive
 
 
@@ -113,6 +114,8 @@ class Origami:
     structural identities remain checkable on torus covers too.
     """
 
+    _parent = None
+
     def __init__(self, n: int, h: Sequence[int], v: Sequence[int]):
         n = _as_int(n, "the number of cells")
         if n < 1:
@@ -120,6 +123,7 @@ class Origami:
         self.n = n
         self.h = _as_permutation(h, n, "h")
         self.v = _as_permutation(v, n, "v")
+        self._key = (n, self.h, self.v)  # an O′ has its parent's and its supports
         self._cyls: Dict[str, Tuple[Cylinder, ...]] = {}
         for side, prefix, perm in ((HORIZONTAL, "A", self.h), (VERTICAL, "B", self.v)):
             self._cyls[side] = tuple(
@@ -129,6 +133,43 @@ class Origami:
         self._matrix = self._build_matrix()
         self._check_transitive()
         self._cone_orders: Tuple[int, ...] = None
+
+    def _restricted(self, rows: Sequence[str], cols: Sequence[str]) -> "Origami":
+        """O′ of the horizontal cores ``rows`` and the vertical ``cols``: the
+        cells whose two cylinders are used, in increasing order, with the
+        first-return maps of h and v.  Its cylinders keep this origami's
+        labels and order, so N(O′) is N restricted to the supports.  Raises
+        NotFillingError if a used core meets no other, or they do not connect."""
+        used = {side: [c for c in self._cyls[side] if c.label in labels]
+                for side, labels in ((HORIZONTAL, set(rows)), (VERTICAL, set(cols)))}
+        hor, ver = ({cell for c in used[side] for cell in c.cells} for side in used)
+        new = {cell: k for k, cell in enumerate(sorted(hor & ver), 1)}
+        o = Origami.__new__(Origami)
+        o.n, o._parent, o._cone_orders = len(new), self, None
+        o._key, o._cyls, perms = (self._key, tuple(rows), tuple(cols)), {}, {}
+        for side, cylinders in used.items():
+            perm, kept = [0] * len(new), []
+            for c in cylinders:
+                cycle = [new[cell] for cell in c.cells if cell in new]
+                if not cycle:
+                    raise NotFillingError(f"the families do not fill: {c.label} meets "
+                                          "no core of the other family")
+                for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                    perm[a - 1] = b
+                k = cycle.index(min(cycle))
+                kept.append(Cylinder(side, c.label, (*cycle[k:], *cycle[:k])))
+            perms[side], o._cyls[side] = tuple(perm), tuple(kept)
+        o.h, o.v = perms[HORIZONTAL], perms[VERTICAL]
+        o._matrix = o._build_matrix()
+        if not o._connected():
+            raise NotFillingError("the families do not fill: their cores fall into "
+                                  "more than one connected piece")
+        return o
+
+    @property
+    def parent(self) -> "Origami":
+        """The origami that :meth:`_restricted` cut this one from, or itself."""
+        return self._parent or self
 
     def _build_matrix(self) -> IntersectionMatrix:
         """N by its nonzero cells: one pass over each horizontal cylinder's
@@ -151,11 +192,14 @@ class Origami:
             tuple(c.label for c in ver),
         )
 
-    def _check_transitive(self) -> None:
+    def _connected(self) -> bool:
         """<h, v> is transitive on the cells iff N's support graph is connected:
         every cell lies in one horizontal and one vertical cylinder."""
         rows = [[j for j, _ in row] for row in self._matrix.sparse_rows]
-        if support_is_primitive(rows, len(self._cyls[VERTICAL])):
+        return support_is_primitive(rows, len(self._cyls[VERTICAL]))
+
+    def _check_transitive(self) -> None:
+        if self._connected():
             return
         # the orbit of cell 1 (in A1) is the union of the cylinders it meets
         cylinders = self._cyls[HORIZONTAL] + self._cyls[VERTICAL]
@@ -249,15 +293,10 @@ class Origami:
         return f"Origami(n={self.n}, h={list(self.h)}, v={list(self.v)})"
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Origami)
-            and self.n == other.n
-            and self.h == other.h
-            and self.v == other.v
-        )
+        return isinstance(other, Origami) and self._key == other._key
 
     def __hash__(self) -> int:
-        return hash((self.n, self.h, self.v))
+        return hash(self._key)
 
 
 class ValidationSummary(NamedTuple):

@@ -188,7 +188,10 @@ def _check_symmetric_primitive(t: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     if not (t == t.T).all():
         raise InputError("matrix must be symmetric (use gram())")
     rows, cols = np.nonzero(t)
-    if not (t.diagonal().all() and _connected(cols.tolist(), _row_starts(rows, k))):
+    starts, cols_list = _row_starts(rows, k), cols.tolist()
+    # with a positive diagonal, T's bipartite support is connected iff its graph is
+    if not (t.diagonal().all() and support_is_primitive(
+            [cols_list[a:b] for a, b in zip(starts, starts[1:])], k)):
         raise NotPrimitiveError(
             "matrix is not primitive: zero line or disconnected support"
         )
@@ -199,22 +202,6 @@ def _row_starts(rows: np.ndarray, k: int) -> list:
     """Where each of the k rows begins among cells listed in row order, and
     where the last one ends."""
     return np.searchsorted(rows, np.arange(k + 1)).tolist()
-
-
-def _connected(cols: list, starts: list) -> bool:
-    """Whether the symmetric support whose row i holds the columns
-    ``cols[starts[i]:starts[i + 1]]`` is connected: one depth-first search
-    from row 0.  With a positive diagonal that is primitivity."""
-    seen = [False] * (len(starts) - 1)
-    seen[0], stack, reached = True, [0], 1
-    while stack:
-        i = stack.pop()
-        for j in cols[starts[i]:starts[i + 1]]:
-            if not seen[j]:
-                seen[j] = True
-                stack.append(j)
-                reached += 1
-    return reached == len(seen)
 
 
 def _float_image(arr: np.ndarray) -> Tuple[np.ndarray, int]:

@@ -12,15 +12,11 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from .errors import InputError, InvalidOrigami
-from .multicurve import (
-    HORIZONTAL,
-    VERTICAL,
-    BusemannSpec,
-    submatrix_is_primitive_shape,
-)
+from .multicurve import (HORIZONTAL, VERTICAL, BusemannSpec, IntersectionMatrix,
+                         support_is_primitive)
 from .origami import Origami
 from .surface import WeightedSurface
 
@@ -130,13 +126,24 @@ def random_matrix(
     )
 
 
+def submatrix_is_primitive_shape(matrix: IntersectionMatrix, row_support: Iterable[str],
+                                 col_support: Iterable[str]) -> bool:
+    """:func:`~origeo.multicurve.support_is_primitive` on the rows and
+    columns of the supports, read off the nonzero cells of N."""
+    pos = {matrix.col_index[lab]: p for p, lab in enumerate(col_support)}
+    row_cols = [[pos[j] for j, _ in matrix.sparse_rows[matrix.row_index[lab]] if j in pos]
+                for lab in row_support]
+    return support_is_primitive(row_cols, len(pos))
+
+
 def random_primitive_instance(
     rng: random.Random,
     n_range: Tuple[int, int] = (3, 8),
     max_components: int = 4,
     max_entry: int = 3,
 ) -> Tuple[Origami, BusemannSpec, BusemannSpec]:
-    """A genus >= 2 origami plus a primitive transverse pair of specs.
+    """A genus >= 2 origami plus a transverse pair of specs with a connected
+    restricted support; most draws do not fill.
 
     The two specs select random sub-families of the vertical/horizontal
     cores (at most ``max_components`` each) whose restricted intersection

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from origeo.errors import NotFillingError
 from origeo.geodesic import flow_distance, optimal_geodesic, point_at
 from origeo.horo import busemann_interval, minsky_audit, psi_foliation
 from origeo.multicurve import HORIZONTAL, VERTICAL, BusemannSpec
@@ -61,10 +62,15 @@ def test_criterion_02_walsh_consistency_on_random_instances():
     assert min(line.walsh_forward_cosine, line.walsh_backward_cosine) > 1 - 1e-9
     rng = random.Random("acceptance:walsh")
     for i in range(50):
-        _, xi, eta = random_primitive_instance(
-            rng, max_components=4, max_entry=3
-        )
-        g = optimal_geodesic(xi, eta)
+        while True:  # draws past the pairs that do not fill, each refused
+            _, xi, eta = random_primitive_instance(
+                rng, max_components=4, max_entry=3
+            )
+            try:
+                g = optimal_geodesic(xi, eta)
+                break
+            except NotFillingError:
+                pass
         assert g.walsh_forward_cosine > 1 - 1e-9, f"instance {i} forward"
         assert g.walsh_backward_cosine > 1 - 1e-9, f"instance {i} backward"
     print("criterion 2: PASS — Walsh cosines > 1 - 1e-9 on golden + 50 instances")

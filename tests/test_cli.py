@@ -260,19 +260,67 @@ def test_non_filling_exits_hypothesis_error(files, tmp_path):
 
 
 def test_flow_without_flat_realization_exits_hypothesis_error(files, tmp_path):
-    xi = tmp_path / "xi1.json"
-    eta = tmp_path / "eta1.json"
-    xi.write_text(json.dumps(
-        {"side": "vertical", "coeffs": [["B1", "1"]], "approx": False}
-    ))
-    eta.write_text(json.dumps(
-        {"side": "horizontal", "coeffs": [["A1", "1"]], "approx": False}
-    ))
+    # (B1, A1) does not fill: their O′ is the one-square torus, so there is
+    # no line for geodesic to report, nor for flow to rebuild from a report
+    pair = (
+        {"side": "vertical", "coeffs": [["B1", "1"]], "approx": False},
+        {"side": "horizontal", "coeffs": [["A1", "1"]], "approx": False},
+    )
+    xi, eta = tmp_path / "xi1.json", tmp_path / "eta1.json"
+    for path, doc in zip((xi, eta), pair):
+        path.write_text(json.dumps(doc))
+    res = run_cli("geodesic", files["origami"], str(xi), str(eta))
+    assert res.returncode == 3
+    assert "genus(O′) = 1 < 2" in res.stderr
+    report = json.loads(
+        run_cli("geodesic", files["origami"], files["xi"], files["eta"]).stdout)
+    report["inputs"]["xi"], report["inputs"]["eta"] = pair
     rep = tmp_path / "sub.json"
-    assert run_cli(
-        "geodesic", files["origami"], str(xi), str(eta), "--out", str(rep)
-    ).returncode == 0
-    assert run_cli("flow", str(rep)).returncode == 3
+    rep.write_text(json.dumps(report))
+    res = run_cli("flow", str(rep))
+    assert res.returncode == 3
+    assert "genus" in res.stderr
+
+
+def test_proper_filling_pair_runs_end_to_end(tmp_path, capsys):
+    # B1, B2 and A2 fill this genus 2 origami: geodesic, flow and converge
+    # run on their O′, and the report embeds the origami itself
+    from origeo.geodesic import line_from_report, line_report
+
+    origami = {"squares": 4, "h": [1, 3, 4, 2], "v": [4, 3, 2, 1]}
+    docs = {
+        "origami": origami,
+        "xi": {"side": "vertical", "coeffs": [["B1", "2"], ["B2", "1/3"]]},
+        "eta": {"side": "horizontal", "coeffs": [["A2", "3/2"]]},
+    }
+    paths = {}
+    for name, doc in docs.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(doc))
+    rep = tmp_path / "report.json"
+    assert cli.main(["geodesic", str(paths["origami"]), str(paths["xi"]),
+                     str(paths["eta"]), "--out", str(rep)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["area"] is not None and report["filling"] == "FillingCertified"
+    assert report["inputs"]["origami"] == origami
+
+    assert cli.main(["flow", str(rep), "--t-min", "-3", "--t-max", "3",
+                     "--step", "0.5"]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert len(rows) == 13
+    for row in rows:
+        t = float(row["t"])
+        tol = 1e-12 * max(1.0, abs(t))
+        assert abs(float(row["psi_fv"]) + t) <= tol
+        assert abs(float(row["psi_fh"]) - t) <= tol
+        assert abs(float(row["d_to_base"]) - abs(t)) <= tol
+    assert cli.main(["converge", str(rep)]) == 0
+    capsys.readouterr()
+
+    line = line_from_report(report)
+    back = line_from_report(json.loads(json.dumps(line_report(line))))
+    assert back.eigen.eigenvalue.hex() == line.eigen.eigenvalue.hex()
+    assert [v.hex() for v in back.x + back.y] == [v.hex() for v in line.x + line.y]
 
 
 def test_unreachable_tolerance_exits_no_convergence(files):

@@ -29,7 +29,6 @@ from origeo.multicurve import (
     HORIZONTAL,
     VERTICAL,
     BusemannSpec,
-    FillingStatus,
     WeightedMulticurve,
     core_curve,
     intersection,
@@ -41,6 +40,30 @@ from origeo.sampling import random_full_instance, random_primitive_instance
 from origeo.surface import SurfaceRows, WeightedSurface, check_weights
 
 PHI = (1 + math.sqrt(5)) / 2
+
+# A proper filling pair: A2 meets B1 once and B2 twice, and its O′ is the
+# genus 2 L-shaped origami on the 3 cells of A2.
+PROPER = (4, [1, 3, 4, 2], [4, 3, 2, 1])
+
+
+def _proper_line():
+    o = Origami(*PROPER)
+    xi = BusemannSpec(o, VERTICAL, {"B1": Fraction(2), "B2": Fraction(1, 3)})
+    eta = BusemannSpec(o, HORIZONTAL, {"A2": Fraction(3, 2)})
+    return optimal_geodesic(xi, eta)
+
+
+def _filling_line(rng, draw=random_primitive_instance, *args):
+    """The line of the first draw from ``rng`` that fills; each draw refused
+    on the way is a proper pair, refused with NotFillingError."""
+    while True:
+        _, xi, eta = draw(rng, *args)
+        try:
+            return optimal_geodesic(xi, eta)
+        except NotFillingError:
+            full = (xi.as_multicurve().is_full_support()
+                    and eta.as_multicurve().is_full_support())
+            assert not full
 
 
 @pytest.fixture
@@ -62,7 +85,8 @@ def test_golden_eigendata(golden):
 
 
 def test_golden_foliations_and_area(golden):
-    assert golden.filling is FillingStatus.FILLING_CERTIFIED
+    # full supports run on the host itself
+    assert golden.origami.parent is golden.origami is golden.forward_spec.host
     fv = golden.vertical_foliation
     fh = golden.horizontal_foliation
     assert fv.side == VERTICAL and fh.side == HORIZONTAL
@@ -186,21 +210,13 @@ def test_non_filling_pair_rejected():
         optimal_geodesic(xi, eta)
 
 
-def test_proper_subsets_build_without_surface():
+def test_proper_subsets_that_do_not_fill_are_refused():
+    # B1 and A1 cross once: their O′ is the one-square torus
     o = builtin("l-2-2")
     xi = BusemannSpec(o, VERTICAL, {"B1": Fraction(1)})
     eta = BusemannSpec(o, HORIZONTAL, {"A1": Fraction(1)})
-    line = optimal_geodesic(xi, eta)
-    assert line.filling is FillingStatus.MATRIX_PRIMITIVE_ONLY
-    assert line.base_surface is None
-    assert line.eigen.eigenvalue == pytest.approx(1.0)
-    with pytest.raises(NotFillingError):
-        point_at(line, 1.0)
-    with pytest.raises(NotFillingError):
-        flow_distance(line, 0, 1)
-    # limit functions still make sense
-    fl = forward_limit(line)
-    assert fl["A1"] > 0 and fl["B1"] == 0.0
+    with pytest.raises(NotFillingError, match=r"genus\(O′\) = 1 < 2"):
+        optimal_geodesic(xi, eta)
 
 
 def test_coefficients_steer_the_weights():
@@ -281,20 +297,32 @@ def test_coupling_beyond_float_range_is_an_input_error(coeff):
         optimal_geodesic(xi, eta)
 
 
-def test_subset_report_has_null_area():
-    o = builtin("l-2-2")
-    xi = BusemannSpec(o, VERTICAL, {"B1": Fraction(1)})
-    eta = BusemannSpec(o, HORIZONTAL, {"A1": Fraction(1)})
-    rep = line_report(optimal_geodesic(xi, eta))
-    assert rep["area"] is None
-    assert rep["filling"] == "MatrixPrimitiveOnly"
+def test_proper_filling_pair_runs_on_its_restricted_origami():
+    line = _proper_line()
+    cut = line.origami
+    o = cut.parent
+    assert o == Origami(*PROPER) and cut != Origami(cut.n, cut.h, cut.v)
+    assert cut.n == 3 and cut.genus() == o.genus() == 2
+    assert line.forward_spec.host is line.backward_spec.host is cut
+    assert line.base_surface.origami is cut
+    # N(O′) is N restricted to the supports, bit for bit
+    n = o.intersection_matrix().array
+    assert cut.intersection_matrix().array.tobytes() == n[np.ix_([1], [0, 1])].tobytes()
+    assert list(forward_limit(line)) == ["A2", "B1", "B2"]
+    assert flow_distance(line, -1.25, 2.75) == 4.0
+    rep = line_report(line)
+    assert rep["area"] == f"{float(line.base_surface.area()):.15g}"
+    assert rep["filling"] == "FillingCertified"
+    assert rep["inputs"]["origami"] == origami_to_json(o)
+    back = line_from_report(json.loads(json.dumps(rep)))
+    assert (back.eigen, back.x, back.y) == (line.eigen, line.x, line.y)
+    assert back == line and back.origami is not cut
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_random_instances_close_the_system(seed):
     rng = random.Random(f"geo:{seed}")
-    _, xi, eta = random_primitive_instance(rng)
-    line = optimal_geodesic(xi, eta)
+    line = _filling_line(rng)
     assert line.walsh_forward_cosine > 1 - 1e-9
     assert line.walsh_backward_cosine > 1 - 1e-9
     # y side closes exactly by construction; x side within the certificate
@@ -403,7 +431,7 @@ def test_report_lambda_reads_back_inside_its_bracket(golden):
     rng = random.Random("report-lambda")
     lines = [golden]
     lines += [optimal_geodesic(*random_full_instance(rng, (3, 30))[1:]) for _ in range(10)]
-    lines += [optimal_geodesic(*random_primitive_instance(rng)[1:]) for _ in range(10)]
+    lines += [_filling_line(rng) for _ in range(10)]
     for line in lines:
         rep = line_report(line)
         assert float(rep["lambda"]) == line.eigen.eigenvalue
@@ -448,8 +476,9 @@ def test_limit_kernel_matches_per_core_reference(instance):
     kind, seed = instance
     rng = random.Random(f"kernel:{kind}:{seed}")
     draw = random_full_instance if kind == "full" else random_primitive_instance
-    o, xi, eta = draw(rng, (5, 12))
-    line = optimal_geodesic(xi, eta)
+    line = _filling_line(rng, draw, (5, 12))
+    # a proper pair's line, its specs and its limits live on its O′
+    o, xi, eta = line.origami, line.forward_spec, line.backward_spec
     cores = _all_cores(o)
     mixed = WeightedMulticurve(
         o, HORIZONTAL, {c.label: Fraction(rng.randint(1, 5), 3)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from origeo.errors import HostMismatch, InputError
+from origeo.errors import HostMismatch, InputError, NotFillingError
 from origeo.geodesic import optimal_geodesic, point_at, reversed_line, spec_pairing
 from origeo.horo import (
     busemann_interval,
@@ -27,7 +27,7 @@ from origeo.multicurve import (
     core_curve,
     intersection,
 )
-from origeo.origami import builtin
+from origeo.origami import Origami, builtin
 from origeo.sampling import (
     jittered_surface,
     random_full_instance,
@@ -191,13 +191,13 @@ def test_lower_bound_audit_golden_margin(golden):
     assert rep["minMargin"] >= -1e-12
 
 
-def test_lower_bound_audit_without_flat_realization():
-    o = builtin("l-2-2")
-    xi = BusemannSpec(o, VERTICAL, {"B1": Fraction(1)})
-    eta = BusemannSpec(o, HORIZONTAL, {"A1": Fraction(1)})
-    line = optimal_geodesic(xi, eta)
-    assert line.base_surface is None
-    rep = lower_bound_audit(line)
+def test_lower_bound_audit_runs_over_the_used_cores():
+    # a proper filling pair: its line lives on O′, whose cores are A2, B1, B2
+    o = Origami(4, [1, 3, 4, 2], [4, 3, 2, 1])
+    xi = BusemannSpec(o, VERTICAL, {"B1": Fraction(1), "B2": Fraction(1)})
+    eta = BusemannSpec(o, HORIZONTAL, {"A2": Fraction(1)})
+    rep = lower_bound_audit(optimal_geodesic(xi, eta))
+    assert [e["curve"] for e in rep["entries"]] == ["A2", "B1", "B2"]
     assert rep["status"] == "pass"
 
 
@@ -216,9 +216,15 @@ def test_delta_probe_is_labeled_and_minimal(golden):
 @pytest.mark.parametrize("seed", range(4))
 def test_lower_bound_audit_pairs_like_the_per_curve_loop(draw, seed):
     rng = random.Random(f"audit:{seed}")
-    o, xi, eta = draw(rng, (4, 12))
-    line = optimal_geodesic(xi, eta)
-    cores = _cores(o)
+    while True:  # past the proper pairs that do not fill
+        _, xi, eta = draw(rng, (4, 12))
+        try:
+            line = optimal_geodesic(xi, eta)
+            break
+        except NotFillingError:
+            assert draw is random_primitive_instance
+    # a proper pair's line and its audit live on its O′
+    cores = _cores(line.origami)
     for audited in (line, reversed_line(line)):
         rep = lower_bound_audit(audited)
         sqrt_area = math.sqrt(audited.pairing)

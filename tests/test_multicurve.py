@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from origeo.errors import HostMismatch, InputError, SideMismatch
+from origeo.errors import HostMismatch, InputError, NotFillingError, SideMismatch
 from origeo.multicurve import (
     HORIZONTAL,
     VERTICAL,
@@ -17,17 +17,17 @@ from origeo.multicurve import (
     _check_weights,
     busemann_spec_to_json,
     core_curve,
+    filling_origami,
     filling_status,
     intersection,
     pair_intersection,
     parse_busemann_spec,
     parse_coefficient,
-    submatrix_is_primitive_shape,
     support_is_primitive,
 )
 from origeo.origami import builtin
 from origeo.perron import is_primitive, wielandt_oracle
-from origeo.sampling import random_matrix, random_origami
+from origeo.sampling import random_matrix, random_origami, submatrix_is_primitive_shape
 
 
 @pytest.fixture
@@ -98,19 +98,25 @@ def test_full_support_flag(l22):
     assert full.is_full_support() and not part.is_full_support()
 
 
-def test_filling_status_three_values(l22):
+def test_filling_status_two_values(l22):
     full_v = WeightedMulticurve(l22, VERTICAL, {"B1": 1, "B2": 1})
     full_h = WeightedMulticurve(l22, HORIZONTAL, {"A1": 1, "A2": 1})
     assert filling_status(full_v, full_h) is FillingStatus.FILLING_CERTIFIED
+    assert [s.value for s in FillingStatus] == ["FillingCertified", "NotFilling"]
 
+    # B1 and A1 cross once: their O′ is the one-square torus, genus 1 < 2
     sub_v = WeightedMulticurve(l22, VERTICAL, {"B1": 1})
     sub_h = WeightedMulticurve(l22, HORIZONTAL, {"A1": 1})
-    assert filling_status(sub_v, sub_h) is FillingStatus.MATRIX_PRIMITIVE_ONLY
+    assert filling_status(sub_v, sub_h) is FillingStatus.NOT_FILLING
+    with pytest.raises(NotFillingError, match=r"genus\(O′\) = 1 < 2"):
+        filling_origami(sub_v, sub_h)
 
     # the A2 row meets only B1, so the pair (B2, A2) has a zero line
     dead_v = WeightedMulticurve(l22, VERTICAL, {"B2": 1})
     dead_h = WeightedMulticurve(l22, HORIZONTAL, {"A2": 1})
     assert filling_status(dead_v, dead_h) is FillingStatus.NOT_FILLING
+    with pytest.raises(NotFillingError, match="meets no core of the other family"):
+        filling_origami(dead_v, dead_h)
 
 
 def test_spec_parse_round_trip(l22):
@@ -377,9 +383,9 @@ def test_exact_coefficients_parse_as_the_fraction_grammar(text):
 
 def test_full_supports_fill_without_a_search(l22, monkeypatch):
     # a connected origami's N has a connected support graph
-    import origeo.multicurve as mc
+    from origeo.origami import Origami
 
-    monkeypatch.setattr(mc, "submatrix_is_primitive_shape", None)
+    monkeypatch.setattr(Origami, "_restricted", None)
     full_v = WeightedMulticurve(l22, VERTICAL, {"B1": 1, "B2": 1})
     full_h = WeightedMulticurve(l22, HORIZONTAL, {"A1": 1, "A2": 1})
     assert filling_status(full_v, full_h) is FillingStatus.FILLING_CERTIFIED
