@@ -182,14 +182,15 @@ def cmd_geodesic(args: argparse.Namespace) -> str:
 
 
 def _grid(cfg: RunConfig) -> np.ndarray:
-    span = (cfg.t_max - cfg.t_min) / cfg.step
-    count = round(span) + 1 if math.isfinite(span) else math.inf
+    # whole steps only, with room for the rounding of a span such as 6 / 0.05
+    span = (cfg.t_max - cfg.t_min) / cfg.step * (1 + 1e-12)
+    count = math.floor(span) + 1 if math.isfinite(span) else math.inf
     if count > MAX_GRID_ROWS:
         raise InputError(
             f"time grid needs {count} rows, more than {MAX_GRID_ROWS}; "
             "raise --step or narrow [--t-min, --t-max]"
         )
-    return cfg.t_min + np.arange(max(count, 1)) * cfg.step
+    return cfg.t_min + np.arange(count) * cfg.step  # t-min <= t-max: count >= 1
 
 
 def cmd_flow(args: argparse.Namespace) -> str:

@@ -307,7 +307,8 @@ def ray_limit(
     value(gamma)^2 = sum_k (w_k i(core_k, gamma))^2 / (w_k i(core_k, F)),
     which is :func:`limit_values` with q_k = w_k / i(core_k, F) for the
     transverse foliation F, one product of N (or N^T) with F's weights.
-    That pairing is positive for primitive data.
+    Every w_k and pairing is positive: the line's foliations have full
+    support on its filling origami, where each core meets the other family.
     """
     host, side = components.host, components.side
     if transverse.host is not host:
@@ -317,16 +318,7 @@ def ray_limit(
     n = host.intersection_matrix().array
     f = transverse.row
     pairings = n @ f if side == HORIZONTAL else f @ n
-    w = components.row
-    own = w > 0
-    stray = own & ~(pairings > 0)
-    if stray.any():
-        raise CertificationError(
-            f"component {host.cylinders(side)[int(stray.argmax())].label} has "
-            "zero pairing with the transverse foliation; data is not primitive"
-        )
-    q = np.divide(w, pairings, out=np.zeros(len(w)), where=own)
-    return limit_values(host, side, q)
+    return limit_values(host, side, components.row / pairings)
 
 
 def spec_pairing(

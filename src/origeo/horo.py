@@ -164,8 +164,8 @@ def flow_table(line: GeodesicLine, ts: np.ndarray, horizon: float) -> np.ndarray
     point G(max(horizon, t + 5)) and d(G(0), G(t)), with the checks of every
     row.  Each column is one array pass over a block of rows."""
     base = line.base_surface.rows
-    check_reach(float(np.abs(ts).max() + max(horizon, ts.max() + 5.0)),
-                "flow time plus horizon")
+    far = np.maximum(horizon, ts + 5.0)
+    check_reach(float((np.abs(ts) + np.abs(far)).max()), "flow time plus horizon")
     blocks = []
     for start in range(0, len(ts), _BLOCK_ROWS):
         t = ts[start:start + _BLOCK_ROWS]
@@ -182,7 +182,7 @@ def flow_table(line: GeodesicLine, ts: np.ndarray, horizon: float) -> np.ndarray
                     return CertificationError(f"{name} at t={at(t, i)} strays from "
                                               f"{at(want, i)}: [{at(lo, i)}, {at(hi, i)}]")
                 checks.add(outside(lo, hi, want, 1e-12), strays)
-            bus_lo, bus_hi = busemann_rows(line, pt, np.maximum(horizon, t + 5.0), checks)
+            bus_lo, bus_hi = busemann_rows(line, pt, far[start:start + len(t)], checks)
             checks.add(outside(bus_lo, bus_hi, -t, 1e-9),
                        lambda i: CertificationError(
                            f"Busemann enclosure at t={at(t, i)} misses {at(-t, i)}: "

@@ -10,9 +10,9 @@ geometric intersection number of weighted families is the bilinear form
 
     i(sum_i a_i alpha_i, sum_j b_j beta_j) = sum_ij a_i n_ij b_j.
 
-:class:`IntersectionMatrix` stores that matrix by its nonzero cells, at
-most one per square: the pairings, the support searches and its float
-array read them, and its dense table is derived only on request.
+:class:`IntersectionMatrix` is built from that matrix's nonzero cells, at
+most one per square, and keeps them: comparison, pairings, support searches
+and its float array read them; the dense table is derived only on request.
 
 A weight of type ``int`` or ``Fraction`` is exact.  A family whose weights
 are all exact has an integer form: its numerators in the host's cylinder
@@ -43,7 +43,6 @@ from __future__ import annotations
 import enum
 import math
 from functools import cached_property
-from itertools import compress
 from types import MappingProxyType
 from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
@@ -68,8 +67,7 @@ def is_exact(w: Weight) -> bool:
 class _Record:
     """Read-only fields, as on a frozen dataclass: ``__init__`` stores them in
     ``__dict__`` (where ``cached_property`` keeps its values too), ``==``
-    compares the ones ``_fields`` names and ``repr`` shows them.  A field
-    may be a ``cached_property``, derived on the first comparison."""
+    compares the ones ``_fields`` names and ``repr`` shows them."""
 
     _fields: Tuple[str, ...] = ()
 
@@ -99,43 +97,22 @@ class IntersectionMatrix(_Record):
     pairs of its nonzero cells in column order.  ``entries[i][j]``, the
     intersection number of the i-th curve of the row family with the j-th
     curve of the column family, is the dense table derived from them on
-    first use.  For an origami these are the cell counts shared by cylinder
-    pairs, so the row sums are the horizontal cylinder lengths, the column
-    sums the vertical ones, and the grand total is the number of squares.
+    first use; comparison, hashing and ``repr`` read the cells only.  For
+    an origami these are the cell counts shared by cylinder pairs, so the
+    row sums are the horizontal cylinder lengths, the column sums the
+    vertical ones, and the grand total is the number of squares.
     ``row_index`` and ``col_index`` map each label to its position,
     read-only, built with the matrix.
 
-    The constructor takes the dense table, checks it and keeps its nonzero
-    cells; :meth:`from_sparse_rows` takes the cells themselves.
+    The constructor takes the cells and checks them in one pass: the
+    columns of each row increase within the column labels, and each count
+    is positive.
     """
 
-    _fields = ("entries", "row_labels", "col_labels")
+    _fields = ("sparse_rows", "row_labels", "col_labels")
 
-    def __init__(self, entries: Tuple[Tuple[Weight, ...], ...],
+    def __init__(self, rows: Tuple[Tuple[Tuple[int, Weight], ...], ...],
                  row_labels: Tuple[str, ...], col_labels: Tuple[str, ...]):
-        k = len(entries)
-        l = len(entries[0]) if k else 0
-        if k == 0 or l == 0:
-            raise InputError("intersection matrix must be nonempty")
-        if any(len(row) != l for row in entries):
-            raise InputError("ragged intersection matrix")
-        if len(row_labels) != k or len(col_labels) != l:
-            raise InputError("label count does not match matrix shape")
-        if min(map(min, entries)) < 0:
-            raise InputError("negative intersection number")
-        cols = range(l)
-        rows = tuple(
-            tuple([(j, row[j]) for j in compress(cols, row)]) for row in entries
-        )
-        self._store(rows, row_labels, col_labels)
-
-    @classmethod
-    def from_sparse_rows(cls, rows: Tuple[Tuple[Tuple[int, Weight], ...], ...],
-                         row_labels: Tuple[str, ...],
-                         col_labels: Tuple[str, ...]) -> "IntersectionMatrix":
-        """The matrix whose row i has the (column, count) cells ``rows[i]``,
-        each row in increasing column order; checked in one pass over the
-        cells: the checks of the dense constructor, in their sparse form."""
         k, l = len(row_labels), len(col_labels)
         if k == 0 or l == 0:
             raise InputError("intersection matrix must be nonempty")
@@ -150,15 +127,10 @@ class IntersectionMatrix(_Record):
                 if not count > 0:
                     raise InputError("a stored cell must hold a positive count")
                 last = j
-        matrix = cls.__new__(cls)
-        matrix._store(rows, row_labels, col_labels)
-        return matrix
-
-    def _store(self, rows, row_labels, col_labels) -> None:
         self.__dict__.update(
             sparse_rows=rows, row_labels=row_labels, col_labels=col_labels,
-            row_index=MappingProxyType(dict(zip(row_labels, range(len(row_labels))))),
-            col_index=MappingProxyType(dict(zip(col_labels, range(len(col_labels))))),
+            row_index=MappingProxyType(dict(zip(row_labels, range(k)))),
+            col_index=MappingProxyType(dict(zip(col_labels, range(l)))),
         )
 
     def __hash__(self) -> int:
@@ -227,9 +199,6 @@ class IntersectionMatrix(_Record):
         horizontal[:, h:], vertical[:, :h] = n, n.T
         horizontal.flags.writeable = vertical.flags.writeable = False
         return {HORIZONTAL: horizontal, VERTICAL: vertical}
-
-    def as_lists(self) -> list:
-        return [list(row) for row in self.entries]
 
 
 def _check_weights(weights: Mapping[str, Weight]) -> Dict[str, Weight]:

@@ -186,11 +186,8 @@ class Origami:
                 j = col_of[cell]
                 counts[j] = counts.get(j, 0) + 1
             rows.append(tuple(sorted(counts.items())))
-        return IntersectionMatrix.from_sparse_rows(
-            tuple(rows),
-            tuple(c.label for c in hor),
-            tuple(c.label for c in ver),
-        )
+        return IntersectionMatrix(tuple(rows), tuple(c.label for c in hor),
+                                  tuple(c.label for c in ver))
 
     def _connected(self) -> bool:
         """<h, v> is transitive on the cells iff N's support graph is connected:
@@ -322,7 +319,7 @@ class ValidationSummary(NamedTuple):
                     for c in self.vertical
                 ],
             },
-            "intersectionMatrix": self.matrix.as_lists(),
+            "intersectionMatrix": [list(row) for row in self.matrix.entries],
         }
 
 

@@ -123,7 +123,8 @@ def _records():
     from origeo.origami import Cylinder
 
     def matrix():
-        return origeo.IntersectionMatrix(((1, 1), (1, 0)), ("A1", "A2"), ("B1", "B2"))
+        return origeo.IntersectionMatrix((((0, 1), (1, 1)), ((0, 1),)), ("A1", "A2"),
+                                         ("B1", "B2"))
 
     def curve():
         return origeo.WeightedMulticurve(origeo.builtin("l-2-2"), VERTICAL,
@@ -137,7 +138,7 @@ def _records():
         (lambda: Cylinder(HORIZONTAL, "A1", (1, 2)), ("side", "label", "cells"), True),
         (lambda: origeo.builtin("l-2-2").summary(),
          ("n", "horizontal", "vertical", "cone_orders", "genus", "matrix"), True),
-        (matrix, ("entries", "row_labels", "col_labels"), True),
+        (matrix, ("sparse_rows", "row_labels", "col_labels"), True),
         (curve, ("host", "side", "weights"), False),
         (spec, ("host", "side", "coeffs", "approx"), False),
     ]
@@ -175,6 +176,23 @@ def test_every_import_is_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     exported = set(origeo.__all__) if path.name == "__init__.py" else set()
     assert sorted(set(_imported_names(tree)) - used - exported) == []
+
+
+def test_every_private_function_is_referenced():
+    """Deleting a path must not leave its ``_`` helpers behind: each
+    ``_``-prefixed function or method is named somewhere in the package."""
+    defined, named = set(), set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    private = {name for name in defined
+               if name.startswith("_") and not (name.startswith("__") and name.endswith("__"))}
+    assert sorted(private - named) == []
 
 
 def test_cli_only_parses_dispatches_and_prints():

@@ -345,6 +345,46 @@ def test_long_horizon_flow_exits_input_error(report_file):
     assert "flow time plus horizon" in res.stderr
 
 
+@pytest.mark.parametrize("t_min, t_max, step, reach", [
+    ("-360", "-359", "1", "714"),
+    ("-300", "-299", "1", "594"),
+    ("300", "301", "1", "607"),
+    ("0", "800", "100", "1605"),
+])
+def test_far_flow_windows_exit_input_error_on_either_side(report_file, capsys, t_min,
+                                                          t_max, step, reach):
+    # the default horizon t-max + 5 is negative on the left, and the far point
+    # G(max(horizon, t + 5)) is then as far out as G(t): |t| + |far| counts both
+    assert cli.main(["flow", report_file, f"--t-min={t_min}", f"--t-max={t_max}",
+                     "--step", step]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: flow time plus horizon is {reach}, beyond the 177.4")
+
+
+@pytest.mark.parametrize("t_min, t_max, step, times", [
+    ("-1", "1", "3", [-1.0]),
+    ("0", "1", "0.35", [0.0, 0.35, 0.7]),
+    ("-3", "3", "0.05", [round(-3 + 0.05 * k, 12) for k in range(121)]),
+])
+def test_flow_grid_stops_at_t_max(report_file, capsys, t_min, t_max, step, times):
+    assert cli.main(["flow", report_file, f"--t-min={t_min}", f"--t-max={t_max}",
+                     "--step", step]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [round(float(row.split(",")[0]), 12) for row in rows] == times
+
+
+@pytest.mark.parametrize("value", ["1e-100", "1e100"])
+def test_coupling_gram_beyond_float_range_exits_input_error(files, tmp_path, capsys, value):
+    # every square is normal, but M M^T is 2e-400 (underflow) or 2e400 (overflow)
+    for name, side, prefix in (("xi", "vertical", "B"), ("eta", "horizontal", "A")):
+        (tmp_path / f"{name}-gram.json").write_text(json.dumps(
+            {"side": side, "coeffs": [[f"{prefix}1", value], [f"{prefix}2", value]]}))
+    assert cli.main(["geodesic", files["origami"], str(tmp_path / "xi-gram.json"),
+                     str(tmp_path / "eta-gram.json")]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: the coefficients span more than float64 carries")
+
+
 def test_row_cap_is_checked_before_the_reach_cap(report_file):
     # 1,000,001 rows reaching t = 1e6: the grid is refused before any time is
     res = run_cli("flow", report_file, "--t-min", "0", "--t-max", "1e6", "--step", "1")

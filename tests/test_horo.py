@@ -63,6 +63,16 @@ def test_walsh_eval_reads_the_pairing():
     assert walsh_eval(xi, b1) == 0.0
 
 
+def test_busemann_and_probe_refuse_a_surface_on_another_origami(golden):
+    o = builtin("l-3-2")
+    other = WeightedSurface(o, {c.label: 1 for c in o.cylinders(HORIZONTAL)},
+                            {c.label: 1 for c in o.cylinders(VERTICAL)})
+    with pytest.raises(HostMismatch, match="line's origami"):
+        busemann_interval(golden, other)
+    with pytest.raises(HostMismatch, match="different origamis"):
+        delta_probe(golden.forward_spec, golden.backward_spec, other)
+
+
 def test_walsh_eval_rejects_cross_host():
     xi = BusemannSpec(builtin("l-2-2"), VERTICAL, {"B1": Fraction(1)})
     with pytest.raises(HostMismatch):

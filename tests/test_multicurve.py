@@ -74,6 +74,13 @@ def test_same_side_pairing_requires_opposite_sides(l22):
         pair_intersection(u, w)
 
 
+def test_filling_requires_opposite_sides(l22):
+    u = core_curve(l22, VERTICAL, "B1")
+    w = core_curve(l22, VERTICAL, "B2")
+    with pytest.raises(SideMismatch, match="opposite sides"):
+        filling_status(u, w)
+
+
 def test_pairing_rejects_cross_host():
     a = core_curve(builtin("l-2-2"), VERTICAL, "B1")
     b = core_curve(builtin("l-3-2"), HORIZONTAL, "A1")
@@ -298,22 +305,19 @@ def test_submatrix_shape_reads_label_subsets_off_the_sparse_rows():
 
 def test_intersection_matrix_label_maps_and_sparse_rows():
     labels = (("A2", "A1"), ("B3", "B1", "B2"))
-    n = IntersectionMatrix(((2, 0, 1), (0, 0, 3)), *labels)
+    rows = (((0, 2), (2, 1)), ((2, 3),))
+    n = IntersectionMatrix(rows, *labels)
     assert dict(n.row_index) == {"A2": 0, "A1": 1}
     assert dict(n.col_index) == {"B3": 0, "B1": 1, "B2": 2}
-    assert n.sparse_rows == (((0, 2), (2, 1)), ((2, 3),))
+    assert n.sparse_rows is rows
     with pytest.raises(TypeError):
         n.row_index["A3"] = 2  # shared by every caller, so read-only
-    cells = IntersectionMatrix.from_sparse_rows(n.sparse_rows, *labels)
-    assert "entries" not in vars(cells)  # derived on first use
-    assert cells == n and cells.entries == ((2, 0, 1), (0, 0, 3))
-    assert cells.array.tolist() == [[2.0, 0.0, 1.0], [0.0, 0.0, 3.0]]
-    assert (cells.shape, cells.total(), cells.gram_nonzeros) == ((2, 3), 6, 4)
-
-
-def test_intersection_matrix_refuses_negative_entries():
-    with pytest.raises(InputError, match="negative intersection number"):
-        IntersectionMatrix(((1, 2), (0, -1)), ("A1", "A2"), ("B1", "B2"))
+    same = IntersectionMatrix(rows, *labels)
+    assert same == n and hash(same) == hash(n) and repr(same) == repr(n)
+    assert "entries" not in vars(n) and "entries" not in vars(same)  # cells only
+    assert n.entries == ((2, 0, 1), (0, 0, 3))  # derived on first use
+    assert n.array.tolist() == [[2.0, 0.0, 1.0], [0.0, 0.0, 3.0]]
+    assert (n.shape, n.total(), n.gram_nonzeros) == ((2, 3), 6, 4)
 
 
 @pytest.mark.parametrize(
@@ -336,7 +340,7 @@ def test_intersection_matrix_refuses_negative_entries():
 )
 def test_sparse_rows_are_checked_cell_by_cell(rows, labels, message):
     with pytest.raises(InputError, match=message):
-        IntersectionMatrix.from_sparse_rows(rows, *labels)
+        IntersectionMatrix(rows, *labels)
 
 
 _WEIGHTS = st.one_of(

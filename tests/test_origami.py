@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from origeo import cli
 from origeo.errors import ComplexityError, InputError, InvalidOrigami
-from origeo.multicurve import HORIZONTAL, VERTICAL, IntersectionMatrix
+from origeo.multicurve import HORIZONTAL, VERTICAL
 from origeo.origami import (
     Origami,
     builtin,
@@ -33,15 +33,20 @@ def test_three_cell_l_shape_structure():
 
 def test_three_cell_l_shape_intersection_matrix():
     m = builtin("l-2-2").intersection_matrix()
-    assert m.as_lists() == [[1, 1], [1, 0]]
+    assert m.entries == ((1, 1), (1, 0))
     assert m.row_labels == ("A1", "A2")
     assert m.col_labels == ("B1", "B2")
+
+
+def test_cylinders_of_an_unknown_side_are_refused():
+    with pytest.raises(InputError, match="unknown side 'diagonal'"):
+        builtin("l-2-2").cylinders("diagonal")
 
 
 def test_one_cylinder_origami_has_single_loop_each_way():
     o = builtin("one-cylinder-4")
     m = o.intersection_matrix()
-    assert m.as_lists() == [[4]]
+    assert m.entries == ((4,),)
     assert o.genus() == 2
 
 
@@ -308,4 +313,3 @@ def test_intersection_matrix_is_the_per_cell_count(o):
     assert np.array_equal(n.array, np.array(dense, dtype=float))
     assert not n.array.flags.writeable
     assert n.entries == dense
-    assert n == IntersectionMatrix(dense, n.row_labels, n.col_labels)

@@ -280,6 +280,11 @@ def test_periodic_matrix_refused():
         perron_solve(((0, 1), (1, 0)))
 
 
+def test_non_square_float_array_refused():
+    with pytest.raises(InputError, match="must be square, got 2x3"):
+        perron_solve(np.ones((2, 3)))
+
+
 def test_malformed_matrices_refused():
     with pytest.raises(InputError):
         perron_solve(((1, 2), (3,)))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from origeo.errors import CertificationError, InputError
+from origeo.errors import CertificationError, HostMismatch, InputError
 from origeo.geodesic import flow_distance, optimal_geodesic
 from origeo.multicurve import (
     HORIZONTAL,
@@ -165,6 +165,16 @@ def test_proportionality_detection(unit_l22):
     assert unit_l22.proportionality(tilted) is None
     partial = WeightedMulticurve(unit_l22.origami, VERTICAL, {"B1": Fraction(1)})
     assert unit_l22.proportionality(partial) is None
+
+
+def test_unknown_side_and_other_origami_are_refused(unit_l22):
+    with pytest.raises(InputError, match="unknown side 'diagonal'"):
+        unit_l22.defining_foliation("diagonal")
+    o = builtin("l-3-2")
+    other = WeightedSurface(o, {c.label: 1 for c in o.cylinders(HORIZONTAL)},
+                            {c.label: 1 for c in o.cylinders(VERTICAL)})
+    with pytest.raises(HostMismatch, match="different origamis"):
+        qc_upper(unit_l22, other)
 
 
 def test_surface_requires_total_positive_weights():
