@@ -10,7 +10,7 @@ the command line runs.  Oracles, audits and the individual bounds behind a
 distance bracket stay in their modules (``origeo.perron``, ``origeo.horo``,
 ``origeo.surface``, ...).
 
-Importing the package runs ``errors``, ``multicurve`` and ``origami`` only.
+Importing the package runs ``errors`` and ``origami`` only.
 Each other layer is registered in ``sys.modules`` as a lazy module (the
 handle ``origeo.errors`` builds for NumPy) and runs at its first attribute
 access; its public names here are read from it at each access.
@@ -29,17 +29,8 @@ from .errors import (
     SideMismatch,
     _lazy_import,
 )
-from .multicurve import (
-    HORIZONTAL,
-    VERTICAL,
-    BusemannSpec,
-    FillingStatus,
-    IntersectionMatrix,
-    WeightedMulticurve,
-    filling_status,
-    parse_busemann_spec,
-)
-from .origami import Origami, builtin, catalog, parse_origami
+from .origami import (HORIZONTAL, VERTICAL, IntersectionMatrix, Origami, builtin, catalog,
+                      parse_origami)
 
 # The public names of the layers that load on first use, by layer.
 _LAZY_NAMES = {
@@ -49,6 +40,8 @@ _LAZY_NAMES = {
     "horo": ("busemann_interval", "delta_probe", "miyachi_intersection",
              "psi_foliation"),
     "intervals": ("ValueInterval",),
+    "multicurve": ("BusemannSpec", "FillingStatus", "WeightedMulticurve",
+                   "filling_status", "parse_busemann_spec"),
     "perron": ("PerronResult",),
     "surface": ("WeightedSurface", "distance_interval", "ext_interval"),
 }

@@ -30,8 +30,8 @@ from .geodesic import (
 )
 from .horo import busemann_rows, minsky_audit, miyachi_rows, psi_rows
 from .intervals import outside
-from .multicurve import HORIZONTAL, VERTICAL, BusemannSpec, intersection
-from .origami import builtin, catalog
+from .multicurve import BusemannSpec, intersection
+from .origami import HORIZONTAL, VERTICAL, builtin, catalog
 from .perron import gram, is_primitive, perron_solve, wielandt_block
 from .surface import (
     SurfaceRows,

@@ -26,12 +26,12 @@ The argument parser is built once per process, on the first :func:`main`
 call, and reused; ``main`` then looks the subcommand up by name
 (``cmd_<command>``) at call time, so a ``cmd_*`` rebound on this module,
 say by a tracer or a test, is the one that runs.  The same holds one layer
-down: this module holds ``geodesic``, ``horo`` and ``checks`` as modules and
-reads each of their functions at the call, so a function rebound on the
-module that defines it is the one that runs, and a command loads only the
-layers it calls (``--help`` and ``validate`` load none of them).  The
-commands only parse, dispatch and print: the flow table and the
-convergence ladder are :func:`origeo.horo.flow_table` and
+down: this module holds ``multicurve``, ``geodesic``, ``horo`` and
+``checks`` as modules and reads each of their functions at the call, so a
+function rebound on the module that defines it is the one that runs, and a
+command loads only the layers it calls (``--help`` and ``validate`` load
+none of them).  The commands only parse, dispatch and print: the flow
+table and the convergence ladder are :func:`origeo.horo.flow_table` and
 :func:`origeo.horo.converge_ladder`.  An unwritable ``--out`` is refused
 with the other options, before the command runs.
 """
@@ -46,7 +46,7 @@ import os
 import sys
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
-from . import checks as checks_mod, geodesic, horo
+from . import checks as checks_mod, geodesic, horo, multicurve
 from .errors import (
     DEFAULT_TOL,
     SUITE_NAMES,
@@ -56,7 +56,6 @@ from .errors import (
     NoConvergenceError,
     np,
 )
-from .multicurve import parse_busemann_spec
 from .origami import _CATALOG_DATA, builtin, parse_origami
 
 
@@ -175,8 +174,8 @@ def cmd_validate(args: argparse.Namespace) -> str:
 def cmd_geodesic(args: argparse.Namespace) -> str:
     cfg = _config_from(args)
     o = _resolve_origami(args)
-    xi = parse_busemann_spec(_load_json(args.xi), o)
-    eta = parse_busemann_spec(_load_json(args.eta), o)
+    xi = multicurve.parse_busemann_spec(_load_json(args.xi), o)
+    eta = multicurve.parse_busemann_spec(_load_json(args.eta), o)
     line = geodesic.optimal_geodesic(xi, eta, tol=cfg.tol)
     return _emit(json.dumps(geodesic.line_report(line), indent=2) + "\n", cfg.out)
 

@@ -14,10 +14,10 @@ array operation: importing NumPy is about half of a cold ``validate``, which
 runs no array.  One plain ``import numpy`` anywhere in origeo loads it at
 once, since the import statement reads the module's ``__spec__``.
 
-origeo's own layers past ``origami`` and ``multicurve`` share that handle:
-``import origeo`` registers each of them as a lazy module, which loads at
-its first attribute access, so a cold ``validate`` or ``--help`` runs only
-``errors``, ``multicurve``, ``origami`` and ``cli``.  The two values the
+origeo's own layers past ``origami`` share that handle: ``import origeo``
+registers each of them as a lazy module, which loads at its first
+attribute access, so a cold ``validate`` or ``--help`` runs only
+``errors``, ``origami`` and ``cli``.  The two values the
 command line's parser and configuration read, :data:`DEFAULT_TOL` and
 :data:`SUITE_NAMES`, are defined here for that reason.
 """

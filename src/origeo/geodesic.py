@@ -55,17 +55,14 @@ from .errors import (
 )
 from .intervals import outside
 from .multicurve import (
-    HORIZONTAL,
-    VERTICAL,
     BusemannSpec,
     WeightedMulticurve,
     busemann_spec_to_json,
-    core_labels,
     filling_origami,
     limit_values,
     parse_busemann_spec,
 )
-from .origami import Origami, origami_to_json, parse_origami
+from .origami import HORIZONTAL, VERTICAL, Origami, origami_to_json, parse_origami
 from .perron import PerronResult, gram_array, perron_solve
 from .surface import SurfaceRows, WeightedSurface, check_weights, distance_rows
 
@@ -123,10 +120,10 @@ def optimal_geodesic(
     geodesic, InputError when a coefficient's square leaves the normal
     float64 range or the float coupling M or M M^T leaves the float64 range
     (an entry overflows to inf, or one the exact coupling makes positive
-    underflows to 0), and CertificationError when an
-    internal consistency certificate (system closure, limit
-    proportionality) fails.  The base surface is the row c*x, d*y, checked
-    once by :func:`check_weights`.
+    underflows to 0) or the squared norm of a limit vector or of its target
+    ``spec_pairing`` overflows, and CertificationError when an internal
+    consistency certificate (system closure, limit proportionality) fails.
+    The base surface is the row c*x, d*y, checked once by :func:`check_weights`.
     """
     if xi.host is not eta.host:
         raise HostMismatch("the two specs live on different origamis")
@@ -192,10 +189,16 @@ def optimal_geodesic(
 
     forward, backward = ray_limit(f_vert, f_hor), ray_limit(f_hor, f_vert)
     forward.flags.writeable = backward.flags.writeable = False
-    cos_fwd = _cosine(forward, spec_pairing(xi))
-    cos_bwd = _cosine(backward, spec_pairing(eta))
+    with np.errstate(over="ignore"):  # a sum past the float range is refused below
+        targets = spec_pairing(xi), spec_pairing(eta)
+        squares = [v @ v for v in (forward, backward, *targets)]
+    # each squared norm finite keeps the cosines' products finite too
+    if not all(map(math.isfinite, squares)):
+        raise range_error
+    cos_fwd, cos_bwd = _cosine(forward, targets[0]), _cosine(backward, targets[1])
     certificate_floor = 1 - max(10 * tol, 1e-11)
-    if cos_fwd < certificate_floor or cos_bwd < certificate_floor:
+    # a NaN cosine fails the certificate
+    if not (cos_fwd >= certificate_floor and cos_bwd >= certificate_floor):
         raise CertificationError(
             "limit consistency certificate failed: cosines "
             f"{cos_fwd!r}/{cos_bwd!r} — orientation convention violated"
@@ -300,7 +303,7 @@ def check_flow_distance(value, lo, hi, checks: Checks) -> None:
 def ray_limit(
     components: WeightedMulticurve, transverse: WeightedMulticurve
 ) -> np.ndarray:
-    """The ray's limit on every core (in the order of ``core_labels``),
+    """The ray's limit on every core (in the order of N's ``core_labels``),
     unnormalized.
 
     Read off the ergodic decomposition of ``components``:
@@ -340,17 +343,14 @@ def _norm(a: np.ndarray) -> float:
 
 
 def _cosine(a: np.ndarray, b: np.ndarray) -> float:
-    na, nb = _norm(a), _norm(b)
-    if na == 0 or nb == 0:
-        return 0.0
-    return float(a @ b / (na * nb))
+    return float(a @ b / (_norm(a) * _norm(b)))
 
 
 def _normalized(host: Origami, values: np.ndarray) -> Dict[str, float]:
-    norm = _norm(values)
-    if norm == 0:
-        raise CertificationError("limit function vanished on every core")
-    return dict(zip(core_labels(host), (values / norm).tolist()))
+    """The values l2-normalized, by core label; a certified line's limit
+    vectors have a positive norm, or their cosine would have failed."""
+    return dict(zip(host.intersection_matrix().core_labels,
+                    (values / _norm(values)).tolist()))
 
 
 def forward_limit(line: GeodesicLine) -> Dict[str, float]:

@@ -41,16 +41,9 @@ from .geodesic import (
     spec_pairing,
 )
 from .intervals import ValueInterval, one_row, outside
-from .multicurve import (
-    HORIZONTAL,
-    VERTICAL,
-    BusemannSpec,
-    WeightedMulticurve,
-    core_labels,
-    core_pairings,
-    intersection,
-    is_exact,
-)
+from .multicurve import (BusemannSpec, WeightedMulticurve, core_pairings, intersection,
+                         is_exact)
+from .origami import HORIZONTAL, VERTICAL
 from .surface import (
     SurfaceRows,
     WeightedSurface,
@@ -315,7 +308,7 @@ def minsky_audit(x: WeightedSurface) -> dict:
 def lower_bound_audit(line: GeodesicLine) -> dict:
     """Check i(F_v, gamma)/sqrt(area) <= forward limit value on every core
     gamma of the line's origami (of a proper pair's O′: the used cores), in
-    the order of :func:`~origeo.multicurve.core_labels`.
+    the order of N's ``core_labels``.
 
     Cauchy–Schwarz across the ergodic components; equality exactly when
     the component values i(gamma_i, gamma)/i(gamma_i, F_h) are all equal.
@@ -329,7 +322,8 @@ def lower_bound_audit(line: GeodesicLine) -> dict:
     entries = []
     min_margin = math.inf
     all_ok = True
-    for tag, lhs, rhs in zip(core_labels(host), pairings.tolist(), limits.tolist()):
+    labels = host.intersection_matrix().core_labels
+    for tag, lhs, rhs in zip(labels, pairings.tolist(), limits.tolist()):
         margin = rhs - lhs
         ok = margin >= -1e-12
         all_ok = all_ok and ok
@@ -366,7 +360,7 @@ def delta_probe(xi: BusemannSpec, eta: BusemannSpec, base: WeightedSurface) -> d
     if xi.host is not base.origami or eta.host is not base.origami:
         raise HostMismatch("specs and base surface live on different origamis")
     host = base.origami
-    labels = core_labels(host)
+    labels = host.intersection_matrix().core_labels
     u = np.eye(len(labels))
     h = len(host.cylinders(HORIZONTAL))
     with Checks() as checks:

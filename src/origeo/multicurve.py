@@ -10,9 +10,10 @@ geometric intersection number of weighted families is the bilinear form
 
     i(sum_i a_i alpha_i, sum_j b_j beta_j) = sum_ij a_i n_ij b_j.
 
-:class:`IntersectionMatrix` is built from that matrix's nonzero cells, at
-most one per square, and keeps them: comparison, pairings, support searches
-and its float array read them; the dense table is derived only on request.
+That matrix is the host's :class:`~origeo.origami.IntersectionMatrix`,
+which the origami builds, by its nonzero cells, and checks; every pairing
+here reads those cells or the matrix's float array.  This layer loads on
+first use, so a cold ``validate`` or ``--help`` runs none of it.
 
 A weight of type ``int`` or ``Fraction`` is exact.  A family whose weights
 are all exact has an integer form: its numerators in the host's cylinder
@@ -22,7 +23,7 @@ exact use.  The exact pairings run on those integers and build one
 add.  A family with any real weight (e.g. eigenvector output) pairs
 through the float kernel, on its float :attr:`WeightedMulticurve.row`: the
 weights converted once, on first float use.  ``fractions`` itself loads at
-the first exact weight: a cold ``validate`` builds none, and no row.
+the first exact weight.
 
 A :class:`BusemannSpec` names a weighted family on one side as the
 prescribed direction of a geodesic ray; :func:`filling_status` reports
@@ -48,157 +49,17 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import (HostMismatch, InputError, NotFillingError, SideMismatch, _lazy_import,
                      np)
+from .origami import HORIZONTAL, SIDES, _Record
 
 fractions = _lazy_import("fractions")
 
 Weight = Union[int, float, "fractions.Fraction"]
-
-HORIZONTAL = "horizontal"
-VERTICAL = "vertical"
-SIDES = (HORIZONTAL, VERTICAL)
 
 
 def is_exact(w: Weight) -> bool:
     """An ``int`` or ``Fraction``: a weight that an integer form holds exactly."""
     # a float is rejected before the ABC check that isinstance runs for Fraction
     return type(w) is not float and isinstance(w, (int, fractions.Fraction))
-
-
-class _Record:
-    """Read-only fields, as on a frozen dataclass: ``__init__`` stores them in
-    ``__dict__`` (where ``cached_property`` keeps its values too), ``==``
-    compares the ones ``_fields`` names and ``repr`` shows them."""
-
-    _fields: Tuple[str, ...] = ()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _key(self) -> tuple:
-        return tuple([getattr(self, f) for f in self._fields])
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __repr__(self) -> str:
-        shown = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._key()))
-        return f"{type(self).__name__}({shown})"
-
-
-class IntersectionMatrix(_Record):
-    """Geometric intersection numbers of two transverse core-curve families.
-
-    The stored form is :attr:`sparse_rows`: per row, the (column, count)
-    pairs of its nonzero cells in column order.  ``entries[i][j]``, the
-    intersection number of the i-th curve of the row family with the j-th
-    curve of the column family, is the dense table derived from them on
-    first use; comparison, hashing and ``repr`` read the cells only.  For
-    an origami these are the cell counts shared by cylinder pairs, so the
-    row sums are the horizontal cylinder lengths, the column sums the
-    vertical ones, and the grand total is the number of squares.
-    ``row_index`` and ``col_index`` map each label to its position,
-    read-only, built with the matrix.
-
-    The constructor takes the cells and checks them in one pass: the
-    columns of each row increase within the column labels, and each count
-    is positive.
-    """
-
-    _fields = ("sparse_rows", "row_labels", "col_labels")
-
-    def __init__(self, rows: Tuple[Tuple[Tuple[int, Weight], ...], ...],
-                 row_labels: Tuple[str, ...], col_labels: Tuple[str, ...]):
-        k, l = len(row_labels), len(col_labels)
-        if k == 0 or l == 0:
-            raise InputError("intersection matrix must be nonempty")
-        if len(rows) != k:
-            raise InputError("label count does not match matrix shape")
-        for row in rows:
-            last = -1
-            for j, count in row:
-                if not last < j < l:
-                    raise InputError(
-                        f"cell columns must increase within 0..{l - 1} in each row")
-                if not count > 0:
-                    raise InputError("a stored cell must hold a positive count")
-                last = j
-        self.__dict__.update(
-            sparse_rows=rows, row_labels=row_labels, col_labels=col_labels,
-            row_index=MappingProxyType(dict(zip(row_labels, range(k)))),
-            col_index=MappingProxyType(dict(zip(col_labels, range(l)))),
-        )
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    @property
-    def shape(self) -> Tuple[int, int]:
-        return len(self.row_labels), len(self.col_labels)
-
-    def total(self) -> Weight:
-        return sum([count for row in self.sparse_rows for _, count in row])
-
-    @cached_property
-    def entries(self) -> Tuple[Tuple[Weight, ...], ...]:
-        """The dense table, 0 off the cells; built once, for the readers
-        that want every pair (the JSON form, audits over all pairs)."""
-        out = []
-        for row in self.sparse_rows:
-            dense = [0] * len(self.col_labels)
-            for j, count in row:
-                dense[j] = count
-            out.append(tuple(dense))
-        return tuple(out)
-
-    @cached_property
-    def cells(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The nonzero cells in row order (rows i, columns j, float entries)."""
-        rows = self.sparse_rows
-        i = np.repeat(np.arange(len(rows)), [len(row) for row in rows])
-        j = np.array([j for row in rows for j, _ in row], dtype=np.intp)
-        n = np.array([count for row in rows for _, count in row], dtype=float)
-        return i, j, n
-
-    @cached_property
-    def array(self) -> np.ndarray:
-        """The entries as a read-only float array, built once per matrix
-        from the cells."""
-        i, j, n = self.cells
-        out = np.zeros(self.shape)
-        out[i, j] = n
-        out.flags.writeable = False
-        return out
-
-    @cached_property
-    def gram_nonzeros(self) -> int:
-        """The number of nonzero entries of N^T N, counted once per matrix:
-        N is nonnegative, so no sum cancels and the float product counts
-        exactly."""
-        return int(np.count_nonzero(self.array.T @ self.array))
-
-    @cached_property
-    def core_labels(self) -> Tuple[str, ...]:
-        """Every core, rows then columns, as :func:`core_labels` lists them;
-        built once per matrix."""
-        return tuple(self.row_labels) + tuple(self.col_labels)
-
-    @cached_property
-    def core_pairings(self) -> Dict[str, np.ndarray]:
-        """Per side, i(core_k, core_l) for the cores k of that side (rows)
-        and every core l in the order of :func:`core_labels` (columns): N or
-        N^T beside a zero block for the side's own cores.  Read-only, built
-        once per matrix."""
-        n = self.array
-        h, v = n.shape
-        horizontal, vertical = np.zeros((h, h + v)), np.zeros((v, h + v))
-        horizontal[:, h:], vertical[:, :h] = n, n.T
-        horizontal.flags.writeable = vertical.flags.writeable = False
-        return {HORIZONTAL: horizontal, VERTICAL: vertical}
 
 
 def _check_weights(weights: Mapping[str, Weight]) -> Dict[str, Weight]:
@@ -367,12 +228,6 @@ def intersection(a: WeightedMulticurve, b: WeightedMulticurve) -> Weight:
     return pair_intersection(a, b)
 
 
-def core_labels(host) -> Tuple[str, ...]:
-    """Every core of the host: horizontal A1.. first, then vertical B1..,
-    kept by its intersection matrix."""
-    return host.intersection_matrix().core_labels
-
-
 def core_pairings(
     host,
     side: str,
@@ -380,11 +235,10 @@ def core_pairings(
     scales: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """i(core_k, gamma) in floats, read off N: one row per core k of
-    ``side``, one column per curve (default: every core, as in
-    :func:`core_labels`).  ``scales``, one per curve, stands for
+    ``side``, one column per curve (default: every core, in the order of
+    the matrix's ``core_labels``).  ``scales``, one per curve, stands for
     ``gamma.scaled(scale)``: each float weight is multiplied by its scale.
-    Without curves that is the matrix's cached
-    :attr:`IntersectionMatrix.core_pairings` block."""
+    Without curves that is the matrix's cached ``core_pairings`` block."""
     pairs = host.intersection_matrix().core_pairings[side]
     if curves is None:  # the weights are the identity
         return pairs if scales is None else pairs * scales
@@ -423,37 +277,6 @@ def limit_values(
 class FillingStatus(enum.Enum):
     FILLING_CERTIFIED = "FillingCertified"
     NOT_FILLING = "NotFilling"
-
-
-def support_is_primitive(row_cols: Sequence[Sequence[int]], n_cols: int) -> bool:
-    """No zero row, no zero column, connected bipartite support graph.
-
-    ``row_cols[i]`` lists the columns of the nonzero cells of row i, so the
-    search runs over the nonzero cells only.  This is the shape under which
-    the two-sided eigensystem closes: every component of either family
-    meets the other, and the support does not split into independent
-    blocks.
-    """
-    if not row_cols or not n_cols:
-        return False
-    col_rows = [[] for _ in range(n_cols)]
-    for i, cols in enumerate(row_cols):
-        for j in cols:
-            col_rows[j].append(i)
-    if not all(row_cols) or not all(col_rows):
-        return False
-    # with no zero column, reaching every row reaches every column too
-    seen_rows, seen_cols, frontier = {0}, set(), [0]
-    while frontier:
-        for j in row_cols[frontier.pop()]:
-            if j in seen_cols:
-                continue
-            seen_cols.add(j)
-            for i in col_rows[j]:
-                if i not in seen_rows:
-                    seen_rows.add(i)
-                    frontier.append(i)
-    return len(seen_rows) == len(row_cols)
 
 
 def filling_origami(a: WeightedMulticurve, b: WeightedMulticurve):

@@ -23,6 +23,12 @@ orders total ``n``, and Euler's formula with ``V`` cycles, ``E = 2n`` edges
 and ``F = n`` faces gives ``2 - 2g = V - n``, which is the Gauss–Bonnet
 identity ``sum_vertices (m - 1) = 2g - 2``.
 
+A horizontal and a vertical core meet once in every cell their cylinders
+share.  Each origami builds that count table N as its
+:class:`IntersectionMatrix`, by its nonzero cells.  :func:`reached_rows` is
+the one search over N's support: it tests transitivity (of an origami and
+of a pair's O′) and, under :func:`support_is_primitive`, primitivity.
+
 The running example throughout the package is the three-cell L-shaped
 origami ``h = (1 2)(3)``, ``v = (1 3)(2)``: two horizontal cylinders
 ``A1 = {1, 2}``, ``A2 = {3}``, two vertical cylinders ``B1 = {1, 3}``,
@@ -32,11 +38,201 @@ origami ``h = (1 2)(3)``, ``v = (1 3)(2)``: two horizontal cylinders
 from __future__ import annotations
 
 import operator
-from typing import Dict, List, Mapping, NamedTuple, Sequence, Tuple
+from functools import cached_property
+from types import MappingProxyType
+from typing import Dict, List, Mapping, NamedTuple, Sequence, Set, Tuple
 
 from .errors import (CertificationError, ComplexityError, InputError, InvalidOrigami,
-                     NotFillingError)
-from .multicurve import HORIZONTAL, VERTICAL, IntersectionMatrix, support_is_primitive
+                     NotFillingError, np)
+
+HORIZONTAL = "horizontal"
+VERTICAL = "vertical"
+SIDES = (HORIZONTAL, VERTICAL)
+
+
+class _Record:
+    """Read-only fields, as on a frozen dataclass: ``__init__`` stores them in
+    ``__dict__`` (where ``cached_property`` keeps its values too), ``==``
+    compares the ones ``_fields`` names and ``repr`` shows them."""
+
+    _fields: Tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._key()))
+        return f"{type(self).__name__}({shown})"
+
+
+class IntersectionMatrix(_Record):
+    """Geometric intersection numbers of two transverse core-curve families.
+
+    The stored form is :attr:`sparse_rows`: per row, the (column, count)
+    pairs of its nonzero cells in column order.  ``entries[i][j]``, the
+    intersection number of the i-th curve of the row family with the j-th
+    curve of the column family, is the dense table derived from them on
+    first use; comparison, hashing and ``repr`` read the cells only.  For
+    an origami these are the cell counts shared by cylinder pairs, so the
+    row sums are the horizontal cylinder lengths, the column sums the
+    vertical ones, and the grand total is the number of squares.
+    ``row_index`` and ``col_index`` map each label to its position,
+    read-only, built with the matrix.
+
+    The constructor takes the cells and checks them in one pass: the
+    columns of each row increase within the column labels, and each count
+    is positive.
+    """
+
+    _fields = ("sparse_rows", "row_labels", "col_labels")
+
+    def __init__(self, rows: Tuple[Tuple[Tuple[int, int], ...], ...],
+                 row_labels: Tuple[str, ...], col_labels: Tuple[str, ...]):
+        k, l = len(row_labels), len(col_labels)
+        if k == 0 or l == 0:
+            raise InputError("intersection matrix must be nonempty")
+        if len(rows) != k:
+            raise InputError("label count does not match matrix shape")
+        for row in rows:
+            last = -1
+            for j, count in row:
+                if not last < j < l:
+                    raise InputError(
+                        f"cell columns must increase within 0..{l - 1} in each row")
+                if not count > 0:
+                    raise InputError("a stored cell must hold a positive count")
+                last = j
+        self.__dict__.update(
+            sparse_rows=rows, row_labels=row_labels, col_labels=col_labels,
+            row_index=MappingProxyType(dict(zip(row_labels, range(k)))),
+            col_index=MappingProxyType(dict(zip(col_labels, range(l)))),
+        )
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    @property
+    def shape(self) -> Tuple[int, int]:
+        return len(self.row_labels), len(self.col_labels)
+
+    def total(self) -> int:
+        return sum([count for row in self.sparse_rows for _, count in row])
+
+    @cached_property
+    def entries(self) -> Tuple[Tuple[int, ...], ...]:
+        """The dense table, 0 off the cells; built once, for the readers
+        that want every pair (the JSON form, audits over all pairs)."""
+        out = []
+        for row in self.sparse_rows:
+            dense = [0] * len(self.col_labels)
+            for j, count in row:
+                dense[j] = count
+            out.append(tuple(dense))
+        return tuple(out)
+
+    @cached_property
+    def cells(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The nonzero cells in row order (rows i, columns j, float entries)."""
+        rows = self.sparse_rows
+        i = np.repeat(np.arange(len(rows)), [len(row) for row in rows])
+        j = np.array([j for row in rows for j, _ in row], dtype=np.intp)
+        n = np.array([count for row in rows for _, count in row], dtype=float)
+        return i, j, n
+
+    @cached_property
+    def array(self) -> np.ndarray:
+        """The entries as a read-only float array, built once per matrix
+        from the cells."""
+        i, j, n = self.cells
+        out = np.zeros(self.shape)
+        out[i, j] = n
+        out.flags.writeable = False
+        return out
+
+    @cached_property
+    def gram_nonzeros(self) -> int:
+        """The number of nonzero entries of N^T N, counted once per matrix:
+        N is nonnegative, so no sum cancels and the float product counts
+        exactly."""
+        return int(np.count_nonzero(self.array.T @ self.array))
+
+    @cached_property
+    def core_labels(self) -> Tuple[str, ...]:
+        """Every core, rows (horizontal A1..) then columns (vertical B1..);
+        built once per matrix."""
+        return tuple(self.row_labels) + tuple(self.col_labels)
+
+    @cached_property
+    def core_pairings(self) -> Dict[str, np.ndarray]:
+        """Per side, i(core_k, core_l) for the cores k of that side (rows)
+        and every core l in the order of :attr:`core_labels` (columns): N or
+        N^T beside a zero block for the side's own cores.  Read-only, built
+        once per matrix."""
+        n = self.array
+        h, v = n.shape
+        horizontal, vertical = np.zeros((h, h + v)), np.zeros((v, h + v))
+        horizontal[:, h:], vertical[:, :h] = n, n.T
+        horizontal.flags.writeable = vertical.flags.writeable = False
+        return {HORIZONTAL: horizontal, VERTICAL: vertical}
+
+
+def reached_rows(row_cols: Sequence[Sequence[int]],
+                 col_rows: Sequence[Sequence[int]]) -> Set[int]:
+    """The rows that a search of a support graph reaches from row 0.
+
+    ``row_cols[i]`` lists the columns of the nonzero cells of row i and
+    ``col_rows[j]`` the rows of the nonzero cells of column j, so the
+    search steps over the nonzero cells only.  A symmetric support passes
+    its row lists as both, with no column index.
+    """
+    seen_rows, seen_cols, frontier = {0}, set(), [0]
+    while frontier:
+        for j in row_cols[frontier.pop()]:
+            if j in seen_cols:
+                continue
+            seen_cols.add(j)
+            for i in col_rows[j]:
+                if i not in seen_rows:
+                    seen_rows.add(i)
+                    frontier.append(i)
+    return seen_rows
+
+
+def _column_rows(row_cols: Sequence[Sequence[int]], n_cols: int) -> List[List[int]]:
+    """The column index of ``row_cols``: per column, its rows in order."""
+    col_rows = [[] for _ in range(n_cols)]
+    for i, cols in enumerate(row_cols):
+        for j in cols:
+            col_rows[j].append(i)
+    return col_rows
+
+
+def support_is_primitive(row_cols: Sequence[Sequence[int]], n_cols: int) -> bool:
+    """No zero row, no zero column, connected bipartite support graph.
+
+    ``row_cols[i]`` lists the columns of the nonzero cells of row i.  This
+    is the shape under which the two-sided eigensystem closes: every
+    component of either family meets the other, and the support does not
+    split into independent blocks.
+    """
+    if not row_cols or not n_cols:
+        return False
+    col_rows = _column_rows(row_cols, n_cols)
+    if not all(row_cols) or not all(col_rows):
+        return False
+    # with no zero column, reaching every row reaches every column too
+    return len(reached_rows(row_cols, col_rows)) == len(row_cols)
 
 
 class Cylinder(NamedTuple):
@@ -131,8 +327,11 @@ class Origami:
                 for k, cells in enumerate(_cycles(perm))
             )
         self._matrix = self._build_matrix()
-        self._check_transitive()
-        self._cone_orders: Tuple[int, ...] = None
+        missing = self._unreached_cells()
+        if missing:
+            raise InvalidOrigami(
+                f"surface is disconnected: cells {missing} unreachable from cell 1"
+            )
 
     def _restricted(self, rows: Sequence[str], cols: Sequence[str]) -> "Origami":
         """O′ of the horizontal cores ``rows`` and the vertical ``cols``: the
@@ -145,7 +344,7 @@ class Origami:
         hor, ver = ({cell for c in used[side] for cell in c.cells} for side in used)
         new = {cell: k for k, cell in enumerate(sorted(hor & ver), 1)}
         o = Origami.__new__(Origami)
-        o.n, o._parent, o._cone_orders = len(new), self, None
+        o.n, o._parent = len(new), self
         o._key, o._cyls, perms = (self._key, tuple(rows), tuple(cols)), {}, {}
         for side, cylinders in used.items():
             perm, kept = [0] * len(new), []
@@ -161,7 +360,7 @@ class Origami:
             perms[side], o._cyls[side] = tuple(perm), tuple(kept)
         o.h, o.v = perms[HORIZONTAL], perms[VERTICAL]
         o._matrix = o._build_matrix()
-        if not o._connected():
+        if o._unreached_cells():
             raise NotFillingError("the families do not fill: their cores fall into "
                                   "more than one connected piece")
         return o
@@ -189,27 +388,15 @@ class Origami:
         return IntersectionMatrix(tuple(rows), tuple(c.label for c in hor),
                                   tuple(c.label for c in ver))
 
-    def _connected(self) -> bool:
-        """<h, v> is transitive on the cells iff N's support graph is connected:
-        every cell lies in one horizontal and one vertical cylinder."""
+    def _unreached_cells(self) -> List[int]:
+        """The cells that <h, v> does not carry cell 1 (in A1) to, in order.
+        The orbit of a cell is the union of the cylinders it meets, so these
+        are the cells of the horizontal cylinders that the search over N's
+        support from A1 does not reach."""
         rows = [[j for j, _ in row] for row in self._matrix.sparse_rows]
-        return support_is_primitive(rows, len(self._cyls[VERTICAL]))
-
-    def _check_transitive(self) -> None:
-        if self._connected():
-            return
-        # the orbit of cell 1 (in A1) is the union of the cylinders it meets
-        cylinders = self._cyls[HORIZONTAL] + self._cyls[VERTICAL]
-        seen, size = set(cylinders[0].cells), 0
-        while size < len(seen):  # until a pass meets no new cylinder
-            size = len(seen)
-            for c in cylinders:
-                if not seen.isdisjoint(c.cells):
-                    seen.update(c.cells)
-        missing = sorted(set(range(1, self.n + 1)) - seen)
-        raise InvalidOrigami(
-            f"surface is disconnected: cells {missing} unreachable from cell 1"
-        )
+        reached = reached_rows(rows, _column_rows(rows, len(self._cyls[VERTICAL])))
+        return sorted(cell for i, c in enumerate(self._cyls[HORIZONTAL])
+                      if i not in reached for cell in c.cells)
 
     # ------------------------------------------------------------------
     # cylinders and the intersection matrix
@@ -241,18 +428,19 @@ class Origami:
         The cycle lengths of the commutator ``v^-1 h^-1 v h`` (see the module
         docstring): a cycle of length m is a cone point of angle 2*pi*m.
         """
-        if self._cone_orders is None:
-            h_inv = [0] * self.n
-            v_inv = [0] * self.n
-            for cell, (right, top) in enumerate(zip(self.h, self.v), 1):
-                h_inv[right - 1] = cell
-                v_inv[top - 1] = cell
-            commutator = tuple(
-                v_inv[h_inv[self.v[right - 1] - 1] - 1] for right in self.h
-            )
-            lengths = (len(cycle) for cycle in _cycles(commutator))
-            self._cone_orders = tuple(sorted(lengths, reverse=True))
         return self._cone_orders
+
+    @cached_property
+    def _cone_orders(self) -> Tuple[int, ...]:
+        h_inv = [0] * self.n
+        v_inv = [0] * self.n
+        for cell, (right, top) in enumerate(zip(self.h, self.v), 1):
+            h_inv[right - 1] = cell
+            v_inv[top - 1] = cell
+        commutator = tuple(
+            v_inv[h_inv[self.v[right - 1] - 1] - 1] for right in self.h
+        )
+        return tuple(sorted((len(cycle) for cycle in _cycles(commutator)), reverse=True))
 
     def genus(self) -> int:
         """Genus via Gauss–Bonnet: sum of (m - 1) over cone orders is 2g - 2."""

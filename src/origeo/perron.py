@@ -20,8 +20,9 @@ float64 ndarray, as :func:`gram_array` forms it, is used as it is.  Any
 other input must hold only numbers that float64 represents exactly, such
 as small integers; anything else (``Fraction(1, 3)``, an entry that
 underflows or overflows a float, a string, a ragged row) is refused with
-InputError rather than rounded.  Both the primitivity search and the
-bracket run over the nonzero cells of T only, so on a staircase T, which is
+InputError rather than rounded.  Both the primitivity search
+(:func:`origeo.origami.reached_rows` on T's row lists) and the bracket run
+over the nonzero cells of T only, so on a staircase T, which is
 tridiagonal, their Python work is O(k) and not O(k^2).  The bracket stays
 in Python integers to the end: its two extreme quotients are compared by
 cross-multiplying, rounded outward by one correctly rounded ``int / int``
@@ -55,7 +56,7 @@ from itertools import compress
 from typing import List, Sequence, Tuple, Union
 
 from .errors import DEFAULT_TOL, InputError, NoConvergenceError, NotPrimitiveError, np
-from .multicurve import support_is_primitive
+from .origami import reached_rows, support_is_primitive
 
 Matrix = Sequence[Sequence[Union[int, float]]]
 
@@ -115,8 +116,8 @@ def _upper_cells(k: int) -> Tuple[np.ndarray, np.ndarray]:
 def is_primitive(matrix: Matrix) -> bool:
     """No zero row, no zero column, connected bipartite support graph.
 
-    Delegates to :func:`multicurve.support_is_primitive`, the bipartite
-    support-graph search of the package, on the nonzero cells of each row.
+    Delegates to :func:`origami.support_is_primitive`, the bipartite
+    support-graph test of the package, on the nonzero cells of each row.
     """
     rows = _rows(matrix)
     cols = range(len(rows[0]))
@@ -189,9 +190,10 @@ def _check_symmetric_primitive(t: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         raise InputError("matrix must be symmetric (use gram())")
     rows, cols = np.nonzero(t)
     starts, cols_list = _row_starts(rows, k), cols.tolist()
-    # with a positive diagonal, T's bipartite support is connected iff its graph is
-    if not (t.diagonal().all() and support_is_primitive(
-            [cols_list[a:b] for a, b in zip(starts, starts[1:])], k)):
+    row_cols = [cols_list[a:b] for a, b in zip(starts, starts[1:])]
+    # T is symmetric, so its row lists are its column index too; with a
+    # positive diagonal, the search reaches every row iff T's graph is connected
+    if not (t.diagonal().all() and len(reached_rows(row_cols, row_cols)) == k):
         raise NotPrimitiveError(
             "matrix is not primitive: zero line or disconnected support"
         )

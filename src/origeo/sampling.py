@@ -15,9 +15,9 @@ from fractions import Fraction
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from .errors import InputError, InvalidOrigami
-from .multicurve import (HORIZONTAL, VERTICAL, BusemannSpec, IntersectionMatrix,
-                         support_is_primitive)
-from .origami import Origami
+from .multicurve import BusemannSpec
+from .origami import (HORIZONTAL, VERTICAL, IntersectionMatrix, Origami,
+                      support_is_primitive)
 from .surface import WeightedSurface
 
 _MAX_TRIES = 10_000
@@ -128,7 +128,7 @@ def random_matrix(
 
 def submatrix_is_primitive_shape(matrix: IntersectionMatrix, row_support: Iterable[str],
                                  col_support: Iterable[str]) -> bool:
-    """:func:`~origeo.multicurve.support_is_primitive` on the rows and
+    """:func:`~origeo.origami.support_is_primitive` on the rows and
     columns of the supports, read off the nonzero cells of N."""
     pos = {matrix.col_index[lab]: p for p, lab in enumerate(col_support)}
     row_cols = [[pos[j] for j, _ in matrix.sparse_rows[matrix.row_index[lab]] if j in pos]

@@ -60,16 +60,9 @@ from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple
 
 from .errors import CertificationError, Checks, HostMismatch, InputError, at, checked, np
 from .intervals import ValueInterval, one_row
-from .multicurve import (
-    HORIZONTAL,
-    VERTICAL,
-    Weight,
-    WeightedMulticurve,
-    is_exact,
-    pair_intersection,
-    pairing_rows,
-)
-from .origami import Origami
+from .multicurve import (Weight, WeightedMulticurve, is_exact, pair_intersection,
+                         pairing_rows)
+from .origami import HORIZONTAL, VERTICAL, Origami
 
 _PROPORTIONAL_RTOL = 1e-9
 # Float round-off by which a distance's lower bound may exceed its upper

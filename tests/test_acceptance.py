@@ -16,8 +16,8 @@ import numpy as np
 from origeo.errors import NotFillingError
 from origeo.geodesic import flow_distance, optimal_geodesic, point_at
 from origeo.horo import busemann_interval, minsky_audit, psi_foliation
-from origeo.multicurve import HORIZONTAL, VERTICAL, BusemannSpec
-from origeo.origami import Origami, builtin, catalog
+from origeo.multicurve import BusemannSpec
+from origeo.origami import HORIZONTAL, VERTICAL, Origami, builtin, catalog
 from origeo.perron import gram, is_primitive, perron_solve
 from origeo.sampling import (
     jittered_surface,

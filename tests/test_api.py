@@ -119,8 +119,7 @@ def _records():
     fields, and whether it hashes."""
     from fractions import Fraction
 
-    from origeo.multicurve import HORIZONTAL, VERTICAL
-    from origeo.origami import Cylinder
+    from origeo.origami import HORIZONTAL, VERTICAL, Cylinder
 
     def matrix():
         return origeo.IntersectionMatrix((((0, 1), (1, 1)), ((0, 1),)), ("A1", "A2"),
@@ -176,6 +175,35 @@ def test_every_import_is_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     exported = set(origeo.__all__) if path.name == "__init__.py" else set()
     assert sorted(set(_imported_names(tree)) - used - exported) == []
+
+
+# each module of the package imports only from the modules before it here
+LAYER_ORDER = ("errors", "origami", "multicurve", "intervals", "perron", "surface",
+               "sampling", "geodesic", "horo", "checks", "cli")
+
+
+def _origeo_imports(tree):
+    """The origeo modules that a module's import statements name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            yield from [node.module] if node.module else (a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("origeo."):
+            yield node.module.split(".")[1]
+        elif isinstance(node, ast.Import):
+            yield from (a.name.split(".")[1] for a in node.names
+                        if a.name.startswith("origeo."))
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_each_module_imports_only_the_layers_below_it(path):
+    """The package itself runs ``errors`` and ``origami`` only; every other
+    layer reaches the rest through lazy modules."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    if path.stem == "__init__":
+        below = {"errors", "origami"}
+    else:
+        below = set(LAYER_ORDER[:LAYER_ORDER.index(path.stem)])
+    assert sorted(set(_origeo_imports(tree)) - below) == []
 
 
 def test_every_private_function_is_referenced():

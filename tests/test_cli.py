@@ -849,6 +849,28 @@ def test_squared_coefficient_beyond_float_range_exits_input_error(
     ]
 
 
+@pytest.mark.parametrize("b1, b2", [("1e154", "1e154"), ("1.3e154", "1")])
+def test_spec_pairing_past_the_float_range_exits_input_error(tmp_path, b1, b2):
+    # each square fits, but i(xi, .)^2 sums 1e308 + 1e308 = inf: the limit
+    # certificate's cosine was NaN, and geodesic and flow exited 0; with
+    # (1.3e154, 1) each pairing fits and only the squared norm overflows
+    xi = {"side": "vertical", "coeffs": [["B1", b1], ["B2", b2]], "approx": True}
+    eta = {"side": "horizontal", "coeffs": [["A1", "1e-150"], ["A2", "1e-150"]],
+           "approx": True}
+    paths = []
+    for name, data in (("xi", xi), ("eta", eta),
+                       ("report", {"inputs": {"origami": L22, "xi": xi, "eta": eta}})):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(data))
+    for args in (("geodesic", "--builtin", "l-2-2", str(paths[0]), str(paths[1])),
+                 ("flow", str(paths[2]), "--t-max", "0")):
+        res = run_cli(*args)
+        assert res.returncode == 2
+        assert "Traceback" not in res.stderr
+        assert "NaN" not in res.stdout
+        assert res.stderr.startswith("error: the coefficients span more than float64")
+
+
 def test_coefficient_whose_square_fits_certifies(files, tmp_path):
     xi = tmp_path / "xi-1e150.json"
     xi.write_text(json.dumps(

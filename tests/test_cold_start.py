@@ -4,10 +4,10 @@
 cold ``validate`` or ``--help`` runs no array, so it must finish without
 loading NumPy's submodules (``numpy`` itself is there, as the lazy module),
 and the handle must be NumPy whichever of the two is imported first.  The
-layers past ``origami`` and ``multicurve`` are lazy modules of the same
-kind, and neither command may run one of them.  ``fractions`` (which imports
-``decimal``) is one too: neither command builds an exact weight.  Nor does
-either import ``dataclasses`` or ``inspect``.
+layers past ``origami`` are lazy modules of the same kind, and neither
+command may run one of them.  ``fractions`` (which imports ``decimal``) is
+one too: neither command builds an exact weight.  Nor does either import
+``dataclasses`` or ``inspect``.
 """
 
 import ast
@@ -28,7 +28,8 @@ GOLDEN = [str(DATA / name) for name in ("l-2-2.json", "xi-unit.json", "eta-unit.
 # md5 of ``geodesic`` on the golden line's stdout
 GOLDEN_GEODESIC_MD5 = "d74a457804b38c52049b74ec61c51608"
 NUMPY_SUBMODULES = ("numpy._core", "numpy.linalg")
-LAZY_LAYERS = ("geodesic", "surface", "horo", "perron", "checks", "sampling", "intervals")
+LAZY_LAYERS = ("geodesic", "surface", "horo", "perron", "checks", "sampling", "intervals",
+               "multicurve")
 EXACT_ARITHMETIC = ("fractions", "decimal")
 # dataclasses imports inspect, ast, dis and tokenize; the records on the cold
 # path are plain classes and NamedTuples, so neither command needs them
@@ -77,7 +78,7 @@ def _cold(*args):
         for line in res.stderr.splitlines()
         if line.startswith("import time:")
     }
-    assert "origeo.multicurve" in imported  # the log was read
+    assert "origeo.origami" in imported  # the log was read
     return res, imported
 
 

@@ -20,14 +20,12 @@ from hypothesis import strategies as st
 from origeo import sampling
 from origeo.horo import minsky_audit
 from origeo.multicurve import (
-    HORIZONTAL,
-    VERTICAL,
     WeightedMulticurve,
     core_curve,
     intersection,
     pair_intersection,
 )
-from origeo.origami import builtin
+from origeo.origami import HORIZONTAL, VERTICAL, builtin
 from origeo.surface import (
     WeightedSurface,
     core_ext_bounds,

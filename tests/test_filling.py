@@ -16,14 +16,12 @@ from hypothesis import strategies as st
 
 from origeo.errors import InvalidOrigami
 from origeo.multicurve import (
-    HORIZONTAL,
-    VERTICAL,
     FillingStatus,
     WeightedMulticurve,
     filling_origami,
     filling_status,
 )
-from origeo.origami import Origami
+from origeo.origami import HORIZONTAL, VERTICAL, Origami
 
 # the quadrants of a cell, and the corners of a cell
 BL, BR, TL, TR = range(4)

@@ -26,15 +26,20 @@ from origeo.geodesic import (
     spec_pairing,
 )
 from origeo.multicurve import (
-    HORIZONTAL,
-    VERTICAL,
     BusemannSpec,
     WeightedMulticurve,
     core_curve,
     intersection,
 )
 from origeo.errors import checked
-from origeo.origami import Origami, builtin, origami_to_json, parse_origami
+from origeo.origami import (
+    HORIZONTAL,
+    VERTICAL,
+    Origami,
+    builtin,
+    origami_to_json,
+    parse_origami,
+)
 from origeo.perron import gram
 from origeo.sampling import random_full_instance, random_primitive_instance
 from origeo.surface import SurfaceRows, WeightedSurface, check_weights

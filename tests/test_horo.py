@@ -20,14 +20,12 @@ from origeo.horo import (
     walsh_eval,
 )
 from origeo.multicurve import (
-    HORIZONTAL,
-    VERTICAL,
     BusemannSpec,
     WeightedMulticurve,
     core_curve,
     intersection,
 )
-from origeo.origami import Origami, builtin
+from origeo.origami import HORIZONTAL, VERTICAL, Origami, builtin
 from origeo.sampling import (
     jittered_surface,
     random_full_instance,

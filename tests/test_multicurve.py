@@ -8,11 +8,8 @@ from hypothesis import strategies as st
 
 from origeo.errors import HostMismatch, InputError, NotFillingError, SideMismatch
 from origeo.multicurve import (
-    HORIZONTAL,
-    VERTICAL,
     BusemannSpec,
     FillingStatus,
-    IntersectionMatrix,
     WeightedMulticurve,
     _check_weights,
     busemann_spec_to_json,
@@ -23,9 +20,14 @@ from origeo.multicurve import (
     pair_intersection,
     parse_busemann_spec,
     parse_coefficient,
+)
+from origeo.origami import (
+    HORIZONTAL,
+    VERTICAL,
+    IntersectionMatrix,
+    builtin,
     support_is_primitive,
 )
-from origeo.origami import builtin
 from origeo.perron import is_primitive, wielandt_oracle
 from origeo.sampling import random_matrix, random_origami, submatrix_is_primitive_shape
 

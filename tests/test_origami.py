@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from origeo import cli
 from origeo.errors import ComplexityError, InputError, InvalidOrigami
-from origeo.multicurve import HORIZONTAL, VERTICAL
 from origeo.origami import (
+    HORIZONTAL,
+    VERTICAL,
     Origami,
     builtin,
     catalog,
@@ -123,6 +124,25 @@ def test_non_bijection_rejected():
         Origami(3, (0, 1, 2), (2, 3, 1))
     with pytest.raises(InvalidOrigami):
         Origami(3, (1, 2), (2, 3, 1))
+
+
+def test_no_cells_and_a_non_iterable_permutation_are_refused():
+    with pytest.raises(InvalidOrigami, match="^need a positive number of cells, got 0$"):
+        Origami(0, [], [])
+    with pytest.raises(InvalidOrigami, match="^h must be a list of integers$"):
+        Origami(3, 5, [3, 2, 1])
+
+
+@pytest.mark.parametrize("data", [[3, [2, 1, 3], [3, 2, 1]], "l-2-2", None])
+def test_parse_refuses_a_non_object(data):
+    with pytest.raises(InputError, match="^origami file must contain a JSON object$"):
+        parse_origami(data)
+
+
+def test_equal_origamis_hash_alike():
+    a, b = builtin("l-2-2"), Origami(3, [2, 1, 3], [3, 2, 1])
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b, builtin("l-3-2")}) == 2
 
 
 def test_parse_round_trip():

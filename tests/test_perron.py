@@ -268,6 +268,17 @@ def test_primitivity_suite_reports_each_disagreement_in_case_order(monkeypatch, 
         assert fast != slow
 
 
+@pytest.mark.parametrize(
+    "matrix, error",
+    [([], "matrix must be nonempty"), ([[]], "matrix must be nonempty"),
+     ([[1, 2], [3]], "ragged matrix")],
+)
+def test_gram_and_is_primitive_refuse_an_empty_or_ragged_matrix(matrix, error):
+    for function in (gram, is_primitive):
+        with pytest.raises(InputError, match=error):
+            function(matrix)
+
+
 def test_zero_column_is_not_primitive():
     m = ((1, 0), (1, 0))
     assert not is_primitive(m)

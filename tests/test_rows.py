@@ -35,13 +35,11 @@ from origeo.geodesic import (
 )
 from origeo.horo import busemann_interval, miyachi_intersection, psi_foliation
 from origeo.multicurve import (
-    HORIZONTAL,
-    VERTICAL,
     BusemannSpec,
     WeightedMulticurve,
     parse_busemann_spec,
 )
-from origeo.origami import parse_origami
+from origeo.origami import HORIZONTAL, VERTICAL, parse_origami
 from origeo.sampling import jittered_surface, random_full_instance
 from origeo.surface import (
     SurfaceRows,

@@ -10,13 +10,11 @@ from hypothesis import strategies as st
 from origeo.errors import CertificationError, HostMismatch, InputError
 from origeo.geodesic import flow_distance, optimal_geodesic
 from origeo.multicurve import (
-    HORIZONTAL,
-    VERTICAL,
     BusemannSpec,
     WeightedMulticurve,
     core_curve,
 )
-from origeo.origami import builtin
+from origeo.origami import HORIZONTAL, VERTICAL, builtin
 from origeo.sampling import random_origami
 from origeo.surface import (
     WeightedSurface,
@@ -165,6 +163,33 @@ def test_proportionality_detection(unit_l22):
     assert unit_l22.proportionality(tilted) is None
     partial = WeightedMulticurve(unit_l22.origami, VERTICAL, {"B1": Fraction(1)})
     assert unit_l22.proportionality(partial) is None
+
+
+def test_proportionality_of_float_weights(unit_l22):
+    o = unit_l22.origami
+    floats = WeightedSurface(o, {"A1": 1.0, "A2": 2.0}, {"B1": 0.5, "B2": 1.5})
+    assert floats.proportionality(floats.defining_foliation(VERTICAL).scaled(2.5)) == 2.5
+    assert floats.proportionality(
+        WeightedMulticurve(o, VERTICAL, {"B1": 1.0, "B2": 1.0})) is None
+    assert floats.proportionality(WeightedMulticurve(o, VERTICAL, {"B1": 0.5})) is None
+    # a float curve on an exact surface takes the float path too
+    half = unit_l22.defining_foliation(HORIZONTAL).scaled(0.5)
+    assert unit_l22.proportionality(half) == 0.5
+
+
+def test_foliation_ext_takes_a_float_scale(unit_l22):
+    assert foliation_ext(unit_l22, 0.5) == 0.75
+
+
+@pytest.mark.parametrize("factor", [0, 0.0, -1, -2.5, Fraction(-1, 2), float("nan")])
+def test_a_non_positive_scale_is_refused(unit_l22, factor):
+    with pytest.raises(InputError, match="^scale must be positive"):
+        foliation_ext(unit_l22, factor)
+    with pytest.raises(InputError, match="^scale factor must be positive$"):
+        unit_l22.defining_foliation(VERTICAL).scaled(factor)
+    for widths, heights in ((factor, 1), (1, factor)):
+        with pytest.raises(InputError, match="^scale factors must be positive$"):
+            unit_l22.scaled(widths, heights)
 
 
 def test_unknown_side_and_other_origami_are_refused(unit_l22):
