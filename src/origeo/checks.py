@@ -99,8 +99,8 @@ def check_gauss_bonnet(seed: int) -> dict:
         if m.total() != o.n:
             failures.append(f"{tag}: matrix total is not the cell count")
 
-    for name in catalog():
-        audit(builtin(name), name)
+    for name, o in catalog().items():
+        audit(o, name)
     for i in range(100):
         n = rng.randint(2, 10)
         audit(sampling.random_connected_origami(rng, n), f"random[{i}]")

@@ -32,8 +32,10 @@ function rebound on the module that defines it is the one that runs, and a
 command loads only the layers it calls (``--help`` and ``validate`` load
 none of them).  The commands only parse, dispatch and print: the flow
 table and the convergence ladder are :func:`origeo.horo.flow_table` and
-:func:`origeo.horo.converge_ladder`.  An unwritable ``--out`` is refused
-with the other options, before the command runs.
+:func:`origeo.horo.converge_ladder`.  Each option's default is set once,
+in :func:`build_parser` (a help text that names it reads ``%(default)s``);
+``main`` hands a command its parsed options once :func:`_checked` has
+refused a bad value, an unwritable ``--out`` among them.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ import json
 import math
 import os
 import sys
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from . import checks as checks_mod, geodesic, horo, multicurve
 from .errors import (
@@ -60,22 +62,6 @@ from .origami import _CATALOG_DATA, builtin, parse_origami
 
 
 MAX_GRID_ROWS = 10_000
-
-
-class RunConfig(NamedTuple):
-    """Knobs shared by the subcommands, checked where :func:`_config_from`
-    builds them."""
-
-    tol: float = DEFAULT_TOL
-    seed: int = 0
-    t_min: float = -3.0
-    t_max: float = 3.0
-    step: float = 0.5
-    horizon: Optional[float] = None
-    n_max: int = 20
-    eps: float = 0.05
-    out: Optional[str] = None
-    suites: Tuple[str, ...] = ()
 
 
 def _check_writable(path: str) -> None:
@@ -94,35 +80,28 @@ def _check_writable(path: str) -> None:
     raise InputError(f"cannot write {path}: {reason}")
 
 
-def _config_from(args: argparse.Namespace) -> RunConfig:
-    kwargs = {}
-    for name in (
-        "tol", "seed", "t_min", "t_max", "step",
-        "horizon", "n_max", "eps", "out",
-    ):
-        if hasattr(args, name) and getattr(args, name) is not None:
-            kwargs[name] = getattr(args, name)
-    if getattr(args, "suite", None):
-        kwargs["suites"] = tuple(args.suite)
-    cfg = RunConfig(**kwargs)
-    if not 0 < cfg.tol < math.inf:
-        raise InputError(f"--tol must be positive and finite, got {cfg.tol}")
-    for flag, value in (("--t-min", cfg.t_min), ("--t-max", cfg.t_max)):
-        if not math.isfinite(value):
-            raise InputError(f"{flag} must be finite, got {value}")
-    if not 0 < cfg.step < math.inf:
-        raise InputError(f"--step must be positive and finite, got {cfg.step}")
-    if cfg.t_min > cfg.t_max:
-        raise InputError(f"empty time grid: t-min {cfg.t_min} > t-max {cfg.t_max}")
-    if cfg.n_max < 1:
-        raise InputError(f"--n-max must be at least 1, got {cfg.n_max}")
-    if not 0 <= cfg.eps < math.inf:
-        raise InputError(f"--eps must be nonnegative and finite, got {cfg.eps}")
-    if cfg.horizon is not None and not 0 < cfg.horizon < math.inf:
-        raise InputError(f"--horizon must be positive and finite, got {cfg.horizon}")
-    if cfg.out:
-        _check_writable(cfg.out)
-    return cfg
+def _checked(args: argparse.Namespace) -> argparse.Namespace:
+    """Refuse a bad value of an option the subcommand has, in a fixed order."""
+    if args.command == "geodesic" and not 0 < args.tol < math.inf:
+        raise InputError(f"--tol must be positive and finite, got {args.tol}")
+    if args.command == "flow":
+        for flag, value in (("--t-min", args.t_min), ("--t-max", args.t_max)):
+            if not math.isfinite(value):
+                raise InputError(f"{flag} must be finite, got {value}")
+        if not 0 < args.step < math.inf:
+            raise InputError(f"--step must be positive and finite, got {args.step}")
+        if args.t_min > args.t_max:
+            raise InputError(f"empty time grid: t-min {args.t_min} > t-max {args.t_max}")
+        if args.horizon is not None and not 0 < args.horizon < math.inf:
+            raise InputError(f"--horizon must be positive and finite, got {args.horizon}")
+    if args.command == "converge":
+        if args.n_max < 1:
+            raise InputError(f"--n-max must be at least 1, got {args.n_max}")
+        if not 0 <= args.eps < math.inf:
+            raise InputError(f"--eps must be nonnegative and finite, got {args.eps}")
+    if args.out:
+        _check_writable(args.out)
+    return args
 
 
 def _load_json(path: str) -> dict:
@@ -166,37 +145,34 @@ def _emit(text: str, out: Optional[str]) -> str:
 
 
 def cmd_validate(args: argparse.Namespace) -> str:
-    cfg = _config_from(args)
     o = _resolve_origami(args)
-    return _emit(json.dumps(o.validate().to_json(), indent=2) + "\n", cfg.out)
+    return _emit(json.dumps(o.validate().to_json(), indent=2) + "\n", args.out)
 
 
 def cmd_geodesic(args: argparse.Namespace) -> str:
-    cfg = _config_from(args)
     o = _resolve_origami(args)
     xi = multicurve.parse_busemann_spec(_load_json(args.xi), o)
     eta = multicurve.parse_busemann_spec(_load_json(args.eta), o)
-    line = geodesic.optimal_geodesic(xi, eta, tol=cfg.tol)
-    return _emit(json.dumps(geodesic.line_report(line), indent=2) + "\n", cfg.out)
+    line = geodesic.optimal_geodesic(xi, eta, tol=args.tol)
+    return _emit(json.dumps(geodesic.line_report(line), indent=2) + "\n", args.out)
 
 
-def _grid(cfg: RunConfig) -> np.ndarray:
+def _grid(args: argparse.Namespace) -> np.ndarray:
     # whole steps only, with room for the rounding of a span such as 6 / 0.05
-    span = (cfg.t_max - cfg.t_min) / cfg.step * (1 + 1e-12)
+    span = (args.t_max - args.t_min) / args.step * (1 + 1e-12)
     count = math.floor(span) + 1 if math.isfinite(span) else math.inf
     if count > MAX_GRID_ROWS:
         raise InputError(
             f"time grid needs {count} rows, more than {MAX_GRID_ROWS}; "
             "raise --step or narrow [--t-min, --t-max]"
         )
-    return cfg.t_min + np.arange(count) * cfg.step  # t-min <= t-max: count >= 1
+    return args.t_min + np.arange(count) * args.step  # t-min <= t-max: count >= 1
 
 
 def cmd_flow(args: argparse.Namespace) -> str:
-    cfg = _config_from(args)
     line = geodesic.line_from_report(_load_json(args.report))
     base = line.base_surface
-    horizon = cfg.horizon if cfg.horizon is not None else cfg.t_max + 5.0
+    horizon = args.horizon if args.horizon is not None else args.t_max + 5.0
     header = (
         ["t"]
         + [f"width_{lab}" for lab in base.widths]
@@ -204,8 +180,8 @@ def cmd_flow(args: argparse.Namespace) -> str:
         + ["ext_fv", "ext_fh", "psi_fv", "psi_fh",
            "busemann_lo", "busemann_hi", "d_to_base"]
     )
-    rows = [",".join(header), *_csv_lines(horo.flow_table(line, _grid(cfg), horizon))]
-    return _emit("\n".join(rows) + "\n", cfg.out)
+    rows = [",".join(header), *_csv_lines(horo.flow_table(line, _grid(args), horizon))]
+    return _emit("\n".join(rows) + "\n", args.out)
 
 
 def _csv_lines(table: np.ndarray) -> List[str]:
@@ -216,17 +192,15 @@ def _csv_lines(table: np.ndarray) -> List[str]:
 
 
 def cmd_converge(args: argparse.Namespace) -> str:
-    cfg = _config_from(args)
     line = geodesic.line_from_report(_load_json(args.report))
-    ladder = horo.converge_ladder(line, cfg.n_max, cfg.eps, cfg.seed)
-    return _emit(json.dumps(ladder, indent=2) + "\n", cfg.out)
+    ladder = horo.converge_ladder(line, args.n_max, args.eps, args.seed)
+    return _emit(json.dumps(ladder, indent=2) + "\n", args.out)
 
 
 def cmd_check(args: argparse.Namespace) -> str:
-    cfg = _config_from(args)
-    report = checks_mod.run_suites(seed=cfg.seed, names=cfg.suites or None)
-    report["config"] = {"seed": cfg.seed}
-    return _emit(json.dumps(report, indent=2) + "\n", cfg.out)
+    report = checks_mod.run_suites(seed=args.seed, names=args.suite)
+    report["config"] = {"seed": args.seed}
+    return _emit(json.dumps(report, indent=2) + "\n", args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p: argparse.ArgumentParser, seed: bool = True) -> None:
         if seed:
-            p.add_argument("--seed", type=int, default=None,
-                           help="seed for every randomized choice (default 0)")
+            p.add_argument("--seed", type=int, default=0,
+                           help="seed for every randomized choice (default %(default)s)")
         p.add_argument("--out", default=None,
                        help="also write the output to this file")
 
@@ -261,16 +235,16 @@ def build_parser() -> argparse.ArgumentParser:
     add_origami_source(p)
     p.add_argument("xi", help="vertical-side boundary spec JSON")
     p.add_argument("eta", help="horizontal-side boundary spec JSON")
-    p.add_argument("--tol", type=float, default=None,
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL,
                    help="relative width the eigenvalue bracket must reach "
-                        "(default 1e-12); flow and converge reuse the report's")
+                        "(default %(default)s); flow and converge reuse the report's")
     add_common(p, seed=False)
 
     p = sub.add_parser("flow", help="sample a geodesic report along a time grid")
     p.add_argument("report", help="geodesic report JSON (from `origeo geodesic`)")
-    p.add_argument("--t-min", type=float, default=None, dest="t_min")
-    p.add_argument("--t-max", type=float, default=None, dest="t_max")
-    p.add_argument("--step", type=float, default=None,
+    p.add_argument("--t-min", type=float, default=-3.0, dest="t_min")
+    p.add_argument("--t-max", type=float, default=3.0, dest="t_max")
+    p.add_argument("--step", type=float, default=0.5,
                    help=f"grid step (at most {MAX_GRID_ROWS} rows)")
     p.add_argument("--horizon", type=float, default=None,
                    help="Busemann horizon time (default t-max + 5)")
@@ -278,8 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("converge", help="replay boundary convergence from a report")
     p.add_argument("report", help="geodesic report JSON (from `origeo geodesic`)")
-    p.add_argument("--n-max", type=int, default=None, dest="n_max")
-    p.add_argument("--eps", type=float, default=None,
+    p.add_argument("--n-max", type=int, default=20, dest="n_max")
+    p.add_argument("--eps", type=float, default=0.05,
                    help="jitter amplitude for the demonstration section")
     add_common(p)
 
@@ -301,7 +275,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
         # by name at call time, so that a rebound cmd_* is the one that runs
-        globals()[f"cmd_{args.command}"](args)
+        globals()[f"cmd_{args.command}"](_checked(args))
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

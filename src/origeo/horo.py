@@ -47,6 +47,7 @@ from .origami import HORIZONTAL, VERTICAL
 from .surface import (
     SurfaceRows,
     WeightedSurface,
+    _exact_ext_bounds,
     check_weights,
     core_ext_bounds,
     curve_ext_rows,
@@ -251,16 +252,18 @@ def minsky_audit(x: WeightedSurface) -> dict:
     a violation against the *upper* bounds can only come from a broken
     interval.  Also asserts the defining-pair identity
     i(F_v, F_h)^2 = area^2, which holds bit-for-bit because both sides run
-    the same accumulation.  The cores' upper bounds take one pass per side;
-    on an exact surface each pair's comparison runs on integers.
+    the same accumulation.  The cores' upper bounds take one pass per side
+    (an exact surface builds no lower end); on an exact surface each pair's
+    comparison runs on integers.
     """
-    matrix = x.origami.intersection_matrix()
+    matrix, exact = x.origami.intersection_matrix(), x._integers
     # core labels are distinct across the sides (A1.. and B1..)
     ext_hi = dict(zip(matrix.core_labels, [
-        hi for side in (HORIZONTAL, VERTICAL) for hi in core_ext_bounds(x, side)[1]]))
+        hi for side in (HORIZONTAL, VERTICAL) for hi in (
+            core_ext_bounds(x, side) if exact is None
+            else _exact_ext_bounds(exact[side], lower=False))[1]]))
     # exact bounds as (numerator, denominator): each product is then compared
     # over its one denominator, and its float is the correctly rounded quotient
-    exact = all(map(is_exact, ext_hi.values()))
     if exact:
         ext_hi = {lab: hi.as_integer_ratio() for lab, hi in ext_hi.items()}
     entries = []

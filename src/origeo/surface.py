@@ -237,15 +237,17 @@ def foliation_ext(surface: WeightedSurface, r: Weight = 1) -> Weight:
     foliation is the flat area, and extremal length is quadratic under
     scaling, so the side does not enter.  The caller asserts that the
     foliation in question really is ``r`` times a defining one — for
-    anything else use :func:`curve_ext_bounds`.
+    anything else use :func:`curve_ext_bounds`.  A float r^2 * area is
+    r * (r * area) where r * r leaves the float range.
     """
     exact = is_exact(r)
-    if not (r.numerator > 0 if exact else r > 0):
-        raise InputError(f"scale must be positive, got {r!r}")
+    if not (r.numerator > 0 if exact else 0 < r < math.inf):
+        raise InputError(f"scale must be positive and finite, got {r!r}")
     a = surface.area()
     if exact and is_exact(a):
         return Fraction(r.numerator ** 2 * a.numerator, r.denominator ** 2 * a.denominator)
-    return r * r * a
+    value = r * r * a
+    return r * (r * a) if value in (0, math.inf) else value
 
 
 def curve_ext_bounds(
@@ -284,9 +286,10 @@ def core_ext_bounds(surface: WeightedSurface, side: str) -> Tuple[list, list]:
     return _exact_ext_bounds(exact[side])
 
 
-def _exact_ext_bounds(side: _ExactSide, curves=None) -> Tuple[list, list]:
+def _exact_ext_bounds(side: _ExactSide, curves=None, lower=True) -> Tuple[list, list]:
     """curve_ext_bounds' exact lists (lo, hi) for the integer forms ``(nums,
-    den)`` of ``curves`` on ``side``; by default each core of ``side``."""
+    den)`` of ``curves`` on ``side``; by default each core of ``side``.  With
+    ``lower`` false, lo stays empty: the bounds are still compared, on integers."""
     if curves is None:  # a core's pairing is its circumference, its spread its annulus
         terms = zip(side.circ, side.annuli, [1] * len(side.circ))
     else:
@@ -296,9 +299,11 @@ def _exact_ext_bounds(side: _ExactSide, curves=None) -> Tuple[list, list]:
     lo, hi = [], []
     for pairing, spread, den in terms:
         scale = den * den * side.circ_den
-        lo.append(Fraction(side.den * pairing ** 2, scale * side.area) if pairing else 0)
+        inverted = pairing * pairing * side.lcm > spread * side.area  # lo > hi
+        if lower or inverted:
+            lo.append(Fraction(side.den * pairing ** 2, scale * side.area) if pairing else 0)
         hi.append(Fraction(side.den * spread, scale * side.lcm))
-        if pairing * pairing * side.lcm > spread * side.area:  # lo > hi
+        if inverted:
             raise CertificationError(
                 f"extremal length bounds inverted: lo={lo[-1]} hi={hi[-1]}")
     return lo, hi
@@ -470,11 +475,14 @@ def _proportional(x: SurfaceRows, side: str, u: np.ndarray):
 def ext_rows(x: SurfaceRows, side: str, u: np.ndarray, checks: Checks):
     """ext_interval at every row for the curve with weights u on ``side``
     (0 off its support): r^2 * area if it is r times the defining
-    foliation, else the curve_ext_rows enclosure."""
+    foliation (as foliation_ext computes it), else the curve_ext_rows
+    enclosure."""
     prop, r = _proportional(x, side, u)
     checks.add(prop & ~(r > 0), lambda i: InputError(
         f"scale must be positive, got {at(r, i)!r}"))
     exact = r * r * x.area
+    if not math.isfinite(np.log(exact).sum()):  # some r * r left the float range
+        exact = np.where((exact == 0) | (exact == math.inf), r * (r * x.area), exact)
     if prop.all():
         return exact, exact
     lo, hi = curve_ext_rows(x, side, u, checks, where=~prop)

@@ -649,19 +649,23 @@ def l32_report(files, tmp_path):
     return str(out)
 
 
+def _staircase(n):
+    """The staircase with n cells, h = (1 2)(3 4)...(n-1 n) and
+    v = (2 3)(4 5)...(n-2 n-1), and unit specs on all n/2 + (n/2 + 1) cores,
+    as JSON."""
+    h = [i + 2 if i % 2 == 0 else i for i in range(n)]
+    v = [1] + [i + 2 if i % 2 == 1 else i for i in range(1, n - 1)] + [n]
+    return ({"squares": n, "h": h, "v": v},
+            {"side": "vertical", "coeffs": [[f"B{i}", "1"] for i in range(1, n // 2 + 2)]},
+            {"side": "horizontal", "coeffs": [[f"A{i}", "1"] for i in range(1, n // 2 + 1)]})
+
+
 @pytest.fixture(scope="module")
 def stair_report(tmp_path_factory):
-    """The report of the staircase with 20 cells, h = (1 2)(3 4)...(19 20)
-    and v = (2 3)(4 5)...(18 19), unit weights on all 10 + 11 cores."""
+    """The report of the staircase with 20 cells (10 + 11 cores)."""
     tmp = tmp_path_factory.mktemp("staircase-20")
-    h = [i + 2 if i % 2 == 0 else i for i in range(20)]
-    v = [1] + [i + 2 if i % 2 == 1 else i for i in range(1, 19)] + [20]
     paths = {}
-    for name, data in (
-        ("origami", {"squares": 20, "h": h, "v": v}),
-        ("xi", {"side": "vertical", "coeffs": [[f"B{i}", "1"] for i in range(1, 12)]}),
-        ("eta", {"side": "horizontal", "coeffs": [[f"A{i}", "1"] for i in range(1, 11)]}),
-    ):
+    for name, data in zip(("origami", "xi", "eta"), _staircase(20)):
         paths[name] = tmp / f"{name}.json"
         paths[name].write_text(json.dumps(data))
     out = tmp / "report.json"
@@ -698,6 +702,61 @@ def test_check_seed_0_stdout_is_pinned():
     res = run_cli("check", "--seed", "0")
     assert res.returncode == 0, res.stderr
     assert hashlib.md5(res.stdout.encode()).hexdigest() == CHECK_SEED_0_MD5
+
+
+# md5 of ``geodesic``'s stdout on two larger lines: the unit-weight
+# staircase with 160 cells (80 x 81 cores) and the seeded random full-support
+# instance with 300 cells
+LARGE_GEODESIC_MD5 = {
+    "staircase-160": "125c3235aa6c932078e176ef6a583338",
+    "random-full-300": "d08aca14373bc49c42e2c11595fe2f93",
+}
+
+
+def _large_instance(name):
+    """The origami and the two specs of a LARGE_GEODESIC_MD5 line, as JSON."""
+    if name == "staircase-160":
+        return _staircase(160)
+    import random
+
+    from origeo.sampling import random_full_instance
+
+    o, xi, eta = random_full_instance(random.Random("300:2"), (300, 300))
+    return ({"squares": o.n, "h": list(o.h), "v": list(o.v)},
+            *({"side": spec.side, "coeffs": [[lab, str(c)] for lab, c in spec.coeffs.items()]}
+              for spec in (xi, eta)))
+
+
+@pytest.mark.parametrize("name", sorted(LARGE_GEODESIC_MD5))
+def test_large_geodesic_stdout_is_pinned(tmp_path, capsys, name):
+    import hashlib
+
+    paths = []
+    for part, data in zip(("origami", "xi", "eta"), _large_instance(name)):
+        paths.append(tmp_path / f"{part}.json")
+        paths[-1].write_text(json.dumps(data))
+    assert cli.main(["geodesic", *map(str, paths)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.md5(out.encode()).hexdigest() == LARGE_GEODESIC_MD5[name]
+
+
+@pytest.mark.parametrize(
+    "argv, defaults",
+    [
+        (["validate"], {"origami": None, "builtin": None}),
+        (["geodesic", "XI", "ETA"],
+         {"origami": None, "builtin": None, "xi": "XI", "eta": "ETA", "tol": 1e-12}),
+        (["flow", "R"],
+         {"report": "R", "t_min": -3.0, "t_max": 3.0, "step": 0.5, "horizon": None}),
+        (["converge", "R"], {"report": "R", "n_max": 20, "eps": 0.05, "seed": 0}),
+        (["check"], {"suite": None, "seed": 0}),
+    ],
+)
+def test_each_default_is_set_by_the_parser(argv, defaults):
+    args = cli.build_parser().parse_args(argv)
+    want = {"command": argv[0], "out": None, **defaults}
+    # repr tells -3 from -3.0
+    assert {k: repr(v) for k, v in vars(args).items()} == {k: repr(v) for k, v in want.items()}
 
 
 def _count_surfaces_and_proportionality(monkeypatch):

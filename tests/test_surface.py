@@ -181,6 +181,26 @@ def test_foliation_ext_takes_a_float_scale(unit_l22):
     assert foliation_ext(unit_l22, 0.5) == 0.75
 
 
+@pytest.mark.parametrize(
+    "width, weight, want",
+    [(1e-100, 1e100, 2.9999999999999996e+300), (1e100, 1e-100, 3e-300)],
+)
+def test_scaled_foliation_ext_stays_in_the_float_range(width, weight, want):
+    # r = 1e200 or 1e-200: r * r leaves the floats, r * (r * area) does not
+    o = builtin("l-2-2")
+    x = WeightedSurface(o, {"A1": 1, "A2": 1}, {"B1": width, "B2": width})
+    iv = ext_interval(x, WeightedMulticurve(o, VERTICAL, {"B1": weight, "B2": weight}))
+    assert (iv.lo, iv.hi) == (want, want)
+    assert foliation_ext(x, weight / width) == want
+
+
+def test_an_infinite_scale_is_refused(unit_l22):
+    with pytest.raises(InputError, match="^scale must be positive and finite, got inf$"):
+        foliation_ext(unit_l22, math.inf)
+    with pytest.raises(InputError, match="must be positive and finite, got inf$"):
+        unit_l22.defining_foliation(VERTICAL).scaled(math.inf)
+
+
 @pytest.mark.parametrize("factor", [0, 0.0, -1, -2.5, Fraction(-1, 2), float("nan")])
 def test_a_non_positive_scale_is_refused(unit_l22, factor):
     with pytest.raises(InputError, match="^scale must be positive"):
