@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence
 
 from . import sampling
 from .errors import (SUITE_NAMES, CertificationError, Checks, HypothesisError, InputError,
-                     NoConvergenceError, NotFillingError, np)
+                     NoConvergenceError, NotFillingError, checked, np)
 from .geodesic import (
     backward_limit,
     flow_rows,
@@ -42,6 +42,7 @@ from .surface import (
     ext_interval,
     ext_rows,
     foliation_ext,
+    qc_rows,
     qc_upper,
 )
 
@@ -215,13 +216,8 @@ def check_sandwich(seed: int) -> dict:
                            (b.area, b.area), checks)
             bus = busemann_rows(line, z, np.array([7.0]), checks)
             d_lo, d_hi = distance_rows(b, z, checks)
-            # each point's distance to the one before it, checked at its row
-            step = Checks()
-            d_step = distance_rows(z[:-1], z[1:], step)[1]
-            for failed, error in step:
-                later = np.zeros(count, bool)
-                later[1:] = failed
-                checks.add(later, lambda i, error=error: error(i - 1))
+            # each point's distance to the one before it, from above
+            d_step = checked(qc_rows, z[:-1], z[1:])
         cases += count
         failures += _row_failures(
             ["sandwich inverted at jitter {i}",
@@ -328,22 +324,12 @@ _SUITES: Sequence[tuple] = tuple(zip(SUITE_NAMES, (
 
 def run_suites(seed: int = 0, names: Optional[Sequence[str]] = None) -> dict:
     """Run the selected suites (substring match, e.g. "perron") in order."""
-    selected: List[tuple] = []
-    if names:
-        for token in names:
-            matches = [(n, f) for n, f in _SUITES if token in n]
-            if not matches:
-                raise InputError(
-                    f"no check suite matches {token!r}; known: "
-                    + ", ".join(SUITE_NAMES)
-                )
-            for pair in matches:
-                if pair not in selected:
-                    selected.append(pair)
-        selected.sort(key=lambda pair: SUITE_NAMES.index(pair[0]))
-    else:
-        selected = list(_SUITES)
-    suites = [func(seed) for _, func in selected]
+    for token in names or ():
+        if not any(token in n for n in SUITE_NAMES):
+            raise InputError(
+                f"no check suite matches {token!r}; known: " + ", ".join(SUITE_NAMES))
+    suites = [func(seed) for n, func in _SUITES
+              if not names or any(token in n for token in names)]
     return {
         "seed": seed,
         "suites": suites,

@@ -56,6 +56,7 @@ from .surface import (
     elementwise,
     ext_interval,
     ext_rows,
+    qc_rows,
 )
 
 
@@ -92,7 +93,8 @@ def busemann_interval(
 ) -> ValueInterval:
     """Enclose the Busemann function of the line's forward endpoint at X,
     normalized to vanish at the line's base G(0): the one-row
-    :func:`busemann_rows`.
+    :func:`busemann_rows`.  The lower end is the foliation bound; the upper
+    end is the quasiconformal bound of d(X, G(horizon)), minus the horizon.
 
     For another basepoint X0, subtract the enclosure at X0:
     ``busemann_interval(line, x).minus(busemann_interval(line, x0))``.
@@ -108,13 +110,13 @@ def busemann_interval(
 
 def busemann_rows(line: GeodesicLine, y: SurfaceRows, horizons, checks: Checks):
     """busemann_interval(line, Y, horizon=h) at every row, h the row's own
-    (one horizon stands for all): the foliation bound below,
-    d(Y, G(h)) - h above."""
+    (one horizon stands for all): the foliation bound below, and above the
+    quasiconformal bound of d(Y, G(h)) (:func:`qc_rows`) minus h.  Only
+    that upper end of the distance enters, so G(h) needs no extremal length."""
     f_v = line.vertical_foliation  # the base's own
     ext_lo, _ = ext_rows(y, f_v.side, line.base_surface.rows.side(f_v.side), checks)
-    _, d_hi = distance_rows(y, flow_rows(line, horizons, checks), checks)
     lo = 0.5 * elementwise(math.log, ext_lo, checks) - 0.5 * math.log(line.pairing)
-    hi = d_hi - horizons
+    hi = qc_rows(y, flow_rows(line, horizons, checks), checks) - horizons
     checks.add(lo > hi + 1e-9, lambda i: CertificationError(
         f"Busemann enclosure inverted: lo={at(lo, i)!r} > hi={at(hi, i)!r}"))
     swap = lo > hi

@@ -310,16 +310,14 @@ def _exact_ext_bounds(side: _ExactSide, curves=None, lower=True) -> Tuple[list, 
 
 
 def ext_interval(surface: WeightedSurface, curve: WeightedMulticurve) -> ValueInterval:
-    """Enclosure that collapses to the exact value on defining foliations:
-    ``foliation_ext`` of r when the curve is r times one, else
-    :func:`curve_ext_bounds`.  Any float weight runs the one-row
-    :func:`ext_rows`."""
+    """Enclosure that collapses to the exact value on defining foliations.
+    Exact weights take :func:`curve_ext_bounds` alone: on r times a defining
+    foliation both its bounds are r^2 * area exactly (:func:`foliation_ext`).
+    Any float weight runs the one-row :func:`ext_rows`, whose rounded bounds
+    need its proportional branch to meet there."""
     if not _exact(surface, curve):
         return one_row(ext_rows, surface.rows, curve.side, _row(curve))
-    r = surface.proportionality(curve)
-    if r is None:
-        return curve_ext_bounds(surface, curve)
-    return ValueInterval.exact(foliation_ext(surface, r))
+    return curve_ext_bounds(surface, curve)
 
 
 def _same_origami(x: WeightedSurface, y: WeightedSurface) -> None:
@@ -492,17 +490,26 @@ def ext_rows(x: SurfaceRows, side: str, u: np.ndarray, checks: Checks):
 def curve_ext_rows(x: SurfaceRows, side: str, u: np.ndarray, checks: Checks,
                    where=True):
     """curve_ext_bounds at every row for the curve with weights u on ``side``
-    (0 off its support); only the rows in ``where`` are checked."""
+    (0 off its support); only the rows in ``where`` are checked.  A row whose
+    bounds invert had a square leave the float range (pairing^2 overflows or
+    u^2 underflows): it is recomputed as ``pairing * (pairing / area)`` and
+    ``u * (u * ratio)``, and every other row keeps the direct form's bits."""
     # the pairing with the other side's foliation, ...
     a, b = (u, x.widths) if side == HORIZONTAL else (x.heights, u)
     pairing = pairing_rows(x.origami, a, b)
-    cand = pairing * pairing / x.area
-    lo = np.where(cand > 0, cand, 0.0)
-    # ... and the annuli, sum u^2 * circumference/across over the support
-    annuli = np.where(u > 0, u * u * (circumference_rows(x, side) / x.side(side)), 0.0)
-    hi = np.add.accumulate(annuli, axis=1)[:, -1]
+    # ... and the annuli, sum u^2 * ratio over the support, ratio = circumference/across
+    ratio = circumference_rows(x, side) / x.side(side)
+    def bounds(lo, annuli):
+        return (np.where(lo > 0, lo, 0.0),
+                np.add.accumulate(np.where(u > 0, annuli, 0.0), axis=1)[:, -1])
+    lo, hi = bounds(pairing * pairing / x.area, u * u * ratio)
     # mathematically lo <= Ext <= hi; allow only float round-off grazing
-    checks.add(where & (lo - hi > 1e-9 * hi), lambda i: CertificationError(
+    inverted = lo - hi > 1e-9 * hi
+    if inverted.any():
+        lo_r, hi_r = bounds(pairing * (pairing / x.area), u * (u * ratio))
+        lo, hi = np.where(inverted, lo_r, lo), np.where(inverted, hi_r, hi)
+        inverted = lo - hi > 1e-9 * hi
+    checks.add(where & inverted, lambda i: CertificationError(
         f"extremal length bounds inverted: lo={at(lo, i)} hi={at(hi, i)}"))
     return np.where(lo > hi, hi, lo), hi
 

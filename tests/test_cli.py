@@ -180,6 +180,21 @@ def test_check_unknown_suite_exits_config_error():
     assert run_cli("check", "--suite", "nonesuch").returncode == 2
 
 
+def test_run_suites_keeps_the_suite_order_once_each(monkeypatch):
+    from origeo import checks
+    from origeo.errors import InputError
+
+    ran = []
+    monkeypatch.setattr(checks, "_SUITES", tuple(
+        (name, lambda seed, name=name: ran.append(name) or {"status": "pass"})
+        for name, _ in checks._SUITES))
+    assert checks.run_suites(0, ["walsh", "oracle", "perron"])["status"] == "pass"
+    assert ran == ["perron-oracle", "primitivity-oracle", "walsh-consistency"]
+    with pytest.raises(InputError, match="'nonesuch'"):
+        checks.run_suites(0, ["gauss", "nonesuch"])
+    assert ran == ["perron-oracle", "primitivity-oracle", "walsh-consistency"]
+
+
 def test_check_negative_tolerance_exits_config_error():
     assert run_cli("check", "--tol", "-1").returncode == 2
 

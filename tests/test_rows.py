@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from origeo import cli, geodesic, horo
+from origeo import cli, geodesic, horo, surface
 from origeo.errors import CertificationError, Checks
 from origeo.geodesic import (
     flow_distance,
@@ -39,7 +39,7 @@ from origeo.multicurve import (
     WeightedMulticurve,
     parse_busemann_spec,
 )
-from origeo.origami import HORIZONTAL, VERTICAL, parse_origami
+from origeo.origami import HORIZONTAL, VERTICAL, builtin, parse_origami
 from origeo.sampling import jittered_surface, random_full_instance
 from origeo.surface import (
     SurfaceRows,
@@ -318,10 +318,11 @@ def _line_report(xi, eta):
         (("1", "1"), ("1", "1"), ["converge", "--n-max=200", "--eps=0"],
          (5, "certification failure: flow distance 356.0 escapes certified "
              "interval [inf, inf]\n")),
-        # the message shows the annulus bound's lo before it is clamped
+        # rung n = 176: Ext of F_h at G(n) overflows to inf, and so does the
+        # lower bound of d(G(-n), G(n)); the jittered rungs before it certify
         (("1000", "1"), ("1", "1"), ["converge", "--n-max=200", "--eps=0.3"],
-         (5, "certification failure: extremal length bounds inverted: lo=inf "
-             "hi=2.9987203540582356e+305\n")),
+         (5, "certification failure: distance bounds inverted: lower inf exceeds "
+             "upper 352.0\n")),
     ],
 )
 def test_overflowing_rows_fail_as_the_row_loop_failed(monkeypatch, capsys, xi, eta,
@@ -338,6 +339,36 @@ def test_overflowing_rows_fail_as_the_row_loop_failed(monkeypatch, capsys, xi, e
         else:
             with pytest.raises(outcome[0], match=f"^{outcome[1]}$"):
                 cli.main(argv)
+
+
+@pytest.mark.parametrize("b2", ["1", "1e150"])
+def test_a_1e150_coefficient_runs_every_command(tmp_path, capsys, b2):
+    # converge exited 5 with "extremal length bounds inverted: lo=inf
+    # hi=7.109883420790702e+158" (b2 = "1"): pairing^2 overflowed on a jittered rung
+    xi = {"side": "vertical", "coeffs": [["B1", "1e150"], ["B2", b2]], "approx": True}
+    eta = {"side": "horizontal", "coeffs": [["A1", "1"], ["A2", "1"]]}
+    paths = [tmp_path / "xi.json", tmp_path / "eta.json"]
+    for path, spec in zip(paths, (xi, eta)):
+        path.write_text(json.dumps(spec))
+    report = str(tmp_path / "report.json")
+    for argv in (["geodesic", "--builtin", "l-2-2", *map(str, paths), "--out", report],
+                 ["flow", report], ["converge", report]):
+        assert cli.main(argv) == 0, capsys.readouterr().err
+
+
+def test_busemann_enclosure_reads_only_the_upper_distance_bound(monkeypatch):
+    # the one extremal length is the foliation bound at G(0.7); the far point
+    # G(h) enters through qc_rows alone
+    o = builtin("l-2-2")
+    line = optimal_geodesic(*(BusemannSpec(o, side, {c.label: 1 for c in o.cylinders(side)})
+                              for side in (VERTICAL, HORIZONTAL)))
+    calls = []
+    for module in (surface, horo):
+        monkeypatch.setattr(module, "ext_rows", lambda *args, kernel=module.ext_rows:
+                            calls.append(args) or kernel(*args))
+    hv = busemann_interval(line, point_at(line, 0.7), horizon=6.0)
+    assert (hv.lo, hv.hi) == (-0.7000000000000002, -0.7)
+    assert len(calls) == 1
 
 
 def test_checks_raise_the_first_check_of_the_earliest_row():

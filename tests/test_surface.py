@@ -194,6 +194,27 @@ def test_scaled_foliation_ext_stays_in_the_float_range(width, weight, want):
     assert foliation_ext(x, weight / width) == want
 
 
+@pytest.mark.parametrize(
+    "height, width, weights",
+    [(1e100, 1.0, (1e60, 2e60)),  # pairing^2 overflowed: lo=inf hi=6e220
+     (1e100, 1e-100, (1e-170, 2e-170))],  # u^2 underflowed: lo=5.3e-140 hi=0.0
+)
+def test_curve_bounds_whose_squares_leave_the_float_range(height, width, weights):
+    o = builtin("l-2-2")
+
+    def bounds(number, kernel):
+        x = WeightedSurface(o, {"A1": number(height), "A2": number(height)},
+                            {"B1": number(width), "B2": number(width)})
+        return kernel(x, WeightedMulticurve(o, VERTICAL, dict(zip(
+            ("B1", "B2"), map(number, weights)))))
+
+    want = bounds(Fraction, curve_ext_bounds)
+    for kernel in (curve_ext_bounds, ext_interval):
+        got = bounds(float, kernel)
+        for g, w in ((got.lo, want.lo), (got.hi, want.hi)):
+            assert abs(Fraction(g) - w) <= w * Fraction(1, 10**15)
+
+
 def test_an_infinite_scale_is_refused(unit_l22):
     with pytest.raises(InputError, match="^scale must be positive and finite, got inf$"):
         foliation_ext(unit_l22, math.inf)
