@@ -13,7 +13,9 @@ distance bracket stay in their modules (``origeo.perron``, ``origeo.horo``,
 Importing the package runs ``errors`` and ``origami`` only.
 Each other layer is registered in ``sys.modules`` as a lazy module (the
 handle ``origeo.errors`` builds for NumPy) and runs at its first attribute
-access; its public names here are read from it at each access.
+access; its public names here are read from it at each access.  Each such
+name is written once, in its layer's entry of ``_LAZY_NAMES``: ``__all__``
+is the names imported here plus those entries, sorted.
 """
 
 from .errors import (
@@ -70,45 +72,9 @@ def __dir__():
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BusemannSpec",
-    "CertificationError",
-    "ComplexityError",
-    "FillingStatus",
-    "GeodesicLine",
-    "HORIZONTAL",
-    "HostMismatch",
-    "HypothesisError",
-    "InputError",
-    "IntersectionMatrix",
-    "InvalidOrigami",
-    "NoConvergenceError",
-    "NotFillingError",
-    "NotPrimitiveError",
-    "Origami",
-    "PerronResult",
-    "SideMismatch",
-    "VERTICAL",
-    "ValueInterval",
-    "WeightedMulticurve",
-    "WeightedSurface",
-    "backward_limit",
-    "builtin",
-    "busemann_interval",
-    "catalog",
-    "delta_probe",
-    "distance_interval",
-    "ext_interval",
-    "filling_status",
-    "flow_distance",
-    "forward_limit",
-    "line_from_report",
-    "line_report",
-    "miyachi_intersection",
-    "optimal_geodesic",
-    "parse_busemann_spec",
-    "parse_origami",
-    "point_at",
-    "psi_foliation",
-    "reversed_line",
-]
+__all__ = sorted([
+    "CertificationError", "ComplexityError", "HORIZONTAL", "HostMismatch",
+    "HypothesisError", "InputError", "IntersectionMatrix", "InvalidOrigami",
+    "NoConvergenceError", "NotFillingError", "NotPrimitiveError", "Origami",
+    "SideMismatch", "VERTICAL", "builtin", "catalog", "parse_origami", *_LAYER_OF,
+])

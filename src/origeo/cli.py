@@ -30,12 +30,15 @@ down: this module holds ``multicurve``, ``geodesic``, ``horo`` and
 ``checks`` as modules and reads each of their functions at the call, so a
 function rebound on the module that defines it is the one that runs, and a
 command loads only the layers it calls (``--help`` and ``validate`` load
-none of them).  The commands only parse, dispatch and print: the flow
-table and the convergence ladder are :func:`origeo.horo.flow_table` and
-:func:`origeo.horo.converge_ladder`.  Each option's default is set once,
-in :func:`build_parser` (a help text that names it reads ``%(default)s``);
-``main`` hands a command its parsed options once :func:`_checked` has
-refused a bad value, an unwritable ``--out`` among them.
+none of them).  The commands only parse, dispatch and print: each gets
+its payload finished by its layer and neither rebuilds nor edits it.  The
+flow table, CSV header included, is :func:`origeo.horo.flow_table`, the
+convergence ladder :func:`origeo.horo.converge_ladder`, and the check
+report, ``config`` block included, :func:`origeo.checks.run_suites`.  Each
+option's default is set once, in :func:`build_parser` (a help text that
+names it reads ``%(default)s``); ``main`` hands a command its parsed
+options once :func:`_checked` has refused a bad value, an unwritable
+``--out`` among them.
 """
 
 from __future__ import annotations
@@ -171,17 +174,9 @@ def _grid(args: argparse.Namespace) -> np.ndarray:
 
 def cmd_flow(args: argparse.Namespace) -> str:
     line = geodesic.line_from_report(_load_json(args.report))
-    base = line.base_surface
     horizon = args.horizon if args.horizon is not None else args.t_max + 5.0
-    header = (
-        ["t"]
-        + [f"width_{lab}" for lab in base.widths]
-        + [f"height_{lab}" for lab in base.heights]
-        + ["ext_fv", "ext_fh", "psi_fv", "psi_fh",
-           "busemann_lo", "busemann_hi", "d_to_base"]
-    )
-    rows = [",".join(header), *_csv_lines(horo.flow_table(line, _grid(args), horizon))]
-    return _emit("\n".join(rows) + "\n", args.out)
+    header, table = horo.flow_table(line, _grid(args), horizon)
+    return _emit("\n".join([",".join(header), *_csv_lines(table)]) + "\n", args.out)
 
 
 def _csv_lines(table: np.ndarray) -> List[str]:
@@ -199,7 +194,6 @@ def cmd_converge(args: argparse.Namespace) -> str:
 
 def cmd_check(args: argparse.Namespace) -> str:
     report = checks_mod.run_suites(seed=args.seed, names=args.suite)
-    report["config"] = {"seed": args.seed}
     return _emit(json.dumps(report, indent=2) + "\n", args.out)
 
 

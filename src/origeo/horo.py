@@ -41,8 +41,7 @@ from .geodesic import (
     spec_pairing,
 )
 from .intervals import ValueInterval, one_row, outside
-from .multicurve import (BusemannSpec, WeightedMulticurve, core_pairings, intersection,
-                         is_exact)
+from .multicurve import BusemannSpec, WeightedMulticurve, core_pairings, intersection
 from .origami import HORIZONTAL, VERTICAL
 from .surface import (
     SurfaceRows,
@@ -154,11 +153,15 @@ def miyachi_rows(dx, dy, dxy, checks: Checks):
 _BLOCK_ROWS = 128
 
 
-def flow_table(line: GeodesicLine, ts: np.ndarray, horizon: float) -> np.ndarray:
-    """One row per time t of ``ts``: t, the widths and heights of G(t), Ext
-    and psi of F_v and F_h there, the Busemann enclosure against the far
-    point G(max(horizon, t + 5)) and d(G(0), G(t)), with the checks of every
-    row.  Each column is one array pass over a block of rows."""
+def flow_table(line: GeodesicLine, ts: np.ndarray, horizon: float):
+    """The CSV header and one row per time t of ``ts``: t, the widths and
+    heights of G(t), Ext and psi of F_v and F_h there, the Busemann enclosure
+    against the far point G(max(horizon, t + 5)) and d(G(0), G(t)), with the
+    checks of every row.  Each column is one array pass over a block of rows."""
+    header = ["t", *(f"width_{lab}" for lab in line.base_surface.widths),
+              *(f"height_{lab}" for lab in line.base_surface.heights),
+              "ext_fv", "ext_fh", "psi_fv", "psi_fh", "busemann_lo", "busemann_hi",
+              "d_to_base"]
     base = line.base_surface.rows
     far = np.maximum(horizon, ts + 5.0)
     check_reach(float((np.abs(ts) + np.abs(far)).max()), "flow time plus horizon")
@@ -188,7 +191,7 @@ def flow_table(line: GeodesicLine, ts: np.ndarray, horizon: float) -> np.ndarray
         blocks.append(np.column_stack([t, pt.widths, pt.heights, exts[0][0], exts[1][0],
                                        *((lo + hi) / 2.0 for lo, hi in psis),
                                        bus_lo, bus_hi, d_to_base]))
-    return np.vstack(blocks)
+    return header, np.vstack(blocks)
 
 
 def converge_ladder(line: GeodesicLine, n_max: int, eps: float, seed: int) -> dict:
@@ -290,7 +293,7 @@ def minsky_audit(x: WeightedSurface) -> dict:
     fh = x.defining_foliation(HORIZONTAL)
     fv = x.defining_foliation(VERTICAL)
     pairing, area = intersection(fv, fh), x.area()
-    if is_exact(pairing) and is_exact(area):
+    if exact:
         (pn, pd), (an, ad) = pairing.as_integer_ratio(), area.as_integer_ratio()
         # lowest terms square to lowest terms: the squares are equal iff these are
         exact_eq = (pn, pd) == (an, ad)

@@ -34,10 +34,10 @@ inverted interval means a bug, not an inaccuracy, and raises.
 A surface whose weights are all exact (``int`` or ``Fraction``) works on
 the integer forms of its foliations (see :mod:`origeo.multicurve`): per
 side, the circumferences as integers over the other side's denominator,
-and each annulus term over one lcm.  The area, the proportionality test,
-``foliation_ext`` and ``curve_ext_bounds`` then compare and sum integers,
-and build a ``Fraction`` only for the value they return;
-``kerckhoff_lower`` compares exact ratios cross-multiplied.
+and each annulus term over one lcm.  The area, ``foliation_ext`` and
+``curve_ext_bounds`` then compare and sum integers, and build a
+``Fraction`` only for the value they return; ``kerckhoff_lower`` compares
+exact ratios cross-multiplied.
 
 Any float weight takes the one float form: the ``*_rows`` kernels, each
 one array pass over a :class:`SurfaceRows` block of surfaces on one origami
@@ -188,23 +188,6 @@ class WeightedSurface:
         """The surface as a one-row block, its weights as floats."""
         return SurfaceRows(self.origami, *(_row(self._defining[side])
                                            for side in (HORIZONTAL, VERTICAL)))
-
-    def proportionality(self, curve: WeightedMulticurve) -> Optional[Weight]:
-        """Return r with curve = r * (defining foliation of curve's side), else None.
-
-        Exact weights are compared exactly, by cross-multiplying their
-        integer forms; any floating operand switches to the relative
-        tolerance of :func:`ext_rows` (flow-line surfaces carry float weights).
-        """
-        if not _exact(self, curve):
-            prop, r = _proportional(self.rows, curve.side, _row(curve))
-            return at(r, 0) if prop[0] else None
-        (nums, den), (own, own_den) = (
-            curve.integer_form, self._defining[curve.side].integer_form)
-        u0, o0 = nums[0], own[0]
-        if all(u * o0 == u0 * o for u, o in zip(nums, own)):
-            return Fraction(u0 * own_den, den * o0)
-        return None
 
     def scaled(self, width_factor: Weight, height_factor: Weight) -> "WeightedSurface":
         if not (width_factor > 0 and height_factor > 0):

@@ -225,12 +225,19 @@ def test_every_private_function_is_referenced():
 
 def test_cli_only_parses_dispatches_and_prints():
     """Array work lives beside the row kernels, not in the command line:
-    ``cli`` reaches the flat layer only through ``geodesic`` and ``horo``."""
+    ``cli`` reaches the flat layer only through ``geodesic`` and ``horo``,
+    and prints each payload as its layer built it, so it reads no surface
+    to rebuild a header and assigns into no report."""
     tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
     assert set(_imported_names(tree)).isdisjoint(
         {"surface", "intervals", "sampling", "random"})
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert used.isdisjoint({"Checks", "at"})
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert "base_surface" not in read
+    stores = [node for node in ast.walk(tree)
+              if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)]
+    assert stores == []
 
 
 def _fresh(script):

@@ -774,14 +774,13 @@ def test_each_default_is_set_by_the_parser(argv, defaults):
     assert {k: repr(v) for k, v in vars(args).items()} == {k: repr(v) for k, v in want.items()}
 
 
-def _count_surfaces_and_proportionality(monkeypatch):
-    """Count the surfaces built, the proportionality calls and the blocks of
-    rows (each block is a whole column of surfaces)."""
+def _count_surfaces_and_blocks(monkeypatch):
+    """Count the surfaces built and the blocks of rows (each block is a whole
+    column of surfaces)."""
     from origeo import surface
 
-    built, calls, blocks = [], [], []
+    built, blocks = [], []
     keep = surface.WeightedSurface._keep
-    proportionality = surface.WeightedSurface.proportionality
     rows_init = surface.SurfaceRows.__init__
     # _keep ends both constructors: the validating one and the one from
     # checked rows
@@ -790,43 +789,36 @@ def _count_surfaces_and_proportionality(monkeypatch):
         lambda self, defining: built.append(self) or keep(self, defining),
     )
     monkeypatch.setattr(
-        surface.WeightedSurface, "proportionality",
-        lambda self, curve: calls.append(curve) or proportionality(self, curve),
-    )
-    monkeypatch.setattr(
         surface.SurfaceRows, "__init__",
         lambda self, *args: blocks.append(self) or rows_init(self, *args),
     )
-    return built, calls, blocks
+    return built, blocks
 
 
 def test_flow_builds_each_point_once(report_file, monkeypatch, capsys):
     from origeo import cli
 
-    built, calls, blocks = _count_surfaces_and_proportionality(monkeypatch)
+    built, blocks = _count_surfaces_and_blocks(monkeypatch)
     assert cli.main(["flow", report_file, "--step", "0.05"]) == 0
     assert capsys.readouterr().out.count("\n") == 122  # header and 121 rows
-    # only the base is a surface object, and nothing goes through the scalar
-    # proportionality test; the 121 rows are one block of flow points and one
-    # of far Busemann points, next to the base's block.  The row loop built
-    # 122 surfaces and made 724 proportionality calls (362 surfaces and 1,815
-    # calls before that), and the base's own two foliations made 2 more
+    # only the base is a surface object; the 121 rows are one block of flow
+    # points and one of far Busemann points, next to the base's block.  The
+    # row loop built 122 surfaces and made 724 proportionality calls (362
+    # surfaces and 1,815 calls before that)
     assert len(built) == 1
-    assert len(calls) == 0
     assert len(blocks) == 3
 
 
 def test_converge_builds_each_point_once(report_file, monkeypatch, capsys):
     from origeo import cli
 
-    built, calls, blocks = _count_surfaces_and_proportionality(monkeypatch)
+    built, blocks = _count_surfaces_and_blocks(monkeypatch)
     assert cli.main(["converge", report_file, "--n-max", "20"]) == 0
     capsys.readouterr()
     # only the base is a surface object; G(-n), G(n), their jitters and the
     # proxies are one block each, next to the base's.  The row loop built
     # 101 surfaces and made 322 proportionality calls
     assert len(built) == 1
-    assert len(calls) == 0
     assert len(blocks) == 6
 
 
@@ -839,7 +831,7 @@ def test_long_flow_builds_only_the_base_surface(report_file, monkeypatch, capsys
         geodesic, "line_from_report",
         lambda report: lines.append(rebuild(report)) or lines[-1],
     )
-    built, _, _ = _count_surfaces_and_proportionality(monkeypatch)
+    built, _ = _count_surfaces_and_blocks(monkeypatch)
     code = cli.main(["flow", report_file, "--t-min", "0", "--t-max", "1",
                      "--step", "0.0005"])
     assert code == 0

@@ -193,10 +193,6 @@ def test_exact_kernels_match_the_fraction_reference(instance):
             assert same(x.circumference(side, cyl.label), want, True)
     assert same(foliation_ext(x, r), Fraction(r) ** 2 * ref_area(x), True)
     for curve in (a, b, scaled):
-        want = ref_proportionality(x, curve)
-        got = x.proportionality(curve)
-        assert (got is None) == (want is None)
-        assert want is None or same(got, want, True)
         assert _same_interval(curve_ext_bounds(x, curve), ref_bounds(x, curve), True)
         assert _same_interval(ext_interval(x, curve), ref_ext(x, curve), True)
     assert minsky_audit(x) == ref_minsky(x)
@@ -265,7 +261,6 @@ def test_integer_weights_are_exact_like_fractions():
     want = (Fraction(900000000060000000001, 3), Fraction(300000000020000000001))
     for one in (1, Fraction(1)):
         x = WeightedSurface(o, {"A1": one, "A2": one}, {"B1": one, "B2": one})
-        assert x.proportionality(curve) is None
         ival = ext_interval(x, curve)
         assert (ival.lo, ival.hi) == want
         assert not isinstance(ival.lo, float) and not isinstance(ival.hi, float)

@@ -154,27 +154,20 @@ def test_lower_bound_never_exceeds_upper(unit_l22):
         assert kerckhoff_lower(a, b, family) <= qc_upper(a, b) + 1e-12
 
 
-def test_proportionality_detection(unit_l22):
-    fv = unit_l22.defining_foliation(VERTICAL)
-    assert unit_l22.proportionality(fv.scaled(Fraction(7, 2))) == Fraction(7, 2)
-    tilted = WeightedMulticurve(
-        unit_l22.origami, VERTICAL, {"B1": Fraction(1), "B2": Fraction(2)}
-    )
-    assert unit_l22.proportionality(tilted) is None
-    partial = WeightedMulticurve(unit_l22.origami, VERTICAL, {"B1": Fraction(1)})
-    assert unit_l22.proportionality(partial) is None
-
-
 def test_proportionality_of_float_weights(unit_l22):
+    # r times a defining foliation collapses to r^2 * area; anything else,
+    # the partial curve {B1} too, keeps the curve bounds
     o = unit_l22.origami
     floats = WeightedSurface(o, {"A1": 1.0, "A2": 2.0}, {"B1": 0.5, "B2": 1.5})
-    assert floats.proportionality(floats.defining_foliation(VERTICAL).scaled(2.5)) == 2.5
-    assert floats.proportionality(
-        WeightedMulticurve(o, VERTICAL, {"B1": 1.0, "B2": 1.0})) is None
-    assert floats.proportionality(WeightedMulticurve(o, VERTICAL, {"B1": 0.5})) is None
+    ival = ext_interval(floats, floats.defining_foliation(VERTICAL).scaled(2.5))
+    assert ival.lo == ival.hi == 2.5 ** 2 * floats.area()
+    for weights in ({"B1": 1.0, "B2": 1.0}, {"B1": 0.5}):
+        ival = ext_interval(floats, WeightedMulticurve(o, VERTICAL, weights))
+        assert ival.lo < ival.hi
     # a float curve on an exact surface takes the float path too
     half = unit_l22.defining_foliation(HORIZONTAL).scaled(0.5)
-    assert unit_l22.proportionality(half) == 0.5
+    ival = ext_interval(unit_l22, half)
+    assert (ival.lo, ival.hi) == (0.75, 0.75)
 
 
 def test_foliation_ext_takes_a_float_scale(unit_l22):
@@ -213,6 +206,40 @@ def test_curve_bounds_whose_squares_leave_the_float_range(height, width, weights
         got = bounds(float, kernel)
         for g, w in ((got.lo, want.lo), (got.hi, want.hi)):
             assert abs(Fraction(g) - w) <= w * Fraction(1, 10**15)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 1B: a subnormal u^2 in curve_ext_rows' annulus sum "
+    "reads hi = 5.9999332030960976e-120 below the exact 5.9999999999999995e-120",
+)
+def test_a_subnormal_square_keeps_the_upper_bound_above_the_exact_one():
+    o = builtin("l-2-2")
+
+    def hi(number):
+        x = WeightedSurface(o, {"A1": number(1e100), "A2": number(1e100)},
+                            {"B1": number(1e-100), "B2": number(1e-100)})
+        curve = WeightedMulticurve(o, VERTICAL, {"B1": number(1e-160),
+                                                 "B2": number(2e-160)})
+        return curve_ext_bounds(x, curve).hi
+
+    assert hi(float) >= hi(Fraction)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=OverflowError,
+    reason="ROADMAP item 1B: an exact surface whose ratios leave the float range "
+    "raises 'integer division result too large for a float'",
+)
+def test_an_exact_surface_past_the_float_range_gets_its_distance():
+    o = builtin("l-2-2")
+    big = WeightedSurface(o, {"A1": Fraction(10**400), "A2": Fraction(10**400)},
+                          {"B1": 1, "B2": 1})
+    unit = WeightedSurface(o, {"A1": 1, "A2": 1}, {"B1": 1, "B2": 1})
+    d = distance_interval(big, unit)  # d_T = log(10^400) / 2
+    assert d.lo <= 200 * math.log(10) <= d.hi
 
 
 def test_an_infinite_scale_is_refused(unit_l22):
