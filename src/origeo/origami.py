@@ -24,10 +24,12 @@ and ``F = n`` faces gives ``2 - 2g = V - n``, which is the Gauss–Bonnet
 identity ``sum_vertices (m - 1) = 2g - 2``.
 
 A horizontal and a vertical core meet once in every cell their cylinders
-share.  Each origami builds that count table N as its
-:class:`IntersectionMatrix`, by its nonzero cells.  :func:`reached_rows` is
-the one search over N's support: it tests transitivity (of an origami and
-of a pair's O′) and, under :func:`support_is_primitive`, primitivity.
+share.  Each permutation is walked once: the walk lists its cycles and
+numbers each cell's cylinder, and one count of the cells by their pair of
+numbers gives that table N, the :class:`IntersectionMatrix`, by its nonzero
+cells.  :func:`reached_rows` is the one search over N's support: it tests
+transitivity (of an origami and of a pair's O′) and, under
+:func:`support_is_primitive`, primitivity.
 
 The running example throughout the package is the three-cell L-shaped
 origami ``h = (1 2)(3)``, ``v = (1 3)(2)``: two horizontal cylinders
@@ -38,9 +40,12 @@ origami ``h = (1 2)(3)``, ``v = (1 3)(2)``: two horizontal cylinders
 from __future__ import annotations
 
 import operator
-from functools import cached_property
+from collections import Counter
+from collections.abc import Mapping
+from functools import cached_property, lru_cache
+from itertools import repeat
 from types import MappingProxyType
-from typing import Dict, List, Mapping, NamedTuple, Sequence, Set, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Set, Tuple
 
 from .errors import (CertificationError, ComplexityError, InputError, InvalidOrigami,
                      NotFillingError, np)
@@ -88,7 +93,7 @@ class IntersectionMatrix(_Record):
     row sums are the horizontal cylinder lengths, the column sums the
     vertical ones, and the grand total is the number of squares.
     ``row_index`` and ``col_index`` map each label to its position,
-    read-only, built with the matrix.
+    read-only, built on first use.
 
     The constructor takes the cells and checks them in one pass: the
     columns of each row increase within the column labels, and each count
@@ -113,14 +118,25 @@ class IntersectionMatrix(_Record):
                 if not count > 0:
                     raise InputError("a stored cell must hold a positive count")
                 last = j
-        self.__dict__.update(
-            sparse_rows=rows, row_labels=row_labels, col_labels=col_labels,
-            row_index=MappingProxyType(dict(zip(row_labels, range(k)))),
-            col_index=MappingProxyType(dict(zip(col_labels, range(l)))),
-        )
+        self.__dict__.update(sparse_rows=rows, row_labels=row_labels, col_labels=col_labels)
+
+    @classmethod
+    def _counted(cls, *fields) -> "IntersectionMatrix":
+        """N from cells that an origami counted, stored with no second check."""
+        m = cls.__new__(cls)
+        m.__dict__.update(zip(cls._fields, fields))
+        return m
 
     def __hash__(self) -> int:
         return hash(self._key())
+
+    @cached_property
+    def row_index(self) -> Mapping[str, int]:
+        return MappingProxyType(dict(zip(self.row_labels, range(len(self.row_labels)))))
+
+    @cached_property
+    def col_index(self) -> Mapping[str, int]:
+        return MappingProxyType(dict(zip(self.col_labels, range(len(self.col_labels)))))
 
     @property
     def shape(self) -> Tuple[int, int]:
@@ -209,15 +225,6 @@ def reached_rows(row_cols: Sequence[Sequence[int]],
     return seen_rows
 
 
-def _column_rows(row_cols: Sequence[Sequence[int]], n_cols: int) -> List[List[int]]:
-    """The column index of ``row_cols``: per column, its rows in order."""
-    col_rows = [[] for _ in range(n_cols)]
-    for i, cols in enumerate(row_cols):
-        for j in cols:
-            col_rows[j].append(i)
-    return col_rows
-
-
 def support_is_primitive(row_cols: Sequence[Sequence[int]], n_cols: int) -> bool:
     """No zero row, no zero column, connected bipartite support graph.
 
@@ -228,7 +235,10 @@ def support_is_primitive(row_cols: Sequence[Sequence[int]], n_cols: int) -> bool
     """
     if not row_cols or not n_cols:
         return False
-    col_rows = _column_rows(row_cols, n_cols)
+    col_rows = [[] for _ in range(n_cols)]
+    for i, cols in enumerate(row_cols):
+        for j in cols:
+            col_rows[j].append(i)
     if not all(row_cols) or not all(col_rows):
         return False
     # with no zero column, reaching every row reaches every column too
@@ -264,48 +274,57 @@ def _as_int(x, what: str) -> int:
 
 def _as_permutation(images: Sequence[int], n: int, name: str) -> Tuple[int, ...]:
     try:
+        if isinstance(images, (str, bytes, Mapping)):  # read as keys or characters
+            raise TypeError
         cells = list(images)
     except TypeError:
         raise InvalidOrigami(f"{name} must be a list of integers") from None
-    try:
-        # operator.index takes bools, so they are refused first
-        if bool in map(type, cells):
-            raise TypeError
-        perm = tuple(map(operator.index, cells))
-    except TypeError:
-        raise InvalidOrigami(f"each image in {name} must be an integer") from None
-    if len(perm) != n:
+    if not set(map(type, cells)) <= {int}:
+        try:
+            # operator.index takes bools, so they are refused first
+            if bool in map(type, cells):
+                raise TypeError
+            cells = list(map(operator.index, cells))
+        except TypeError:
+            raise InvalidOrigami(f"each image in {name} must be an integer") from None
+    if len(cells) != n:
         raise InvalidOrigami(f"{name} must list images of all {n} cells")
-    if sorted(perm) != list(range(1, n + 1)):
-        raise InvalidOrigami(f"{name} is not a bijection of 1..{n}: {list(perm)}")
-    return perm
+    if len(set(cells)) != n or min(cells) < 1 or max(cells) > n:
+        raise InvalidOrigami(f"{name} is not a bijection of 1..{n}: {cells}")
+    return tuple(cells)
 
 
-def _cycles(perm: Tuple[int, ...]) -> List[Tuple[int, ...]]:
-    """The cycles of ``perm``, each from its smallest cell; the scan meets a
-    cycle first at that cell, so they come in increasing order of it."""
-    n = len(perm)
-    seen = [False] * (n + 1)
+def _cycles(perm: Sequence[int], scale: int = 1) -> Tuple[List[Tuple[int, ...]], List[int]]:
+    """The cycles of ``perm`` (read from 1), each from its smallest cell, and
+    per cell (from 1 too) its cycle's number times ``scale``.  The scan meets
+    a cycle first at its smallest cell, so they come in increasing order of it."""
+    of = [-1] * len(perm)
     cycles = []
-    for start in range(1, n + 1):
-        if seen[start]:
-            continue
-        cycle = [start]
-        seen[start] = True
-        cur = perm[start - 1]
-        while cur != start:
-            cycle.append(cur)
-            seen[cur] = True
-            cur = perm[cur - 1]
-        cycles.append(tuple(cycle))
-    return cycles
+    for start in range(1, len(perm)):
+        if of[start] < 0:
+            of[start] = key = len(cycles) * scale
+            cycle = [start]
+            cur = perm[start]
+            while cur != start:
+                cycle.append(cur)
+                of[cur] = key
+                cur = perm[cur]
+            cycles.append(tuple(cycle))
+    return cycles, of
+
+
+@lru_cache(maxsize=1024)
+def _labels(prefix: str, count: int) -> Tuple[str, ...]:
+    return tuple([f"{prefix}{k}" for k in range(1, count + 1)])
 
 
 class Origami:
     """A connected square-tiled surface; see module docstring for the model.
 
-    The constructor enforces well-formedness only (bijections, transitivity)
-    and builds the cylinders and N, on which transitivity is tested.
+    The constructor enforces well-formedness only (bijections, transitivity):
+    it reads each permutation once, walks it once for its cylinders and each
+    cell's cylinder number, counts N from those numbers, and tests
+    transitivity on N.  The cone orders walk the commutator on first use.
     The genus >= 2 complexity gate is applied by :meth:`validate`, so that
     structural identities remain checkable on torus covers too.
     """
@@ -320,14 +339,13 @@ class Origami:
         self.h = _as_permutation(h, n, "h")
         self.v = _as_permutation(v, n, "v")
         self._key = (n, self.h, self.v)  # an O′ has its parent's and its supports
-        self._cyls: Dict[str, Tuple[Cylinder, ...]] = {}
-        for side, prefix, perm in ((HORIZONTAL, "A", self.h), (VERTICAL, "B", self.v)):
-            self._cyls[side] = tuple(
-                Cylinder(side, f"{prefix}{k + 1}", cells)
-                for k, cells in enumerate(_cycles(perm))
-            )
-        self._matrix = self._build_matrix()
-        missing = self._unreached_cells()
+        hor, row_of = _cycles((0, *self.h))
+        ver, col_key = _cycles((0, *self.v), len(hor))
+        # tuple.__new__ builds each Cylinder from (side, label, cells) in C
+        self._cyls = {side: tuple(map(tuple.__new__, repeat(Cylinder),
+                                      zip(repeat(side), _labels(prefix, len(cycles)), cycles)))
+                      for side, prefix, cycles in ((HORIZONTAL, "A", hor), (VERTICAL, "B", ver))}
+        missing = self._build_matrix(row_of, col_key)
         if missing:
             raise InvalidOrigami(
                 f"surface is disconnected: cells {missing} unreachable from cell 1"
@@ -345,22 +363,21 @@ class Origami:
         new = {cell: k for k, cell in enumerate(sorted(hor & ver), 1)}
         o = Origami.__new__(Origami)
         o.n, o._parent = len(new), self
-        o._key, o._cyls, perms = (self._key, tuple(rows), tuple(cols)), {}, {}
-        for side, cylinders in used.items():
-            perm, kept = [0] * len(new), []
-            for c in cylinders:
+        o._key, o._cyls, perms, index = (self._key, tuple(rows), tuple(cols)), {}, {}, {}
+        for side, scale in ((HORIZONTAL, 1), (VERTICAL, len(used[HORIZONTAL]))):
+            perm, of, kept = [0] * (len(new) + 1), [-1] * (len(new) + 1), []
+            for i, c in enumerate(used[side]):
                 cycle = [new[cell] for cell in c.cells if cell in new]
                 if not cycle:
                     raise NotFillingError(f"the families do not fill: {c.label} meets "
                                           "no core of the other family")
                 for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-                    perm[a - 1] = b
+                    perm[a], of[a] = b, i * scale
                 k = cycle.index(min(cycle))
                 kept.append(Cylinder(side, c.label, (*cycle[k:], *cycle[:k])))
-            perms[side], o._cyls[side] = tuple(perm), tuple(kept)
+            perms[side], index[side], o._cyls[side] = tuple(perm[1:]), of, tuple(kept)
         o.h, o.v = perms[HORIZONTAL], perms[VERTICAL]
-        o._matrix = o._build_matrix()
-        if o._unreached_cells():
+        if o._build_matrix(index[HORIZONTAL], index[VERTICAL]):
             raise NotFillingError("the families do not fill: their cores fall into "
                                   "more than one connected piece")
         return o
@@ -370,33 +387,25 @@ class Origami:
         """The origami that :meth:`_restricted` cut this one from, or itself."""
         return self._parent or self
 
-    def _build_matrix(self) -> IntersectionMatrix:
-        """N by its nonzero cells: one pass over each horizontal cylinder's
-        cells counts them per vertical cylinder."""
+    def _build_matrix(self, row_of: List[int], col_key: List[int]) -> List[int]:
+        """Store N by one count of ``i + j * k`` over the cells, for a cell's
+        horizontal cylinder ``row_of[cell] = i`` and vertical ``col_key[cell]
+        = j * k`` (k rows).  Returns the cells that <h, v> does not carry
+        cell 1 (in A1) to, in order: the orbit of a cell is the union of the
+        cylinders it meets, so these are the cells of the rows that the
+        search over N's support from A1 does not reach."""
         hor, ver = self._cyls[HORIZONTAL], self._cyls[VERTICAL]
-        col_of = [0] * (self.n + 1)
-        for j, c in enumerate(ver):
-            for cell in c.cells:
-                col_of[cell] = j
-        rows = []
-        for c in hor:
-            counts: Dict[int, int] = {}
-            for cell in c.cells:
-                j = col_of[cell]
-                counts[j] = counts.get(j, 0) + 1
-            rows.append(tuple(sorted(counts.items())))
-        return IntersectionMatrix(tuple(rows), tuple(c.label for c in hor),
-                                  tuple(c.label for c in ver))
-
-    def _unreached_cells(self) -> List[int]:
-        """The cells that <h, v> does not carry cell 1 (in A1) to, in order.
-        The orbit of a cell is the union of the cylinders it meets, so these
-        are the cells of the horizontal cylinders that the search over N's
-        support from A1 does not reach."""
-        rows = [[j for j, _ in row] for row in self._matrix.sparse_rows]
-        reached = reached_rows(rows, _column_rows(rows, len(self._cyls[VERTICAL])))
-        return sorted(cell for i, c in enumerate(self._cyls[HORIZONTAL])
-                      if i not in reached for cell in c.cells)
+        rows, row_cols, col_rows = [[] for _ in hor], [[] for _ in hor], [[] for _ in ver]
+        # column-major, so each row's columns increase; unused cell 0 is key -2
+        for key, count in sorted(Counter(map(operator.add, row_of, col_key)).items())[1:]:
+            j, i = divmod(key, len(hor))
+            rows[i].append((j, count))
+            row_cols[i].append(j)
+            col_rows[j].append(i)
+        self._matrix = IntersectionMatrix._counted(tuple(map(tuple, rows)), *(
+            tuple([c.label for c in cylinders]) for cylinders in (hor, ver)))
+        reached = reached_rows(row_cols, col_rows)
+        return sorted(cell for i, c in enumerate(hor) if i not in reached for cell in c.cells)
 
     # ------------------------------------------------------------------
     # cylinders and the intersection matrix
@@ -432,15 +441,21 @@ class Origami:
 
     @cached_property
     def _cone_orders(self) -> Tuple[int, ...]:
-        h_inv = [0] * self.n
-        v_inv = [0] * self.n
-        for cell, (right, top) in enumerate(zip(self.h, self.v), 1):
-            h_inv[right - 1] = cell
-            v_inv[top - 1] = cell
-        commutator = tuple(
-            v_inv[h_inv[self.v[right - 1] - 1] - 1] for right in self.h
-        )
-        return tuple(sorted((len(cycle) for cycle in _cycles(commutator)), reverse=True))
+        # v^-1 h^-1 v h = (h∘v)^-1 ∘ (v∘h): one inverse, of h∘v; lists read from 1
+        h, v = (0, *self.h), (0, *self.v)
+        hv_inv = [0] * len(h)
+        for cell, image in enumerate(map(h.__getitem__, self.v), 1):
+            hv_inv[image] = cell
+        seen, orders = [False] * len(h), []
+        for start in range(1, len(h)):
+            if not seen[start]:
+                m, cur = 0, start
+                while not seen[cur]:
+                    seen[cur] = True
+                    m += 1
+                    cur = hv_inv[v[h[cur]]]
+                orders.append(m)
+        return tuple(sorted(orders, reverse=True))
 
     def genus(self) -> int:
         """Genus via Gauss–Bonnet: sum of (m - 1) over cone orders is 2g - 2."""

@@ -12,6 +12,7 @@ from origeo.errors import ComplexityError, InputError, InvalidOrigami
 from origeo.origami import (
     HORIZONTAL,
     VERTICAL,
+    IntersectionMatrix,
     Origami,
     builtin,
     catalog,
@@ -118,12 +119,63 @@ def test_connectivity_agrees_with_the_cell_orbit(pair):
 
 
 def test_non_bijection_rejected():
-    with pytest.raises(InvalidOrigami):
-        Origami(3, (1, 1, 3), (2, 3, 1))
-    with pytest.raises(InvalidOrigami):
-        Origami(3, (0, 1, 2), (2, 3, 1))
-    with pytest.raises(InvalidOrigami):
-        Origami(3, (1, 2), (2, 3, 1))
+    for h, message in [
+        ((1, 1, 3), "h is not a bijection of 1..3: [1, 1, 3]"),  # a duplicate image
+        ((0, 1, 2), "h is not a bijection of 1..3: [0, 1, 2]"),
+        ((1, 2, 4), "h is not a bijection of 1..3: [1, 2, 4]"),  # out of range
+        ((1, 2), "h must list images of all 3 cells"),  # short
+        # the type is checked before the length, the length before the bijection
+        ((1, 2.5), "each image in h must be an integer"),
+        ((1, 1), "h must list images of all 3 cells"),
+    ]:
+        # and h before v, whatever is wrong with v
+        for v in ((2, 3, 1), "bad", (1, 1, 3)):
+            with pytest.raises(InvalidOrigami) as caught:
+                Origami(3, h, v)
+            assert str(caught.value) == message
+
+
+@pytest.mark.parametrize(
+    "images",
+    [
+        pytest.param("213", id="str"),
+        pytest.param(b"\x02\x01\x03", id="bytes"),
+        pytest.param({2: 0, 1: 0, 3: 0}, id="mapping"),
+        pytest.param({"a": 1}, id="json-object"),
+    ],
+)
+def test_a_permutation_that_is_not_a_list_is_refused_by_name(images):
+    # read as an iterable, each of these would be its characters, bytes or
+    # keys, and the bytes and the first mapping would pass as [2, 1, 3]
+    with pytest.raises(InvalidOrigami, match="^v must be a list of integers$"):
+        Origami(3, [2, 1, 3], images)
+    with pytest.raises(InvalidOrigami, match="^v must be a list of integers$"):
+        parse_origami({"squares": 3, "h": [2, 1, 3], "v": images})
+
+
+def test_tuples_and_arrays_are_accepted_as_permutations():
+    for v in ((3, 2, 1), np.array([3, 2, 1]), range(3, 0, -1)):
+        assert Origami(3, [2, 1, 3], v) == builtin("l-2-2")
+
+
+def test_origamis_and_their_restrictions_store_n_without_a_second_check(monkeypatch):
+    """N is counted from the walks, which make its cells well formed; the
+    checking constructor is for cells from anywhere else."""
+    from origeo.multicurve import WeightedMulticurve, filling_origami
+
+    calls = []
+    checked = IntersectionMatrix.__init__
+    monkeypatch.setattr(IntersectionMatrix, "__init__",
+                        lambda self, *args: calls.append(args) or checked(self, *args))
+    o = parse_origami({"squares": 4, "h": [1, 3, 4, 2], "v": [4, 3, 2, 1]})
+    o.validate()
+    cut = filling_origami(WeightedMulticurve(o, HORIZONTAL, {"A2": 1}),
+                          WeightedMulticurve(o, VERTICAL, {"B1": 1, "B2": 1}))
+    assert cut.parent is o and cut.intersection_matrix().entries == ((1, 2),)
+    assert calls == []
+    for m in (o.intersection_matrix(), cut.intersection_matrix()):
+        assert IntersectionMatrix(m.sparse_rows, m.row_labels, m.col_labels) == m
+    assert len(calls) == 2
 
 
 def test_no_cells_and_a_non_iterable_permutation_are_refused():

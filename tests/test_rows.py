@@ -187,6 +187,55 @@ def test_near_proportional_distance_bracket_is_certified():
     assert abs(hi[0] - want.hi) <= DISTANCE_SLACK
 
 
+_INVERTED = "ROADMAP item 1B: the distance bracket of two nearly identical float " \
+    "surfaces inverts near 0, a false exit 5"
+_LOW = "ROADMAP item 1B: the float lower bound lies about 2e-12 below the exact " \
+    "one, sound but past DISTANCE_SLACK"
+
+
+@pytest.mark.parametrize("origami, x, y", [
+    # falsifying rows of test_float_kernels_agree_with_the_exact_path under
+    # derandomize=False and --hypothesis-seed 2 or 7 (ROADMAP item 13), each
+    # surface as (heights, widths) on its line's origami (squares, h, v)
+    pytest.param(
+        (7, [3, 6, 7, 5, 2, 1, 4], [1, 4, 7, 2, 5, 3, 6]),
+        ([0.6105735008989498], [1.0799999999999996, 0.026666666666666703,
+                                0.6399999999999999, 0.053333333333333344]),
+        ([0.6105735008989498], [1.0800000000038115, 0.026666666666666703,
+                                0.6399999999999999, 0.053333333333333344]),
+        marks=pytest.mark.xfail(strict=True, raises=CertificationError, reason=_INVERTED),
+        id="seed-2-inverted"),
+    pytest.param(
+        (4, [4, 2, 1, 3], [2, 3, 1, 4]),
+        ([2.158639476715419, 0.036996541608062955], [0.6020461383329729, 0.5306051488893695]),
+        ([2.158639476715419, 0.036996541608062955], [0.6020461383389933, 0.5306051488893695]),
+        marks=pytest.mark.xfail(strict=True, raises=CertificationError, reason=_INVERTED),
+        id="seed-7-inverted"),
+    pytest.param(
+        (7, [5, 4, 3, 7, 6, 2, 1], [3, 7, 2, 4, 6, 1, 5]),
+        ([1.414213562373095, 0.11704389280405647], [0.30574582323392674, 2.165525060596439]),
+        ([1.414213562373095, 0.15028733322848395], [0.3057458232350058, 2.165525060596439]),
+        marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=_LOW),
+        id="seed-2-low"),
+    pytest.param(
+        (4, [1, 3, 4, 2], [2, 4, 3, 1]),
+        ([0.2631965613319104, 1.4559358358010157], [1.371222389705768, 0.6287776102942318]),
+        ([0.2631965613319104, 1.8694586182350141], [1.3712223897194802, 0.6287776102942318]),
+        marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=_LOW),
+        id="seed-7-low"),
+])
+def test_nearly_identical_float_surfaces_match_the_exact_distance_bracket(origami, x, y):
+    n, h, v = origami
+    o = parse_origami({"squares": n, "h": h, "v": v})
+    x, y = (SurfaceRows(o, np.array([heights]), np.array([widths])) for heights, widths in (x, y))
+    want = distance_interval(_exact_surface(x, 0), _exact_surface(y, 0))
+    with Checks() as checks:
+        lo, hi = distance_rows(x, y, checks)
+    assert lo[0] <= want.lo and want.hi <= hi[0]  # sound
+    assert abs(lo[0] - want.lo) <= DISTANCE_SLACK
+    assert abs(hi[0] - want.hi) <= DISTANCE_SLACK
+
+
 @settings(max_examples=6, deadline=None, derandomize=True, database=None)
 @given(
     _reports(),
