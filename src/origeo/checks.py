@@ -172,7 +172,17 @@ def check_minsky(seed: int) -> dict:
         cases += 1
         rep = minsky_audit(x)
         if rep["status"] != "pass":
-            failures.append(f"surface {i}: {rep['definingEquality']['status']}")
+            # name the first violated core pair; with none, the defining equality broke
+            pair = next((p for p in rep["pairs"] if p["status"] == "violated"), None)
+            if pair:
+                a, b = pair["pair"]
+                what = (f"pair {a}, {b}: n^2 = {pair['intersection'] ** 2} exceeds "
+                        f"the ExtHi product {pair['extUpperProduct']!r}")
+            else:
+                eq = rep["definingEquality"]
+                what = (f"defining equality: pairing^2 {eq['pairingSquared']!r} "
+                        f"!= area^2 {eq['areaSquared']!r}")
+            failures.append(f"surface {i}: {what}")
     return _report("minsky", cases, failures)
 
 

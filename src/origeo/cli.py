@@ -6,8 +6,7 @@ Five subcommands over JSON/CSV files:
 * ``geodesic`` — build the optimal geodesic for a pair of boundary specs
   and emit a reconstructible JSON report.
 * ``flow`` — sample a built line along a time grid into CSV.
-* ``converge`` — replay the boundary convergence scheme (exact section
-  plus a jittered demonstration) from a report.
+* ``converge`` — replay the boundary convergence scheme from a report.
 * ``check`` — run the randomized self-check suites.
 
 Exit codes: 0 success; 2 malformed input or configuration; 3 hypothesis
@@ -18,9 +17,9 @@ timestamps and floats print with 15 significant digits, except a report's
 ``lambda``, printed as the shortest string that reads back to the same
 float so that it lies inside its printed bracket.  Only ``geodesic`` takes
 ``--tol``; ``flow`` and ``converge`` rebuild the line at the tolerance its
-report records.  Only ``converge`` (its jitter) and ``check`` (its random
-cases) take ``--seed``; the geodesic construction draws nothing at random,
-and a report's ``config.seed`` is always 0.
+report records.  Only ``check`` (its random cases) takes ``--seed``; the
+geodesic construction draws nothing at random, and a report's
+``config.seed`` is always 0.
 
 The argument parser is built once per process, on the first :func:`main`
 call, and reused; ``main`` then looks the subcommand up by name
@@ -97,11 +96,8 @@ def _checked(args: argparse.Namespace) -> argparse.Namespace:
             raise InputError(f"empty time grid: t-min {args.t_min} > t-max {args.t_max}")
         if args.horizon is not None and not 0 < args.horizon < math.inf:
             raise InputError(f"--horizon must be positive and finite, got {args.horizon}")
-    if args.command == "converge":
-        if args.n_max < 1:
-            raise InputError(f"--n-max must be at least 1, got {args.n_max}")
-        if not 0 <= args.eps < math.inf:
-            raise InputError(f"--eps must be nonnegative and finite, got {args.eps}")
+    if args.command == "converge" and args.n_max < 1:
+        raise InputError(f"--n-max must be at least 1, got {args.n_max}")
     if args.out:
         _check_writable(args.out)
     return args
@@ -188,7 +184,7 @@ def _csv_lines(table: np.ndarray) -> List[str]:
 
 def cmd_converge(args: argparse.Namespace) -> str:
     line = geodesic.line_from_report(_load_json(args.report))
-    ladder = horo.converge_ladder(line, args.n_max, args.eps, args.seed)
+    ladder = horo.converge_ladder(line, args.n_max)
     return _emit(json.dumps(ladder, indent=2) + "\n", args.out)
 
 
@@ -247,9 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("converge", help="replay boundary convergence from a report")
     p.add_argument("report", help="geodesic report JSON (from `origeo geodesic`)")
     p.add_argument("--n-max", type=int, default=20, dest="n_max")
-    p.add_argument("--eps", type=float, default=0.05,
-                   help="jitter amplitude for the demonstration section")
-    add_common(p)
+    add_common(p, seed=False)
 
     p = sub.add_parser("check", help="run randomized self-check suites")
     p.add_argument("--suite", action="append", default=None, metavar="NAME",

@@ -29,9 +29,7 @@ theorem, and are reported as such.
 from __future__ import annotations
 
 import math
-import random
 
-from . import sampling
 from .errors import CertificationError, Checks, HostMismatch, InputError, at, np
 from .geodesic import (
     GeodesicLine,
@@ -47,7 +45,6 @@ from .surface import (
     SurfaceRows,
     WeightedSurface,
     _exact_ext_bounds,
-    check_weights,
     core_ext_bounds,
     curve_ext_rows,
     distance_interval,
@@ -194,16 +191,14 @@ def flow_table(line: GeodesicLine, ts: np.ndarray, horizon: float):
     return header, np.vstack(blocks)
 
 
-def converge_ladder(line: GeodesicLine, n_max: int, eps: float, seed: int) -> dict:
+def converge_ladder(line: GeodesicLine, n_max: int) -> dict:
     """The boundary convergence scheme at the rungs n = 1..n_max, as JSON:
-    the exact pairs G(-n), G(n) with their gap and Miyachi bracket, the same
-    pairs jittered by factors in [e^-eps, e^eps] drawn from ``seed`` (a
-    demonstration, not a certificate), and the line's :func:`delta_probe`."""
+    the pairs G(-n), G(n) with their gap and Miyachi bracket, and the line's
+    :func:`delta_probe`."""
     base = line.base_surface
-    # the jitter widens each of G(-n-max) and G(n-max) by up to e^eps; the
-    # cap keeps n-max below 89, so the whole ladder is one block of rows
-    check_reach(2.0 * (n_max + eps), "the span of G(-n-max) and G(n-max) plus --eps")
-    o, b = base.origami, base.rows
+    # the cap keeps n-max below 89, so the whole ladder is one block of rows
+    check_reach(2.0 * n_max, "the span of G(-n-max) and G(n-max)")
+    b = base.rows
     ns = np.arange(1.0, n_max + 1)
     with Checks() as checks:
         x, y = (flow_rows(line, t, checks) for t in (-ns, ns))
@@ -213,34 +208,12 @@ def converge_ladder(line: GeodesicLine, n_max: int, eps: float, seed: int) -> di
         check_flow_distance(ns, *d_0x, checks)
         miyachi = miyachi_rows(d_0x, distance_rows(b, y, checks), d_xy, checks)
 
-        # per n, the height and width factors of G(-n), then those of G(n):
-        # the order that gives each seed its jitter
-        kh, k = b.heights.shape[1], b.heights.shape[1] + b.widths.shape[1]
-        draws = sampling.jitter_factors(random.Random(seed), range(n_max * 2 * k), eps)
-        f = np.fromiter(draws.values(), float).reshape(n_max, 2, k)
-        hf_x, wf_x, hf_y, wf_y = f[:, 0, :kh], f[:, 0, kh:], f[:, 1, :kh], f[:, 1, kh:]
-        x_j = check_weights(SurfaceRows(o, x.heights * hf_x, x.widths * wf_x), checks)
-        y_j = check_weights(SurfaceRows(o, y.heights * hf_y, y.widths * wf_y), checks)
-        # sqrt is correctly rounded in IEEE 754, so np.sqrt gives math.sqrt's bits
-        proxy = SurfaceRows(o, b.heights * np.sqrt(hf_x * hf_y),
-                            b.widths * np.sqrt(wf_x * wf_y))
-        d_proxy = distance_rows(b, check_weights(proxy, checks), checks)
-        d_j = distance_rows(x_j, y_j, checks)
-        d_0j = distance_rows(b, x_j, checks)
-
-    def rungs(**columns):
-        # one object per rung: n, then a number per column
-        rows = zip(*(np.asarray(c).tolist() for c in columns.values()))
-        return [dict(zip(("n", *columns), (n, *row))) for n, row in enumerate(rows, 1)]
-
+    # one object per rung: n, its gap and its Miyachi bracket
+    rows = zip(*(np.asarray(c).tolist() for c in (2.0 * ns - ns, *miyachi)))
     return {
-        "nMax": n_max, "eps": eps, "seed": seed,
-        "exact": rungs(gap=2.0 * ns - ns, miyachiLo=miyachi[0], miyachiHi=miyachi[1]),
-        "jittered": {
-            "note": "demonstration, not certificate",
-            "rows": rungs(proxyLo=d_proxy[0], proxyHi=d_proxy[1],
-                          gapLo=d_j[0] - d_0j[1], gapHi=d_j[1] - d_0j[0]),
-        },
+        "nMax": n_max,
+        "exact": [dict(zip(("n", "gap", "miyachiLo", "miyachiHi"), (n, *row)))
+                  for n, row in enumerate(rows, 1)],
         "deltaProbe": delta_probe(line.forward_spec, line.backward_spec, base),
     }
 

@@ -100,7 +100,7 @@ def jittered_surface(
     """Perturb each cylinder weight by a factor in [e^-eps, e^eps].
 
     Returns the perturbed surface together with the height- and width-side
-    factors actually used, so callers can form geometric-mean proxies.
+    factors actually used.
     """
     hf = jitter_factors(rng, list(surface.heights), eps)
     wf = jitter_factors(rng, list(surface.widths), eps)

@@ -101,6 +101,7 @@ def test_benchmark_hooks_were_found():
         ("horo", "minsky_audit", {"pairs"}),
         ("horo", "busemann_interval", {"x0"}),
         ("surface", "foliation_ext", {"side"}),
+        ("horo", "converge_ladder", {"eps", "seed"}),
     ],
 )
 def test_unread_parameters_stay_removed(module, name, removed):

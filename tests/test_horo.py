@@ -186,6 +186,39 @@ def test_minsky_audit_on_selected_pairs():
     assert rep["status"] == "pass"
 
 
+def test_minsky_suite_names_what_the_audit_found_violated(monkeypatch):
+    from origeo import checks
+
+    audit, reports = checks.minsky_audit, []
+
+    def broken(x):
+        # surface 0 violates its second and third pairs; surface 1 only its
+        # defining equality; surface 2 both, where the pair is named
+        rep = audit(x)
+        if len(reports) in (0, 2):
+            for entry in rep["pairs"][1:3]:
+                entry["status"] = "violated"
+        if len(reports) in (1, 2):
+            rep["definingEquality"]["status"] = "violated"
+        if len(reports) < 3:
+            rep["status"] = "fail"
+        reports.append(rep)
+        return rep
+
+    monkeypatch.setattr(checks, "minsky_audit", broken)
+    failures = checks.check_minsky(0)["failures"]
+    first = [reports[i]["pairs"][1] for i in (0, 2)]
+    equality = reports[1]["definingEquality"]
+    assert failures == [
+        "surface 0: pair {}, {}: n^2 = {} exceeds the ExtHi product {!r}".format(
+            *first[0]["pair"], first[0]["intersection"] ** 2, first[0]["extUpperProduct"]),
+        f"surface 1: defining equality: pairing^2 {equality['pairingSquared']!r} "
+        f"!= area^2 {equality['areaSquared']!r}",
+        "surface 2: pair {}, {}: n^2 = {} exceeds the ExtHi product {!r}".format(
+            *first[1]["pair"], first[1]["intersection"] ** 2, first[1]["extUpperProduct"]),
+    ]
+
+
 def test_lower_bound_audit_golden_margin(golden):
     rep = lower_bound_audit(golden)
     assert rep["status"] == "pass"
