@@ -204,10 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, seed: bool = True) -> None:
-        if seed:
-            p.add_argument("--seed", type=int, default=0,
-                           help="seed for every randomized choice (default %(default)s)")
+    def add_out(p: argparse.ArgumentParser) -> None:
         p.add_argument("--out", default=None,
                        help="also write the output to this file")
 
@@ -219,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="audit an origami description")
     add_origami_source(p)
-    add_common(p, seed=False)
+    add_out(p)
 
     p = sub.add_parser("geodesic", help="build the optimal geodesic report")
     add_origami_source(p)
@@ -228,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=DEFAULT_TOL,
                    help="relative width the eigenvalue bracket must reach "
                         "(default %(default)s); flow and converge reuse the report's")
-    add_common(p, seed=False)
+    add_out(p)
 
     p = sub.add_parser("flow", help="sample a geodesic report along a time grid")
     p.add_argument("report", help="geodesic report JSON (from `origeo geodesic`)")
@@ -238,18 +235,20 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"grid step (at most {MAX_GRID_ROWS} rows)")
     p.add_argument("--horizon", type=float, default=None,
                    help="Busemann horizon time (default t-max + 5)")
-    add_common(p, seed=False)
+    add_out(p)
 
     p = sub.add_parser("converge", help="replay boundary convergence from a report")
     p.add_argument("report", help="geodesic report JSON (from `origeo geodesic`)")
     p.add_argument("--n-max", type=int, default=20, dest="n_max")
-    add_common(p, seed=False)
+    add_out(p)
 
     p = sub.add_parser("check", help="run randomized self-check suites")
     p.add_argument("--suite", action="append", default=None, metavar="NAME",
                    help="run only matching suites (may repeat); known: "
                         + ", ".join(SUITE_NAMES))
-    add_common(p)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed for every randomized choice (default %(default)s)")
+    add_out(p)
 
     return parser
 

@@ -329,14 +329,15 @@ def delta_probe(xi: BusemannSpec, eta: BusemannSpec, base: WeightedSurface) -> d
     """Smallest combined pairing of the two specs over unit-length cores.
 
     Each core is rescaled so its extremal-length upper bound at ``base`` is
-    1, then min over cores of ``walsh_eval(xi, .) + walsh_eval(eta, .)``
-    is reported, with the core's label as the witness.  The bounds are
-    those of :func:`~origeo.surface.curve_ext_bounds`, bit for bit on a
-    float base: the cores' weights are the identity block, and each side's
-    columns go through :func:`~origeo.surface.curve_ext_rows` against the
-    base's one row; the scales go straight to the pairing kernel.  A
-    *probe*: the minimum over the cores only, an upper bound for the true
-    infimum over all curves — labeled accordingly, never a certificate.
+    1, and the least ``spec_pairing(xi, None, scales) + spec_pairing(eta,
+    None, scales)`` is reported with its core's label as the witness.  The
+    bounds are :func:`~origeo.surface.curve_ext_bounds`' bit for bit on a
+    float base: the cores' weights are the identity block, each side's
+    columns going through :func:`~origeo.surface.curve_ext_rows` against
+    the base's one row.  A core bounded by 0 or inf has no unit rescaling
+    in floats and is skipped; a base on which no core has one is refused.
+    A *probe*: the minimum over some cores, an upper bound for the infimum
+    over all curves — labeled accordingly, never a certificate.
     """
     if xi.host is not base.origami or eta.host is not base.origami:
         raise HostMismatch("specs and base surface live on different origamis")
@@ -349,10 +350,12 @@ def delta_probe(xi: BusemannSpec, eta: BusemannSpec, base: WeightedSurface) -> d
         hi = sum(curve_ext_rows(base.rows, side, w, checks)[1]
                  for side, w in ((HORIZONTAL, u[:, :h]), (VERTICAL, u[:, h:])))
         scales = 1.0 / np.sqrt(hi)
-        checks.add(~((scales > 0) & (scales < math.inf)),
+        kept = (scales > 0) & (scales < math.inf)
+        checks.add(~kept & ~kept.any(),
                    lambda i: InputError(
                        f"probe curve {labels[i]} has no unit rescaling in "
                        f"floats: its extremal length bound is {at(hi, i)!r}"))
-    values = spec_pairing(xi, None, scales) + spec_pairing(eta, None, scales)
-    best = int(np.argmin(values))
+        # a skipped core's pairing may be 0 * inf, its value is never read
+        values = spec_pairing(xi, None, scales) + spec_pairing(eta, None, scales)
+    best = int(np.flatnonzero(kept)[np.argmin(values[kept])])
     return {"value": float(values[best]), "witness": labels[best], "status": "probe"}

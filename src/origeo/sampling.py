@@ -43,14 +43,6 @@ def random_connected_origami(rng: random.Random, n: int) -> Origami:
     raise InputError(f"no transitive pair found for n={n} (should not happen)")
 
 
-def random_transitive_pair(
-    rng: random.Random, n: int
-) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    """Two permutations of 1..n generating a transitive action."""
-    o = random_connected_origami(rng, n)
-    return o.h, o.v
-
-
 def random_origami(
     rng: random.Random,
     n_range: Tuple[int, int] = (3, 8),
@@ -94,21 +86,6 @@ def jitter_factors(
     return {lab: math.exp(rng.uniform(-eps, eps)) for lab in labels}
 
 
-def jittered_surface(
-    rng: random.Random, surface: WeightedSurface, eps: float
-) -> Tuple[WeightedSurface, Dict[str, float], Dict[str, float]]:
-    """Perturb each cylinder weight by a factor in [e^-eps, e^eps].
-
-    Returns the perturbed surface together with the height- and width-side
-    factors actually used.
-    """
-    hf = jitter_factors(rng, list(surface.heights), eps)
-    wf = jitter_factors(rng, list(surface.widths), eps)
-    heights = {lab: w * hf[lab] for lab, w in surface.heights.items()}
-    widths = {lab: w * wf[lab] for lab, w in surface.widths.items()}
-    return WeightedSurface(surface.origami, heights, widths), hf, wf
-
-
 def random_matrix(
     rng: random.Random,
     rows: int,
@@ -139,29 +116,27 @@ def submatrix_is_primitive_shape(matrix: IntersectionMatrix, row_support: Iterab
 def random_primitive_instance(
     rng: random.Random,
     n_range: Tuple[int, int] = (3, 8),
-    max_components: int = 4,
-    max_entry: int = 3,
 ) -> Tuple[Origami, BusemannSpec, BusemannSpec]:
     """A genus >= 2 origami plus a transverse pair of specs with a connected
     restricted support; most draws do not fill.
 
     The two specs select random sub-families of the vertical/horizontal
-    cores (at most ``max_components`` each) whose restricted intersection
-    matrix has entries at most ``max_entry``, no zero line, and a connected
-    support graph; coefficients are small positive rationals.
+    cores (at most 4 each) whose restricted intersection matrix has entries
+    at most 3, no zero line, and a connected support graph; coefficients
+    are small positive rationals.
     """
     for _ in range(_MAX_TRIES):
         o = random_origami(rng, n_range, min_genus=2)
         ver = [c.label for c in o.cylinders(VERTICAL)]
         hor = [c.label for c in o.cylinders(HORIZONTAL)]
-        k = rng.randint(1, min(max_components, len(ver)))
-        l = rng.randint(1, min(max_components, len(hor)))
+        k = rng.randint(1, min(4, len(ver)))
+        l = rng.randint(1, min(4, len(hor)))
         vs = sorted(rng.sample(ver, k))
         hs = sorted(rng.sample(hor, l))
         n = o.intersection_matrix()
         cols = {n.col_index[b] for b in vs}
         rows = (n.sparse_rows[n.row_index[a]] for a in hs)
-        if any(e > max_entry for row in rows for j, e in row if j in cols):
+        if any(e > 3 for row in rows for j, e in row if j in cols):
             continue
         if not submatrix_is_primitive_shape(n, frozenset(hs), frozenset(vs)):
             continue

@@ -189,15 +189,6 @@ class WeightedSurface:
         return SurfaceRows(self.origami, *(_row(self._defining[side])
                                            for side in (HORIZONTAL, VERTICAL)))
 
-    def scaled(self, width_factor: Weight, height_factor: Weight) -> "WeightedSurface":
-        if not (width_factor > 0 and height_factor > 0):
-            raise InputError("scale factors must be positive")
-        return WeightedSurface(
-            self.origami,
-            {k: w * height_factor for k, w in self.heights.items()},
-            {k: w * width_factor for k, w in self.widths.items()},
-        )
-
 
 def _exact(surface: WeightedSurface, curve: WeightedMulticurve) -> bool:
     """Whether the surface and the curve, on one origami, are all exact, so

@@ -17,17 +17,18 @@ from origeo.errors import NotFillingError
 from origeo.geodesic import flow_distance, optimal_geodesic, point_at
 from origeo.horo import busemann_interval, minsky_audit, psi_foliation
 from origeo.multicurve import BusemannSpec
-from origeo.origami import HORIZONTAL, VERTICAL, Origami, builtin, catalog
+from origeo.origami import HORIZONTAL, VERTICAL, builtin, catalog
 from origeo.perron import gram, is_primitive, perron_solve
 from origeo.sampling import (
-    jittered_surface,
+    jitter_factors,
+    random_connected_origami,
     random_full_instance,
     random_matrix,
     random_primitive_instance,
     random_surface,
-    random_transitive_pair,
 )
-from origeo.surface import distance_interval, kerckhoff_lower, qc_upper
+from origeo.surface import (WeightedSurface, distance_interval, kerckhoff_lower,
+                            qc_upper)
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -63,9 +64,7 @@ def test_criterion_02_walsh_consistency_on_random_instances():
     rng = random.Random("acceptance:walsh")
     for i in range(50):
         while True:  # draws past the pairs that do not fill, each refused
-            _, xi, eta = random_primitive_instance(
-                rng, max_components=4, max_entry=3
-            )
+            _, xi, eta = random_primitive_instance(rng)
             try:
                 g = optimal_geodesic(xi, eta)
                 break
@@ -103,15 +102,10 @@ def test_criterion_04_flow_distance_brackets():
 
 
 def test_criterion_05_distance_bounds_order():
-    from origeo.surface import WeightedSurface
-
     o = builtin("l-2-2")
-    x = WeightedSurface(
-        o,
-        {"A1": Fraction(1), "A2": Fraction(1)},
-        {"B1": Fraction(1), "B2": Fraction(1)},
-    )
-    doubled = x.scaled(width_factor=Fraction(2), height_factor=Fraction(1))
+    heights = {"A1": Fraction(1), "A2": Fraction(1)}
+    x = WeightedSurface(o, heights, {"B1": Fraction(1), "B2": Fraction(1)})
+    doubled = WeightedSurface(o, heights, {"B1": Fraction(2), "B2": Fraction(2)})
     iv = distance_interval(x, doubled)
     half_log2 = 0.5 * math.log(2)
     assert abs(iv.lo - half_log2) <= 1e-12 and abs(iv.hi - half_log2) <= 1e-12
@@ -119,7 +113,7 @@ def test_criterion_05_distance_bounds_order():
     rng = random.Random("acceptance:bounds")
     for i in range(200):
         n = rng.randint(3, 8)
-        o = Origami(n, *random_transitive_pair(rng, n))
+        o = random_connected_origami(rng, n)
         a = random_surface(rng, o)
         b = random_surface(rng, o)
         family = [a.defining_foliation(VERTICAL), a.defining_foliation(HORIZONTAL)]
@@ -131,7 +125,7 @@ def test_criterion_06_minsky_and_sandwich():
     rng = random.Random("acceptance:minsky")
     for i in range(100):
         n = rng.randint(3, 8)
-        o = Origami(n, *random_transitive_pair(rng, n))
+        o = random_connected_origami(rng, n)
         rep = minsky_audit(random_surface(rng, o))
         assert rep["status"] == "pass", f"surface {i}"
         assert rep["definingEquality"]["status"] == "exact", f"surface {i}"
@@ -145,7 +139,11 @@ def test_criterion_06_minsky_and_sandwich():
     while done < 100:
         line = lines[done % len(lines)]
         t = rng2.uniform(-2.0, 2.0)
-        z, _, _ = jittered_surface(rng2, point_at(line, t), 0.25)
+        pt = point_at(line, t)
+        hf = jitter_factors(rng2, list(pt.heights), 0.25)
+        wf = jitter_factors(rng2, list(pt.widths), 0.25)
+        z = WeightedSurface(pt.origami, {k: w * hf[k] for k, w in pt.heights.items()},
+                            {k: w * wf[k] for k, w in pt.widths.items()})
         psi = psi_foliation(line.vertical_foliation, z, line.base_surface)
         bus = busemann_interval(line, z, horizon=7.0)
         assert psi.lo <= bus.hi + 1e-9, f"sandwich point {done}"
@@ -219,7 +217,7 @@ def test_criterion_09_structure_identities():
     rng = random.Random("acceptance:structure")
     for i in range(100):
         n = rng.randint(2, 10)
-        audit(Origami(n, *random_transitive_pair(rng, n)), f"random {i}")
+        audit(random_connected_origami(rng, n), f"random {i}")
     print("criterion 9: PASS — structure identities on catalog + 100 random pairs")
 
 

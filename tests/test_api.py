@@ -102,11 +102,20 @@ def test_benchmark_hooks_were_found():
         ("horo", "busemann_interval", {"x0"}),
         ("surface", "foliation_ext", {"side"}),
         ("horo", "converge_ladder", {"eps", "seed"}),
+        ("sampling", "random_primitive_instance", {"max_components", "max_entry"}),
     ],
 )
 def test_unread_parameters_stay_removed(module, name, removed):
     function = getattr(importlib.import_module(f"origeo.{module}"), name)
     assert not removed & set(inspect.signature(function).parameters)
+
+
+def test_helpers_only_tests_reached_stay_removed():
+    from origeo import sampling, surface
+
+    assert not hasattr(sampling, "random_transitive_pair")
+    assert not hasattr(sampling, "jittered_surface")
+    assert not hasattr(surface.WeightedSurface, "scaled")
 
 
 def test_geodesic_line_has_no_seed():

@@ -403,6 +403,29 @@ def test_tiny_step_flow_exits_input_error(report_file):
     assert res.stdout == ""
 
 
+def test_converge_probe_skips_a_core_without_unit_rescaling(tmp_path, capsys):
+    # B1's extremal length bound at the base is inf: the probe leaves it out
+    # and takes its minimum over the cores that have a float rescaling
+    docs = {
+        "xi": {"side": "vertical", "coeffs": [["B1", "1e-150"], ["B2", "1"], ["B3", "1"]],
+               "approx": True},
+        "eta": {"side": "horizontal", "coeffs": [["A1", "1e30"], ["A2", "1"]],
+                "approx": True},
+    }
+    for name, doc in docs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    rep = tmp_path / "report.json"
+    assert cli.main(["geodesic", "--builtin", "staircase-4", str(tmp_path / "xi.json"),
+                     str(tmp_path / "eta.json"), "--out", str(rep)]) == 0
+    assert cli.main(["flow", str(rep)]) == 0
+    capsys.readouterr()
+    assert cli.main(["converge", str(rep)]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert [row["n"] for row in data["exact"]] == list(range(1, 21))
+    assert data["deltaProbe"]["status"] == "probe"
+    assert data["deltaProbe"]["witness"] != "B1"
+
+
 def test_far_converge_exits_input_error(report_file):
     res = run_cli("converge", report_file, "--n-max", "1000")
     assert res.returncode == 2

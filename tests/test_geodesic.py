@@ -747,3 +747,39 @@ def test_staircase_pipeline_checks_and_derives_each_quantity_once(monkeypatch):
     assert sorted(weights) == sorted(labels)
     assert limits == [True, True]
     assert texts == ["1", "1"]
+
+
+# the random-full rows whose certified bracket misses the exact rho by about
+# one ulp: the bracket is of the rounded Gram matrix (ROADMAP item 15)
+_ITEM_15_MISSES = {"n10-s2", "n20-s3", "n30-s4", "n40-s2", "n70-s0", "n100-s4",
+                   "n160-s2", "n170-s2", "n210-s2", "n230-s0", "n240-s0"}
+
+
+def _random_full_rows():
+    item_15 = pytest.mark.xfail(strict=True, reason="ROADMAP item 15: the bracket "
+                                "encloses rho of the float Gram matrix, not of the "
+                                "exact coupling")
+    for n in range(10, 301, 10):
+        for s in range(5):
+            tag = f"n{n}-s{s}"
+            yield pytest.param(n, s, id=tag,
+                               marks=[item_15] if tag in _ITEM_15_MISSES else [])
+
+
+@pytest.mark.parametrize("n, s", _random_full_rows())
+def test_random_full_bracket_encloses_the_exact_rho(n, s):
+    import mpmath
+
+    _, xi, eta = random_full_instance(random.Random(f"{n}:{s}"), (n, n))
+    line = optimal_geodesic(xi, eta)
+    matrix = xi.host.intersection_matrix()
+    c = [xi.coeffs[b] for b in matrix.col_labels]
+    d = [eta.coeffs[a] for a in matrix.row_labels]
+    # M_ij = c_i d_j N[j][i], and T = M M^T, both exact
+    m = [[ci * dj * row[i] for dj, row in zip(d, matrix.entries)] for i, ci in enumerate(c)]
+    t = [[sum((a * b for a, b in zip(u, v)), Fraction(0)) for v in m] for u in m]
+    with mpmath.workdps(60):
+        rho = max(mpmath.eigsy(mpmath.matrix(
+            [[mpmath.mpf(x.numerator) / x.denominator for x in row] for row in t]),
+            eigvals_only=True))
+        assert mpmath.mpf(line.eigen.lower) <= rho <= mpmath.mpf(line.eigen.upper)

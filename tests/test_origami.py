@@ -19,7 +19,7 @@ from origeo.origami import (
     origami_to_json,
     parse_origami,
 )
-from origeo.sampling import random_transitive_pair
+from origeo.sampling import random_connected_origami
 
 
 def test_three_cell_l_shape_structure():
@@ -308,7 +308,7 @@ def _relabelled(o, sigma):
 def _origamis(draw):
     n = draw(st.integers(1, 60))
     rng = random.Random(draw(st.integers(0, 10**6)))
-    o = Origami(n, *random_transitive_pair(rng, n))
+    o = random_connected_origami(rng, n)
     sigma = list(range(1, n + 1))
     rng.shuffle(sigma)
     return o, sigma
